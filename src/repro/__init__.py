@@ -17,8 +17,9 @@ Quickstart::
     square(256, 256)(x, 1_000_000)
     value = x[0]      # host access; the scheduler syncs just enough
 
-:class:`Session` is the single entry point: ``gpus=1`` runs the paper's
-single-GPU scheduler, ``gpus>1`` the section-VI multi-GPU extension, and
+:class:`Session` is the single entry point: the paper's scheduler runs
+any device count through one path (``gpus>1`` adds the section-VI
+device placement; one GPU is the one-device case), and
 :mod:`repro.serve` multiplexes many tenants over a pool of sessions —
 all configured through one :class:`SchedulerConfig`.  The legacy
 ``GrCUDARuntime`` / ``MultiGpuScheduler`` classes remain as deprecation

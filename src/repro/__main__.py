@@ -69,7 +69,7 @@ EXPERIMENTS = {
     "parallel-bench": (
         parallel_bench,
         "execution-strategy matrix: fingerprint equality + speedups"
-        " across sequential/threading/process",
+        " across sequential/process",
     ),
 }
 
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="worker cap for the threading/process strategies"
+        help="worker cap for the process strategy"
         " (default: min(cpu_count, fleet slots))",
     )
     serving.add_argument(

@@ -12,8 +12,12 @@ invocation and CPU array access flows through:
    blocking the host;
 5. the operations are scheduled for execution on the device.
 
-The serial context (original GrCUDA) skips all of that: one stream,
-host-blocking sync after every computation, no dependency computation.
+The parallel context also decides *which GPU* runs each computation
+(the paper's section-VI future work); with one GPU that decision is
+fixed to device 0.  The serial context (original GrCUDA) skips all of
+that: one stream, host-blocking sync after every computation, no
+dependency computation.  Both route data movement through one
+:class:`~repro.memory.coherence.CoherenceEngine` over location sets.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from repro.core.element import (
     KernelElement,
     LibraryCallElement,
 )
-from repro.core.policies import SchedulerConfig
+from repro.core.policies import DevicePlacementPolicy, SchedulerConfig
 from repro.core.streams import StreamManager
 from repro.gpusim.engine import SimEngine
 from repro.gpusim.ops import (
@@ -40,22 +44,63 @@ from repro.gpusim.stream import SimStream
 from repro.kernels.kernel import KernelLaunch
 from repro.kernels.profile import combine_resources
 from repro.memory.array import AccessKind, DeviceArray
-from repro.memory.coherence import CoherenceEngine
+from repro.memory.coherence import (
+    AcquirePlan,
+    CoherenceEngine,
+    MovementPolicy,
+)
 
 
-def annotate_kernel_access_sets(op: KernelOp, launch: KernelLaunch) -> None:
-    """Stamp the launch's access sets on ``op`` for the race detector
-    and timeline introspection (shared by every kernel submission path:
-    execution contexts, CUDA-graph replay, serving replay)."""
+def submit_kernel(
+    coherence: CoherenceEngine,
+    stream: SimStream,
+    launch: KernelLaunch,
+    device_index: int = 0,
+    *,
+    tags: dict | None = None,
+    history=None,
+    policy: MovementPolicy | None = None,
+    kind: TransferKind | None = None,
+) -> tuple[KernelOp, AcquirePlan]:
+    """The kernel submission path of every executor: declare the
+    launch's accesses to ``coherence``, then submit the kernel on
+    ``stream`` with the resulting fault charge and completion-applied
+    location-set transitions.  ``history`` receives a
+    :class:`KernelExecutionRecord` at completion."""
+    accesses = launch.array_args
+    plan = coherence.acquire(
+        list(accesses), stream, device_index,
+        label=launch.label, policy=policy, kind=kind,
+    )
+    resources: KernelResourceRequest = launch.resources()
+    if plan.fault_bytes > 0:
+        resources = combine_resources(resources, plan.fault_bytes)
+    op = KernelOp(
+        label=launch.label,
+        resources=resources,
+        compute_fn=launch.execute,
+    )
+    # Race-detector tokens are per *copy* — (array, device) — so a
+    # peer-to-peer copy reading GPU 0's replica does not conflict with a
+    # kernel also reading it, but does conflict with anything touching
+    # the destination replica.
     op.info["reads"] = frozenset(
-        id(a) for a, k in launch.array_args if k.reads
+        a.copy_keys[device_index] for a, k in accesses if k.reads
     )
     op.info["writes"] = frozenset(
-        id(a) for a, k in launch.array_args if k.writes
+        a.copy_keys[device_index] for a, k in accesses if k.writes
     )
     op.info["array_names"] = {
-        id(a): a.name for a, _ in launch.array_args
+        a.copy_keys[device_index]: a.name for a, _ in accesses
     }
+    op.info["device"] = device_index
+    if tags:
+        op.info.update(tags)
+    if history is not None:
+        op.on_complete.append(kernel_history_recorder(launch, history))
+    coherence.release(plan, op)
+    coherence.engine.submit(stream, op)
+    return op, plan
 
 
 def wait_cross_stream_parents(
@@ -64,8 +109,7 @@ def wait_cross_stream_parents(
     parents: list[ComputationalElement],
 ) -> None:
     """Cross-stream dependencies -> event waits; same-stream ones are
-    already ordered by CUDA's FIFO guarantee.  Shared by every
-    DAG-scheduling path (parallel context, multi-GPU context)."""
+    already ordered by CUDA's FIFO guarantee."""
     for parent in parents:
         if (
             parent.finish_event is not None
@@ -123,7 +167,7 @@ class ExecutionContext(abc.ABC):
 
     def __init__(self, engine: SimEngine, config: SchedulerConfig) -> None:
         self.engine = engine
-        self.device = engine.device
+        self.devices = engine.devices
         self.config = config
         self.movement = config.resolve_movement(
             engine.device.spec, serial=self.serial
@@ -148,7 +192,7 @@ class ExecutionContext(abc.ABC):
         self.cpu_access_fast_path_count = 0
         self.cpu_access_element_count = 0
 
-    # -- public API used by the runtime facade -------------------------------
+    # -- public API used by the session --------------------------------------
 
     def attach(self, array: DeviceArray) -> None:
         """Route the array's CPU accesses through this context."""
@@ -164,6 +208,13 @@ class ExecutionContext(abc.ABC):
     ) -> None:
         """Hook called before every CPU access to a managed array."""
 
+    def library_call(self, element: LibraryCallElement) -> None:
+        """Run a pre-registered library function on the host (section
+        IV-A): a stream-unaware library forces a device sync first."""
+        self.sync()
+        self.engine.charge_host_time(element.cost_seconds)
+        element.fn()
+
     def sync(self) -> None:
         """Host-side device synchronization."""
         self.engine.sync_all()
@@ -176,42 +227,12 @@ class ExecutionContext(abc.ABC):
         its coherence engine created (window-coalescing streams)."""
         return self.coherence.take_owned_streams()
 
-    # -- shared helpers ------------------------------------------------------
-
-    def _kernel_op(
-        self, launch: KernelLaunch, fault_bytes: float = 0.0
-    ) -> KernelOp:
-        resources: KernelResourceRequest = launch.resources()
-        if fault_bytes > 0:
-            resources = combine_resources(resources, fault_bytes)
-        op = KernelOp(
-            label=launch.label,
-            resources=resources,
-            compute_fn=launch.execute,
-        )
-        annotate_kernel_access_sets(op, launch)
-        op.info.update(self.op_tags)
-        op.on_complete.append(
-            kernel_history_recorder(launch, self.history.record)
-        )
-        return op
-
-    def _submit_launch(
-        self,
-        stream: SimStream,
-        launch: KernelLaunch,
-        kind: "TransferKind | None" = None,
-    ) -> KernelOp:
-        """Declare the launch's accesses to the coherence engine, then
-        submit the kernel with the resulting fault charge and
-        completion-applied state transitions."""
-        plan = self.coherence.acquire(
-            list(launch.array_args), stream, label=launch.label, kind=kind
-        )
-        op = self._kernel_op(launch, plan.fault_bytes)
-        self.coherence.release(plan, op)
-        self.engine.submit(stream, op)
-        return op
+    def device_kernel_counts(self) -> list[int]:
+        """Kernels executed per GPU (load-balance introspection)."""
+        counts = [0] * len(self.devices)
+        for rec in self.engine.timeline.kernels():
+            counts[rec.meta.get("device", 0)] += 1
+        return counts
 
 
 class SerialExecutionContext(ExecutionContext):
@@ -229,7 +250,7 @@ class SerialExecutionContext(ExecutionContext):
     mechanism.  ``SchedulerConfig(prefetch=PrefetchPolicy.SYNC)`` forces
     eager copies everywhere (used by the contention-free measurements);
     ``SchedulerConfig(movement=...)`` selects any movement policy
-    explicitly.
+    explicitly.  The serial scheduler is single-GPU: it runs on device 0.
     """
 
     serial = True
@@ -240,7 +261,11 @@ class SerialExecutionContext(ExecutionContext):
         stream = self.engine.default_stream
         # The original scheduler's eager copies predate the prefetch API;
         # they surface as plain EAGER transfers whatever the device.
-        self._submit_launch(stream, launch, kind=TransferKind.EAGER)
+        submit_kernel(
+            self.coherence, stream, launch,
+            tags=self.op_tags, history=self.history.record,
+            kind=TransferKind.EAGER,
+        )
         self.engine.sync_stream(stream)
 
     def _on_cpu_access(
@@ -253,24 +278,130 @@ class SerialExecutionContext(ExecutionContext):
         )
 
 
-class ParallelExecutionContext(ExecutionContext):
-    """The paper's scheduler: parallel and asynchronous.
+class _PerDevice:
+    """Per-GPU scheduling state of the parallel context."""
 
-    Kernels are converted to DAG elements, dependencies are inferred from
-    dependency sets, streams come from the stream manager, and the host
-    never blocks except on CPU accesses that truly need GPU results.
-    """
-
-    def __init__(self, engine: SimEngine, config: SchedulerConfig) -> None:
-        super().__init__(engine, config)
+    def __init__(
+        self, index: int, engine: SimEngine, config: SchedulerConfig
+    ) -> None:
+        self.index = index
+        self._engine = engine
         self.streams = StreamManager(
             engine,
             new_stream=config.new_stream,
             parent_stream=config.parent_stream,
+            stream_factory=self._make_stream,
+        )
+        #: estimated work submitted and not yet completed (placement)
+        self.outstanding_work: float = 0.0
+
+    def _make_stream(self) -> SimStream:
+        return self._engine.create_stream(
+            label=f"gpu{self.index}-{self.streams.created_count + 1}",
+            device_index=self.index,
         )
 
+    def retire(self, duration: float) -> None:
+        self.outstanding_work = max(0.0, self.outstanding_work - duration)
+
+
+class ParallelExecutionContext(ExecutionContext):
+    """The paper's scheduler: parallel and asynchronous.
+
+    Kernels are converted to DAG elements, dependencies are inferred from
+    dependency sets, streams come from per-device stream managers, and
+    the host never blocks except on CPU accesses that truly need GPU
+    results.  Each computation is also placed on a GPU
+    (:class:`~repro.core.policies.DevicePlacementPolicy`):
+
+    * ``ROUND_ROBIN`` — naive; ignores data location;
+    * ``MIN_TRANSFER`` — the paper's stated requirement: "compute data
+      location and migration costs at run time".  Each candidate device
+      is priced as (bytes it would have to migrate, on the coherence
+      engine's planned view) plus a load-balance tiebreak on outstanding
+      work;
+    * ``LEAST_LOADED`` — ignores data location and picks the device with
+      the least outstanding (estimated) work; the classic serving-fleet
+      dispatch rule that :mod:`repro.serve` builds on.
+
+    With one GPU, placement is fixed to device 0 and neither placement
+    pricing nor the per-launch work estimate runs.
+    """
+
+    def __init__(self, engine: SimEngine, config: SchedulerConfig) -> None:
+        super().__init__(engine, config)
+        self.placement = config.resolve_placement()
+        self._per_device = [
+            _PerDevice(i, engine, config) for i in range(len(self.devices))
+        ]
+        #: whether there is a placement decision to make at all
+        self._placing = len(self.devices) > 1
+        self._rr_next = 0
+        #: element id -> device index (placement decisions, for tests)
+        self.placements: dict[int, int] = {}
+
     def reclaimable_streams(self) -> tuple[SimStream, ...]:
-        return self.streams.streams + self.coherence.take_owned_streams()
+        return (
+            tuple(
+                s
+                for per_dev in self._per_device
+                for s in per_dev.streams.streams
+            )
+            + self.coherence.take_owned_streams()
+        )
+
+    # -- placement ------------------------------------------------------------
+
+    def _least_loaded(self) -> int:
+        return min(
+            range(len(self.devices)),
+            key=lambda i: (self._per_device[i].outstanding_work, i),
+        )
+
+    def _choose_device(self, launch: KernelLaunch) -> int:
+        if not self._placing:
+            return 0
+        if self.placement is DevicePlacementPolicy.ROUND_ROBIN:
+            choice = self._rr_next
+            self._rr_next = (self._rr_next + 1) % len(self.devices)
+            return choice
+        if self.placement is DevicePlacementPolicy.LEAST_LOADED:
+            return self._least_loaded()
+
+        def cost(i: int) -> tuple[float, float]:
+            """(planned migration bytes, outstanding work)."""
+            migration = 0.0
+            for array, access in launch.array_args:
+                if access.reads:
+                    migration += self.coherence.migration_bytes(array, i)
+            return migration, self._per_device[i].outstanding_work
+
+        return min(range(len(self.devices)), key=cost)
+
+    def _place(
+        self, element: ComputationalElement, device_index: int
+    ) -> tuple[_PerDevice, SimStream]:
+        """Record the placement, assign a stream on the chosen device
+        and order it behind cross-stream parents."""
+        self.placements[element.element_id] = device_index
+        per_dev = self._per_device[device_index]
+        parents = self.dag.add(element)
+        stream = per_dev.streams.assign(element, parents)
+        wait_cross_stream_parents(self.engine, stream, parents)
+        return per_dev, stream
+
+    def _finish(
+        self,
+        element: ComputationalElement,
+        stream: SimStream,
+        plan: AcquirePlan,
+        device_index: int,
+    ) -> None:
+        element.finish_event = self.engine.record_event(
+            stream, label=f"done:{element.label}@gpu{device_index}"
+        )
+        self.coherence.register_fault_ordering(plan, element.finish_event)
+        self.dag.watch_completion(element)
 
     # -- kernel scheduling ------------------------------------------------------
 
@@ -280,36 +411,50 @@ class ParallelExecutionContext(ExecutionContext):
             self.config.scheduling_overhead_us * 1e-6
         )
         element = KernelElement(launch)
-        parents = self.dag.add(element)
-        stream = self.streams.assign(element, parents)
-        wait_cross_stream_parents(self.engine, stream, parents)
-
+        device_index = self._choose_device(launch)
+        per_dev, stream = self._place(element, device_index)
         # The coherence engine waits on in-flight shared-input
         # migrations, plans the movement the policy calls for (prefetch,
         # batched copies, or fault charges inside the kernel — the
-        # ablation of section V-C), and binds the state transitions to
-        # the kernel's completion.
-        self._submit_launch(stream, launch)
-        element.finish_event = self.engine.record_event(
-            stream, label=f"done:{launch.label}"
+        # ablation of section V-C), and binds the location-set
+        # transitions to the kernel's completion.
+        op, plan = submit_kernel(
+            self.coherence, stream, launch, device_index,
+            tags=self.op_tags, history=self.history.record,
+            policy=self.movement,
         )
-        self.dag.watch_completion(element)
+        if self._placing:
+            contention = self.devices[device_index].contention
+            estimate = contention.kernel_duration(op)
+            per_dev.outstanding_work += estimate
+            op.on_complete.append(
+                lambda _op, pd=per_dev, d=estimate: pd.retire(d)
+            )
+        self._finish(element, stream, plan, device_index)
 
     # -- CPU array accesses -------------------------------------------------------
 
     def _on_cpu_access(
         self, array: DeviceArray, kind: AccessKind, touched: int
     ) -> None:
-        conflicts = self._conflicting_elements(array, kind)
-        needs_migration = self.coherence.needs_host_migration(
-            array, kind, touched
+        """The CPU-access rule of section IV-A over location sets:
+        synchronize the precise conflicting computations, write back
+        from a valid replica when the host copy is stale, and let a
+        full-array overwrite kill every device replica without moving a
+        byte."""
+        conflicts = (
+            self.dag.active_users(array)
+            if kind.writes
+            else self.dag.active_writers(array)
         )
-        if not conflicts and not needs_migration:
+        needs_writeback = not (
+            kind is AccessKind.WRITE and touched >= array.nbytes
+        ) and not self.coherence.host_valid(array)
+        if not conflicts and not needs_writeback:
             # Fast path (section IV-A): consecutive accesses, or accesses
-            # while no GPU computation is active, bypass the DAG.  The
-            # coherence declaration still runs — a full-array write must
-            # invalidate the device copy through the shared transition
-            # path even when nothing migrates.
+            # while no GPU computation is active, bypass the DAG.  A
+            # write still leaves the host as the only valid copy through
+            # the shared transition path.
             self.cpu_access_fast_path_count += 1
             if kind.writes:
                 self.coherence.cpu_access(array, kind, touched)
@@ -317,13 +462,12 @@ class ParallelExecutionContext(ExecutionContext):
 
         self.cpu_access_element_count += 1
         element = ArrayAccessElement(array, kind, touched)
-        parents = self.dag.add(element)
+        self.dag.add(element)
         # Synchronize only the computations operating on this data,
         # through their precise per-computation events.
-        for parent in parents:
+        for parent in conflicts:
             if parent.finish_event is not None:
                 self.engine.sync_event(parent.finish_event)
-
         self.coherence.cpu_access(
             array, kind, touched, stream=self.engine.default_stream
         )
@@ -333,43 +477,38 @@ class ParallelExecutionContext(ExecutionContext):
         self.dag.deactivate(element)
         self.dag.deactivate_completed()
 
-    def _conflicting_elements(
-        self, array: DeviceArray, kind: AccessKind
-    ) -> list[ComputationalElement]:
-        """Active elements this CPU access would depend on (indexed:
-        O(degree) per access instead of a full frontier scan)."""
-        if kind.writes:
-            return self.dag.active_users(array)
-        return self.dag.active_writers(array)
-
     # -- library functions -----------------------------------------------------
 
     def library_call(self, element: LibraryCallElement) -> None:
         """Schedule a pre-registered library function (section IV-A).
 
-        Stream-aware libraries are scheduled asynchronously like kernels,
-        modelled as a full-device computation of the declared cost;
-        stream-unaware ones force a device sync and run on the host.
+        Stream-aware libraries are placed on the least-loaded GPU (the
+        call declares a flat cost, so there is no migration pricing to
+        beat) and scheduled asynchronously like kernels, modelled as a
+        full-device computation of the declared cost; stream-unaware
+        ones force a device sync and run on the host.
         """
         if not element.stream_aware:
-            self.sync()
-            self.engine.charge_host_time(element.cost_seconds)
-            element.fn()
+            super().library_call(element)
             return
-        parents = self.dag.add(element)
-        stream = self.streams.assign(element, parents)
-        wait_cross_stream_parents(self.engine, stream, parents)
-        resources = library_call_resources(
-            self.device.spec, element.cost_seconds
+        device_index = self._least_loaded()
+        _, stream = self._place(element, device_index)
+        plan = self.coherence.acquire(
+            list(element.accesses), stream, device_index,
+            label=element.label, policy=self.movement,
         )
+        resources = library_call_resources(
+            self.devices[device_index].spec, element.cost_seconds
+        )
+        if plan.fault_bytes > 0:
+            resources = combine_resources(resources, plan.fault_bytes)
         op = KernelOp(
             label=element.label,
             resources=resources,
             compute_fn=element.fn,
         )
+        op.info["device"] = device_index
         op.info.update(self.op_tags)
+        self.coherence.release(plan, op)
         self.engine.submit(stream, op)
-        element.finish_event = self.engine.record_event(
-            stream, label=f"done:{element.label}"
-        )
-        self.dag.watch_completion(element)
+        self._finish(element, stream, plan, device_index)

@@ -49,8 +49,8 @@ class StreamManager:
         self.engine = engine
         self.new_stream_policy = new_stream
         self.parent_stream_policy = parent_stream
-        #: optional override producing engine streams (the multi-GPU
-        #: scheduler pins each manager's streams to one device)
+        #: optional override producing engine streams (the parallel
+        #: context pins each device's manager's streams to that device)
         self._factory = stream_factory
         self._streams: list[SimStream] = []
         #: free-list as a heap of (creation index, stream), preserving

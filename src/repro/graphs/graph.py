@@ -18,12 +18,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.context import submit_kernel
 from repro.errors import GraphError
 from repro.gpusim.engine import SimEngine
-from repro.gpusim.ops import KernelOp
 from repro.gpusim.stream import SimEvent, SimStream
 from repro.kernels.kernel import Kernel, KernelLaunch, normalize_dim
-from repro.kernels.profile import combine_resources
 from repro.memory.coherence import CoherenceEngine, MovementPolicy
 
 _node_counter = itertools.count()
@@ -194,39 +193,8 @@ class ExecutableGraph:
                     engine.wait_event(stream, events[dep.node_id])
             if node.kind is NodeKind.KERNEL:
                 assert node.launch is not None
-                self._submit_kernel(engine, stream, node.launch, coherence)
+                submit_kernel(coherence, stream, node.launch)
             if node.needs_event:
                 events[node.node_id] = engine.record_event(
                     stream, label=f"g:{node.label}"
                 )
-
-    @staticmethod
-    def _submit_kernel(
-        engine: SimEngine,
-        stream: SimStream,
-        launch: KernelLaunch,
-        coherence: CoherenceEngine,
-    ) -> None:
-        """Submit one kernel with graph-style (prefetch-less) UM."""
-        plan = coherence.acquire(
-            list(launch.array_args), stream, label=launch.label
-        )
-        resources = launch.resources()
-        if plan.fault_bytes > 0:
-            resources = combine_resources(resources, plan.fault_bytes)
-        op = KernelOp(
-            label=launch.label,
-            resources=resources,
-            compute_fn=launch.execute,
-        )
-        op.info["reads"] = frozenset(
-            id(a) for a, k in launch.array_args if k.reads
-        )
-        op.info["writes"] = frozenset(
-            id(a) for a, k in launch.array_args if k.writes
-        )
-        op.info["array_names"] = {
-            id(a): a.name for a, _ in launch.array_args
-        }
-        coherence.release(plan, op)
-        engine.submit(stream, op)

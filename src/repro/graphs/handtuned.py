@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.context import submit_kernel
 from repro.gpusim.engine import SimEngine
-from repro.gpusim.ops import KernelOp
 from repro.gpusim.stream import SimEvent, SimStream
 from repro.kernels.kernel import Kernel, KernelLaunch, normalize_dim
-from repro.kernels.profile import combine_resources
 from repro.memory.array import DeviceArray
 from repro.memory.coherence import CoherenceEngine, MovementPolicy
 
@@ -92,25 +91,4 @@ class HandTunedScheduler:
             array_args=launch.array_args,
             scalar_args=launch.scalar_args,
         )
-        plan = self.coherence.acquire(
-            list(launch.array_args), stream, label=launch.label
-        )
-        resources = launch.resources()
-        if plan.fault_bytes > 0:
-            resources = combine_resources(resources, plan.fault_bytes)
-        op = KernelOp(
-            label=launch.label,
-            resources=resources,
-            compute_fn=launch.execute,
-        )
-        op.info["reads"] = frozenset(
-            id(a) for a, k in launch.array_args if k.reads
-        )
-        op.info["writes"] = frozenset(
-            id(a) for a, k in launch.array_args if k.writes
-        )
-        op.info["array_names"] = {
-            id(a): a.name for a, _ in launch.array_args
-        }
-        self.coherence.release(plan, op)
-        self.engine.submit(stream, op)
+        submit_kernel(self.coherence, stream, launch)

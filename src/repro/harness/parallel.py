@@ -5,7 +5,7 @@ checks the substrate's whole contract in one sweep:
 
 - **determinism** — report fingerprints, counter snapshots and the
   canonical Chrome trace (wall-clock fields stripped) are bit-identical
-  across ``sequential`` / ``threading`` / ``process``;
+  across ``sequential`` / ``process``;
 - **speed** — per-strategy wall-clock time and speedup over the
   refactored sequential baseline, written to ``BENCH_parallel.json``
   (the CI ``parallel-smoke`` artifact; the speedup gate lives in CI,

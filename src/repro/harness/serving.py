@@ -221,7 +221,7 @@ def serve_bench(
     still reach a terminal status (asserted unconditionally).
 
     ``parallel`` selects the execution strategy for per-slot simulation
-    (``sequential`` / ``threading`` / ``process``) and ``workers`` caps
+    (``sequential`` / ``process``) and ``workers`` caps
     the worker pool; every strategy produces the same fingerprint (see
     README "Parallel execution").
     """

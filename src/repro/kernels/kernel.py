@@ -138,8 +138,8 @@ class Kernel:
         scalar_args: list[Any] = []
         for arg, param in zip(args, params):
             if param.is_pointer:
-                # Duck-typed: single-GPU DeviceArray and the multi-GPU
-                # array both expose the device-pointer protocol.
+                # Duck-typed: anything exposing the device-pointer
+                # protocol of DeviceArray binds to a pointer.
                 if not (
                     hasattr(arg, "kernel_view") and hasattr(arg, "nbytes")
                 ):

@@ -7,28 +7,19 @@ accesses that conflict with in-flight GPU work into computational
 elements (section IV-A: "memory accesses by the CPU host program to
 GrCUDA UM-backed arrays" are DAG vertices).
 
-Values live in one numpy buffer — the host/device "copies" exist only in
-the coherence state used for timing.  This keeps functional results exact
-while the simulator charges realistic migration costs.
+Values live in one numpy buffer — the host and device "copies" exist
+only in the location set used for timing.  This keeps functional results
+exact while the simulator charges realistic migration costs.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.gpusim.device import Device
-from repro.memory.pages import (
-    PAGE_SIZE_BYTES,
-    CoherenceState,
-    after_cpu_read,
-    after_cpu_write,
-    after_gpu_read,
-    after_gpu_write,
-)
 
 
 class AccessKind(enum.Enum):
@@ -38,13 +29,12 @@ class AccessKind(enum.Enum):
     WRITE = "write"
     READ_WRITE = "read_write"
 
-    @property
-    def reads(self) -> bool:
-        return self in (AccessKind.READ, AccessKind.READ_WRITE)
-
-    @property
-    def writes(self) -> bool:
-        return self in (AccessKind.WRITE, AccessKind.READ_WRITE)
+    def __init__(self, value: str) -> None:
+        # Plain member attributes: every scheduled access asks these,
+        # and an attribute is an order of magnitude cheaper than a
+        # property comparing enum members.
+        self.reads = value != "write"
+        self.writes = value != "read"
 
 
 #: Signature of the CPU-access hook installed by the execution context.
@@ -65,53 +55,59 @@ def is_zero_block(a: np.ndarray) -> bool:
     return a.size == 0 or not any(a[(0,) * a.ndim].tobytes())
 
 
-def host_storage(
-    shape: tuple[int, ...],
-    dtype: np.dtype,
-    materialize: bool,
-    buffer: np.ndarray | None,
-) -> np.ndarray:
-    """The host buffer of a new array: ``buffer`` adopted as is, or
-    fresh zeros — one element for a virtual (``materialize=False``)
-    array.
+class DeviceArray:
+    """A unified-memory array visible to the host and to every GPU of
+    its session.
 
-    Timing-only sweeps at paper scales would need tens of GB of host
-    RAM; a virtual array keeps the declared geometry (all transfer and
-    coherence costs stay exact) without the buffer."""
-    if buffer is None:
-        return np.zeros(shape if materialize else 1, dtype=dtype)
-    if buffer.shape != shape or buffer.dtype != dtype:
-        raise ValueError(
-            f"cannot adopt a {buffer.dtype}{list(buffer.shape)} buffer"
-            f" as a {dtype}{list(shape)} array"
-        )
-    return buffer
+    Data location is a *location set*: the host and any subset of the
+    devices may hold a valid copy.  A GPU read adds its device, a GPU
+    write leaves its device as the only valid copy, a host write leaves
+    the host as the only valid copy.  A single GPU is the one-device
+    case.  Fresh UM memory is zeroed, so it starts valid everywhere.
 
-
-class HostArraySurface:
-    """The hooked host-access surface shared by the single-GPU
-    :class:`DeviceArray` and the multi-GPU
-    :class:`~repro.multigpu.array.MultiGpuArray`.
-
-    Subclasses provide the storage fields (``_shape``, ``_dtype``,
-    ``_data``, ``materialized``, ``name``, ``freed``) and one method —
-    ``_notify(kind, touched)``, called *before* every host access —
-    which routes the access through the execution context's hook (and
-    defines what an unhooked access means for that array kind).  Keeping
-    the indexing/bulk-copy methods here guarantees the two array types
-    cannot drift apart: a host program behaves identically whatever the
-    session's device count.
+    ``devices`` are the session's devices; the array allocates its
+    bytes on each.  An array made outside a session (placeholders,
+    staging buffers) allocates nothing and counts as one device's.
+    ``buffer`` adopts existing host data (same shape and dtype) as the
+    array's storage instead of allocating zeros.
     """
 
-    _shape: tuple[int, ...]
-    _dtype: np.dtype
-    _data: np.ndarray
-    materialized: bool
-    name: str
-    freed: bool
-
-    def _notify(self, kind: AccessKind, touched: int) -> None:
-        raise NotImplementedError
+    def __init__(
+        self,
+        shape: tuple[int, ...] | int,
+        dtype: Any = np.float32,
+        devices: Sequence[Device] = (),
+        name: str = "",
+        materialize: bool = True,
+        buffer: np.ndarray | None = None,
+    ) -> None:
+        self._shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        self._dtype = np.dtype(dtype)
+        self.materialized = materialize
+        if buffer is None:
+            # A virtual (``materialize=False``) array keeps its declared
+            # geometry, so every transfer and coherence cost stays
+            # exact, without the host RAM paper scales would need.
+            buffer = np.zeros(self._shape if materialize else 1, self._dtype)
+        elif buffer.shape != self._shape or buffer.dtype != self._dtype:
+            raise ValueError(
+                f"cannot adopt a {buffer.dtype}{list(buffer.shape)} buffer"
+                f" as a {self._dtype}{list(self._shape)} array"
+            )
+        self._data = buffer
+        self.name = name or f"arr{id(self) & 0xFFFF:x}"
+        self.devices = tuple(devices)
+        copies = range(max(1, len(self.devices)))
+        self.host_valid = True
+        self.valid_on: set[int] = set(copies)
+        #: per device, the race-detector token of the array's copy
+        #: there (built once: every op touching the copy shares it)
+        self.copy_keys = tuple((id(self), d) for d in copies)
+        self._alloc_handles = [
+            dev.allocate(self.nbytes) for dev in self.devices
+        ]
+        self._on_cpu_access: AccessHook | None = None
+        self.freed = False
 
     # -- basic properties ---------------------------------------------------
 
@@ -241,102 +237,88 @@ class HostArraySurface:
         """
         return self._data
 
+    # -- location set ---------------------------------------------------------
 
-class DeviceArray(HostArraySurface):
-    """A unified-memory array visible to both host code and GPU kernels.
+    def resident_on(self, device_index: int) -> bool:
+        return device_index in self.valid_on
 
-    ``buffer`` adopts existing host data (same shape and dtype) as the
-    array's storage instead of allocating zeros; the adopting executor
-    declares the host write itself."""
-
-    def __init__(
-        self,
-        shape: tuple[int, ...] | int,
-        dtype: Any = np.float32,
-        device: Device | None = None,
-        name: str = "",
-        materialize: bool = True,
-        buffer: np.ndarray | None = None,
-    ) -> None:
-        self._shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        self._dtype = np.dtype(dtype)
-        self.materialized = materialize
-        self._data = host_storage(
-            self._shape, self._dtype, materialize, buffer
+    def migration_source(self, device_index: int) -> int | None:
+        """Cheapest source for making ``device_index`` valid: another
+        device (peer-to-peer copy), ``-1`` for the host, or None if
+        already resident."""
+        return migration_source(
+            self.valid_on, self.host_valid, device_index, self.name
         )
-        self.name = name or f"arr{id(self) & 0xFFFF:x}"
-        self.device = device
-        self.state = CoherenceState.SHARED  # fresh UM memory is zeroed
-        self._alloc_handle: int | None = None
-        self._on_cpu_access: AccessHook | None = None
-        self.freed = False
-        if device is not None:
-            self._alloc_handle = device.allocate(self.nbytes)
 
-    # -- coherence ------------------------------------------------------------
+    def migration_bytes(self, device_index: int) -> int:
+        """Bytes to move before a kernel on ``device_index`` reads this."""
+        return 0 if self.resident_on(device_index) else self.nbytes
 
-    def stale_device_bytes(self) -> int:
-        """Bytes that must move host->device before a GPU read."""
-        return 0 if self.state.device_valid else self.nbytes
+    def mark_read(self, device_index: int) -> None:
+        """Device obtained a valid copy (after its migration landed)."""
+        self.valid_on.add(device_index)
 
-    def stale_host_bytes(self, touched: int | None = None) -> int:
-        """Bytes that must move device->host before a CPU access of
-        ``touched`` bytes (page-rounded, capped at the array size)."""
-        if self.state.host_valid:
-            return 0
-        touched = self.nbytes if touched is None else touched
-        pages = max(1, math.ceil(touched / PAGE_SIZE_BYTES))
-        return min(self.nbytes, pages * PAGE_SIZE_BYTES)
-
-    def mark_gpu_read(self) -> None:
-        self.state = after_gpu_read(self.state)
-
-    def mark_gpu_write(self) -> None:
-        self.state = after_gpu_write(self.state)
+    def mark_write(self, device_index: int) -> None:
+        """Device wrote the array: every other copy is stale."""
+        self.valid_on = {device_index}
+        self.host_valid = False
 
     def mark_cpu_read(self) -> None:
-        self.state = after_cpu_read(self.state)
+        self.host_valid = True
 
     def mark_cpu_write(self) -> None:
-        self.state = after_cpu_write(self.state)
+        self.host_valid = True
+        self.valid_on.clear()
 
     # -- host access (hooked) ------------------------------------------------
 
     def set_access_hook(self, hook: AccessHook | None) -> None:
+        """Route the array's host accesses through an execution context."""
         self._on_cpu_access = hook
 
     def _notify(self, kind: AccessKind, touched: int) -> None:
         """Declare an imminent host access to the execution context.
 
-        Without a context attached the access is unmanaged: no timing is
-        charged and no transition applies (standalone arrays are plain
-        buffers; the baselines install their own hooks)."""
+        Without a context attached no time is charged and the
+        location-set transition applies directly, so a detached array
+        stays coherent."""
         if self._on_cpu_access is not None:
             self._on_cpu_access(self, kind, touched)
-
-    def touch_write_full(self) -> None:
-        self._check_alive()
-        if self._on_cpu_access is not None:
-            self._on_cpu_access(self, AccessKind.WRITE, self.nbytes)
-        else:
-            # Unlike indexing (host-only convenience on unmanaged
-            # arrays), an *announced* full write exists purely for the
-            # coherence machine: transition even without a context.
+            return
+        if kind.reads:
+            self.mark_cpu_read()
+        if kind.writes:
             self.mark_cpu_write()
 
     # -- lifecycle ----------------------------------------------------------------
 
     def free(self) -> None:
-        """Release the device allocation.  Idempotent."""
+        """Release the per-device allocations.  Idempotent."""
         if self.freed:
             return
-        if self.device is not None and self._alloc_handle is not None:
-            self.device.free(self._alloc_handle)
-            self._alloc_handle = None
+        for dev, handle in zip(self.devices, self._alloc_handles):
+            dev.free(handle)
+        self._alloc_handles = []
         self.freed = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        where = ["host"] if self.host_valid else []
+        where += [f"gpu{i}" for i in sorted(self.valid_on)]
         return (
-            f"<DeviceArray {self.name} {self.dtype}{list(self.shape)}"
-            f" {self.state.value}>"
+            f"<DeviceArray {self.name} {self._dtype}{list(self._shape)}"
+            f" valid on {'+'.join(where) or 'nowhere'}>"
         )
+
+
+def migration_source(
+    valid_on: set[int], host_valid: bool, device_index: int, name: str
+) -> int | None:
+    """Cheapest source for making ``device_index`` valid given a
+    location set: the lowest-numbered device holding a copy, ``-1`` for
+    the host, or None if ``device_index`` already holds one."""
+    if device_index in valid_on:
+        return None
+    if valid_on:
+        return min(valid_on)
+    assert host_valid, f"{name} lost all copies"
+    return -1

@@ -1,24 +1,26 @@
 """The unified coherence & data-movement engine.
 
 Every execution mode — the serial and parallel contexts, CUDA-graph
-replay, the hand-tuned baseline, the multi-GPU scheduler and the serving
-layer's capture replay — moves the same bytes for the same reasons:
-a computation is about to read an array whose copy on its device is
-stale, or host code is about to touch an array the GPU owns.  This
-module owns that logic once, behind one :class:`CoherenceEngine` API:
+replay, the hand-tuned baseline and the serving layer's capture replay
+— moves the same bytes for the same reasons: a computation is about to
+read an array whose copy on its device is stale, or host code is about
+to touch an array the GPUs own.  This module owns that logic once,
+behind one :class:`CoherenceEngine` API over location sets (the host
+plus any subset of devices holding a valid copy; a single GPU is the
+one-device case):
 
 * executors *declare accesses* (:meth:`CoherenceEngine.acquire` before
-  submitting a compute op, :meth:`CoherenceEngine.release` to bind the
-  resulting state transitions to it, :meth:`CoherenceEngine.cpu_access`
-  for host-side touches);
+  submitting a compute op on a device, :meth:`CoherenceEngine.release`
+  to bind the resulting location-set transitions to it,
+  :meth:`CoherenceEngine.cpu_access` for host-side touches);
 * the engine *plans* the :class:`~repro.gpusim.ops.TransferOp` s a
-  pluggable :class:`MovementPolicy` calls for, *orders* them against
-  in-flight migrations issued on other streams (the shared-input hazard
-  previously handled by the per-executor ``MigrationTracker`` copies),
-  and *applies* coherence-state transitions when the operation
-  completes on the simulated device — never when planned — so that
-  concurrent planning observes a consistent split between the
-  *committed* state (what the hardware has done) and the *planned*
+  pluggable :class:`MovementPolicy` calls for — host uploads, or
+  peer-to-peer copies from the cheapest valid replica — *orders* them
+  against in-flight migrations issued on other streams (the
+  shared-input hazard), and *applies* location-set transitions when the
+  operation completes on the simulated device — never when planned — so
+  that concurrent planning observes a consistent split between the
+  *committed* set (what the hardware has done) and the *planned*
   overlay (what is already in flight).
 
 Movement policies
@@ -29,24 +31,25 @@ Movement policies
     charged to the faulting kernel itself.  This is plain UM behaviour
     and what a launched CUDA graph gets (graphs do not prefetch).
 ``EAGER_PREFETCH``
-    Issue a host-to-device copy as soon as the DAG schedules a consumer
+    Issue a copy as soon as the DAG schedules a consumer
     (``cudaMemPrefetchAsync`` ahead of the kernel) — the paper's
     prefetching mode.  On pre-Pascal devices the copy is a synchronous
     eager transfer; the fault path does not exist there.
 ``BATCHED``
-    Like ``EAGER_PREFETCH``, but stale inputs are coalesced into a
-    single transfer operation (adjacent-array copies ride one DMA
-    submission), trading per-op overhead for transfer granularity.
-    With ``window=0`` (the default) coalescing is per *acquire*: one
-    merged transfer per computation.  With ``window=N > 0`` the engine
-    runs a **submission-window coalescer**: the stale inputs of up to
-    ``N`` adjacent acquires are deferred onto one dedicated transfer
-    stream and merged into a single DMA submission, flushed when the
-    window fills, when the host synchronizes (engine pre-sync hooks),
-    on a CPU access, or at a policy boundary (an acquire under a
-    different policy or transfer kind).  Consumers park on the window's
-    pre-created event, so correctness is unchanged — only the number of
-    transfer submissions shrinks.
+    Like ``EAGER_PREFETCH``, but the stale inputs of one acquire that
+    share a source are coalesced into a single transfer operation
+    (adjacent-array copies ride one DMA submission), trading per-op
+    overhead for transfer granularity.  With ``window=0`` (the default)
+    coalescing is per *acquire*.  With ``window=N > 0`` the engine runs
+    a **submission-window coalescer**: the stale inputs of up to ``N``
+    adjacent acquires are deferred onto a dedicated transfer stream per
+    destination and merged into one DMA submission per (source,
+    destination) pair, flushed when the window fills, when the host
+    synchronizes (engine pre-sync hooks), on a CPU access, or at a
+    policy boundary (an acquire under a different policy or transfer
+    kind).  Consumers park on the window's pre-created event, so
+    correctness is unchanged — only the number of transfer submissions
+    shrinks.
 
 All three are functionally identical — values live in one numpy buffer;
 the policies only decide *when* and *in how many pieces* the simulator
@@ -56,7 +59,6 @@ charges the movement.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -67,15 +69,18 @@ from repro.gpusim.ops import (
     TransferOp,
 )
 from repro.gpusim.stream import SimEvent
-from repro.memory.array import AccessKind, DeviceArray
-from repro.memory.pages import PAGE_SIZE_BYTES
+from repro.memory.array import AccessKind, DeviceArray, migration_source
+from repro.memory.pages import writeback_bytes
 from repro.obs.counters import CounterRegistry
 from repro.obs.trace import NULL_TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gpusim.engine import SimEngine
     from repro.gpusim.stream import SimStream
-    from repro.multigpu.array import MultiGpuArray
+
+
+#: ``CoherenceEngine._pending`` entry of a copy with nothing in flight
+_NOTHING_PENDING: tuple[None, None] = (None, None)
 
 
 class MovementPolicy(enum.Enum):
@@ -86,36 +91,14 @@ class MovementPolicy(enum.Enum):
     BATCHED = "batched"
 
 
-_plan_tokens = itertools.count()
-
-
-@dataclass
-class _PlannedState:
-    """In-flight overlay over one array's committed coherence state.
-
-    ``device_valid`` / ``host_valid`` describe what the state *will be*
-    once everything already submitted completes; ``event`` (plus the
-    issuing ``stream``) orders later consumers on other streams behind
-    the in-flight migration.  ``token`` guards the completion callback:
-    a newer plan for the same array supersedes the cleanup of an older
-    one.
-    """
-
-    device_valid: bool
-    host_valid: bool
-    event: "SimEvent | None" = None
-    stream: "SimStream | None" = None
-    token: int = field(default_factory=lambda: next(_plan_tokens))
-
-
 @dataclass
 class AcquirePlan:
     """Outcome of one :meth:`CoherenceEngine.acquire` declaration.
 
     ``fault_bytes`` must be charged to the compute op (the page-fault
     path migrates *during* execution); ``completion_marks`` are the
-    state transitions :meth:`CoherenceEngine.release` binds to the op so
-    they apply at completion time.
+    location-set transitions :meth:`CoherenceEngine.release` binds to
+    the op so they apply at completion time.
     """
 
     fault_bytes: float = 0.0
@@ -125,41 +108,39 @@ class AcquirePlan:
     #: them via :meth:`CoherenceEngine.register_fault_ordering`, so
     #: later consumers sourcing from the replica wait for the kernel
     #: that actually creates it
-    fault_replicas: list[tuple[object, int]] = field(default_factory=list)
+    fault_replicas: list[tuple[DeviceArray, int]] = field(
+        default_factory=list
+    )
 
 
 @dataclass
 class _WindowGroup:
-    """One pending coalescing group of the submission-window coalescer.
+    """One pending coalescing group of the submission-window coalescer:
+    the arrays one merged DMA submission from one source to one
+    destination will cover.  ``event`` is created *before* any consumer
+    submits (consumers park on it) and recorded on the window stream
+    right after the merged transfer at flush time.  ``source_events``
+    order the flush behind in-flight materializations of peer source
+    replicas."""
 
-    Single-GPU windows use one group (host -> device 0); multi-GPU
-    windows keep one group per (source, destination) pair — that is the
-    unit one merged DMA submission can cover.  ``event`` is created
-    *before* any consumer submits (consumers park on it) and recorded on
-    the window stream right after the merged transfer at flush time.
-    ``source_events`` order the flush behind in-flight materializations
-    of the source replicas (multi-GPU peer sources only).
-    """
-
+    kind: TransferKind
+    event: SimEvent
     arrays: list = field(default_factory=list)
-    event: "SimEvent | None" = None
-    kind: "TransferKind | None" = None
     source_events: list = field(default_factory=list)
 
 
 @dataclass
-class _MultiPlanned:
-    """In-flight overlay over a :class:`MultiGpuArray`'s committed
-    location set.
+class _Planned:
+    """In-flight overlay over one array's committed location set.
 
     ``valid_on`` / ``host_valid`` describe the location set *once
     everything already submitted completes*; the committed set on the
     array itself moves only when operations complete on the simulated
     device.  ``outstanding`` counts in-flight transitions: when the last
     one commits, committed == planned again and the overlay retires.
-    ``epoch`` guards completion callbacks — a full host overwrite bumps
-    the array's epoch, so transitions planned before it are dead and
-    must not resurrect device replicas when their ops finally land.
+    ``epoch`` guards completion callbacks — a host write bumps the
+    array's epoch, so transitions planned before it are dead and must
+    not resurrect device replicas when their ops finally land.
     """
 
     valid_on: set[int]
@@ -169,22 +150,22 @@ class _MultiPlanned:
 
 
 class CoherenceEngine:
-    """Owns all host<->device (and device<->device) coherence traffic
-    for one executor on one :class:`~repro.gpusim.engine.SimEngine`.
+    """Owns all host<->device and device<->device coherence traffic for
+    one executor on one :class:`~repro.gpusim.engine.SimEngine`.
 
     The engine keeps two views of every array it has touched:
 
-    * the **committed** state — ``array.state`` (or the location set of
-      a :class:`~repro.multigpu.array.MultiGpuArray`), updated only by
+    * the **committed** location set on the array, updated only by
       completion callbacks on simulator operations;
-    * the **planned** overlay — what the state will become once already
+    * the **planned** overlay — what the set will become once already
       submitted work lands, updated eagerly at planning time so that
-      concurrent planning never double-moves the same bytes.
+      concurrent planning (and placement pricing) never double-moves
+      the same bytes.
 
     Cross-stream ordering (the shared-input hazard): when the migration
-    of an array was issued on stream A and a computation on stream B
-    also reads that array, ``acquire`` makes B wait on the migration's
-    event.  The issuing stream itself is already ordered by stream FIFO.
+    of a replica was issued on stream A and a computation on stream B
+    also reads that replica, ``acquire`` makes B wait on the
+    migration's event.
     """
 
     def __init__(
@@ -199,24 +180,27 @@ class CoherenceEngine:
         #: submission-window size for cross-acquire BATCHED coalescing:
         #: 0 flushes per acquire (classic BATCHED); N > 0 merges the
         #: stale inputs of up to N adjacent acquires into one transfer
+        #: per (source, destination) pair
         self.window = int(window)
         #: extra key/values stamped on every transfer op this engine
         #: submits (shared by reference with the owning executor, e.g.
         #: the tenant tags of ``repro.serve``)
         self.op_tags = op_tags if op_tags is not None else {}
-        #: planned overlays for single-device arrays, by ``id(array)``
-        self._planned: dict[int, _PlannedState] = {}
-        #: newest plan token committed per array: completion callbacks
-        #: of *superseded* plans (e.g. a migration invalidated by a full
-        #: host overwrite mid-flight) must not apply their transition
-        self._committed_gen: dict[int, int] = {}
-        #: in-flight multi-GPU migrations: (id(array), device) -> event
-        self._multi_pending: dict[tuple[int, int], "SimEvent"] = {}
-        #: planned overlays over multi-GPU location sets, by ``id(array)``
-        self._multi_planned: dict[int, _MultiPlanned] = {}
-        #: per-array epoch, bumped by full host overwrites: completion
-        #: callbacks planned in an older epoch are dead
-        self._multi_epoch: dict[int, int] = {}
+        #: in-flight replica materializations: (id(array), device) ->
+        #: (the event that completes the replica, the stream issuing the
+        #: copy).  Consumers on other streams wait on the event; the
+        #: issuing stream's FIFO already orders its own.  A replica a
+        #: faulting kernel materializes has no issuing stream: it orders
+        #: only peer copies sourcing from it — a consumer on its own
+        #: device faults alongside the kernel, as on one GPU.
+        self._pending: dict[
+            tuple[int, int], tuple[SimEvent, "SimStream | None"]
+        ] = {}
+        #: planned overlays over committed location sets, by ``id(array)``
+        self._planned: dict[int, _Planned] = {}
+        #: per-array epoch, bumped by host writes: completion callbacks
+        #: planned in an older epoch are dead
+        self._epoch: dict[int, int] = {}
         # -- movement accounting (the movement-bench axis) ---------------
         # One registry per coherence engine: per-instance introspection
         # (one serving request's movement) keeps working even when the
@@ -256,10 +240,8 @@ class CoherenceEngine:
             "coherence.window_flushes"
         )
         # -- submission-window coalescer state --------------------------
-        #: pending groups: (source, dest) -> _WindowGroup.  Single-GPU
-        #: deferrals live under the ``_SINGLE_GROUP`` sentinel (-2, -2),
-        #: which no multi-GPU (source, dest) pair can collide with; dict
-        #: order is flush order (a group sourcing from another group's
+        #: pending groups: (source, dest) -> _WindowGroup.  Dict order is
+        #: flush order (a group sourcing from another group's
         #: destination replica is necessarily inserted after it, so
         #: insertion order is safe).
         self._win_groups: dict[tuple[int, int], _WindowGroup] = {}
@@ -300,104 +282,77 @@ class CoherenceEngine:
         back to the null tracer for engines without one."""
         return getattr(self.engine, "tracer", NULL_TRACER)
 
-    # -- planned-state queries ------------------------------------------------
+    # -- planned-view queries -------------------------------------------------
 
-    def _plan_of(self, array: DeviceArray) -> _PlannedState | None:
-        return self._planned.get(id(array))
-
-    def device_valid(self, array: DeviceArray) -> bool:
-        """Will the device copy be valid once in-flight work completes?"""
-        plan = self._plan_of(array)
+    def resident(self, array: DeviceArray, device_index: int) -> bool:
+        """Will ``device_index`` hold a valid replica once in-flight work
+        completes?  (The planned view placement pricing reads.)"""
+        plan = self._planned.get(id(array))
         if plan is not None:
-            return plan.device_valid
-        return array.state.device_valid
+            return device_index in plan.valid_on
+        return device_index in array.valid_on
 
     def host_valid(self, array: DeviceArray) -> bool:
         """Will the host copy be valid once in-flight work completes?"""
-        plan = self._plan_of(array)
+        plan = self._planned.get(id(array))
         if plan is not None:
             return plan.host_valid
-        return array.state.host_valid
+        return array.host_valid
 
-    def needs_host_migration(
-        self, array: DeviceArray, kind: AccessKind, touched: int
-    ) -> bool:
-        """Would a CPU access of ``touched`` bytes require a writeback?
+    def migration_bytes(self, array: DeviceArray, device_index: int) -> int:
+        """Bytes a computation on ``device_index`` would have to migrate
+        (planned view — in-flight migrations already count as resident)."""
+        return 0 if self.resident(array, device_index) else array.nbytes
 
-        Pure query on the planned view — used by the contexts' CPU-access
-        fast path *before* any synchronization happens.
-        """
-        if kind is AccessKind.WRITE and touched >= array.nbytes:
-            return False
-        return not self.host_valid(array)
-
-    def _stale_host_bytes(self, array: DeviceArray, touched: int) -> int:
-        """Planned-view equivalent of ``DeviceArray.stale_host_bytes``."""
-        if self.host_valid(array):
-            return 0
-        pages = max(1, -(-int(touched) // PAGE_SIZE_BYTES))
-        return min(array.nbytes, pages * PAGE_SIZE_BYTES)
+    def migration_source(
+        self, array: DeviceArray, device_index: int
+    ) -> int | None:
+        """Cheapest source for making ``device_index`` valid, on the
+        planned view: another device (peer copy), ``-1`` for the host,
+        None if (planned-)resident."""
+        plan = self._planned.get(id(array))
+        if plan is None:
+            return array.migration_source(device_index)
+        return migration_source(
+            plan.valid_on, plan.host_valid, device_index, array.name
+        )
 
     # -- overlay bookkeeping -------------------------------------------------
 
-    def _overlay(
-        self,
-        array: DeviceArray,
-        *,
-        device_valid: bool | None = None,
-        host_valid: bool | None = None,
-        event: "SimEvent | None" = None,
-        stream: "SimStream | None" = None,
-    ) -> _PlannedState:
-        """Update (or open) the planned overlay for ``array``."""
-        plan = self._plan_of(array)
-        dv = self.device_valid(array) if device_valid is None else device_valid
-        hv = self.host_valid(array) if host_valid is None else host_valid
+    def _overlay(self, array: DeviceArray) -> _Planned:
+        """Open (or fetch) the planned overlay over ``array``'s committed
+        location set."""
+        plan = self._planned.get(id(array))
         if plan is None:
-            plan = _PlannedState(device_valid=dv, host_valid=hv)
+            plan = _Planned(
+                valid_on=set(array.valid_on),
+                host_valid=array.host_valid,
+                epoch=self._epoch.get(id(array), 0),
+            )
             self._planned[id(array)] = plan
-        else:
-            plan.device_valid = dv
-            plan.host_valid = hv
-            plan.token = next(_plan_tokens)
-        if event is not None:
-            plan.event = event
-            plan.stream = stream
         return plan
 
-    def _commit(
-        self, array: DeviceArray, mark: Callable[[], None], token: int
-    ) -> None:
-        """Apply one committed-state transition; retire the overlay if no
-        newer plan superseded it (committed == planned again).
-
-        A transition whose plan was superseded by an already-committed
-        newer one is dropped: its operation is dead — e.g. a migration
-        overtaken by a full host overwrite must not re-validate the
-        device copy when it finally lands.
-        """
-        if token < self._committed_gen.get(id(array), -1):
-            return
-        self._committed_gen[id(array)] = token
-        mark()
-        plan = self._plan_of(array)
-        if plan is not None and plan.token == token:
-            del self._planned[id(array)]
-
     def _committer(
-        self, array: DeviceArray, mark: Callable[[], None], token: int
+        self, array: DeviceArray, mark: Callable[[], None]
     ) -> Callable[[], None]:
-        return lambda: self._commit(array, mark, token)
+        """A completion callback applying one committed location-set
+        transition, dead if a host write bumped the epoch, retiring the
+        overlay when the last in-flight transition lands."""
+        overlay = self._overlay(array)
+        token_epoch = overlay.epoch
+        overlay.outstanding += 1
 
-    def reset(self) -> None:
-        """Forget all planned state (only safe on a drained engine)."""
-        self._planned.clear()
-        self._multi_pending.clear()
-        self._multi_planned.clear()
-        self._committed_gen.clear()
-        self._win_groups.clear()
-        self._win_acquires = 0
-        self.engine.remove_pre_sync_hook(id(self))
+        def commit() -> None:
+            if self._epoch.get(id(array), 0) != token_epoch:
+                return  # superseded by a host write
+            mark()
+            plan = self._planned.get(id(array))
+            if plan is not None:
+                plan.outstanding -= 1
+                if plan.outstanding <= 0:
+                    del self._planned[id(array)]
+
+        return commit
 
     # -- access declaration: GPU side ---------------------------------------
 
@@ -405,36 +360,46 @@ class CoherenceEngine:
         self,
         accesses: list[tuple[DeviceArray, AccessKind]],
         stream: "SimStream",
+        device_index: int = 0,
         label: str = "",
         policy: MovementPolicy | None = None,
         kind: TransferKind | None = None,
     ) -> AcquirePlan:
-        """Declare that a computation on ``stream`` is about to touch
-        ``accesses``; plan and submit the movement its policy calls for.
+        """Declare that a computation on ``stream`` (on device
+        ``device_index``) is about to touch ``accesses``; plan and submit
+        the movement its policy calls for.
+
+        Every stale read input is sourced from the cheapest
+        (planned-)valid copy — peer-to-peer when a device replica
+        exists, host upload otherwise.  ``EAGER_PREFETCH`` copies each
+        ahead of the kernel, ``BATCHED`` coalesces the inputs sharing a
+        source, and ``PAGE_FAULT`` issues no copy: the stale bytes are
+        charged to the faulting kernel itself.  Written arrays end with
+        ``device_index`` as their only valid copy.  Every transition
+        applies when its migrating operation (or, for faults and
+        writes, the kernel — via :meth:`release`) completes; the planned
+        overlay carries the in-flight residency that placement pricing
+        and later acquires read.
 
         Returns the :class:`AcquirePlan` whose ``fault_bytes`` the caller
         charges to the compute op and which :meth:`release` binds to it.
         ``policy`` overrides the engine's default for this acquire (the
         hand-tuned baseline faults arrays the programmer forgot while
         still prefetching explicitly); ``kind`` overrides the transfer
-        kind stamped on migrations (EAGER on pre-Pascal devices).
+        kind stamped on migrations (the serial scheduler's eager copies).
         """
         policy = policy or self.policy
-        supports_faults = self.engine.device.spec.supports_page_faults
-        if policy is MovementPolicy.PAGE_FAULT and not supports_faults:
+        faults = self.engine.devices[device_index].spec.supports_page_faults
+        if policy is MovementPolicy.PAGE_FAULT and not faults:
             policy = MovementPolicy.EAGER_PREFETCH
         if kind is None:
-            kind = (
-                TransferKind.PREFETCH
-                if supports_faults
-                else TransferKind.EAGER
-            )
+            kind = TransferKind.PREFETCH if faults else TransferKind.EAGER
         # Policy boundary: an acquire that moves data some other way
         # closes the open coalescing window first, keeping mixed-policy
         # executors (e.g. the hand-tuned baseline) deterministic.
         if self._win_groups and policy is not MovementPolicy.BATCHED:
             self.flush_window("policy-boundary")
-
+        windowed = policy is MovementPolicy.BATCHED and self.window > 0
         tracer = self.tracer
         span = (
             tracer.span(
@@ -443,51 +408,109 @@ class CoherenceEngine:
                 clock=self.engine._clock,
                 policy=policy.value,
                 label=label,
+                device=device_index,
             )
             if tracer.enabled
             else None
         )
         plan = AcquirePlan()
-        self._wait_pending(
-            stream, [a for a, _ in accesses]
-        )
-
-        stale: list[DeviceArray] = []
+        #: stale reads grouped by source (BATCHED coalescing unit)
+        stale_by_source: dict[int, list[DeviceArray]] = {}
+        #: (array, source, in-flight source event) tuples deferred into
+        #: the submission window instead of migrating now
+        deferred: list[tuple[DeviceArray, int, SimEvent | None]] = []
         seen: set[int] = set()
         for array, access in accesses:
             if not access.reads or id(array) in seen:
                 continue
             seen.add(id(array))
-            if not self.device_valid(array):
-                stale.append(array)
-
-        if stale:
+            if self.resident(array, device_index):
+                # Resident — possibly via a still-in-flight migration
+                # issued by another stream: wait on its event.
+                pending, issuer = self._pending.get(
+                    array.copy_keys[device_index], _NOTHING_PENDING
+                )
+                if (
+                    issuer is not None
+                    and issuer is not stream
+                    and not pending.complete
+                ):
+                    self.engine.wait_event(stream, pending)
+                continue
+            source = self.migration_source(array, device_index)
+            # A peer copy (or a faulting kernel reading a peer replica)
+            # must not start before the source replica is itself fully
+            # materialized — its migration may be in flight elsewhere.
+            source_pending = None
+            if source >= 0:
+                source_pending = self._pending.get(
+                    array.copy_keys[source], _NOTHING_PENDING
+                )[0]
+                if source_pending is not None and source_pending.complete:
+                    source_pending = None
+            if windowed:
+                # The merged transfer (not the consumer) orders behind
+                # the source replica; the consumer parks on the window
+                # event instead.
+                deferred.append((array, source, source_pending))
+                continue
+            if source_pending is not None:
+                self.engine.wait_event(stream, source_pending)
             if policy is MovementPolicy.PAGE_FAULT:
-                self._plan_faults(stale, plan)
-            elif policy is MovementPolicy.BATCHED and self.window > 0:
-                self._defer_batched(stale, stream, kind)
-            elif policy is MovementPolicy.BATCHED:
-                self._submit_batched(stale, stream, label, kind)
+                # The fault engine migrates on demand, charged to the
+                # kernel; residency commits when the kernel completes.
+                plan.fault_bytes += array.nbytes
+                self._overlay(array).valid_on.add(device_index)
+                plan.completion_marks.append(
+                    self._committer(
+                        array,
+                        lambda a=array, d=device_index: a.mark_read(d),
+                    )
+                )
+                # The replica exists only once the faulting kernel
+                # completes: consumers that source from it must order
+                # behind the kernel's finish event, registered by the
+                # caller.
+                plan.fault_replicas.append((array, device_index))
             else:
-                self._submit_prefetches(stale, stream, label, kind)
+                stale_by_source.setdefault(source, []).append(array)
+        if plan.fault_bytes:
+            # A float, as AcquirePlan.fault_bytes (counters are hashed
+            # into report fingerprints, which see the type).
+            self._c_fault_bytes.value += plan.fault_bytes
+
+        if deferred:
+            self._defer(deferred, device_index, stream, kind)
+        batched = policy is MovementPolicy.BATCHED
+        for source, arrays in stale_by_source.items():
+            if batched:
+                self._c_coalesced.value += len(arrays) - 1
+                self._migrate(arrays, source, device_index, stream, kind)
+            else:
+                for array in arrays:
+                    self._migrate(
+                        [array], source, device_index, stream, kind
+                    )
 
         # Writes commit at compute-op completion; the overlay flips now
-        # so later planning sees the array as device-resident/host-stale.
+        # so later planning sees the writing device as the only copy.
         seen.clear()
         for array, access in accesses:
             if not access.writes or id(array) in seen:
                 continue
             seen.add(id(array))
-            overlay = self._overlay(
-                array, device_valid=True, host_valid=False
-            )
+            overlay = self._overlay(array)
+            overlay.valid_on = {device_index}
+            overlay.host_valid = False
             plan.completion_marks.append(
-                self._committer(array, array.mark_gpu_write, overlay.token)
+                self._committer(
+                    array, lambda a=array, d=device_index: a.mark_write(d)
+                )
             )
         if span is not None:
             span.annotate(
-                stale=len(stale),
-                stale_bytes=sum(a.nbytes for a in stale),
+                stale=sum(len(a) for a in stale_by_source.values()),
+                deferred=len(deferred),
                 fault_bytes=plan.fault_bytes,
             )
             span.close()
@@ -496,7 +519,7 @@ class CoherenceEngine:
     def release(
         self, plan: AcquirePlan, op: Operation | None = None
     ) -> None:
-        """Bind ``plan``'s remaining state transitions to ``op`` so they
+        """Bind ``plan``'s location-set transitions to ``op`` so they
         apply when the compute op completes; with ``op=None`` (host-side
         executors that already synchronized) they apply immediately."""
         tracer = self.tracer
@@ -522,85 +545,110 @@ class CoherenceEngine:
 
         op.on_complete.append(apply_marks)
 
-    def _plan_faults(
-        self, stale: list[DeviceArray], plan: AcquirePlan
-    ) -> None:
-        """Leave the stale bytes to the fault engine: the kernel migrates
-        them on demand and the read transition lands at its completion."""
-        for array in stale:
-            plan.fault_bytes += array.nbytes
-            overlay = self._overlay(array, device_valid=True)
-            plan.completion_marks.append(
-                self._committer(array, array.mark_gpu_read, overlay.token)
-            )
-        self._c_fault_bytes.value += plan.fault_bytes
+    # Former multi-GPU names, still wrapped by the benchmark's layer
+    # tracer (``bench/layers.py``); nothing in the program calls them.
+    acquire_multi = acquire
+    release_multi = release
 
-    def _submit_prefetches(
-        self,
-        stale: list[DeviceArray],
-        stream: "SimStream",
-        label: str,
-        kind: TransferKind,
+    def register_fault_ordering(
+        self, plan: AcquirePlan, event: SimEvent
     ) -> None:
-        """One HtoD migration per stale array, followed by one event that
-        later consumers on other streams wait on."""
-        for array in stale:
-            self._submit_migration(
-                TransferOp(
-                    label=f"HtoD:{array.name}",
-                    direction=TransferDirection.HOST_TO_DEVICE,
-                    nbytes=array.nbytes,
-                    kind=kind,
-                ),
-                [array],
-                stream,
-            )
-        event = self.engine.record_event(
-            stream, label=f"migrate:{label or stale[0].name}-done"
-        )
-        for array in stale:
-            plan = self._plan_of(array)
-            assert plan is not None
-            plan.event = event
-            plan.stream = stream
+        """Bind the finish event of the compute op consuming ``plan`` to
+        the replicas its faults materialize, so later peer copies
+        sourcing from those replicas wait for the kernel that creates
+        them (a consumer on a replica's own device faults alongside the
+        kernel instead)."""
+        for array, device_index in plan.fault_replicas:
+            self._pending[array.copy_keys[device_index]] = (event, None)
 
-    def _submit_batched(
-        self,
-        stale: list[DeviceArray],
-        stream: "SimStream",
-        label: str,
-        kind: TransferKind,
+    def prefetch(
+        self, array: DeviceArray, stream: "SimStream", device_index: int = 0
     ) -> None:
-        """Coalesce all stale inputs of one acquire into a single DMA
-        submission (adjacent-array copies ride one transfer op)."""
-        total = sum(a.nbytes for a in stale)
-        names = ",".join(a.name for a in stale)
-        self._submit_migration(
-            TransferOp(
-                label=f"HtoD:batch[{names}]",
-                direction=TransferDirection.HOST_TO_DEVICE,
-                nbytes=total,
-                kind=kind,
+        """Explicit ``cudaMemPrefetchAsync``: move a (planned-)stale
+        array to ``device_index`` ahead of its consumers."""
+        source = self.migration_source(array, device_index)
+        if source is not None:
+            self._migrate(
+                [array], source, device_index, stream, TransferKind.PREFETCH
+            )
+
+    def _migrate(
+        self,
+        arrays: list[DeviceArray],
+        source: int,
+        device_index: int,
+        stream: "SimStream",
+        kind: TransferKind,
+        event: SimEvent | None = None,
+    ) -> None:
+        """One copy covering ``arrays`` from ``source`` (-1 = host) to
+        ``device_index``: planned overlay at submission, committed
+        location set at completion, ordering event recorded after.
+        ``event`` records a pre-created event (the submission-window
+        flush path, whose consumers already park on it) instead of a
+        fresh one."""
+        names = ",".join(a.name for a in arrays)
+        if source == -1:
+            direction = TransferDirection.HOST_TO_DEVICE
+            route = f"HtoD{device_index}"
+        else:
+            direction = TransferDirection.DEVICE_TO_DEVICE
+            route = f"D{source}toD{device_index}"
+        op = TransferOp(
+            label=(
+                f"{route}:{names}"
+                if event is None
+                else f"{route}:window[{names}]"
             ),
-            stale,
-            stream,
+            direction=direction,
+            nbytes=sum(a.nbytes for a in arrays),
+            kind=kind,
         )
-        self._c_coalesced.value += max(0, len(stale) - 1)
+        # Race-detector tokens are per *copy* — (array, device) — so a
+        # peer-to-peer copy reading GPU 0's replica does not conflict
+        # with a kernel also reading that replica, but does conflict
+        # with anything touching the destination replica.
+        sources = [
+            (id(a), "host") if source == -1 else a.copy_keys[source]
+            for a in arrays
+        ]
+        dests = [a.copy_keys[device_index] for a in arrays]
+        op.info["reads"] = frozenset(sources)
+        op.info["writes"] = frozenset(dests)
+        op.info["array_names"] = {
+            key: a.name
+            for keys in (sources, dests)
+            for key, a in zip(keys, arrays)
+        }
+        op.info.update(self.op_tags)
+        marks = [
+            self._committer(a, lambda a=a, d=device_index: a.mark_read(d))
+            for a in arrays
+        ]
+        for array in arrays:
+            self._overlay(array).valid_on.add(device_index)
+
+        def apply_all() -> None:
+            for mark in marks:
+                mark()
+
+        op.apply_fn = apply_all
+        self.engine.submit(stream, op)
+        self._c_transfer_ops.value += 1
+        self._c_migrated_bytes.value += op.nbytes
+        if source == -1:
+            self._c_htod_ops.value += 1
+            self._c_htod_bytes.value += op.nbytes
+        else:
+            self._c_d2d_ops.value += 1
+            self._c_d2d_bytes.value += op.nbytes
         event = self.engine.record_event(
-            stream, label=f"migrate:{label or names}-done"
+            stream, event=event, label=f"mig:{names}@gpu{device_index}"
         )
-        for array in stale:
-            plan = self._plan_of(array)
-            assert plan is not None
-            plan.event = event
-            plan.stream = stream
+        for key in dests:
+            self._pending[key] = (event, stream)
 
     # -- submission-window coalescer -----------------------------------------
-
-    #: group key of single-GPU (host -> primary device) deferrals; multi
-    #: -GPU groups use real (source, destination) index pairs, which are
-    #: always >= -1, so this key can never collide
-    _SINGLE_GROUP = (-2, -2)
 
     def _window_stream(self, device_index: int) -> "SimStream":
         """The dedicated transfer stream merged windows flush on (one
@@ -624,12 +672,56 @@ class CoherenceEngine:
         self._win_streams = {}
         return streams
 
+    def _defer(
+        self,
+        deferred: list[tuple[DeviceArray, int, SimEvent | None]],
+        device_index: int,
+        stream: "SimStream",
+        kind: TransferKind,
+    ) -> None:
+        """Defer one acquire's stale reads into the submission window:
+        arrays join the (source, destination) group they can share a DMA
+        submission with, the planned overlay and pending-migration map
+        advance as if the copy were already in flight, and the consumer
+        parks on the group's pre-created event.
+
+        A group of another transfer kind closes the window first (a
+        policy boundary).  A deferral whose *source* replica is itself
+        pending in the open window flushes first too: two groups each
+        sourcing a replica the other creates would otherwise wait on
+        each other's unrecorded events (the window streams deadlock).
+        After the flush every source event's record is already
+        submitted, so wait chains stay acyclic by construction."""
+        if any(g.kind is not kind for g in self._win_groups.values()):
+            self.flush_window("policy-boundary")
+        win_stream = self._window_stream(device_index)
+        events: dict[int, SimEvent] = {}
+        for array, source, source_pending in deferred:
+            if source_pending is not None and any(
+                g.event is source_pending
+                for g in self._win_groups.values()
+            ):
+                self.flush_window("source-hazard")
+            group = self._win_groups.get((source, device_index))
+            if group is None:
+                group = self._open_group(source, device_index, kind)
+            group.arrays.append(array)
+            if source_pending is not None:
+                group.source_events.append(source_pending)
+            self._overlay(array).valid_on.add(device_index)
+            self._pending[array.copy_keys[device_index]] = (
+                group.event, win_stream
+            )
+            events[group.event.event_id] = group.event
+        for event in events.values():
+            self.engine.wait_event(stream, event)
+        self._win_acquires += 1
+        if self._win_acquires >= self.window:
+            self.flush_window("window-full")
+
     def _open_group(
-        self, key: tuple[int, int], kind: "TransferKind"
+        self, source: int, dest: int, kind: TransferKind
     ) -> _WindowGroup:
-        group = self._win_groups.get(key)
-        if group is not None:
-            return group
         if not self._win_groups:
             # First deferral of this window: make sure any host sync
             # flushes us (a consumer parked on an unrecorded window
@@ -638,42 +730,10 @@ class CoherenceEngine:
                 id(self), lambda: self.flush_window("pre-sync")
             )
         group = _WindowGroup(
-            event=SimEvent(label=f"coalesce:{key[0]}to{key[1]}"),
-            kind=kind,
+            kind=kind, event=SimEvent(label=f"coalesce:{source}to{dest}")
         )
-        self._win_groups[key] = group
+        self._win_groups[(source, dest)] = group
         return group
-
-    def _defer_batched(
-        self,
-        stale: list[DeviceArray],
-        stream: "SimStream",
-        kind: "TransferKind",
-    ) -> None:
-        """Defer one acquire's stale inputs into the open submission
-        window instead of submitting their transfer now.  The consumer
-        parks on the window's pre-created event; the merged transfer is
-        submitted at flush time on the dedicated window stream."""
-        group = self._win_groups.get(self._SINGLE_GROUP)
-        if group is not None and group.kind is not kind:
-            self.flush_window("policy-boundary")  # transfer-kind boundary
-        group = self._open_group(self._SINGLE_GROUP, kind)
-        win_stream = self._window_stream(0)
-        for array in stale:
-            self._overlay(
-                array,
-                device_valid=True,
-                event=group.event,
-                stream=win_stream,
-            )
-            group.arrays.append(array)
-        self.engine.wait_event(stream, group.event)
-        self._note_deferred_acquire()
-
-    def _note_deferred_acquire(self) -> None:
-        self._win_acquires += 1
-        if self._win_acquires >= self.window:
-            self.flush_window("window-full")
 
     def flush_window(self, cause: str = "manual") -> None:
         """Flush every pending coalescing group: one merged transfer per
@@ -710,98 +770,17 @@ class CoherenceEngine:
             else None
         )
         for (source, dest), group in groups.items():
-            assert group.event is not None and group.kind is not None
-            if (source, dest) == self._SINGLE_GROUP:
-                self._flush_single_group(group)
-            else:
-                self._flush_multi_group(group, source, dest)
+            win_stream = self._window_stream(dest)
+            for ev in group.source_events:
+                if not ev.complete:
+                    self.engine.wait_event(win_stream, ev)
+            self._c_coalesced.value += len(group.arrays) - 1
+            self._migrate(
+                group.arrays, source, dest, win_stream, group.kind,
+                event=group.event,
+            )
         if span is not None:
             span.close()
-
-    def _flush_single_group(self, group: _WindowGroup) -> None:
-        win_stream = self._window_stream(0)
-        arrays = group.arrays
-        total = sum(a.nbytes for a in arrays)
-        names = ",".join(a.name for a in arrays)
-        self._submit_migration(
-            TransferOp(
-                label=f"HtoD:window[{names}]",
-                direction=TransferDirection.HOST_TO_DEVICE,
-                nbytes=total,
-                kind=group.kind,
-            ),
-            arrays,
-            win_stream,
-        )
-        self._c_coalesced.value += max(0, len(arrays) - 1)
-        self.engine.record_event(win_stream, event=group.event)
-        for array in arrays:
-            plan = self._plan_of(array)
-            if plan is not None:
-                plan.event = group.event
-                plan.stream = win_stream
-
-    def _flush_multi_group(
-        self, group: _WindowGroup, source: int, dest: int
-    ) -> None:
-        win_stream = self._window_stream(dest)
-        for ev in group.source_events:
-            if not ev.complete:
-                self.engine.wait_event(win_stream, ev)
-        self._c_coalesced.value += max(0, len(group.arrays) - 1)
-        self._submit_multi_migration(
-            group.arrays, source, dest, win_stream, event=group.event
-        )
-
-    def _submit_migration(
-        self,
-        op: TransferOp,
-        arrays: list[DeviceArray],
-        stream: "SimStream",
-    ) -> None:
-        """Submit one engine-planned migration covering ``arrays``."""
-        op.info["writes"] = frozenset(id(a) for a in arrays)
-        op.info["reads"] = frozenset()
-        op.info["array_names"] = {id(a): a.name for a in arrays}
-        op.info.update(self.op_tags)
-        marks: list[Callable[[], None]] = []
-        for array in arrays:
-            overlay = self._overlay(array, device_valid=True)
-            marks.append(
-                self._committer(array, array.mark_gpu_read, overlay.token)
-            )
-
-        def apply_all() -> None:
-            for mark in marks:
-                mark()
-
-        op.apply_fn = apply_all
-        self.engine.submit(stream, op)
-        self._c_transfer_ops.value += 1
-        self._c_migrated_bytes.value += op.nbytes
-        self._c_htod_ops.value += 1
-        self._c_htod_bytes.value += op.nbytes
-
-    def prefetch(self, array: DeviceArray, stream: "SimStream") -> None:
-        """Explicit ``cudaMemPrefetchAsync``: move a (planned-)stale
-        array to the device ahead of its consumers."""
-        if self.device_valid(array):
-            return
-        self._submit_prefetches(
-            [array], stream, f"prefetch:{array.name}", TransferKind.PREFETCH
-        )
-
-    def _wait_pending(
-        self, stream: "SimStream", arrays: list[DeviceArray]
-    ) -> None:
-        """Order ``stream`` behind in-flight migrations of ``arrays``
-        issued on *other* streams (same-stream FIFO already orders)."""
-        for array in arrays:
-            plan = self._plan_of(array)
-            if plan is None or plan.event is None:
-                continue
-            if plan.stream is not stream and not plan.event.complete:
-                self.engine.wait_event(stream, plan.event)
 
     # -- access declaration: host side ---------------------------------------
 
@@ -811,22 +790,20 @@ class CoherenceEngine:
         kind: AccessKind,
         touched: int,
         stream: "SimStream | None" = None,
-        sync: bool = True,
     ) -> TransferOp | None:
         """Declare an imminent host access; move and transition as needed.
 
-        Reads and partial writes migrate the touched pages back
-        (page-granular read-modify-write, like real UM); a pure write
-        covering the whole array goes through
-        :meth:`invalidate_device_copy` instead — nothing migrates, the
-        device copy dies.  The host access itself is synchronous, so
-        with ``sync=True`` (the default) the migration is drained and
-        transitions commit before returning.
+        Reads and partial writes of a (planned-)stale host copy write
+        the touched pages back from a valid replica (page-granular
+        read-modify-write, like real UM), draining the writeback before
+        returning — the host access itself is synchronous.  Any write
+        then leaves the host as the only valid copy: every device
+        replica dies, and the epoch bump kills the committed
+        transitions of anything still in flight.  A pure write covering
+        the whole array moves nothing.  Returns the writeback op, if
+        any.
         """
         self.flush_window("cpu-access")  # host access closes the window
-        if kind is AccessKind.WRITE and touched >= array.nbytes:
-            self.invalidate_device_copy(array)
-            return None
         tracer = self.tracer
         span = (
             tracer.span(
@@ -841,499 +818,37 @@ class CoherenceEngine:
             else None
         )
         op: TransferOp | None = None
-        stale = self._stale_host_bytes(array, touched)
-        if stale > 0:
-            stream = stream or self.engine.default_stream
+        full_write = kind is AccessKind.WRITE and touched >= array.nbytes
+        if not full_write and not self.host_valid(array):
+            source = min(self._overlay(array).valid_on)
             op = TransferOp(
                 label=f"DtoH:{array.name}",
                 direction=TransferDirection.DEVICE_TO_HOST,
-                nbytes=stale,
+                nbytes=writeback_bytes(array.nbytes, touched),
                 kind=TransferKind.WRITEBACK,
             )
             op.info["writes"] = frozenset()
-            op.info["reads"] = frozenset({id(array)})
-            op.info["array_names"] = {id(array): array.name}
+            op.info["reads"] = frozenset({array.copy_keys[source]})
+            op.info["array_names"] = {array.copy_keys[source]: array.name}
             op.info.update(self.op_tags)
-            overlay = self._overlay(array, host_valid=True)
-            op.apply_fn = self._committer(
-                array, array.mark_cpu_read, overlay.token
-            )
+            self._overlay(array).host_valid = True
+            op.apply_fn = self._committer(array, array.mark_cpu_read)
+            stream = stream or self.engine.default_stream
             self.engine.submit(stream, op)
             self._c_transfer_ops.value += 1
-            self._c_writeback_bytes.value += stale
+            self._c_writeback_bytes.value += op.nbytes
             self._c_dtoh_ops.value += 1
-            self._c_dtoh_bytes.value += stale
-            if sync:
-                self.engine.sync_stream(stream)
-        # The access happens synchronously right after this declaration:
-        # commit the remaining transitions through the shared path.
-        if kind.reads:
-            self._commit_now(array, array.mark_cpu_read, host_valid=True)
-        if kind.writes:
-            self._commit_now(
-                array,
-                array.mark_cpu_write,
-                host_valid=True,
-                device_valid=False,
-            )
-        if span is not None:
-            span.annotate(writeback_bytes=stale)
-            span.close()
-        return op
-
-    def invalidate_device_copy(self, array: DeviceArray) -> None:
-        """Full-array host overwrite: the device copy is dead.
-
-        Goes through the same transition path as transfer completions —
-        the planned overlay is updated first and the committed state
-        follows through :meth:`_commit` — so concurrent planning can
-        never observe the half-updated split where the device copy is
-        invalid but a stale in-flight-migration event still vouches for
-        it.  Any pending migration bookkeeping for the array is
-        cancelled (its event may still be waited on harmlessly, but it
-        no longer marks the device copy valid).
-        """
-        self._commit_now(
-            array,
-            array.mark_cpu_write,
-            host_valid=True,
-            device_valid=False,
-        )
-
-    def _commit_now(
-        self,
-        array: DeviceArray,
-        mark: Callable[[], None],
-        *,
-        host_valid: bool | None = None,
-        device_valid: bool | None = None,
-    ) -> None:
-        """Synchronous host-side transition via the shared commit path:
-        overlay first (superseding in-flight plans), committed state
-        immediately after (the host is, by construction, synchronized)."""
-        overlay = self._overlay(
-            array, device_valid=device_valid, host_valid=host_valid
-        )
-        overlay.event = None
-        overlay.stream = None
-        self._commit(array, mark, overlay.token)
-
-    # -- multi-GPU: planned/committed location sets ---------------------------
-
-    def _multi_plan_of(self, array: "MultiGpuArray") -> _MultiPlanned | None:
-        return self._multi_planned.get(id(array))
-
-    def _multi_overlay(self, array: "MultiGpuArray") -> _MultiPlanned:
-        """Open (or fetch) the planned overlay over ``array``'s committed
-        location set."""
-        plan = self._multi_plan_of(array)
-        if plan is None:
-            plan = _MultiPlanned(
-                valid_on=set(array.valid_on),
-                host_valid=array.host_valid,
-                epoch=self._multi_epoch.get(id(array), 0),
-            )
-            self._multi_planned[id(array)] = plan
-        return plan
-
-    def multi_resident(
-        self, array: "MultiGpuArray", device_index: int
-    ) -> bool:
-        """Will ``device_index`` hold a valid replica once in-flight work
-        completes?  (The planned view placement pricing reads.)"""
-        plan = self._multi_plan_of(array)
-        if plan is not None:
-            return device_index in plan.valid_on
-        return array.resident_on(device_index)
-
-    def multi_host_valid(self, array: "MultiGpuArray") -> bool:
-        plan = self._multi_plan_of(array)
-        if plan is not None:
-            return plan.host_valid
-        return array.host_valid
-
-    def multi_migration_bytes(
-        self, array: "MultiGpuArray", device_index: int
-    ) -> int:
-        """Bytes a computation on ``device_index`` would have to migrate
-        (planned view — in-flight migrations already count as resident)."""
-        return 0 if self.multi_resident(array, device_index) else array.nbytes
-
-    def multi_migration_source(
-        self, array: "MultiGpuArray", device_index: int
-    ) -> int | None:
-        """Cheapest source for making ``device_index`` valid, on the
-        planned view: another device (peer copy), ``-1`` for the host,
-        None if (planned-)resident."""
-        if self.multi_resident(array, device_index):
-            return None
-        plan = self._multi_plan_of(array)
-        valid_on = plan.valid_on if plan is not None else array.valid_on
-        peers = sorted(valid_on)
-        if peers:
-            return peers[0]
-        assert self.multi_host_valid(array), (
-            f"{array.name} lost all planned copies"
-        )
-        return -1
-
-    def _multi_committer(
-        self, array: "MultiGpuArray", mark: Callable[[], None]
-    ) -> Callable[[], None]:
-        """A completion callback applying one committed location-set
-        transition, dead if a host overwrite bumped the epoch, retiring
-        the overlay when the last in-flight transition lands."""
-        token_epoch = self._multi_overlay(array).epoch
-        self._multi_overlay(array).outstanding += 1
-
-        def commit() -> None:
-            if self._multi_epoch.get(id(array), 0) != token_epoch:
-                return  # superseded by a full host overwrite
-            mark()
-            plan = self._multi_plan_of(array)
-            if plan is not None:
-                plan.outstanding -= 1
-                if plan.outstanding <= 0:
-                    del self._multi_planned[id(array)]
-
-        return commit
-
-    def acquire_multi(
-        self,
-        accesses: list[tuple["MultiGpuArray", AccessKind]],
-        stream: "SimStream",
-        device_index: int,
-        label: str = "",
-        policy: MovementPolicy | None = None,
-    ) -> AcquirePlan:
-        """Multi-GPU access declaration: make every read input resident
-        on ``device_index`` per the movement policy.
-
-        ``EAGER_PREFETCH`` mirrors each stale input ahead of the kernel,
-        sourcing from the cheapest (planned-)valid copy — peer-to-peer
-        when a device replica exists, host upload otherwise.  ``BATCHED``
-        does the same but coalesces all stale inputs sharing a source
-        into one DMA submission.  ``PAGE_FAULT`` issues *no* mirror: the
-        stale bytes are charged to the faulting kernel itself, exactly
-        like the single-GPU fault path.  In every case the location-set
-        transition is applied when the migrating operation (or, for
-        faults, the kernel — via :meth:`release_multi`) completes; the
-        planned overlay carries the in-flight residency that placement
-        pricing and later acquires read.
-        """
-        policy = policy or self.policy
-        spec = self.engine.devices[device_index].spec
-        if policy is MovementPolicy.PAGE_FAULT and not spec.supports_page_faults:
-            policy = MovementPolicy.EAGER_PREFETCH
-        if self._win_groups and policy is not MovementPolicy.BATCHED:
-            # policy boundary (see ``acquire``)
-            self.flush_window("policy-boundary")
-        windowed = policy is MovementPolicy.BATCHED and self.window > 0
-        tracer = self.tracer
-        span = (
-            tracer.span(
-                "acquire_multi",
-                track="coherence",
-                clock=self.engine._clock,
-                policy=policy.value,
-                label=label,
-                device=device_index,
-            )
-            if tracer.enabled
-            else None
-        )
-        plan = AcquirePlan()
-        #: stale reads grouped by source (BATCHED coalescing unit)
-        stale_by_source: dict[int, list["MultiGpuArray"]] = {}
-        #: (array, source, in-flight source event) tuples deferred into
-        #: the submission window instead of migrating now
-        deferred: list[tuple["MultiGpuArray", int, "SimEvent | None"]] = []
-        seen: set[int] = set()
-        for array, access in accesses:
-            if not access.reads or id(array) in seen:
-                continue
-            seen.add(id(array))
-            source = self.multi_migration_source(array, device_index)
-            if source is None:
-                # Resident — possibly via a still-in-flight migration
-                # issued by another stream: wait on its event.
-                pending = self._multi_pending.get((id(array), device_index))
-                if pending is not None and not pending.complete:
-                    self.engine.wait_event(stream, pending)
-                continue
-            # A peer copy (or a faulting kernel reading a peer replica)
-            # must not start before the source replica is itself fully
-            # materialized — its migration may be in flight elsewhere.
-            source_pending = None
-            if source >= 0:
-                source_pending = self._multi_pending.get((id(array), source))
-                if source_pending is not None and source_pending.complete:
-                    source_pending = None
-            if windowed:
-                # The merged transfer (not the consumer) orders behind
-                # the source replica; the consumer parks on the window
-                # event instead.
-                deferred.append((array, source, source_pending))
-                continue
-            if source_pending is not None:
-                self.engine.wait_event(stream, source_pending)
-            if policy is MovementPolicy.PAGE_FAULT:
-                # The fault engine migrates on demand, charged to the
-                # kernel; residency commits when the kernel completes.
-                plan.fault_bytes += array.nbytes
-                self._c_fault_bytes.value += array.nbytes
-                overlay = self._multi_overlay(array)
-                overlay.valid_on.add(device_index)
-                plan.completion_marks.append(
-                    self._multi_committer(
-                        array,
-                        lambda a=array, d=device_index: a.mark_read(d),
-                    )
-                )
-                # The replica exists only once the faulting kernel
-                # completes: consumers that source from it (a peer copy
-                # in a mixed-policy fleet) must order behind the
-                # kernel's finish event, registered by the caller.
-                plan.fault_replicas.append((array, device_index))
-            else:
-                stale_by_source.setdefault(source, []).append(array)
-
-        if deferred:
-            self._defer_multi(deferred, device_index, stream)
-        batched = policy is MovementPolicy.BATCHED
-        for source, arrays in stale_by_source.items():
-            groups = [arrays] if batched else [[a] for a in arrays]
-            if batched:
-                self._c_coalesced.value += max(0, len(arrays) - 1)
-            for group in groups:
-                self._submit_multi_migration(
-                    group, source, device_index, stream
-                )
-        if span is not None:
-            span.annotate(
-                stale=sum(len(a) for a in stale_by_source.values()),
-                deferred=len(deferred),
-                fault_bytes=plan.fault_bytes,
-            )
-            span.close()
-        return plan
-
-    def _defer_multi(
-        self,
-        deferred: list[tuple["MultiGpuArray", int, "SimEvent | None"]],
-        device_index: int,
-        stream: "SimStream",
-    ) -> None:
-        """Defer one multi-GPU acquire's stale reads into the submission
-        window: arrays join the (source, destination) group they can
-        share a DMA submission with, the planned overlay and pending-
-        migration map advance as if the mirror were already in flight,
-        and the consumer parks on the group's pre-created event.
-
-        A deferral whose *source* replica is itself pending in the open
-        window flushes first: two groups each sourcing a replica the
-        other creates would otherwise wait on each other's unrecorded
-        events (the window streams deadlock).  After the flush every
-        source event's record is already submitted, so wait chains stay
-        acyclic by construction."""
-        events: dict[int, "SimEvent"] = {}
-        for array, source, source_pending in deferred:
-            if source_pending is not None and any(
-                g.event is source_pending
-                for g in self._win_groups.values()
-            ):
-                self.flush_window("source-hazard")
-            group = self._open_group(
-                (source, device_index), TransferKind.PREFETCH
-            )
-            group.arrays.append(array)
-            if source_pending is not None:
-                group.source_events.append(source_pending)
-            self._multi_overlay(array).valid_on.add(device_index)
-            assert group.event is not None
-            self._multi_pending[(id(array), device_index)] = group.event
-            events[group.event.event_id] = group.event
-        for event in events.values():
-            self.engine.wait_event(stream, event)
-        self._note_deferred_acquire()
-
-    def _submit_multi_migration(
-        self,
-        arrays: list["MultiGpuArray"],
-        source: int,
-        device_index: int,
-        stream: "SimStream",
-        event: "SimEvent | None" = None,
-    ) -> None:
-        """One mirror covering ``arrays`` from ``source`` (-1 = host) to
-        ``device_index``: planned overlay at submission, committed
-        location set at completion, ordering event recorded after.
-        ``event`` records a pre-created event (the submission-window
-        flush path, whose consumers already park on it) instead of a
-        fresh one."""
-        total = sum(a.nbytes for a in arrays)
-        names = ",".join(a.name for a in arrays)
-        direction = (
-            TransferDirection.HOST_TO_DEVICE
-            if source == -1
-            else TransferDirection.DEVICE_TO_DEVICE
-        )
-        op = TransferOp(
-            label=(
-                f"{'HtoD' if source == -1 else f'D{source}toD'}"
-                f"{device_index}:{names}"
-            ),
-            direction=direction,
-            nbytes=total,
-            kind=TransferKind.PREFETCH,
-        )
-        # Race-detector tokens are per *copy* — (array, device) — so a
-        # peer-to-peer copy reading GPU 0's replica does not conflict
-        # with a kernel also reading that replica, but does conflict
-        # with anything touching the destination replica.
-        src_key = "host" if source == -1 else source
-        src_tokens = {(id(a), src_key) for a in arrays}
-        dst_tokens = {(id(a), device_index) for a in arrays}
-        op.info["reads"] = frozenset(src_tokens)
-        op.info["writes"] = frozenset(dst_tokens)
-        op.info["array_names"] = {
-            **{(id(a), src_key): f"{a.name}@{src_key}" for a in arrays},
-            **{
-                (id(a), device_index): f"{a.name}@gpu{device_index}"
-                for a in arrays
-            },
-        }
-        op.info.update(self.op_tags)
-        marks = [
-            self._multi_committer(
-                a, lambda a=a, d=device_index: a.mark_read(d)
-            )
-            for a in arrays
-        ]
-        for array in arrays:
-            self._multi_overlay(array).valid_on.add(device_index)
-
-        def apply_all() -> None:
-            for mark in marks:
-                mark()
-
-        op.apply_fn = apply_all
-        self.engine.submit(stream, op)
-        self._c_transfer_ops.value += 1
-        self._c_migrated_bytes.value += op.nbytes
-        if source == -1:
-            self._c_htod_ops.value += 1
-            self._c_htod_bytes.value += op.nbytes
-        else:
-            self._c_d2d_ops.value += 1
-            self._c_d2d_bytes.value += op.nbytes
-        event = self.engine.record_event(
-            stream, event=event, label=f"mig:{names}@gpu{device_index}"
-        )
-        for array in arrays:
-            self._multi_pending[(id(array), device_index)] = event
-
-    def register_fault_ordering(
-        self, plan: AcquirePlan, event: "SimEvent"
-    ) -> None:
-        """Bind the finish event of the compute op consuming ``plan`` to
-        the replicas its faults materialize, so later consumers reading
-        those replicas (from any stream or device) wait for the kernel
-        that creates them — exactly like an engine-issued migration's
-        event."""
-        for array, device_index in plan.fault_replicas:
-            self._multi_pending[(id(array), device_index)] = event
-
-    def release_multi(
-        self,
-        plan: AcquirePlan,
-        accesses: list[tuple["MultiGpuArray", AccessKind]],
-        device_index: int,
-        op: Operation | None = None,
-    ) -> None:
-        """Bind the write transitions of a multi-GPU computation (the
-        writing device becomes the sole valid copy) plus ``plan``'s
-        pending read transitions to ``op``, applying them when the
-        compute op completes; with ``op=None`` they apply immediately
-        (host-synchronized callers)."""
-        marks = list(plan.completion_marks)
-        seen: set[int] = set()
-        for array, access in accesses:
-            if not access.writes or id(array) in seen:
-                continue
-            seen.add(id(array))
-            overlay = self._multi_overlay(array)
-            overlay.valid_on = {device_index}
-            overlay.host_valid = False
-            marks.append(
-                self._multi_committer(
-                    array, lambda a=array, d=device_index: a.mark_write(d)
-                )
-            )
-        if not marks:
-            return
-        if op is None:
-            for mark in marks:
-                mark()
-            return
-
-        def apply_marks(_op: Operation) -> None:
-            for mark in marks:
-                mark()
-
-        op.on_complete.append(apply_marks)
-
-    def cpu_write_full_multi(
-        self, array: "MultiGpuArray", mark: bool = True
-    ) -> None:
-        """Full host overwrite of a multi-GPU array: every device replica
-        dies; the planned overlay and in-flight migration bookkeeping for
-        the array are dropped, and the epoch bump kills the committed
-        transitions of anything still in flight.
-
-        ``mark=False`` skips the state transition for callers whose data
-        path already applied it (``copy_from_host`` marks internally) —
-        one transition per write, pending cleanup always.
-        """
-        self.flush_window("cpu-access")
-        if mark:
-            array.mark_cpu_write()
-        self._multi_epoch[id(array)] = (
-            self._multi_epoch.get(id(array), 0) + 1
-        )
-        self._multi_planned.pop(id(array), None)
-        for key in [k for k in self._multi_pending if k[0] == id(array)]:
-            del self._multi_pending[key]
-
-    def cpu_read_multi(
-        self,
-        array: "MultiGpuArray",
-        stream: "SimStream",
-        nbytes: int | None = None,
-        sync: bool = True,
-    ) -> TransferOp | None:
-        """Host readback of a multi-GPU array (device-to-host writeback
-        from whichever replica is valid)."""
-        self.flush_window("cpu-access")
-        if self.multi_host_valid(array):
-            return None
-        op = TransferOp(
-            label=f"DtoH:{array.name}",
-            direction=TransferDirection.DEVICE_TO_HOST,
-            nbytes=min(nbytes or array.nbytes, array.nbytes),
-            kind=TransferKind.WRITEBACK,
-        )
-        op.info.update(self.op_tags)
-        overlay = self._multi_overlay(array)
-        overlay.host_valid = True
-        op.apply_fn = self._multi_committer(array, array.mark_cpu_read)
-        self.engine.submit(stream, op)
-        self._c_transfer_ops.value += 1
-        self._c_writeback_bytes.value += op.nbytes
-        self._c_dtoh_ops.value += 1
-        self._c_dtoh_bytes.value += op.nbytes
-        if sync:
+            self._c_dtoh_bytes.value += op.nbytes
             self.engine.sync_stream(stream)
+        if kind.writes:
+            array.mark_cpu_write()
+            self._epoch[id(array)] = self._epoch.get(id(array), 0) + 1
+            self._planned.pop(id(array), None)
+            for key in array.copy_keys:
+                self._pending.pop(key, None)
+        if span is not None:
+            span.annotate(writeback_bytes=op.nbytes if op else 0)
+            span.close()
         return op
 
     # -- introspection --------------------------------------------------------

@@ -1,338 +1,14 @@
-"""The multi-GPU execution context.
+"""Former home of the multi-GPU execution context.
 
-Extends the single-GPU scheduling loop with one extra decision per
-computation: *which GPU runs it*.  Everything else is shared machinery —
-the dependency-set DAG, per-device stream managers, event
-synchronization, the coherence engine (through its multi-GPU
-planned/committed location-set overlay), kernel history.
-
-This used to be a standalone ``MultiGpuScheduler`` class with its own
-``array``/``build_kernel``/``launch`` surface; it is now an
-:class:`~repro.core.context.ExecutionContext` implementation selected by
-:class:`repro.session.Session` when ``gpus > 1``, so device count is
-configuration rather than an API choice.  Two things changed under the
-hood in the move:
-
-* data movement flows through
-  :meth:`~repro.memory.coherence.CoherenceEngine.acquire_multi` with the
-  session's configured :class:`~repro.memory.coherence.MovementPolicy` —
-  ``PAGE_FAULT`` no longer degrades to an unconditional eager mirror, so
-  fault-vs-prefetch ablations run fleet-wide;
-* :class:`~repro.multigpu.array.MultiGpuArray` location sets transition
-  when operations *complete* on the simulated device, with placement
-  pricing reading the coherence engine's planned overlay (previously the
-  set committed at submission because pricing read it synchronously).
-
-Placement policies (:class:`~repro.core.policies.DevicePlacementPolicy`):
-
-* ``ROUND_ROBIN`` — naive; ignores data location;
-* ``MIN_TRANSFER`` — the paper's stated requirement: "compute data
-  location and migration costs at run time".  Each candidate device is
-  priced as (bytes it would have to migrate, on the planned view) plus a
-  load-balance tiebreak on outstanding work.
-* ``LEAST_LOADED`` — ignores data location and picks the device with the
-  least outstanding (estimated) work; the classic serving-fleet dispatch
-  rule that :mod:`repro.serve` builds on.
+Device placement is part of the one parallel context now:
+:class:`repro.core.context.ParallelExecutionContext` places every
+computation, on device 0 when the session has one GPU.  The old name
+stays importable because the benchmark's layer tracer
+(``bench/layers.py``) still wraps it.
 """
 
-from __future__ import annotations
-
 from repro.core.context import (
-    ExecutionContext,
-    kernel_history_recorder,
-    library_call_resources,
-    wait_cross_stream_parents,
+    ParallelExecutionContext as MultiGpuExecutionContext,
 )
-from repro.core.element import (
-    ArrayAccessElement,
-    KernelElement,
-    LibraryCallElement,
-)
-from repro.core.policies import DevicePlacementPolicy, SchedulerConfig
-from repro.core.streams import StreamManager
-from repro.gpusim.engine import SimEngine
-from repro.gpusim.ops import KernelOp
-from repro.gpusim.stream import SimStream
-from repro.kernels.kernel import KernelLaunch
-from repro.kernels.profile import combine_resources
-from repro.memory.array import AccessKind
-from repro.memory.pages import PAGE_SIZE_BYTES
-from repro.multigpu.array import MultiGpuArray
 
-
-class _PerDevice:
-    """Per-GPU scheduling state."""
-
-    def __init__(self, index: int, engine: SimEngine,
-                 config: SchedulerConfig) -> None:
-        self.index = index
-        self._engine = engine
-        # StreamManager creates streams on device 0 by default; a custom
-        # factory pins this manager's streams to this device.
-        self.streams = StreamManager(
-            engine,
-            new_stream=config.new_stream,
-            parent_stream=config.parent_stream,
-            stream_factory=self._make_stream,
-        )
-        self._label_counter = 0
-        self.outstanding_work: float = 0.0
-
-    def _make_stream(self) -> SimStream:
-        self._label_counter += 1
-        return self._engine.create_stream(
-            label=f"gpu{self.index}-{self._label_counter}",
-            device_index=self.index,
-        )
-
-
-class MultiGpuExecutionContext(ExecutionContext):
-    """A GrCUDA-style execution context scheduling across several GPUs."""
-
-    def __init__(self, engine: SimEngine, config: SchedulerConfig) -> None:
-        super().__init__(engine, config)
-        self.devices = engine.devices
-        self.placement = config.resolve_placement()
-        self._per_device = [
-            _PerDevice(i, engine, config)
-            for i in range(len(self.devices))
-        ]
-        self._rr_next = 0
-        #: element id -> device index (placement decisions, for tests)
-        self.placements: dict[int, int] = {}
-
-    # -- placement ----------------------------------------------------------
-
-    def _placement_cost(
-        self, device_index: int, launch: KernelLaunch
-    ) -> tuple[float, float]:
-        """(planned migration bytes, outstanding work) — lexicographic."""
-        migration = 0.0
-        for array, access in launch.array_args:
-            assert isinstance(array, MultiGpuArray)
-            if access.reads:
-                migration += self.coherence.multi_migration_bytes(
-                    array, device_index
-                )
-        return migration, self._per_device[device_index].outstanding_work
-
-    def _choose_device(self, launch: KernelLaunch) -> int:
-        if self.placement is DevicePlacementPolicy.ROUND_ROBIN:
-            choice = self._rr_next
-            self._rr_next = (self._rr_next + 1) % len(self.devices)
-            return choice
-        if self.placement is DevicePlacementPolicy.LEAST_LOADED:
-            return min(
-                range(len(self.devices)),
-                key=lambda i: (self._per_device[i].outstanding_work, i),
-            )
-        return min(
-            range(len(self.devices)),
-            key=lambda i: self._placement_cost(i, launch),
-        )
-
-    # -- scheduling ------------------------------------------------------------
-
-    def launch(self, launch: KernelLaunch) -> None:
-        """Handler for kernel invocations (same flow as single-GPU, plus
-        the device decision and policy-driven replica migrations)."""
-        self.kernel_count += 1
-        self.engine.charge_host_time(
-            self.config.scheduling_overhead_us * 1e-6
-        )
-        element = KernelElement(launch)
-        parents = self.dag.add(element)
-
-        device_index = self._choose_device(launch)
-        self.placements[element.element_id] = device_index
-        per_dev = self._per_device[device_index]
-        stream = per_dev.streams.assign(element, parents)
-        wait_cross_stream_parents(self.engine, stream, parents)
-
-        accesses = list(launch.array_args)
-        plan = self.coherence.acquire_multi(
-            accesses, stream, device_index,
-            label=launch.label, policy=self.movement,
-        )
-        resources = launch.resources()
-        if plan.fault_bytes > 0:
-            resources = combine_resources(resources, plan.fault_bytes)
-        op = KernelOp(
-            label=launch.label,
-            resources=resources,
-            compute_fn=launch.execute,
-        )
-        # Race-detector tokens are per *copy* — (array, device) — so a
-        # peer-to-peer copy reading GPU 0's replica does not conflict
-        # with a kernel also reading GPU 0's replica, but does conflict
-        # with anything touching the destination replica.
-        op.info["reads"] = frozenset(
-            (id(a), device_index) for a, k in launch.array_args if k.reads
-        )
-        op.info["writes"] = frozenset(
-            (id(a), device_index) for a, k in launch.array_args if k.writes
-        )
-        op.info["array_names"] = {
-            (id(a), device_index): f"{a.name}@gpu{device_index}"
-            for a, _ in launch.array_args
-        }
-        op.info["device"] = device_index
-        op.info.update(self.op_tags)
-        op.on_complete.append(
-            kernel_history_recorder(launch, self.history.record)
-        )
-        # Location-set transitions (reads via faults, writes) apply when
-        # the kernel completes — never at submission.
-        self.coherence.release_multi(plan, accesses, device_index, op)
-        self.engine.submit(stream, op)
-
-        duration_estimate = self.devices[
-            device_index
-        ].contention.kernel_duration(op)
-        per_dev.outstanding_work += duration_estimate
-        op.on_complete.append(
-            lambda _op, pd=per_dev, d=duration_estimate: self._retire(pd, d)
-        )
-        element.finish_event = self.engine.record_event(
-            stream, label=f"done:{launch.label}@gpu{device_index}"
-        )
-        self.coherence.register_fault_ordering(plan, element.finish_event)
-        self.dag.watch_completion(element)
-
-    @staticmethod
-    def _retire(per_dev: _PerDevice, duration: float) -> None:
-        per_dev.outstanding_work = max(
-            0.0, per_dev.outstanding_work - duration
-        )
-
-    # -- CPU array accesses -----------------------------------------------------
-
-    def attach(self, array: MultiGpuArray) -> None:  # type: ignore[override]
-        """Route the array's CPU accesses through this context."""
-        array.set_access_hook(self._on_cpu_access)
-
-    def _on_cpu_access(
-        self, array: MultiGpuArray, kind: AccessKind, touched: int
-    ) -> None:
-        """Hook called before every CPU access to a managed array.
-
-        The CPU-access rule of section IV-A, generalized to location
-        sets: synchronize the precise conflicting computations, write
-        back from a valid replica when the host copy is stale, and let a
-        full-array overwrite kill every device replica without moving a
-        byte.
-        """
-        full_write = kind.writes and touched >= array.nbytes
-        conflicts = (
-            self.dag.active_users(array)
-            if kind.writes
-            else self.dag.active_writers(array)
-        )
-        needs_writeback = (
-            not full_write and not self.coherence.multi_host_valid(array)
-        )
-        if not conflicts and not needs_writeback:
-            # Fast path: consecutive accesses, or accesses while no GPU
-            # computation is active, bypass the DAG.  A full write still
-            # invalidates replicas through the shared transition path.
-            self.cpu_access_fast_path_count += 1
-            if kind.writes:
-                # Any host write (full or read-modify-write) leaves the
-                # host as the sole valid copy; the shared transition
-                # path also drops in-flight migration bookkeeping.
-                self.coherence.cpu_write_full_multi(array)
-            return
-
-        self.cpu_access_element_count += 1
-        element = ArrayAccessElement(array, kind, touched)
-        self.dag.add(element)
-        # Synchronize only the computations operating on this data,
-        # through their precise per-computation events.
-        for parent in conflicts:
-            if parent.finish_event is not None:
-                self.engine.sync_event(parent.finish_event)
-
-        if needs_writeback:
-            # Page-granular read-modify-write, like the single-GPU path.
-            pages = max(1, -(-int(touched) // PAGE_SIZE_BYTES))
-            self.coherence.cpu_read_multi(
-                array, self.engine.default_stream,
-                nbytes=min(array.nbytes, pages * PAGE_SIZE_BYTES),
-            )
-        if kind.writes:
-            self.coherence.cpu_write_full_multi(array)
-        self.dag.deactivate(element)
-        self.dag.deactivate_completed()
-
-    # -- library functions -----------------------------------------------------
-
-    def library_call(self, element: LibraryCallElement) -> None:
-        """Schedule a pre-registered library function across the fleet.
-
-        Stream-aware libraries are placed like kernels (least-loaded —
-        the call declares a flat cost, so there is no migration pricing
-        to beat) and scheduled asynchronously; stream-unaware ones force
-        a fleet-wide sync and run on the host.
-        """
-        if not element.stream_aware:
-            self.sync()
-            self.engine.charge_host_time(element.cost_seconds)
-            element.fn()
-            return
-        parents = self.dag.add(element)
-        device_index = min(
-            range(len(self.devices)),
-            key=lambda i: (self._per_device[i].outstanding_work, i),
-        )
-        per_dev = self._per_device[device_index]
-        stream = per_dev.streams.assign(element, parents)
-        wait_cross_stream_parents(self.engine, stream, parents)
-        accesses = list(element.accesses)
-        plan = self.coherence.acquire_multi(
-            accesses, stream, device_index,
-            label=element.label, policy=self.movement,
-        )
-        resources = library_call_resources(
-            self.devices[device_index].spec, element.cost_seconds
-        )
-        if plan.fault_bytes > 0:
-            resources = combine_resources(resources, plan.fault_bytes)
-        op = KernelOp(
-            label=element.label,
-            resources=resources,
-            compute_fn=element.fn,
-        )
-        op.info["device"] = device_index
-        op.info.update(self.op_tags)
-        self.coherence.release_multi(plan, accesses, device_index, op)
-        self.engine.submit(stream, op)
-        element.finish_event = self.engine.record_event(
-            stream, label=f"done:{element.label}@gpu{device_index}"
-        )
-        self.coherence.register_fault_ordering(plan, element.finish_event)
-        self.dag.watch_completion(element)
-
-    # -- introspection --------------------------------------------------------
-
-    def reclaimable_streams(self) -> tuple[SimStream, ...]:
-        return (
-            tuple(
-                s
-                for per_dev in self._per_device
-                for s in per_dev.streams.streams
-            )
-            + self.coherence.take_owned_streams()
-        )
-
-    def device_kernel_counts(self) -> list[int]:
-        """Kernels executed per GPU (load-balance introspection)."""
-        counts = [0] * len(self.devices)
-        for rec in self.engine.timeline.kernels():
-            counts[rec.meta.get("device", 0)] += 1
-        return counts
-
-
-__all__ = [
-    "MultiGpuExecutionContext",
-    "DevicePlacementPolicy",
-]
+__all__ = ["MultiGpuExecutionContext"]

@@ -1,8 +1,8 @@
 """The legacy ``MultiGpuScheduler`` facade — a deprecation shim.
 
 The multi-GPU scheduling loop now lives in
-:class:`repro.multigpu.context.MultiGpuExecutionContext`, selected by
-:class:`repro.session.Session` when ``gpus > 1``; placement policy is a
+:class:`repro.core.context.ParallelExecutionContext`, the one parallel
+context of every :class:`repro.session.Session`; placement policy is a
 :class:`~repro.core.policies.SchedulerConfig` field rather than a
 constructor argument.  This class keeps the old surface working::
 
@@ -22,13 +22,13 @@ import warnings
 from dataclasses import replace
 from typing import Any, Callable
 
+from repro.core.context import ParallelExecutionContext
 from repro.core.policies import DevicePlacementPolicy, SchedulerConfig
 from repro.gpusim.specs import GPUSpec
-from repro.memory.array import AccessKind
 from repro.kernels.kernel import Kernel
 from repro.kernels.profile import CostModel
-from repro.multigpu.array import MultiGpuArray
-from repro.multigpu.context import MultiGpuExecutionContext
+from repro.memory.array import AccessKind, DeviceArray
+from repro.session import Session
 
 __all__ = ["DevicePlacementPolicy", "MultiGpuScheduler"]
 
@@ -50,18 +50,10 @@ class MultiGpuScheduler:
             DeprecationWarning,
             stacklevel=2,
         )
-        # Imported here: repro.session imports this package's array
-        # module, which initializes the package, which imports this shim.
-        from repro.session import Session
-
         if not gpus:
             raise ValueError("need at least one GPU")
         config = replace(config or SchedulerConfig(), placement=policy)
-        # _force_multi: a one-element GPU list historically still ran
-        # the placement scheduler (and allocated MultiGpuArrays).
-        self.session = Session(
-            gpus=len(gpus), gpu=gpus, config=config, _force_multi=True
-        )
+        self.session = Session(gpus=len(gpus), gpu=gpus, config=config)
         self.policy = policy
 
     # -- session delegation -------------------------------------------------
@@ -79,9 +71,9 @@ class MultiGpuScheduler:
         return self.session.devices
 
     @property
-    def context(self) -> MultiGpuExecutionContext:
+    def context(self) -> ParallelExecutionContext:
         ctx = self.session.context
-        assert isinstance(ctx, MultiGpuExecutionContext)
+        assert isinstance(ctx, ParallelExecutionContext)
         return ctx
 
     @property
@@ -103,13 +95,11 @@ class MultiGpuScheduler:
         dtype: Any = "float32",
         name: str = "",
         materialize: bool = True,
-    ) -> MultiGpuArray:
+    ) -> DeviceArray:
         """Allocate an array visible to every GPU (UM address space)."""
-        arr = self.session.array(
+        return self.session.array(
             shape, dtype=dtype, name=name, materialize=materialize
         )
-        assert isinstance(arr, MultiGpuArray)
-        return arr
 
     def build_kernel(
         self,
@@ -124,7 +114,7 @@ class MultiGpuScheduler:
 
     # -- host interaction ------------------------------------------------------
 
-    def write_input(self, array: MultiGpuArray, data=None) -> None:
+    def write_input(self, array: DeviceArray, data=None) -> None:
         """Host write: invalidates all device copies (via the array's
         CPU-access hook, which synchronizes conflicting work first)."""
         if data is not None:
@@ -132,7 +122,7 @@ class MultiGpuScheduler:
         else:
             array.touch_write_full()
 
-    def read_result(self, array: MultiGpuArray, nbytes: int | None = None):
+    def read_result(self, array: DeviceArray, nbytes: int | None = None):
         """Host read: syncs producers and charges the readback (partial
         when ``nbytes`` bounds it), returning the live buffer — the
         legacy contract."""

@@ -6,7 +6,7 @@ placement decisions; between placement rounds their simulations are
 embarrassingly parallel.  ``repro.parallel`` exploits exactly that
 boundary: the service plans a *round* of per-slot work units
 sequentially, an :class:`~repro.parallel.strategy.ExecutionStrategy`
-executes them (in-process, threads, or forked worker processes), and
+executes them (in-process or in forked worker processes), and
 the service merges the outcomes **in slot-id order with virtual-time
 tie-breaks** — so report fingerprints, counters and traces are
 bit-identical across the whole strategy matrix.
@@ -19,7 +19,6 @@ from repro.parallel.strategy import (
     STRATEGIES,
     ExecutionStrategy,
     SequentialStrategy,
-    ThreadingStrategy,
     make_strategy,
     resolve_workers,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "SlotOutcome",
     "SlotWork",
     "Submission",
-    "ThreadingStrategy",
     "execute_slot_work",
     "make_strategy",
     "resolve_workers",

@@ -6,15 +6,11 @@ hands the round's work units to a strategy:
 
 * ``sequential`` — in-process loop; the golden reference every other
   strategy must match bit-for-bit.
-* ``threading`` — a thread pool; the GIL serializes the interpreter,
-  so this wins no wall-clock but *proves the isolation boundary*: any
-  shared mutable state between slot executions shows up as a
-  fingerprint mismatch here first.
 * ``process`` — persistent forked workers with picklable work units
   (:mod:`repro.parallel.process`); real multi-core speedup, paid for
   in serialization.
 
-All three return one :class:`~repro.parallel.work.SlotOutcome` per
+Both return one :class:`~repro.parallel.work.SlotOutcome` per
 work; the service merges them in slot-id order, so results never
 depend on completion order.
 """
@@ -22,7 +18,6 @@ depend on completion order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
 from repro.parallel.work import SlotOutcome, SlotWork, execute_slot_work
@@ -35,13 +30,12 @@ __all__ = [
     "STRATEGIES",
     "ExecutionStrategy",
     "SequentialStrategy",
-    "ThreadingStrategy",
     "make_strategy",
     "resolve_workers",
 ]
 
 #: the strategy matrix, in golden-reference-first order
-STRATEGIES = ("sequential", "threading", "process")
+STRATEGIES = ("sequential", "process")
 
 
 def resolve_workers(workers: int | None, slot_count: int) -> int:
@@ -96,45 +90,6 @@ class SequentialStrategy(ExecutionStrategy):
         ]
 
 
-class ThreadingStrategy(SequentialStrategy):
-    """One thread per slot work.  Slot executions share no state (the
-    per-work tracer buffers exist exactly for this), so the GIL is the
-    only serialization left."""
-
-    name = "threading"
-
-    def __init__(
-        self,
-        slots: list[FleetSlot],
-        config,
-        trace: bool = False,
-        workers: int | None = None,
-    ) -> None:
-        super().__init__(slots, config, trace)
-        self._pool = ThreadPoolExecutor(
-            max_workers=resolve_workers(workers, len(slots)),
-            thread_name_prefix="repro-slot",
-        )
-
-    def execute(self, works: list[SlotWork]) -> list[SlotOutcome]:
-        futures = [
-            self._pool.submit(
-                execute_slot_work,
-                self.slots[w.slot_index],
-                w,
-                self.config,
-                trace=self.trace,
-            )
-            for w in works
-        ]
-        # Collect in submission order — completion order must never
-        # leak into results.
-        return [f.result() for f in futures]
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
 def make_strategy(
     name: str,
     slots: list[FleetSlot],
@@ -147,10 +102,6 @@ def make_strategy(
     ``multiprocessing`` off the sequential path)."""
     if name == "sequential":
         return SequentialStrategy(slots, config, trace=trace)
-    if name == "threading":
-        return ThreadingStrategy(
-            slots, config, trace=trace, workers=workers
-        )
     if name == "process":
         from repro.parallel.process import ProcessStrategy
 

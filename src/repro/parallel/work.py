@@ -8,9 +8,8 @@ runs it against a :class:`~repro.serve.fleet.FleetSlot` touching **no
 service-global state**: no admission queue, no capture cache, no tenant
 accounting, no shared tracer.  Everything the service needs back rides
 the returned :class:`SlotOutcome`, which the parent merges in slot-id
-order (see ``SchedulerService._merge_round``) so every execution
-strategy — sequential, threading, process — produces bit-identical
-reports.
+order (see ``SchedulerService._merge_round``) so both execution
+strategies — sequential and process — produce bit-identical reports.
 
 The submission helpers (:func:`submit_context`, :func:`submit_replay`,
 :func:`read_outputs`) are the former ``SchedulerService`` private
@@ -26,18 +25,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.context import (
-    annotate_kernel_access_sets,
-    kernel_history_recorder,
-)
+from repro.core.context import submit_kernel
 from repro.core.history import KernelExecutionRecord
-from repro.gpusim.ops import KernelOp
 from repro.gpusim.timeline import TimelineRecord
 from repro.kernels.kernel import KernelLaunch, normalize_dim
-from repro.kernels.profile import combine_resources
 from repro.memory.array import AccessKind, DeviceArray, is_zero_block
 from repro.memory.coherence import CoherenceEngine
-from repro.multigpu.array import MultiGpuArray
 from repro.obs.trace import TraceEvent, Tracer
 
 if TYPE_CHECKING:
@@ -134,7 +127,7 @@ class Submission:
         self.batch_id = batch_id
         self.batch_size = batch_size
         self.replayed = replayed
-        self.arrays: dict[str, DeviceArray | MultiGpuArray] = {}
+        self.arrays: dict[str, DeviceArray] = {}
         self.context = None            # context path only
         self.coherence: CoherenceEngine | None = None   # replay path
         self.history: list[KernelExecutionRecord] = []  # replay path
@@ -148,9 +141,9 @@ def submit_context(
     batch_size: int,
 ) -> Submission:
     """Serve one request through a fresh execution context: the full
-    dependency-inference scheduling path of the paper (single-GPU
-    slots) or the multi-GPU device-placement scheduler (slots with
-    ``gpus > 1`` — the graph transparently spans the slot)."""
+    dependency-inference and device-placement scheduling path of the
+    paper (on a multi-GPU slot the graph transparently spans the
+    slot's devices)."""
     rt = slot.session
     graph = request.graph
     ctx = rt.renew_context(
@@ -194,10 +187,10 @@ def submit_replay(
 ) -> Submission:
     """Serve one request by replaying the cached capture plan:
     pre-assigned streams, pre-computed event waits, no per-launch
-    dependency inference.  On a multi-GPU slot, plan stream ``i``
-    runs on slot device ``i % gpus`` (the deterministic mapping the
-    plan was keyed under), and data movement flows through the
-    coherence engine's multi-GPU location-set overlay."""
+    dependency inference.  Plan stream ``i`` runs on slot device
+    ``i % gpus`` (the deterministic mapping the plan was keyed under),
+    and data movement flows through the request's own coherence
+    engine."""
     rt = slot.session
     engine = slot.engine
     graph = request.graph
@@ -226,7 +219,6 @@ def submit_replay(
     streams = slot.replay_streams(plan.stream_count, member=member)
     engine.charge_host_time(config.replay_overhead_us * 1e-6)
 
-    multi = slot.gpus > 1
     written = graph.written_arrays()
     for name, decl in graph.arrays.items():
         # An input no launch writes is read in place: the array adopts
@@ -237,35 +229,19 @@ def submit_replay(
             if decl.init is not None and name not in written
             else None
         )
-        arr: DeviceArray | MultiGpuArray
-        if multi:
-            arr = MultiGpuArray(
-                decl.shape,
-                dtype=decl.dtype,
-                devices=rt.devices,
-                name=name,
-                buffer=buffer,
-            )
-        else:
-            arr = DeviceArray(
-                decl.shape, dtype=decl.dtype, device=rt.device,
-                name=name, buffer=buffer,
-            )
+        arr = DeviceArray(
+            decl.shape, dtype=decl.dtype, devices=rt.devices,
+            name=name, buffer=buffer,
+        )
         rt.adopt_array(arr)  # freed with the batch
         if decl.init is not None:
             # An adopted buffer already holds the input, and a fresh
             # one is already zero.
-            copied = buffer is None and not is_zero_block(decl.init)
-            if copied:
+            if buffer is None and not is_zero_block(decl.init):
                 arr.copy_from_host(decl.init)
             # No hook installed: declare the host write to the engine
-            # so planned overlays and pending migrations reset too.  An
-            # unhooked MultiGpuArray.copy_from_host marks the write
-            # itself; the single-GPU engine always marks it.
-            if multi:
-                coherence.cpu_write_full_multi(arr, mark=not copied)
-            else:
-                coherence.cpu_access(arr, AccessKind.WRITE, arr.nbytes)
+            # so planned overlays and pending migrations reset too.
+            coherence.cpu_access(arr, AccessKind.WRITE, arr.nbytes)
         sub.arrays[name] = arr
 
     events: dict[int, object] = {}
@@ -291,49 +267,10 @@ def submit_replay(
             array_args=bound.array_args,
             scalar_args=bound.scalar_args,
         )
-        accesses = list(launch.array_args)
-        device_index = step.stream % slot.gpus
-        if multi:
-            acq = coherence.acquire_multi(
-                accesses, stream, device_index, label=launch.label
-            )
-        else:
-            acq = coherence.acquire(
-                accesses, stream, label=launch.label
-            )
-        resources = launch.resources()
-        if acq.fault_bytes > 0:
-            resources = combine_resources(resources, acq.fault_bytes)
-        op = KernelOp(
-            label=launch.label,
-            resources=resources,
-            compute_fn=launch.execute,
+        _, acq = submit_kernel(
+            coherence, stream, launch, step.stream % slot.gpus,
+            tags=tags, history=sub.history.append,
         )
-        if multi:
-            # Race-detector tokens are per (array, device) copy,
-            # exactly like the multi-GPU execution context.
-            op.info["reads"] = frozenset(
-                (id(a), device_index) for a, k in accesses if k.reads
-            )
-            op.info["writes"] = frozenset(
-                (id(a), device_index) for a, k in accesses if k.writes
-            )
-            op.info["array_names"] = {
-                (id(a), device_index): f"{a.name}@gpu{device_index}"
-                for a, _ in accesses
-            }
-            op.info["device"] = device_index
-        else:
-            annotate_kernel_access_sets(op, launch)
-        op.info.update(tags)
-        op.on_complete.append(
-            kernel_history_recorder(launch, sub.history.append)
-        )
-        if multi:
-            coherence.release_multi(acq, accesses, device_index, op)
-        else:
-            coherence.release(acq, op)
-        engine.submit(stream, op)
         slot.kernels_launched += 1
         finish_event = None
         if step.record_event or acq.fault_replicas:
@@ -372,15 +309,10 @@ def read_outputs(
             # readback to the request's coherence engine, mirroring
             # the hook's behaviour on the context path.
             assert sub.coherence is not None
-            if isinstance(arr, MultiGpuArray):
-                sub.coherence.cpu_read_multi(
-                    arr, engine.default_stream
-                )
-            else:
-                sub.coherence.cpu_access(
-                    arr, AccessKind.READ, arr.nbytes,
-                    stream=engine.default_stream,
-                )
+            sub.coherence.cpu_access(
+                arr, AccessKind.READ, arr.nbytes,
+                stream=engine.default_stream,
+            )
             outputs[name] = (
                 arr.kernel_view
                 if name in written

@@ -19,8 +19,8 @@ Placement therefore composes across two levels:
   that has already served this graph topology (*warm*: kernels built,
   capture plan exercised), pricing cold slots at the graph's full UM
   footprint and tie-breaking on availability then slot id.
-* **in-slot** (:mod:`repro.multigpu.context`): which GPU of the slot
-  runs each kernel, configured through the shared
+* **in-slot** (:class:`~repro.core.context.ParallelExecutionContext`):
+  which GPU of the slot runs each kernel, configured through the shared
   :class:`~repro.core.policies.SchedulerConfig` ``placement`` knob
   (defaulting to the paper's MIN_TRANSFER pricing).
 
@@ -139,7 +139,7 @@ class FleetSlot:
         # knobs (admission) that a plain compute session must reject.
         self.session = Session(
             gpus=len(specs),
-            gpu=specs if len(specs) > 1 else specs[0],
+            gpu=specs,
             config=config,
             serving=True,
             tracer=tracer,

@@ -81,6 +81,14 @@ class RequestStatus(enum.Enum):
         return self is RequestStatus.COMPLETED
 
 
+def _captured(value: object) -> object:
+    """A closure cell's share of a kernel identity (see
+    :attr:`KernelDecl.identity`)."""
+    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+        return value
+    return id(value)
+
+
 def _zero_block_decl(name, shape, dtype, init_shape, init_dtype):
     return ArrayDecl(name, shape, dtype, zero_block(init_shape, init_dtype))
 
@@ -128,13 +136,18 @@ class KernelDecl:
 
     @property
     def identity(self) -> tuple:
-        """Hashable identity used by topology keys and kernel caches."""
-        return (
-            self.name,
-            self.signature,
-            getattr(self.fn, "__qualname__", repr(self.fn)),
-            repr(self.cost),
-        )
+        """Hashable identity used by topology keys and kernel caches.
+
+        A closure also computes with what it captured (HITS kernels
+        close over their benchmark's matrices), so its captured values
+        join the key: plain values by value, anything else by object
+        identity."""
+        fn_key: object = getattr(self.fn, "__qualname__", repr(self.fn))
+        closure = getattr(self.fn, "__closure__", None)
+        if closure:
+            captured = tuple(_captured(c.cell_contents) for c in closure)
+            fn_key = (fn_key, captured)
+        return (self.name, self.signature, fn_key, repr(self.cost))
 
 
 @dataclass(frozen=True)

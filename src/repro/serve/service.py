@@ -128,11 +128,11 @@ class ServeConfig:
     #: service builds its own fleet
     width_normalized: bool = True
     #: execution strategy for per-slot simulation between placement
-    #: rounds: ``sequential`` (golden reference), ``threading`` or
-    #: ``process`` — all three produce bit-identical reports (see
+    #: rounds: ``sequential`` (golden reference) or ``process`` —
+    #: both produce bit-identical reports (see
     #: :mod:`repro.parallel`)
     parallel: str = "sequential"
-    #: worker count for the threading/process strategies (None: one
+    #: worker count for the process strategy (None: one
     #: per slot, capped at the machine's cores)
     workers: int | None = None
     #: per-device runtime/scheduler configuration
@@ -454,8 +454,8 @@ class SchedulerService:
             self.close()
 
     def close(self) -> None:
-        """Release execution-strategy resources (worker processes /
-        thread pools); idempotent.  :meth:`run` calls this itself; use
+        """Release execution-strategy resources (worker processes);
+        idempotent.  :meth:`run` calls this itself; use
         it directly after driving :meth:`drain` by hand."""
         if self._strategy is not None:
             self._strategy.close()

@@ -18,12 +18,14 @@ runtime transparently decides scheduling, placement and data movement.
 The same six calls — :meth:`~Session.array`,
 :meth:`~Session.build_kernel`, :meth:`~Session.library_call`,
 :meth:`~Session.sync`, :meth:`~Session.timeline`,
-:meth:`~Session.metrics` — drive a single GPU (``gpus=1``: the serial or
-parallel execution context of section IV-B), a multi-GPU fleet
-(``gpus>1``: the device-placement scheduler of section VI) and, through
-:mod:`repro.serve`, a serving fleet (a pool of Sessions behind admission
-control).  Device count and every policy — execution, streams,
-movement, placement, admission — live in one
+:meth:`~Session.metrics` — drive a single GPU, a multi-GPU fleet and,
+through :mod:`repro.serve`, a serving fleet (a pool of Sessions behind
+admission control).  One array class, one coherence engine and one
+parallel context serve every device count: arrays track a location set
+over the session's devices, and the parallel context of section IV-B
+places each computation on a GPU (section VI) — on device 0 when there
+is one.  Device count and every policy — execution, streams, movement,
+placement, admission — live in one
 :class:`~repro.core.policies.SchedulerConfig`; nothing is selected by
 class.
 
@@ -54,8 +56,6 @@ from repro.kernels.kernel import Kernel
 from repro.kernels.profile import CostModel
 from repro.kernels.registry import KernelRegistry, build_kernel
 from repro.memory.array import AccessKind, DeviceArray
-from repro.multigpu.array import MultiGpuArray
-from repro.multigpu.context import MultiGpuExecutionContext
 from repro.obs.counters import CounterRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -105,7 +105,6 @@ class Session:
         registry: KernelRegistry | None = None,
         serving: bool = False,
         tracer: Tracer | None = None,
-        _force_multi: bool = False,
     ) -> None:
         if not isinstance(gpu, (str, GPUSpec)):
             gpu_list = list(gpu)
@@ -123,8 +122,7 @@ class Session:
             raise ConfigError(
                 f"gpus={gpus} but {len(gpu_list)} GPU specs were given"
             )
-        self._multi = gpus > 1 or _force_multi
-        if self._multi and self.config.execution is ExecutionPolicy.SERIAL:
+        if gpus > 1 and self.config.execution is ExecutionPolicy.SERIAL:
             raise ConfigError(
                 "the serial scheduler is single-GPU (the original GrCUDA"
                 " scheduler predates device placement); use"
@@ -146,13 +144,11 @@ class Session:
             self.engine = SimEngine(list(self.devices), tracer=tracer)
         self.registry = registry
         self.context: ExecutionContext = self._build_context()
-        self._arrays: list[DeviceArray | MultiGpuArray] = []
+        self._arrays: list[DeviceArray] = []
         #: contexts retired by :meth:`renew_context` (re-entrancy count)
         self.context_generation = 0
 
     def _build_context(self) -> ExecutionContext:
-        if self._multi:
-            return MultiGpuExecutionContext(self.engine, self.config)
         if self.config.execution is ExecutionPolicy.SERIAL:
             return SerialExecutionContext(self.engine, self.config)
         return ParallelExecutionContext(self.engine, self.config)
@@ -212,42 +208,29 @@ class Session:
         dtype: Any = np.float32,
         name: str = "",
         materialize: bool = True,
-    ) -> DeviceArray | MultiGpuArray:
-        """Allocate a UM-backed array managed by this session.
-
-        A single-GPU session returns a
-        :class:`~repro.memory.array.DeviceArray`; a multi-GPU session a
-        :class:`~repro.multigpu.array.MultiGpuArray` with a per-device
-        location set.  Both expose the same host surface, so calling
-        code never branches on device count.
+    ) -> DeviceArray:
+        """Allocate a UM-backed array managed by this session: a
+        :class:`~repro.memory.array.DeviceArray` allocated on every
+        device, tracking which of them (and the host) hold a valid
+        copy.  Calling code never branches on device count.
 
         ``materialize=False`` declares the geometry without backing host
         memory — for timing-only sweeps at scales that would not fit in
         host RAM.  All scheduling and transfer costs stay exact.
         """
-        arr: DeviceArray | MultiGpuArray
-        if self._multi:
-            arr = MultiGpuArray(
-                shape,
-                dtype=dtype,
-                devices=self.devices,
-                name=name,
-                materialize=materialize,
-            )
-        else:
-            arr = DeviceArray(
-                shape,
-                dtype=dtype,
-                device=self.device,
-                name=name,
-                materialize=materialize,
-            )
+        arr = DeviceArray(
+            shape,
+            dtype=dtype,
+            devices=self.devices,
+            name=name,
+            materialize=materialize,
+        )
         self.context.attach(arr)
         self._arrays.append(arr)
         return arr
 
     def adopt_array(self, arr: DeviceArray) -> None:
-        """Track an externally-created array on this session's device so
+        """Track an externally-created array on this session's devices so
         :meth:`free_arrays` releases it (used by executors that manage
         coherence manually, e.g. the serving layer's replay path)."""
         self._arrays.append(arr)
@@ -296,15 +279,7 @@ class Session:
             stream_aware=stream_aware,
             cost_seconds=cost_seconds,
         )
-        ctx = self.context
-        if isinstance(
-            ctx, (ParallelExecutionContext, MultiGpuExecutionContext)
-        ):
-            ctx.library_call(element)
-        else:
-            ctx.sync()
-            self.engine.charge_host_time(cost_seconds)
-            fn()
+        self.context.library_call(element)
 
     # -- execution control ---------------------------------------------------------
 
@@ -324,16 +299,14 @@ class Session:
     def metrics(self) -> SessionMetrics:
         """Execution counters so far (no synchronization is forced)."""
         coherence = self.context.coherence
-        if isinstance(self.context, MultiGpuExecutionContext):
-            per_device = tuple(self.context.device_kernel_counts())
-        else:
-            per_device = (len(self.engine.timeline.kernels()),)
         return SessionMetrics(
             gpus=self.gpus,
             makespan=self.engine.timeline.makespan,
             host_clock=self.engine.clock,
             kernels_launched=self.context.kernel_count,
-            device_kernel_counts=per_device,
+            device_kernel_counts=tuple(
+                self.context.device_kernel_counts()
+            ),
             transfer_ops=coherence.transfer_ops,
             migrated_bytes=coherence.migrated_bytes_total,
             fault_bytes=coherence.fault_bytes_total,

@@ -439,7 +439,7 @@ class Benchmark(abc.ABC):
             name: DeviceArray(
                 aspec.shape,
                 dtype=aspec.dtype,
-                device=engine.device,
+                devices=engine.devices,
                 name=name,
                 materialize=self.execute,
             )

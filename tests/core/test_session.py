@@ -20,12 +20,7 @@ from repro.core.context import (
 )
 from repro.kernels import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.memory.coherence import MovementPolicy
-from repro.multigpu import (
-    MultiGpuArray,
-    MultiGpuExecutionContext,
-    MultiGpuScheduler,
-)
+from repro.multigpu import MultiGpuScheduler
 
 COST = LinearCostModel(
     flops_per_item=100.0,
@@ -65,9 +60,10 @@ class TestCanonicalSurface:
 
     def test_multi_gpu_dispatch(self):
         sess = Session(gpus=2)
-        assert isinstance(sess.context, MultiGpuExecutionContext)
+        assert isinstance(sess.context, ParallelExecutionContext)
         x = run_square(sess)
-        assert isinstance(x, MultiGpuArray)
+        assert isinstance(x, DeviceArray)
+        assert x.devices == sess.devices
         assert x[0] == 9.0
         assert len(sess.devices) == 2
 

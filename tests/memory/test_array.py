@@ -1,19 +1,27 @@
-"""Tests for DeviceArray: values, coherence marks, hooks, allocation."""
+"""Tests for DeviceArray: values, location-set marks, hooks, allocation."""
 
 import numpy as np
 import pytest
 
 from repro.errors import OutOfMemoryError
-from repro.gpusim import Device, GTX960
-from repro.memory import AccessKind, CoherenceState, DeviceArray
+from repro.gpusim import Device, GTX960, SimEngine
+from repro.memory import AccessKind, CoherenceEngine, DeviceArray
 from repro.memory.pages import PAGE_SIZE_BYTES
+
+
+def writeback(a, touched):
+    """Bytes a host read of ``touched`` bytes writes back."""
+    op = CoherenceEngine(SimEngine(Device(GTX960))).cpu_access(
+        a, AccessKind.READ, touched
+    )
+    return op.nbytes
 
 
 class TestBasics:
     def test_zero_initialized(self):
         a = DeviceArray(8)
         assert np.all(a.kernel_view == 0)
-        assert a.state is CoherenceState.SHARED
+        assert a.host_valid and a.valid_on == {0}
 
     def test_shape_dtype(self):
         a = DeviceArray((4, 5), dtype=np.float64)
@@ -53,38 +61,38 @@ class TestBasics:
 class TestCoherenceMarks:
     def test_gpu_write_invalidates_host(self):
         a = DeviceArray(4)
-        a.mark_gpu_write()
-        assert a.state is CoherenceState.DEVICE_ONLY
-        assert a.stale_host_bytes() > 0
+        a.mark_write(0)
+        assert not a.host_valid and a.valid_on == {0}
+        assert writeback(a, a.nbytes) == a.nbytes
 
     def test_cpu_write_invalidates_device(self):
         a = DeviceArray(4)
         a.mark_cpu_write()
-        assert a.state is CoherenceState.HOST_ONLY
-        assert a.stale_device_bytes() == a.nbytes
+        assert a.host_valid and a.valid_on == set()
+        assert a.migration_bytes(0) == a.nbytes
 
     def test_stale_bytes_zero_when_shared(self):
         a = DeviceArray(4)
-        assert a.stale_device_bytes() == 0
-        assert a.stale_host_bytes() == 0
+        assert a.migration_bytes(0) == 0
+        assert a.host_valid
 
     def test_stale_host_bytes_page_rounded(self):
         n = (3 * PAGE_SIZE_BYTES) // 4  # < 1 page of float32s
         a = DeviceArray(n, dtype=np.uint8)
-        a.mark_gpu_write()
+        a.mark_write(0)
         # Touch 1 byte: one page migrates, capped at the array size.
-        assert a.stale_host_bytes(1) == min(a.nbytes, PAGE_SIZE_BYTES)
+        assert writeback(a, 1) == min(a.nbytes, PAGE_SIZE_BYTES)
 
     def test_stale_host_bytes_multi_page(self):
         a = DeviceArray(3 * PAGE_SIZE_BYTES, dtype=np.uint8)
-        a.mark_gpu_write()
-        assert a.stale_host_bytes(PAGE_SIZE_BYTES + 1) == 2 * PAGE_SIZE_BYTES
+        a.mark_write(0)
+        assert writeback(a, PAGE_SIZE_BYTES + 1) == 2 * PAGE_SIZE_BYTES
 
     def test_gpu_read_after_cpu_write_shares(self):
         a = DeviceArray(4)
         a.mark_cpu_write()
-        a.mark_gpu_read()
-        assert a.state is CoherenceState.SHARED
+        a.mark_read(0)
+        assert a.host_valid and a.valid_on == {0}
 
 
 class TestAccessHook:
@@ -137,18 +145,18 @@ class TestAccessHook:
 class TestDeviceAllocation:
     def test_allocation_accounted(self):
         dev = Device(GTX960)
-        a = DeviceArray(1000, dtype=np.float32, device=dev)
+        a = DeviceArray(1000, dtype=np.float32, devices=(dev,))
         assert dev.allocated_bytes == a.nbytes
 
     def test_free_releases(self):
         dev = Device(GTX960)
-        a = DeviceArray(1000, device=dev)
+        a = DeviceArray(1000, devices=(dev,))
         a.free()
         assert dev.allocated_bytes == 0
 
     def test_free_idempotent(self):
         dev = Device(GTX960)
-        a = DeviceArray(1000, device=dev)
+        a = DeviceArray(1000, devices=(dev,))
         a.free()
         a.free()
         assert dev.allocated_bytes == 0
@@ -162,12 +170,12 @@ class TestDeviceAllocation:
     def test_oom(self):
         dev = Device(GTX960)  # 2 GB
         with pytest.raises(OutOfMemoryError):
-            DeviceArray(int(3e9), dtype=np.uint8, device=dev)
+            DeviceArray(int(3e9), dtype=np.uint8, devices=(dev,))
 
     def test_peak_tracking(self):
         dev = Device(GTX960)
-        a = DeviceArray(1000, device=dev)
-        b = DeviceArray(500, dtype=np.uint8, device=dev)
+        a = DeviceArray(1000, devices=(dev,))
+        b = DeviceArray(500, dtype=np.uint8, devices=(dev,))
         a.free()
         assert dev.peak_allocated_bytes == 4000 + 500
         assert dev.allocated_bytes == 500

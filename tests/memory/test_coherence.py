@@ -1,80 +1,125 @@
-"""Tests for the unified-memory coherence state machine."""
+"""Tests for the unified-memory location-set transitions.
 
+An array's location set holds the host and any subset of its devices
+with a valid copy.  A single GPU is the one-device case, where the sets
+{host, gpu0}, {host} and {gpu0} are the classic shared, host-only and
+device-only states."""
+
+import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.memory.pages import (
-    PAGE_SIZE_BYTES,
-    CoherenceState,
-    after_cpu_read,
-    after_cpu_write,
-    after_gpu_read,
-    after_gpu_write,
-    pages_for_bytes,
-)
+from repro.gpusim import Device, GTX960
+from repro.memory import DeviceArray
+from repro.memory.pages import PAGE_SIZE_BYTES, pages_for_bytes
+
+SHARED = (True, {0})
+HOST_ONLY = (True, set())
+DEVICE_ONLY = (False, {0})
+
+
+def array_in(host_valid, valid_on, gpus=1):
+    a = DeviceArray(
+        4, np.float32, devices=[Device(GTX960) for _ in range(gpus)]
+    )
+    a.host_valid, a.valid_on = host_valid, set(valid_on)
+    return a
+
+
+def location(a):
+    return a.host_valid, a.valid_on
 
 
 class TestStates:
     def test_shared_valid_everywhere(self):
-        assert CoherenceState.SHARED.host_valid
-        assert CoherenceState.SHARED.device_valid
+        a = DeviceArray(4)
+        assert location(a) == SHARED
+        assert a.resident_on(0) and a.migration_source(0) is None
 
     def test_host_only(self):
-        assert CoherenceState.HOST_ONLY.host_valid
-        assert not CoherenceState.HOST_ONLY.device_valid
+        a = array_in(*HOST_ONLY)
+        assert a.host_valid and not a.resident_on(0)
+        assert a.migration_source(0) == -1
 
     def test_device_only(self):
-        assert not CoherenceState.DEVICE_ONLY.host_valid
-        assert CoherenceState.DEVICE_ONLY.device_valid
+        a = array_in(*DEVICE_ONLY)
+        assert not a.host_valid and a.resident_on(0)
 
 
 class TestTransitions:
     def test_gpu_read_migrates(self):
-        assert after_gpu_read(CoherenceState.HOST_ONLY) is CoherenceState.SHARED
-        assert after_gpu_read(CoherenceState.SHARED) is CoherenceState.SHARED
-        assert (
-            after_gpu_read(CoherenceState.DEVICE_ONLY)
-            is CoherenceState.DEVICE_ONLY
-        )
+        for before, after in (
+            (HOST_ONLY, SHARED), (SHARED, SHARED), (DEVICE_ONLY, DEVICE_ONLY)
+        ):
+            a = array_in(*before)
+            a.mark_read(0)
+            assert location(a) == after
 
     def test_gpu_write_invalidates_host(self):
-        for s in CoherenceState:
-            assert after_gpu_write(s) is CoherenceState.DEVICE_ONLY
+        for state in (SHARED, HOST_ONLY, DEVICE_ONLY):
+            a = array_in(*state)
+            a.mark_write(0)
+            assert location(a) == DEVICE_ONLY
 
     def test_cpu_read_migrates_back(self):
-        assert (
-            after_cpu_read(CoherenceState.DEVICE_ONLY) is CoherenceState.SHARED
-        )
-        assert after_cpu_read(CoherenceState.HOST_ONLY) is CoherenceState.HOST_ONLY
+        for before, after in (
+            (DEVICE_ONLY, SHARED), (HOST_ONLY, HOST_ONLY), (SHARED, SHARED)
+        ):
+            a = array_in(*before)
+            a.mark_cpu_read()
+            assert location(a) == after
 
     def test_cpu_write_invalidates_device(self):
-        for s in CoherenceState:
-            assert after_cpu_write(s) is CoherenceState.HOST_ONLY
+        for state in (SHARED, HOST_ONLY, DEVICE_ONLY):
+            a = array_in(*state)
+            a.mark_cpu_write()
+            assert location(a) == HOST_ONLY
 
 
-state_strategy = st.sampled_from(list(CoherenceState))
+#: every two-device location set holding at least one valid copy
+state_strategy = st.tuples(
+    st.booleans(), st.sets(st.sampled_from([0, 1]))
+).filter(lambda s: s[0] or s[1])
 transition_strategy = st.sampled_from(
-    [after_gpu_read, after_gpu_write, after_cpu_read, after_cpu_write]
+    [
+        ("mark_read", 0), ("mark_read", 1),
+        ("mark_write", 0), ("mark_write", 1),
+        ("mark_cpu_read",), ("mark_cpu_write",),
+    ]
 )
+
+
+def apply(a, transition):
+    name, *args = transition
+    getattr(a, name)(*args)
 
 
 class TestCoherenceProperties:
     @given(state_strategy, st.lists(transition_strategy, max_size=20))
     def test_some_copy_always_valid(self, state, transitions):
+        a = array_in(*state, gpus=2)
         for t in transitions:
-            state = t(state)
-            assert state.host_valid or state.device_valid
+            apply(a, t)
+            assert a.host_valid or a.valid_on
 
-    @given(state_strategy)
-    def test_gpu_read_makes_device_valid(self, state):
-        assert after_gpu_read(state).device_valid
+    @given(state_strategy, st.sampled_from([0, 1]))
+    def test_gpu_read_makes_device_valid(self, state, device):
+        a = array_in(*state, gpus=2)
+        a.mark_read(device)
+        assert a.resident_on(device)
 
     @given(state_strategy)
     def test_cpu_read_makes_host_valid(self, state):
-        assert after_cpu_read(state).host_valid
+        a = array_in(*state, gpus=2)
+        a.mark_cpu_read()
+        assert a.host_valid
 
     @given(state_strategy, transition_strategy)
     def test_transitions_idempotent(self, state, t):
-        assert t(t(state)) is t(state)
+        once, twice = array_in(*state, gpus=2), array_in(*state, gpus=2)
+        apply(once, t)
+        apply(twice, t)
+        apply(twice, t)
+        assert location(twice) == location(once)
 
 
 class TestPages:

@@ -29,7 +29,15 @@ from repro.memory import (
     MovementPolicy,
     PAGE_SIZE_BYTES,
 )
-from repro.memory.pages import CoherenceState
+
+SHARED = (True, {0})
+HOST_ONLY = (True, set())
+DEVICE_ONLY = (False, {0})
+
+
+def location(a):
+    """An array's committed location set: (host valid, devices)."""
+    return a.host_valid, a.valid_on
 
 
 def make_engine(spec=GTX1660_SUPER):
@@ -106,10 +114,10 @@ class TestCrossStreamMigrationHazard:
         coherence.acquire([(x, AccessKind.READ)], s1)
         # Submitted but not yet executed: committed state is untouched,
         # while the planned view already sees the copy in flight.
-        assert x.state is CoherenceState.HOST_ONLY
-        assert coherence.device_valid(x)
+        assert location(x) == HOST_ONLY
+        assert coherence.resident(x, 0)
         engine.sync_all()
-        assert x.state is CoherenceState.SHARED
+        assert location(x) == SHARED
 
     def test_write_marks_commit_at_kernel_completion(self):
         engine = make_engine()
@@ -120,10 +128,10 @@ class TestCrossStreamMigrationHazard:
         op = kernel_op("w")
         coherence.release(plan, op)
         engine.submit(s1, op)
-        assert x.state is CoherenceState.SHARED
+        assert location(x) == SHARED
         assert not coherence.host_valid(x)
         engine.sync_all()
-        assert x.state is CoherenceState.DEVICE_ONLY
+        assert location(x) == DEVICE_ONLY
 
 
 class TestCpuWriteInvalidation:
@@ -133,7 +141,7 @@ class TestCpuWriteInvalidation:
         engine = make_engine()
         coherence = CoherenceEngine(engine)
         x = DeviceArray(4 * PAGE_SIZE_BYTES, dtype=np.uint8, name="x")
-        x.mark_gpu_write()  # host copy stale
+        x.mark_write(0)  # host copy stale
         coherence.cpu_access(x, AccessKind.WRITE, 8)
         dtoh = [
             r for r in engine.timeline.transfers()
@@ -141,16 +149,16 @@ class TestCpuWriteInvalidation:
         ]
         assert len(dtoh) == 1
         assert dtoh[0].nbytes == PAGE_SIZE_BYTES  # page-granular RMW
-        assert x.state is CoherenceState.HOST_ONLY
+        assert location(x) == HOST_ONLY
 
     def test_full_write_invalidates_without_migration(self):
         engine = make_engine()
         coherence = CoherenceEngine(engine)
         x = DeviceArray(1 << 20, name="x")
-        x.mark_gpu_write()
+        x.mark_write(0)
         coherence.cpu_access(x, AccessKind.WRITE, x.nbytes)
         assert engine.timeline.transfers() == []
-        assert x.state is CoherenceState.HOST_ONLY
+        assert location(x) == HOST_ONLY
 
     def test_full_write_cancels_inflight_migration_plan(self):
         """The half-updated-state regression: a full host overwrite
@@ -162,10 +170,10 @@ class TestCpuWriteInvalidation:
         x = host_dirty_array(name="x")
         s1 = engine.create_stream("s1")
         coherence.acquire([(x, AccessKind.READ)], s1)
-        assert coherence.device_valid(x)  # migration in flight
+        assert coherence.resident(x, 0)  # migration in flight
         # Host fully overwrites the array before the copy lands.
         coherence.cpu_access(x, AccessKind.WRITE, x.nbytes)
-        assert not coherence.device_valid(x)
+        assert not coherence.resident(x, 0)
         assert coherence.host_valid(x)
         # A consumer on another stream replans the upload (2 HtoD total)
         # and does not ride the dead event.
@@ -190,8 +198,8 @@ class TestCpuWriteInvalidation:
         coherence.acquire([(x, AccessKind.READ)], s1)
         coherence.cpu_access(x, AccessKind.WRITE, x.nbytes)  # invalidate
         engine.sync_all()  # dead migration lands now
-        assert x.state is CoherenceState.HOST_ONLY
-        assert not coherence.device_valid(x)
+        assert location(x) == HOST_ONLY
+        assert not coherence.resident(x, 0)
         s2 = engine.create_stream("s2")
         plan = coherence.acquire([(x, AccessKind.READ)], s2)
         coherence.release(plan, None)
@@ -206,9 +214,9 @@ class TestCpuWriteInvalidation:
         engine = make_engine()
         coherence = CoherenceEngine(engine)
         x = DeviceArray(1 << 20, name="x")
-        x.mark_gpu_write()
+        x.mark_write(0)
         coherence.cpu_access(x, AccessKind.READ_WRITE, 64)
-        assert x.state is CoherenceState.HOST_ONLY
+        assert location(x) == HOST_ONLY
 
 
 class TestMovementPolicies:
@@ -406,7 +414,7 @@ class TestSubmissionWindow:
         coherence.release(plan, op)
         engine.submit(s, op)
         y = DeviceArray(1 << 20, name="y")
-        y.mark_gpu_write()
+        y.mark_write(0)
         # Host readback of an unrelated array closes the window first
         # (and its internal sync would deadlock otherwise).
         coherence.cpu_access(y, AccessKind.READ, y.nbytes)
@@ -446,6 +454,22 @@ class TestSubmissionWindow:
                 movement=MovementPolicy.BATCHED, movement_window=window,
             )
         assert runs[0].results == runs[4].results
+
+    def test_window_keeps_later_gpu_writes(self):
+        """Regression: a window flushed after a later acquire that
+        writes one of its arrays must not cancel that write.  HITS
+        reads and then rewrites ``auth``/``hub`` on the GPU, so reading
+        the results writes them back under every policy, windowed
+        BATCHED included (once per vector and iteration)."""
+        from repro.workloads import Mode, create_benchmark
+
+        for window in (0, 4):
+            bench = create_benchmark("hits", 2_000, iterations=2)
+            run = bench.run(
+                "GTX 1660 Super", Mode.PARALLEL,
+                movement=MovementPolicy.BATCHED, movement_window=window,
+            )
+            assert run.counters["coherence.dtoh_ops"] == 4, window
 
     def test_window_zero_never_engages_the_coalescer(self):
         """Regression: window=0 must stay on the per-acquire BATCHED
@@ -487,9 +511,9 @@ class TestHostReadback:
         engine = make_engine()
         coherence = CoherenceEngine(engine)
         x = DeviceArray(1 << 20, name="x")
-        x.mark_gpu_write()
+        x.mark_write(0)
         op = coherence.cpu_access(x, AccessKind.READ, x.nbytes)
         assert op is not None
         assert op.direction is TransferDirection.DEVICE_TO_HOST
         assert op.state is OpState.COMPLETE  # sync=True drained it
-        assert x.state is CoherenceState.SHARED
+        assert location(x) == SHARED

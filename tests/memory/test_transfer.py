@@ -76,9 +76,9 @@ class TestHtoDPlanning:
         a = host_dirty_array()
         s = engine.create_stream("s")
         coherence.acquire([(a, AccessKind.READ)], s)
-        assert a.stale_device_bytes() > 0  # committed state untouched
+        assert a.migration_bytes(0) > 0  # committed state untouched
         engine.sync_all()
-        assert a.stale_device_bytes() == 0
+        assert a.migration_bytes(0) == 0
 
     def test_duplicate_and_resident_arrays_planned_once(self):
         engine, coherence = make_coherence()
@@ -128,7 +128,7 @@ class TestDtoHPlanning:
     def test_page_granular_writeback(self):
         engine, coherence = make_coherence()
         a = DeviceArray(PAGE_SIZE_BYTES, dtype=np.uint8)
-        a.mark_gpu_write()
+        a.mark_write(0)
         op = coherence.cpu_access(a, AccessKind.READ, 4)
         assert op is not None
         assert op.nbytes == PAGE_SIZE_BYTES
@@ -138,7 +138,7 @@ class TestDtoHPlanning:
     def test_writeback_capped_at_array_size(self):
         engine, coherence = make_coherence()
         a = DeviceArray(16)
-        a.mark_gpu_write()
+        a.mark_write(0)
         op = coherence.cpu_access(a, AccessKind.READ, 4)
         assert op is not None
         assert op.nbytes == a.nbytes  # page rounds up, cap wins
@@ -146,6 +146,6 @@ class TestDtoHPlanning:
     def test_access_marks_host_valid(self):
         engine, coherence = make_coherence()
         a = DeviceArray(16)
-        a.mark_gpu_write()
+        a.mark_write(0)
         coherence.cpu_access(a, AccessKind.READ, 4)
-        assert a.state.host_valid
+        assert a.host_valid

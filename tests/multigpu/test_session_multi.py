@@ -63,11 +63,12 @@ class TestPolyglotTransparency:
         assert res1 == 4096 * (4.0 - 9.0)
 
     def test_polyglot_arrays_are_fleet_arrays(self):
-        from repro.multigpu import MultiGpuArray
+        from repro.memory import DeviceArray
 
         sess = Session(gpus=2)
         arr = Polyglot(sess).eval("grcuda", "float[16]")
-        assert isinstance(arr, MultiGpuArray)
+        assert isinstance(arr, DeviceArray)
+        assert arr.devices == sess.devices
         arr[3] = 5.0
         assert arr[3] == 5.0
 
@@ -136,7 +137,7 @@ def d2d_bytes(sess) -> float:
 
 class TestFleetMovementPolicies:
     def test_page_fault_issues_no_peer_mirrors(self):
-        """Regression: ``acquire_multi`` must respect PAGE_FAULT — the
+        """Regression: multi-GPU ``acquire`` must respect PAGE_FAULT — the
         old path mirrored eagerly whatever the policy said."""
         fault = chain_session(MovementPolicy.PAGE_FAULT)
         assert d2d_bytes(fault) == 0.0
@@ -242,7 +243,7 @@ class TestMixedPolicyFleetOrdering:
 
 class TestCompletionAppliedTransitions:
     def test_location_set_commits_at_completion_not_submission(self):
-        """The planned/committed split now covers MultiGpuArray: the
+        """The planned/committed split covers location sets: the
         committed location set moves only when the migration (or the
         faulting kernel) completes on the simulated device."""
         sess = Session(
@@ -263,8 +264,8 @@ class TestCompletionAppliedTransitions:
         assert committed_after_submit == set()
         assert host_after_submit
         # The planned overlay already sees the in-flight write.
-        assert sess.context.coherence.multi_resident(a, 0)
-        assert not sess.context.coherence.multi_host_valid(a)
+        assert sess.context.coherence.resident(a, 0)
+        assert not sess.context.coherence.host_valid(a)
         sess.sync()
         assert a.valid_on == {0}
         assert not a.host_valid

@@ -49,7 +49,7 @@ class TestStrategyMatrix:
     @pytest.mark.parametrize("faults", [None, FAULT_PLAN])
     def test_matrix_is_bit_identical(self, faults):
         """Acceptance: fingerprints, counters and canonical traces are
-        equal across sequential/threading/process — with and without a
+        equal across sequential/process — with and without a
         slot-scoped fault plan."""
         states = {}
         for strategy in STRATEGIES:

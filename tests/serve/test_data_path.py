@@ -136,3 +136,24 @@ def test_replayed_kernel_cannot_write_a_const_input(fleet):
         _serve(graphs, fleet, batch_window=0.0)
     for graph, data in zip(graphs, before):
         assert np.array_equal(graph.arrays["x"].init, data)
+
+
+def test_hits_graphs_do_not_share_cached_kernels():
+    # HITS kernels are closures over their benchmark's CSR matrices: two
+    # graphs with different matrices must not share a slot's cached
+    # kernels (nor, through the topology key, a capture plan).
+    from repro.serve.workloads import graph_from_benchmark
+    from repro.workloads.suite import create_benchmark
+
+    graphs = [
+        graph_from_benchmark(
+            create_benchmark("hits", 2_000, seed=seed, iterations=1)
+        )
+        for seed in (1, 2)
+    ]
+    assert graphs[0].topology_key() != graphs[1].topology_key()
+    report = _serve(graphs, "1")
+    for result in report.results:
+        expected = execute_serial(graphs[result.request_id - 1])
+        for name, out in result.outputs.items():
+            assert np.array_equal(out, expected[name]), name

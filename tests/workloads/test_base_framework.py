@@ -81,7 +81,7 @@ class TestBenchmarkPlumbing:
 
         assert bench.load_input(0, arr, boom) is None
         # The write was still announced: device copy invalidated.
-        assert arr.stale_device_bytes() == arr.nbytes
+        assert arr.migration_bytes(0) == arr.nbytes
 
 
 class TestBaselineHost:
@@ -111,7 +111,7 @@ class TestBaselineHost:
         host = _BaselineHost(engine)
         arr = DeviceArray(1 << 20, name="a")
         arr.set_access_hook(host.hook)
-        arr.mark_gpu_write()
+        arr.mark_write(0)
         before = engine.clock
         _ = arr[0]
         assert engine.clock > before
@@ -122,6 +122,6 @@ class TestBaselineHost:
         host = _BaselineHost(engine)
         arr = DeviceArray(1 << 20, name="a")
         arr.set_access_hook(host.hook)
-        arr.mark_gpu_write()
+        arr.mark_write(0)
         arr.copy_from_host(np.zeros(1 << 20, dtype=np.float32))
         assert engine.timeline.transfers() == []  # invalidate, not move
