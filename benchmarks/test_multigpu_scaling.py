@@ -7,9 +7,9 @@ round-robin on dependent work, and independent work must scale with the
 GPU count.
 """
 
+from repro import DevicePlacementPolicy, SchedulerConfig, Session
 from repro.gpusim.timeline import IntervalKind
 from repro.kernels import LinearCostModel
-from repro.multigpu import DevicePlacementPolicy, MultiGpuScheduler
 
 N = 1 << 22
 COST = LinearCostModel(
@@ -20,13 +20,15 @@ COST = LinearCostModel(
 
 
 def run_independent(n_gpus, policy=DevicePlacementPolicy.MIN_TRANSFER):
-    sched = MultiGpuScheduler(["1660"] * n_gpus, policy=policy)
+    sched = Session(
+        gpus=n_gpus, gpu="1660", config=SchedulerConfig(placement=policy)
+    )
     k = sched.build_kernel(lambda x, n: None, "w", "ptr, sint32", COST)
     arrays = [
         sched.array(N, name=f"b{i}", materialize=False) for i in range(8)
     ]
     for a in arrays:
-        sched.write_input(a)
+        a.touch_write_full()
     for _ in range(2):
         for a in arrays:
             k(512, 256)(a, N)
@@ -35,10 +37,12 @@ def run_independent(n_gpus, policy=DevicePlacementPolicy.MIN_TRANSFER):
 
 
 def run_chain(policy):
-    sched = MultiGpuScheduler(["1660", "1660"], policy=policy)
+    sched = Session(
+        gpus=2, gpu="1660", config=SchedulerConfig(placement=policy)
+    )
     k = sched.build_kernel(lambda x, n: None, "s", "ptr, sint32", COST)
     a = sched.array(N, name="c", materialize=False)
-    sched.write_input(a)
+    a.touch_write_full()
     for _ in range(8):
         k(512, 256)(a, N)
     sched.sync()
@@ -51,7 +55,7 @@ def test_multigpu_strong_scaling(benchmark):
     )
     sched1 = run_independent(1)
     sched4 = run_independent(4)
-    t1, t2, t4 = (s.elapsed for s in (sched1, sched2, sched4))
+    t1, t2, t4 = (s.elapsed() for s in (sched1, sched2, sched4))
     print(
         f"\n8 independent pipelines: 1 GPU {t1 * 1e3:.1f} ms,"
         f" 2 GPUs {t2 * 1e3:.1f} ms, 4 GPUs {t4 * 1e3:.1f} ms"
@@ -59,7 +63,7 @@ def test_multigpu_strong_scaling(benchmark):
     assert t2 < 0.75 * t1
     assert t4 < t2
     # Work spread across all devices.
-    assert all(c > 0 for c in sched2.device_kernel_counts())
+    assert all(c > 0 for c in sched2.context.device_kernel_counts())
 
 
 def test_locality_beats_round_robin(benchmark):
@@ -81,10 +85,10 @@ def test_locality_beats_round_robin(benchmark):
         if r.kind is IntervalKind.TRANSFER_D2D
     )
     print(
-        f"\ndependent chain: round-robin {naive.elapsed * 1e3:.1f} ms"
+        f"\ndependent chain: round-robin {naive.elapsed() * 1e3:.1f} ms"
         f" ({d2d_naive} D2D copies), min-transfer"
-        f" {tuned.elapsed * 1e3:.1f} ms ({d2d_tuned} D2D copies)"
+        f" {tuned.elapsed() * 1e3:.1f} ms ({d2d_tuned} D2D copies)"
     )
-    assert tuned.elapsed < naive.elapsed
+    assert tuned.elapsed() < naive.elapsed()
     assert d2d_tuned == 0
     assert d2d_naive >= 3

@@ -5,17 +5,17 @@ The paper's scheduler extracts parallelism from one host program; the
 ``repro.serve`` layer multiplexes *many clients* over a pool of
 ``repro.Session`` s (one long-lived session per GPU).  Here a premium
 tenant and a batch tenant submit the same mixed workloads; the priority
-admission policy — carried, like placement and movement, in the one
-``SchedulerConfig`` — serves the premium tenant first, which shows up
-directly in the per-tenant latency percentiles, while every result stays
-bit-identical to running each graph alone on a private session.
+admission policy — a serving knob of ``ServeConfig`` — serves the
+premium tenant first, which shows up directly in the per-tenant latency
+percentiles, while every result stays bit-identical to running each
+graph alone on a private session.
 
 Run:  python examples/serving.py
 """
 
 import numpy as np
 
-from repro import AdmissionPolicy, SchedulerConfig
+from repro import AdmissionPolicy
 from repro.serve import SchedulerService, ServeConfig, execute_serial
 from repro.serve.workloads import mixed_workload_graphs
 
@@ -23,13 +23,11 @@ REQUESTS_PER_TENANT = 8
 
 
 def main() -> None:
-    # Admission is a SchedulerConfig knob like every other policy; the
-    # serving layer builds one session per fleet GPU from this config.
+    # Admission is a serving knob; the serving layer builds one session
+    # per fleet GPU from ServeConfig.scheduler (the default here).
     service = SchedulerService(
         fleet_size=2,                       # two simulated GTX 1660s
-        config=ServeConfig(
-            scheduler=SchedulerConfig(admission=AdmissionPolicy.PRIORITY),
-        ),
+        config=ServeConfig(admission=AdmissionPolicy.PRIORITY),
     )
     service.register_tenant("premium", priority=10)
     service.register_tenant("batch", priority=0)

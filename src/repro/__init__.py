@@ -21,13 +21,10 @@ Quickstart::
 any device count through one path (``gpus>1`` adds the section-VI
 device placement; one GPU is the one-device case), and
 :mod:`repro.serve` multiplexes many tenants over a pool of sessions —
-all configured through one :class:`SchedulerConfig`.  The legacy
-``GrCUDARuntime`` / ``MultiGpuScheduler`` classes remain as deprecation
-shims.
+each session configured through one :class:`SchedulerConfig`.
 """
 
 from repro.session import Session, SessionMetrics
-from repro.core.runtime import GrCUDARuntime
 from repro.core.policies import (
     AdmissionPolicy,
     DevicePlacementPolicy,
@@ -63,7 +60,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Session",
     "SessionMetrics",
-    "GrCUDARuntime",
     "AdmissionPolicy",
     "ConfigError",
     "DevicePlacementPolicy",

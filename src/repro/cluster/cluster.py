@@ -16,7 +16,10 @@ batching, capture replay, in-slot device placement.  Placement runs in
 synchronous rounds — place every queued request, drain every node in id
 order, re-place what a downed node could not serve — so the whole run
 is a pure function of (submissions, seed, fault plan) and replays
-bit-identically.
+bit-identically.  The cluster is a
+:class:`~repro.serve.dispatch.Dispatcher` over its nodes, like a
+service over its slots: queue, lifecycle advance, blackout handling,
+deadlines, backoff and drop records are the same code at both levels.
 
 Fault scope is lifted from slots to nodes (``node=`` specs in a
 :class:`~repro.faults.FaultPlan`): a node-scoped CRASH / RESTART /
@@ -36,7 +39,6 @@ executing its graph alone on a private serial runtime.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
@@ -50,7 +52,7 @@ from repro.cluster.scheduler import (
     ClusterPlacementPolicy,
     ClusterScheduler,
 )
-from repro.serve.admission import make_queue
+from repro.serve.dispatch import Dispatcher
 from repro.serve.fleet import parse_fleet_spec
 from repro.serve.request import (
     GraphRequest,
@@ -198,14 +200,6 @@ class ClusterNode:
     def admitting(self) -> bool:
         return self.lifecycle.admitting
 
-    def advance_lifecycle(self, now: float):
-        """Advance the node lifecycle monotonically: a node that has
-        simulated to its own clock has experienced every event up to
-        it, and lifecycles never rewind."""
-        return self.lifecycle.advance(
-            max(now, self.lifecycle.now, self.clock)
-        )
-
     def warm_for(self, graph: TaskGraph) -> bool:
         """Whether this node's capture cache already holds a plan for
         ``graph`` on any of its slot shapes (AFFINITY warmth)."""
@@ -287,8 +281,17 @@ class ClusterReport:
         return "\n".join(lines)
 
 
-class Cluster:
+class Cluster(Dispatcher):
     """N serving nodes behind one global admission queue."""
+
+    TRACK = "cluster"
+    CHILD = "node"
+    FAULT_EVENT = "node-fault"
+    RETRY_EVENT = "replace"
+    QUEUE_PEAK = "cluster.queue_depth_peak"
+    INJECTED = "cluster.node_faults_injected"
+    SHED = "cluster.shed"
+    RETRIED = "cluster.replacements"
 
     def __init__(
         self,
@@ -310,106 +313,53 @@ class Cluster:
                     f"fault plan targets node {top} but the cluster has"
                     f" only {len(topologies)} node(s)"
                 )
-        self.tracer = current_tracer() if tracer is None else tracer
-        self.counters = CounterRegistry()
+        tracer = current_tracer() if tracer is None else tracer
+        self.nodes = [
+            ClusterNode(i, topo, gpu, self.config, tracer)
+            for i, topo in enumerate(topologies)
+        ]
+        super().__init__(
+            self.config.serve, self.config.faults, self.nodes, tracer
+        )
         self.network = ClusterNetwork(
             self.config.interconnect, counters=self.counters
         )
         self.scheduler = ClusterScheduler(
             self.config.policy, pack_per_gpu=self.config.pack_per_gpu
         )
-        self.nodes = [
-            ClusterNode(i, topo, gpu, self.config, self.tracer)
-            for i, topo in enumerate(topologies)
-        ]
-        self.queue = make_queue(self.config.serve.admission)
-        self.results: list[GraphResult] = []
-        #: cluster-owned request-id allocation (node services never
-        #: allocate — they receive whole request objects), so
-        #: concurrent clusters/services cannot interleave ids
-        self._request_ids = itertools.count(1)
         #: every request the cluster admitted, by id (re-placement and
         #: readback need the graph back from a result)
         self._requests: dict[int, GraphRequest] = {}
-        #: terminal record per request id; re-placements overwrite
-        self._final: dict[int, GraphResult] = {}
-        self._priorities: dict[str, int] = {}
-        self._now = 0.0
-        self._injected: set[int] = set()
         self._c_placements = self.counters.counter("cluster.placements")
-        self._c_replacements = self.counters.counter(
-            "cluster.replacements"
-        )
         self._c_net_retries = self.counters.counter(
             "cluster.net_retries"
         )
-        self._c_shed = self.counters.counter("cluster.shed")
+        # Reported even when zero, so every cluster snapshot has them.
+        self.counters.counter(self.RETRIED)
+        self.counters.counter(self.SHED)
 
-    # -- tenant/submission API ---------------------------------------------
-
-    def register_tenant(self, name: str, priority: int = 0) -> None:
-        self._priorities[name] = priority
-
-    def submit(
-        self,
-        tenant: str,
-        graph: TaskGraph,
-        priority: int | None = None,
-        arrival_time: float = 0.0,
-        deadline: float | None = None,
-    ) -> int:
-        """Admit one task graph globally; returns the request id."""
-        if deadline is not None and deadline < arrival_time:
-            raise ValueError(
-                f"deadline {deadline:g} precedes arrival {arrival_time:g}"
-            )
-        request = GraphRequest(
-            request_id=next(self._request_ids),
-            tenant=tenant,
-            graph=graph,
-            priority=(
-                self._priorities.get(tenant, 0)
-                if priority is None
-                else priority
-            ),
-            arrival_time=arrival_time,
-            deadline=deadline,
-        )
+    def enqueue(self, request: GraphRequest) -> int:
+        """Admit one built request into the global queue."""
         self._requests[request.request_id] = request
-        self.queue.push(request)
-        self.counters.set_max(
-            "cluster.queue_depth_peak", len(self.queue)
-        )
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "admit",
-                track="cluster",
-                vt=arrival_time,
-                tenant=tenant,
-                request=request.request_id,
-                queue_depth=len(self.queue),
-            )
-        return request.request_id
+        return super().enqueue(request)
+
+    def _retry_attrs(self, request: GraphRequest, node: ClusterNode) -> dict:
+        return {"node": node.index, "attempt": request.attempts}
 
     # -- the cluster loop ---------------------------------------------------
 
-    def run(self) -> ClusterReport:
-        """Serve every admitted request to a terminal status, price the
-        result readbacks, and roll up the report."""
-        try:
-            while len(self.queue):
-                self._placement_round()
-                self._drain_round()
-                self.scheduler.reset_round()
-            self._readback()
-            # Final advance so every injected node fault is counted
-            # even if it struck after the queue drained.
-            for node in self.nodes:
-                made = node.advance_lifecycle(self._now)
-                self._count_node_transitions(node, made)
-            return self.report()
-        finally:
-            self.close()
+    def drain(self) -> None:
+        """Serve every admitted request to a terminal status and price
+        the result readbacks: rounds of place-all-then-drain until the
+        global queue stays empty."""
+        while len(self.queue):
+            self._placement_round()
+            self._drain_round()
+            self.scheduler.reset_round()
+        self._readback()
+        # Final advance so every injected node fault is counted even if
+        # it struck after the queue drained.
+        self._advance_lifecycles(self._now)
 
     def close(self) -> None:
         """Release every node service's execution-strategy resources
@@ -422,35 +372,16 @@ class Cluster:
         """Pop every queued request in admission order, stage its inputs
         over the network and enqueue it on the chosen node."""
         while len(self.queue):
-            head = self.queue.pop()
-            assert head is not None
-            now = max(self._now, head.dispatch_floor)
-            for node in self.nodes:
-                made = node.advance_lifecycle(now)
-                self._count_node_transitions(node, made)
-            eligible = [n for n in self.nodes if n.admitting]
+            head = self.queue.peek()
+            now, eligible = self._eligible(
+                max(self._now, head.dispatch_floor)
+            )
             if not eligible:
-                revive = self._earliest_revival(now)
-                if revive is None:
-                    # Permanent cluster-wide outage: shed the head and
-                    # everything still queued instead of deadlocking.
-                    self._record_dropped(head, now, RequestStatus.SHED)
-                    while len(self.queue):
-                        r = self.queue.pop()
-                        assert r is not None
-                        self._record_dropped(
-                            r, now, RequestStatus.SHED
-                        )
-                    return
-                now = max(now, revive)
-                for node in self.nodes:
-                    made = node.advance_lifecycle(now)
-                    self._count_node_transitions(node, made)
-                eligible = [n for n in self.nodes if n.admitting]
-                assert eligible, "revived node must admit"
+                return  # a permanent cluster-wide outage shed the queue
             self._now = now
-            if head.deadline is not None and now > head.deadline:
-                self._record_dropped(head, now, RequestStatus.TIMEOUT)
+            popped = self.queue.pop()
+            assert popped is head
+            if self._expired(head, now):
                 continue
             node = self.scheduler.place(head, eligible)
             self._c_placements.value += 1
@@ -459,7 +390,7 @@ class Cluster:
             if self.tracer.enabled:
                 self.tracer.instant(
                     "place",
-                    track="cluster",
+                    track=self.TRACK,
                     vt=now,
                     policy=self.scheduler.policy.value,
                     tenant=head.tenant,
@@ -483,7 +414,7 @@ class Cluster:
             if self.tracer.enabled:
                 self.tracer.instant(
                     "stage-retry",
-                    track="cluster",
+                    track=self.TRACK,
                     vt=now,
                     node=node.index,
                     request=request.request_id,
@@ -493,67 +424,32 @@ class Cluster:
 
     def _drain_round(self) -> None:
         """Drain every node in id order, collect the new results, and
-        re-queue work a non-admitting node shed or failed."""
+        re-queue work a non-admitting node shed or failed (once its
+        retries are exhausted, the node's terminal record stands)."""
         for node in self.nodes:
             node.service.drain()
             fresh = node.service.results[node.result_cursor:]
             node.result_cursor = len(node.service.results)
-            made = node.advance_lifecycle(self._now)
-            self._count_node_transitions(node, made)
+            self._advance(node, self._now)
             for result in fresh:
                 result.node_index = node.index
                 if (
                     result.status
                     in (RequestStatus.SHED, RequestStatus.FAILED)
                     and not node.admitting
-                    and self._replace(result, node)
                 ):
-                    continue
-                self._final[result.request_id] = result
-
-    def _replace(
-        self, result: GraphResult, node: ClusterNode
-    ) -> bool:
-        """Re-queue a request its (now non-admitting) node could not
-        serve; False once its retry budget is exhausted (the node's
-        terminal record stands)."""
-        request = self._requests[result.request_id]
-        request.attempts += 1
-        if request.attempts > self.config.serve.max_retries:
-            return False
-        backoff = (
-            self.config.serve.retry_backoff_us
-            * 1e-6
-            * (2 ** (request.attempts - 1))
-        )
-        request.not_before = max(
-            request.not_before, result.finish_time + backoff
-        )
-        request.last_slot = None
-        self._c_replacements.value += 1
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "replace",
-                track="cluster",
-                vt=result.finish_time,
-                tenant=request.tenant,
-                request=request.request_id,
-                node=node.index,
-                attempt=request.attempts,
-            )
-        self.queue.push(request)
-        return True
+                    request = self._requests[result.request_id]
+                    request.last_slot = None
+                    if self._retry(request, node, result.finish_time):
+                        continue
+                self.results.append(result)
 
     def _readback(self) -> None:
         """Price every completed request's result readback over the
         network, in deterministic (finish, id) order; a readback that
         lands past the deadline turns the request TIMEOUT."""
         completed = sorted(
-            (
-                r
-                for r in self._final.values()
-                if r.status is RequestStatus.COMPLETED
-            ),
+            (r for r in self.results if r.status is RequestStatus.COMPLETED),
             key=lambda r: (r.finish_time, r.request_id),
         )
         for result in completed:
@@ -568,68 +464,6 @@ class Cluster:
             if request.deadline is not None and done > request.deadline:
                 result.status = RequestStatus.TIMEOUT
                 result.outputs = {}
-
-    # -- fault plumbing -----------------------------------------------------
-
-    def _earliest_revival(self, now: float) -> float | None:
-        times = [
-            t
-            for n in self.nodes
-            if (t := n.lifecycle.earliest_admit(now)) is not None
-        ]
-        return min(times) if times else None
-
-    def _count_node_transitions(
-        self, node: ClusterNode, made
-    ) -> None:
-        for t in made:
-            if id(t.spec) not in self._injected:
-                self._injected.add(id(t.spec))
-                self.counters.counter(
-                    "cluster.node_faults_injected"
-                ).value += 1
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "node-fault",
-                    track="cluster",
-                    vt=t.time,
-                    node=node.index,
-                    kind=t.spec.kind.value,
-                    before=t.before.value,
-                    after=t.after.value,
-                )
-
-    def _record_dropped(
-        self, request: GraphRequest, now: float, status: RequestStatus
-    ) -> None:
-        """Terminal cluster-level drop: the request never reached (or
-        never again reaches) a node."""
-        if status is RequestStatus.SHED:
-            self._c_shed.value += 1
-        if self.tracer.enabled:
-            self.tracer.instant(
-                status.value,
-                track="cluster",
-                vt=now,
-                tenant=request.tenant,
-                request=request.request_id,
-            )
-        self._final[request.request_id] = GraphResult(
-            request_id=request.request_id,
-            tenant=request.tenant,
-            graph_name=request.graph.name,
-            outputs={},
-            arrival_time=request.arrival_time,
-            start_time=now,
-            finish_time=now,
-            device_index=-1,
-            batch_id=0,
-            batch_size=1,
-            replayed=False,
-            status=status,
-            attempts=request.attempts,
-            node_index=-1,
-        )
 
     # -- reporting ----------------------------------------------------------
 
@@ -652,11 +486,9 @@ class Cluster:
         return merged.snapshot()
 
     def report(self) -> ClusterReport:
-        if not self._final:
+        if not self.results:
             raise ValueError("no served requests to report on")
-        self.results = sorted(
-            self._final.values(), key=lambda r: r.request_id
-        )
+        self.results.sort(key=lambda r: r.request_id)
         per_node: dict[int, ServiceReport] = {
             node.index: node.service.report()
             for node in self.nodes

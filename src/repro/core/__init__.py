@@ -2,7 +2,7 @@
 computations with automatic dependency inference, transparent stream
 management and transfer/compute overlap.
 
-Public entry point: :class:`repro.core.runtime.GrCUDARuntime`.
+Public entry point: :class:`repro.session.Session`.
 """
 
 from repro.core.element import (
@@ -28,19 +28,6 @@ from repro.core.context import (
 from repro.core.race import check_no_races, find_races
 
 
-def __getattr__(name: str):
-    # Imported lazily (PEP 562): the GrCUDARuntime shim subclasses
-    # repro.session.Session, whose import of the context/policy modules
-    # initializes this package — an eager import here would be circular.
-    if name == "GrCUDARuntime":
-        from repro.core.runtime import GrCUDARuntime
-
-        return GrCUDARuntime
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
 __all__ = [
     "ComputationalElement",
     "KernelElement",
@@ -57,7 +44,6 @@ __all__ = [
     "ExecutionContext",
     "SerialExecutionContext",
     "ParallelExecutionContext",
-    "GrCUDARuntime",
     "check_no_races",
     "find_races",
 ]

@@ -25,11 +25,11 @@ Section IV-C defines the policy space:
 * **Device-placement policy** — which GPU a computation runs on, for
   multi-GPU sessions and the serving fleet (round-robin / min-transfer /
   least-loaded).
-* **Admission policy** — which queued request a *serving* session admits
-  next (FIFO / priority / fair-share).  A serving-only knob: setting it
-  on a plain compute session is a configuration error.
+* **Admission policy** — which queued request a serving fleet admits
+  next (FIFO / priority / fair-share).  It lives with the other serving
+  knobs on :class:`repro.serve.ServeConfig`.
 
-One :class:`SchedulerConfig` holds the complete policy space; device
+One :class:`SchedulerConfig` holds a session's policy space; device
 count is a :class:`repro.session.Session` argument, never an API choice.
 """
 
@@ -58,7 +58,7 @@ class DevicePlacementPolicy(enum.Enum):
 
 
 class AdmissionPolicy(enum.Enum):
-    """Which queued request a serving session dispatches next."""
+    """Which queued request a serving fleet dispatches next."""
 
     FIFO = "fifo"
     PRIORITY = "priority"
@@ -111,67 +111,19 @@ class SchedulerConfig:
     #: fleet; None resolves to MIN_TRANSFER for a compute session and
     #: LEAST_LOADED for a serving fleet (each path's historical default)
     placement: DevicePlacementPolicy | None = None
-    #: admission-control policy — a *serving-only* knob; non-None on a
-    #: plain compute session is rejected by :meth:`validate`
-    admission: AdmissionPolicy | None = None
-    #: serving-only fault-management knobs (rejected on compute
-    #: sessions, like ``admission``); None inherits the ServeConfig
-    #: defaults.  ``max_retries`` bounds re-placement attempts after a
-    #: slot crash or transient transfer fault; ``retry_backoff_us`` is
-    #: the base of the exponential re-dispatch backoff; ``shed_watermark``
-    #: is the healthy-capacity fraction below which graceful degradation
-    #: sheds lowest-priority queued work instead of deadlocking.
-    max_retries: int | None = None
-    retry_backoff_us: float | None = None
-    shed_watermark: float | None = None
     scheduling_overhead_us: float = 10.0
     serial_overhead_us: float = 4.0
     track_history: bool = True
 
-    def validate(self, gpus: int = 1, serving: bool = False) -> None:
-        """Reject configurations that cannot mean anything.
-
-        ``gpus`` is the device count of the session being configured;
-        ``serving`` is True when the config backs a serving fleet (the
-        only context in which admission control exists).
-        """
+    def validate(self, gpus: int = 1) -> None:
+        """Reject configurations that cannot mean anything; ``gpus`` is
+        the device count of the session being configured."""
         if not isinstance(gpus, int) or isinstance(gpus, bool):
             raise ConfigError(
                 f"gpus must be an integer, got {type(gpus).__name__}"
             )
         if gpus < 1:
             raise ConfigError(f"gpus must be >= 1, got {gpus}")
-        if self.admission is not None and not serving:
-            raise ConfigError(
-                "admission control is a serving knob: "
-                f"admission={self.admission.value!r} has no meaning on a"
-                " compute session — submit through repro.serve instead"
-            )
-        for knob in ("max_retries", "retry_backoff_us", "shed_watermark"):
-            if getattr(self, knob) is not None and not serving:
-                raise ConfigError(
-                    f"{knob} is a serving fault-management knob with no"
-                    " meaning on a compute session — submit through"
-                    " repro.serve instead"
-                )
-        if self.max_retries is not None and (
-            not isinstance(self.max_retries, int)
-            or isinstance(self.max_retries, bool)
-            or self.max_retries < 0
-        ):
-            raise ConfigError(
-                "max_retries must be a non-negative integer, got"
-                f" {self.max_retries!r}"
-            )
-        if self.retry_backoff_us is not None and self.retry_backoff_us < 0:
-            raise ConfigError("retry_backoff_us must be >= 0")
-        if self.shed_watermark is not None and not (
-            0.0 <= self.shed_watermark <= 1.0
-        ):
-            raise ConfigError(
-                "shed_watermark is a capacity fraction and must lie in"
-                f" [0, 1], got {self.shed_watermark!r}"
-            )
         if self.scheduling_overhead_us < 0 or self.serial_overhead_us < 0:
             raise ConfigError("scheduler overheads must be >= 0")
         if (

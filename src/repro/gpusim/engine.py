@@ -287,7 +287,7 @@ class SimEngine:
         """Destroy an idle stream and stop scheduling over it.
 
         Long-lived engines that serve many short-lived contexts (see
-        :meth:`repro.core.runtime.GrCUDARuntime.renew_context`) would
+        :meth:`repro.session.Session.renew_context`) would
         otherwise accumulate an ever-growing population of dead streams.
         The default stream cannot be reclaimed.
         """

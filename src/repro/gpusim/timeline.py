@@ -81,14 +81,6 @@ class Timeline:
         self._transfer_time: float = 0.0
         self._transfer_bytes: float = 0.0
 
-    def __call__(self) -> "Timeline":
-        """Identity call, so both timeline spellings resolve everywhere:
-        the legacy runtime exposed ``rt.timeline`` as a property and the
-        Session API's canonical surface is ``sess.timeline()`` — with
-        the attribute being a Timeline *and* callable, Session-generic
-        code works unchanged on the deprecation shims and vice versa."""
-        return self
-
     def add(self, record: TimelineRecord) -> None:
         self._records.append(record)
         self._by_stream.setdefault(record.stream_id, []).append(record)

@@ -4,7 +4,7 @@ The cluster-level counterpart of :mod:`repro.harness.serving`: the same
 tenants and Poisson arrival process, but requests are admitted once
 globally and placed across N nodes (each a full fleet with its own
 topology) over a priced host-to-host interconnect.  The benchmark runs
-the whole scenario ``runs`` times (request ids reset between runs) and
+the whole scenario ``runs`` times, each on a fresh cluster, and
 asserts the :meth:`~repro.cluster.ClusterReport.fingerprint` is
 bit-identical across them — replay determinism is an output of the
 benchmark, not a separate test — then writes the headline numbers to
@@ -23,29 +23,17 @@ from repro.cluster import (
     ClusterReport,
     parse_cluster_spec,
 )
+from repro.core.policies import AdmissionPolicy, DevicePlacementPolicy
 from repro.faults import FaultPlan
-from repro.multigpu.scheduler import DevicePlacementPolicy
+from repro.harness.serving import _coerce
 from repro.obs.export import write_chrome_trace
 from repro.obs.trace import Tracer
-from repro.serve.admission import AdmissionPolicy
-from repro.serve.request import execute_serial, reset_request_ids
+from repro.serve.request import execute_serial
 from repro.serve.service import ServeConfig
 from repro.serve.workloads import traffic_mix_graphs
 
 #: default Chrome-trace artifact path when ``--trace`` is given bare
 DEFAULT_TRACE_PATH = "TRACE_cluster.json"
-
-
-def _coerce(value, enum_cls):
-    if isinstance(value, enum_cls):
-        return value
-    for member in enum_cls:
-        if member.value == value or member.name.lower() == str(value).lower():
-            return member
-    raise ValueError(
-        f"unknown {enum_cls.__name__} {value!r}; choose from"
-        f" {[m.value for m in enum_cls]}"
-    )
 
 
 def cluster_report_summary(report: ClusterReport) -> dict:
@@ -137,8 +125,8 @@ def cluster_bench(
     ``"crash:node=1,at=2e-3"``); ``fault_seed`` generates one with
     :meth:`FaultPlan.random_nodes` over the arrival horizon.
 
-    The scenario executes ``runs`` times with request ids reset between
-    runs and the fingerprints are asserted equal — a nondeterministic
+    The scenario executes ``runs`` times, each on a fresh cluster, and
+    the fingerprints are asserted equal — a nondeterministic
     cluster is a failed benchmark.  ``validate=True`` additionally
     checks every completed request against private serial execution.
     """
@@ -167,7 +155,6 @@ def cluster_bench(
     tracer = Tracer() if (trace or trace_out) else None
 
     def one_run() -> tuple[ClusterReport, list]:
-        reset_request_ids()
         c = Cluster(
             [list(t) for t in topologies],
             gpu=gpu,

@@ -18,14 +18,10 @@ The machinery lives in the one runtime path every session runs:
 * peer-to-peer transfers ride the simulator's ``DEVICE_TO_DEVICE``
   direction.
 
-This package keeps the deprecated :class:`MultiGpuScheduler` facade;
-new code writes ``Session(gpus=N, config=SchedulerConfig(placement=...))``.
+A multi-GPU program is ``Session(gpus=N,
+config=SchedulerConfig(placement=...))``.
 """
 
 from repro.core.policies import DevicePlacementPolicy
-from repro.multigpu.scheduler import MultiGpuScheduler
 
-__all__ = [
-    "DevicePlacementPolicy",
-    "MultiGpuScheduler",
-]
+__all__ = ["DevicePlacementPolicy"]

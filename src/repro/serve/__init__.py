@@ -45,7 +45,6 @@ from repro.serve.admission import (
 )
 from repro.serve.capture import CaptureCache, CapturePlan, derive_plan
 from repro.serve.fleet import (
-    FleetDevice,
     FleetSlot,
     GpuFleet,
     parse_fleet_spec,
@@ -59,7 +58,6 @@ from repro.serve.request import (
     RequestStatus,
     TaskGraph,
     execute_serial,
-    reset_request_ids,
 )
 from repro.serve.service import (
     SchedulerService,
@@ -80,7 +78,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "FifoQueue",
-    "FleetDevice",
     "FleetSlot",
     "GpuFleet",
     "parse_fleet_spec",
@@ -99,5 +96,4 @@ __all__ = [
     "derive_plan",
     "execute_serial",
     "make_queue",
-    "reset_request_ids",
 ]

@@ -28,8 +28,6 @@ import itertools
 from collections import defaultdict, deque
 from typing import Callable
 
-# The policy enum lives with the rest of the policy space so one
-# SchedulerConfig can carry it; re-exported here for compatibility.
 from repro.core.policies import AdmissionPolicy
 from repro.serve.request import GraphRequest
 

@@ -135,14 +135,8 @@ class FleetSlot:
     ) -> None:
         self.index = index
         self.gpus = len(specs)
-        # serving=True: the shared SchedulerConfig may carry serving
-        # knobs (admission) that a plain compute session must reject.
         self.session = Session(
-            gpus=len(specs),
-            gpu=specs,
-            config=config,
-            serving=True,
-            tracer=tracer,
+            gpus=len(specs), gpu=specs, config=config, tracer=tracer
         )
         # Per-device export tracks are named after the slot, not the
         # engine's attach ordinal.
@@ -179,11 +173,6 @@ class FleetSlot:
         cache must be re-earned after the restart."""
         self._kernels.clear()
         self.warm_topologies.clear()
-
-    @property
-    def runtime(self) -> Session:
-        """Deprecated alias: the fleet is a pool of Sessions now."""
-        return self.session
 
     @property
     def engine(self):
@@ -249,11 +238,6 @@ class FleetSlot:
             f"<FleetSlot {self.index} {self.gpus}x"
             f" {self.session.spec.name} served={self.requests_served}>"
         )
-
-
-#: Backwards-compatible name: a 1-GPU slot is what used to be a
-#: ``FleetDevice``.
-FleetDevice = FleetSlot
 
 
 class GpuFleet:
@@ -345,11 +329,6 @@ class GpuFleet:
             tracer=tracer,
             width_normalized=width_normalized,
         )
-
-    @property
-    def devices(self) -> list[FleetSlot]:
-        """Deprecated alias for :attr:`slots` (pre-topology name)."""
-        return self.slots
 
     @property
     def topology(self) -> list[int]:
@@ -468,7 +447,6 @@ class GpuFleet:
 
 
 __all__ = [
-    "FleetDevice",
     "FleetSlot",
     "GpuFleet",
     "DevicePlacementPolicy",

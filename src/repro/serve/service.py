@@ -12,12 +12,13 @@ its GPUs runs each kernel, so a single admitted graph spans devices.
 Each admitted graph executes with full per-request isolation — its own
 execution context (DAG, stream manager, history) on the slot's session,
 via :meth:`~repro.session.Session.renew_context`-style re-entrant
-context use.  Admission and placement may live directly in the
-fleet-wide :class:`~repro.core.policies.SchedulerConfig` (the
-unified-session spelling) or be set on :class:`ServeConfig` (the legacy
-spelling); explicit ``ServeConfig`` values win.  ``ServeConfig``
-placement picks slots; the scheduler config's ``placement`` governs the
-in-slot device decision (defaulting to the paper's MIN_TRANSFER).
+context use.  Admission and the fault-management knobs live on
+:class:`ServeConfig`.  ``ServeConfig`` placement picks slots (unset, it
+follows the fleet-wide :class:`~repro.core.policies.SchedulerConfig`'s
+``placement``, else LEAST_LOADED); the scheduler config's
+``placement`` governs the in-slot device decision (defaulting to the
+paper's MIN_TRANSFER).  Queueing, fault handling and terminal records
+are the shared :class:`~repro.serve.dispatch.Dispatcher`'s.
 
 Two optimizations ride the dispatch path:
 
@@ -54,8 +55,9 @@ from repro.core.policies import (
     DevicePlacementPolicy,
     SchedulerConfig,
 )
+from repro.errors import ConfigError
 from repro.gpusim.timeline import Timeline
-from repro.faults import FaultKind, FaultPlan, Transition
+from repro.faults import FaultPlan
 from repro.metrics.service import ServiceMetrics, compute_service_metrics
 from repro.obs.counters import CounterRegistry
 from repro.obs.trace import Tracer, current_tracer
@@ -64,36 +66,23 @@ from repro.parallel.strategy import (
     ExecutionStrategy,
     make_strategy,
 )
-from repro.parallel.work import SlotOutcome, SlotWork, Submission
-from repro.serve.admission import make_queue
+from repro.parallel.work import SlotOutcome, SlotWork
 from repro.serve.capture import CaptureCache
+from repro.serve.dispatch import Dispatcher
 from repro.serve.fleet import FleetSlot, GpuFleet, parse_fleet_spec
-from repro.serve.request import (
-    GraphRequest,
-    GraphResult,
-    RequestStatus,
-    TaskGraph,
-)
+from repro.serve.request import GraphRequest, GraphResult, RequestStatus
 from repro.serve.tenant import TenantState
-
-#: backwards-compatible alias — the in-flight bookkeeping class moved
-#: to :mod:`repro.parallel.work` so worker processes can import it
-_Submission = Submission
 
 
 @dataclass
 class ServeConfig:
     """Configuration of one :class:`SchedulerService` instance.
 
-    ``admission`` and ``placement`` left as None inherit from the
-    per-device ``scheduler`` config (falling back to FIFO admission and
-    least-loaded placement, each path's historical default), so a single
-    :class:`~repro.core.policies.SchedulerConfig` can describe a whole
-    serving deployment.  The fault-management knobs (``max_retries``,
-    ``retry_backoff_us``, ``shed_watermark``) inherit the same way.
+    ``placement`` left as None follows the per-device ``scheduler``
+    config's ``placement``, else least-loaded.
     """
 
-    admission: AdmissionPolicy | None = None
+    admission: AdmissionPolicy = AdmissionPolicy.FIFO
     placement: DevicePlacementPolicy | None = None
     #: coalesce topology-identical requests whose arrivals lie within
     #: this many virtual seconds of the batch head (0 disables batching)
@@ -110,16 +99,15 @@ class ServeConfig:
     #: parsed at construction); None serves fault-free
     faults: FaultPlan | str | None = None
     #: dispatch attempts after the first before a crashed/faulted
-    #: request turns terminally FAILED (None inherits; default 3)
-    max_retries: int | None = None
+    #: request turns terminally FAILED
+    max_retries: int = 3
     #: base of the exponential re-dispatch backoff, in virtual
     #: microseconds: retry *k* waits ``backoff * 2**(k-1)`` after the
-    #: failure (None inherits; default 200)
-    retry_backoff_us: float | None = None
+    #: failure
+    retry_backoff_us: float = 200.0
     #: healthy-capacity fraction below which graceful degradation sheds
-    #: lowest-priority queued work (None inherits; default 0.5; 0
-    #: disables shedding entirely)
-    shed_watermark: float | None = None
+    #: lowest-priority queued work (0 disables shedding entirely)
+    shed_watermark: float = 0.5
     #: queue depth kept per admitting GPU while below the watermark —
     #: everything beyond it is shed
     shed_queue_per_gpu: int = 4
@@ -139,7 +127,7 @@ class ServeConfig:
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
 
     def __post_init__(self) -> None:
-        self.scheduler.validate(serving=True)
+        self.scheduler.validate()
         if self.parallel not in STRATEGIES:
             raise ValueError(
                 f"unknown execution strategy {self.parallel!r};"
@@ -149,27 +137,26 @@ class ServeConfig:
             raise ValueError(
                 f"workers must be >= 1, got {self.workers}"
             )
-        if self.admission is None:
-            self.admission = self.scheduler.admission or AdmissionPolicy.FIFO
+        if (
+            not isinstance(self.max_retries, int)
+            or isinstance(self.max_retries, bool)
+            or self.max_retries < 0
+        ):
+            raise ConfigError(
+                "max_retries must be a non-negative integer, got"
+                f" {self.max_retries!r}"
+            )
+        if self.retry_backoff_us < 0:
+            raise ConfigError("retry_backoff_us must be >= 0")
+        if not 0.0 <= self.shed_watermark <= 1.0:
+            raise ConfigError(
+                "shed_watermark is a capacity fraction and must lie in"
+                f" [0, 1], got {self.shed_watermark!r}"
+            )
         if self.placement is None:
             self.placement = self.scheduler.resolve_placement(serving=True)
         if isinstance(self.faults, str):
             self.faults = FaultPlan.parse(self.faults)
-        if self.max_retries is None:
-            self.max_retries = (
-                3 if self.scheduler.max_retries is None
-                else self.scheduler.max_retries
-            )
-        if self.retry_backoff_us is None:
-            self.retry_backoff_us = (
-                200.0 if self.scheduler.retry_backoff_us is None
-                else self.scheduler.retry_backoff_us
-            )
-        if self.shed_watermark is None:
-            self.shed_watermark = (
-                0.5 if self.scheduler.shed_watermark is None
-                else self.scheduler.shed_watermark
-            )
 
     @property
     def batching(self) -> bool:
@@ -288,9 +275,18 @@ class ServiceReport:
         return "\n".join(lines)
 
 
-class SchedulerService:
+class SchedulerService(Dispatcher):
     """Accepts task-graph submissions from many tenants and serves them
     from a simulated GPU fleet."""
+
+    TRACK = "service"
+    CHILD = "slot"
+    FAULT_EVENT = "fault"
+    RETRY_EVENT = "retry"
+    QUEUE_PEAK = "serve.queue_depth_peak"
+    INJECTED = "faults.injected"
+    SHED = "faults.shed"
+    RETRIED = "faults.retries"
 
     def __init__(
         self,
@@ -310,7 +306,6 @@ class SchedulerService:
             tracer = (
                 fleet.tracer if fleet is not None else current_tracer()
             )
-        self.tracer = tracer
         if fleet is None:
             if fleet_topology is not None:
                 topology = (
@@ -331,28 +326,15 @@ class SchedulerService:
         self.fleet = fleet
         if self.config.faults is not None:
             self.fleet.attach_faults(self.config.faults)
-        self.queue = make_queue(self.config.admission)
+        super().__init__(
+            self.config, self.config.faults, self.fleet.slots, tracer
+        )
         self.cache = CaptureCache(enabled=self.config.capture_cache)
-        self.tenants: dict[str, TenantState] = {}
-        self.results: list[GraphResult] = []
-        #: service-owned request-id allocation: concurrent services
-        #: (and forked workers) never interleave ids (the module-level
-        #: counter in :mod:`repro.serve.request` remains only for
-        #: directly-constructed requests)
-        self._request_ids = itertools.count(1)
         self._batch_ids = itertools.count(1)
         self._batches = 0
         #: execution strategy, built lazily on first drain (services
         #: constructed for introspection never pay for worker pools)
         self._strategy: ExecutionStrategy | None = None
-        #: monotone virtual-time cursor of the serving loop's dispatch
-        #: decisions; drives fault-lifecycle advancement
-        self._now = 0.0
-        #: fault specs already counted as injected (a DRAIN makes two
-        #: transitions, a RESTART makes two more — each spec counts once)
-        self._injected: set[int] = set()
-        #: service-level counters (admission, batching, queue depth)
-        self.counters = CounterRegistry()
         self._c_admitted = self.counters.counter("serve.admitted")
         self._c_batches = self.counters.counter("serve.batches")
         self._c_batched_requests = self.counters.counter(
@@ -362,57 +344,14 @@ class SchedulerService:
         # fault-free run's counter snapshot stays bit-identical to the
         # pre-fault-subsystem output; with a plan they are registered
         # eagerly so every chaos snapshot carries all four keys.
-        if self.config.faults is not None:
+        if self.faults is not None:
             for name in (
-                "faults.injected",
-                "faults.retries",
-                "faults.shed",
+                self.INJECTED,
+                self.RETRIED,
+                self.SHED,
                 "faults.replacements",
             ):
                 self.counters.counter(name)
-
-    # -- tenant/submission API -------------------------------------------
-
-    def register_tenant(
-        self, name: str, priority: int = 0
-    ) -> TenantState:
-        state = self.tenants.get(name)
-        if state is None:
-            state = TenantState(name=name, priority=priority)
-            self.tenants[name] = state
-        else:
-            state.priority = priority
-        return state
-
-    def submit(
-        self,
-        tenant: str,
-        graph: TaskGraph,
-        priority: int | None = None,
-        arrival_time: float = 0.0,
-        deadline: float | None = None,
-    ) -> int:
-        """Queue one task graph for ``tenant``; returns the request id.
-
-        ``arrival_time`` is the virtual service time of the submission
-        (workload generators space these; 0 means "present at start").
-        ``deadline`` is an absolute virtual time by which the results
-        must be readable, else the request terminates TIMEOUT.
-        """
-        if deadline is not None and deadline < arrival_time:
-            raise ValueError(
-                f"deadline {deadline:g} precedes arrival {arrival_time:g}"
-            )
-        state = self.tenants.get(tenant) or self.register_tenant(tenant)
-        request = GraphRequest(
-            request_id=next(self._request_ids),
-            tenant=tenant,
-            graph=graph,
-            priority=state.priority if priority is None else priority,
-            arrival_time=arrival_time,
-            deadline=deadline,
-        )
-        return self.enqueue(request)
 
     def enqueue(self, request: GraphRequest) -> int:
         """Queue an already-built :class:`GraphRequest`.
@@ -421,37 +360,20 @@ class SchedulerService:
         objects to the chosen node's service — attempts, backoff floor
         and deadline travel with the request across nodes.
         """
-        state = self.tenants.get(request.tenant)
-        if state is None:
-            state = self.register_tenant(
-                request.tenant, priority=request.priority
-            )
-        state.submitted += 1
-        self.queue.push(request)
         self._c_admitted.value += 1
-        self.counters.set_max("serve.queue_depth_peak", len(self.queue))
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "admit",
-                track="service",
-                vt=request.arrival_time,
-                tenant=request.tenant,
-                request=request.request_id,
-                priority=request.priority,
-                queue_depth=len(self.queue),
-            )
-        return request.request_id
+        return super().enqueue(request)
+
+    def _admit_attrs(self, request: GraphRequest) -> dict:
+        return {"priority": request.priority}
+
+    def _retry_attrs(self, request: GraphRequest, slot: FleetSlot) -> dict:
+        return {
+            "attempt": request.attempts,
+            "not_before": request.not_before,
+            "slot": slot.index,
+        }
 
     # -- the serving loop ---------------------------------------------------
-
-    def run(self) -> ServiceReport:
-        """Drain the admission queue, then summarize the run (worker
-        pools are released either way)."""
-        try:
-            self.drain()
-            return self.report()
-        finally:
-            self.close()
 
     def close(self) -> None:
         """Release execution-strategy resources (worker processes);
@@ -522,41 +444,17 @@ class SchedulerService:
                 now = self._now
             else:
                 now = max(self._now, head.dispatch_floor)
-            self._advance_lifecycles(now, busy=busy)
-            eligible = [
-                s
-                for s in self.fleet.admitting_slots()
-                if s.index not in busy
-            ]
+            now, eligible = self._eligible(now, busy)
             if not eligible:
-                if busy:
-                    # Slots may revive (or free up) once the in-flight
-                    # round joins; revisit this head next round.
-                    break
-                revive = self._earliest_revival(now)
-                if revive is None:
-                    # Permanent total outage: graceful degradation
-                    # sheds the head and everything still queued.
-                    popped = self.queue.pop()
-                    assert popped is head
-                    self._record_dropped(head, now, RequestStatus.SHED)
-                    while len(self.queue):
-                        r = self.queue.pop()
-                        assert r is not None
-                        self._record_dropped(r, now, RequestStatus.SHED)
-                    break
-                # Total-but-transient outage: fast-forward to the first
-                # restart completion instead of busy-deadlocking.
-                now = max(now, revive)
-                self._advance_lifecycles(now)
-                eligible = self.fleet.admitting_slots()
-                assert eligible, "revived slot must admit"
+                # The queue was shed, or slots may revive (or free up)
+                # once the in-flight round joins: revisit this head
+                # next round.
+                break
             self._now = now
             popped = self.queue.pop()
             assert popped is head
             self._shed_to_watermark(now)
-            if head.deadline is not None and now > head.deadline:
-                self._record_dropped(head, now, RequestStatus.TIMEOUT)
+            if self._expired(head, now):
                 continue
             batch = [head]
             if self.config.batching:
@@ -607,7 +505,7 @@ class SchedulerService:
             self.cache.hits += len(batch) - 1
         elif self.cache.enabled:
             self.cache.misses += len(batch) - 1
-        faulted = self.config.faults is not None
+        faulted = self.faults is not None
         # Degradation factor and transfer-fault draw are pinned at
         # dispatch time; a mid-batch DEGRADE only affects later
         # batches.
@@ -652,12 +550,7 @@ class SchedulerService:
                 slot.kernels_launched = outcome.kernels_launched
             if outcome.trace_events:
                 self.tracer.events.extend(outcome.trace_events)
-            crashed = False
-            if self.config.faults is not None:
-                made = slot.lifecycle.advance(
-                    max(finish, slot.lifecycle.now)
-                )
-                crashed = self._process_transitions(slot, made)
+            crashed = self._advance(slot, finish)
             for tenant, records in outcome.histories:
                 self.tenants[tenant].absorb_history(records)
             if crashed or work.transfer_fault:
@@ -697,7 +590,7 @@ class SchedulerService:
                     attrs["transfer_fault"] = work.transfer_fault
                 self.tracer.complete(
                     "batch",
-                    track="service",
+                    track=self.TRACK,
                     vt_start=work.clock_start,
                     vt_end=finish,
                     **attrs,
@@ -705,69 +598,21 @@ class SchedulerService:
 
     # -- fault machinery ---------------------------------------------------
 
-    def _advance_lifecycles(
-        self, now: float, busy: "set[int] | frozenset" = frozenset()
-    ) -> None:
-        """Advance every slot's health machine to ``max(now, clock)``
-        — a slot that has simulated up to its own clock has experienced
-        every event up to it.  Slots in ``busy`` (dispatched earlier in
-        the round being planned) are skipped: they were already
-        advanced to this round's instant when planned, and their
-        post-batch events belong to the merge phase."""
-        if self.config.faults is None:
-            return
-        for slot in self.fleet.slots:
-            if slot.index in busy:
-                continue
-            made = slot.lifecycle.advance(max(now, slot.clock))
-            self._process_transitions(slot, made)
-
-    def _process_transitions(
-        self, slot: FleetSlot, made: list[Transition]
-    ) -> bool:
-        """Count injections, emit tracer instants and cold-restart
-        crashed slots; returns whether a CRASH was among them."""
-        crashed = False
-        for t in made:
-            if id(t.spec) not in self._injected:
-                self._injected.add(id(t.spec))
-                self.counters.counter("faults.injected").value += 1
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "fault",
-                    track="service",
-                    vt=t.time,
-                    slot=slot.index,
-                    kind=t.spec.kind.value,
-                    before=t.before.value,
-                    after=t.after.value,
-                )
-            if t.spec.kind is FaultKind.CRASH and t.before is not t.after:
-                crashed = True
-                # The slot's (simulated) host process died: built
-                # kernels and MIN_TRANSFER warmth die with it.
-                slot.cold_restart()
-                if self._strategy is not None:
-                    # Remote slot replicas (process strategy) mirror
-                    # the restart before the slot's next work unit.
-                    self._strategy.note_cold_restart(slot.index)
-        return crashed
-
-    def _earliest_revival(self, now: float) -> float | None:
-        """Earliest virtual time any slot could admit again, or None."""
-        times = [
-            t
-            for s in self.fleet.slots
-            if (t := s.lifecycle.earliest_admit(now)) is not None
-        ]
-        return min(times) if times else None
+    def _on_crash(self, slot: FleetSlot) -> None:
+        # The slot's (simulated) host process died: built kernels and
+        # MIN_TRANSFER warmth die with it.
+        slot.cold_restart()
+        if self._strategy is not None:
+            # Remote slot replicas (process strategy) mirror the
+            # restart before the slot's next work unit.
+            self._strategy.note_cold_restart(slot.index)
 
     def _shed_to_watermark(self, now: float) -> None:
         """Graceful degradation: below the healthy-capacity watermark,
         keep only ``shed_queue_per_gpu`` queued requests per admitting
         GPU and shed the least-valuable excess."""
         watermark = self.config.shed_watermark
-        if not watermark or self.config.faults is None:
+        if not watermark or self.faults is None:
             return
         admitting = self.fleet.admitting_gpus()
         if admitting / self.fleet.total_gpus >= watermark:
@@ -779,68 +624,14 @@ class SchedulerService:
         for victim in self.queue.evict_lowest(excess):
             self._record_dropped(victim, now, RequestStatus.SHED)
 
-    def _record_dropped(
-        self, request: GraphRequest, now: float, status: RequestStatus
-    ) -> None:
-        """Terminal non-completed status for a request that never (or
-        never successfully) ran: SHED / TIMEOUT / FAILED."""
-        if status is RequestStatus.SHED:
-            self.counters.counter("faults.shed").value += 1
-        if self.tracer.enabled:
-            self.tracer.instant(
-                status.value,
-                track="service",
-                vt=now,
-                tenant=request.tenant,
-                request=request.request_id,
-            )
-        self.results.append(
-            GraphResult(
-                request_id=request.request_id,
-                tenant=request.tenant,
-                graph_name=request.graph.name,
-                outputs={},
-                arrival_time=request.arrival_time,
-                start_time=now,
-                finish_time=now,
-                device_index=-1,
-                batch_id=0,
-                batch_size=1,
-                replayed=False,
-                status=status,
-                attempts=request.attempts,
-            )
-        )
-
     def _retry_or_fail(
         self, request: GraphRequest, slot: FleetSlot, finish: float
     ) -> None:
         """A dispatch was lost to a fault: re-queue with exponential
         backoff, or terminate FAILED once retries are exhausted."""
-        request.attempts += 1
         request.last_slot = slot.index
-        if request.attempts > self.config.max_retries:
+        if not self._retry(request, slot, finish):
             self._record_dropped(request, finish, RequestStatus.FAILED)
-            return
-        backoff = (
-            self.config.retry_backoff_us
-            * 1e-6
-            * (2 ** (request.attempts - 1))
-        )
-        request.not_before = finish + backoff
-        self.counters.counter("faults.retries").value += 1
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "retry",
-                track="service",
-                vt=finish,
-                tenant=request.tenant,
-                request=request.request_id,
-                attempt=request.attempts,
-                not_before=request.not_before,
-                slot=slot.index,
-            )
-        self.queue.push(request)
 
     def report(self) -> ServiceReport:
         if not self.results:

@@ -25,12 +25,8 @@ parallel context serve every device count: arrays track a location set
 over the session's devices, and the parallel context of section IV-B
 places each computation on a GPU (section VI) — on device 0 when there
 is one.  Device count and every policy — execution, streams, movement,
-placement, admission — live in one
-:class:`~repro.core.policies.SchedulerConfig`; nothing is selected by
-class.
-
-The legacy entry points (``GrCUDARuntime``, ``MultiGpuScheduler``)
-remain as deprecation shims over this class.
+placement — live in one :class:`~repro.core.policies.SchedulerConfig`;
+nothing is selected by class.
 """
 
 from __future__ import annotations
@@ -103,7 +99,6 @@ class Session:
         gpu: str | GPUSpec | Sequence[str | GPUSpec] = "GTX 1660 Super",
         config: SchedulerConfig | None = None,
         registry: KernelRegistry | None = None,
-        serving: bool = False,
         tracer: Tracer | None = None,
     ) -> None:
         if not isinstance(gpu, (str, GPUSpec)):
@@ -115,7 +110,7 @@ class Session:
         else:
             gpu_list = None
         self.config = config or SchedulerConfig()
-        self.config.validate(gpus=gpus, serving=serving)
+        self.config.validate(gpus=gpus)
         if gpu_list is None:
             gpu_list = [gpu] * gpus
         elif gpus != len(gpu_list):
@@ -287,13 +282,8 @@ class Session:
         """Wait for all in-flight GPU work (``cudaDeviceSynchronize``)."""
         self.context.sync()
 
-    @property
     def timeline(self) -> Timeline:
-        """The engine's operation timeline (kernels, transfers, events).
-
-        A property that is also callable (``Timeline.__call__`` returns
-        itself), so the canonical ``sess.timeline()`` spelling and the
-        legacy ``rt.timeline`` attribute both work on every session."""
+        """The engine's operation timeline (kernels, transfers, events)."""
         return self.engine.timeline
 
     def metrics(self) -> SessionMetrics:

@@ -29,7 +29,6 @@ from repro.serve import (
     RequestStatus,
     ServeConfig,
     execute_serial,
-    reset_request_ids,
 )
 from repro.serve.workloads import mixed_workload_graphs
 
@@ -45,7 +44,6 @@ def run_cluster(
     deadline_us=None,
 ):
     """One small deterministic cluster run; returns (report, submitted)."""
-    reset_request_ids()
     cluster = Cluster(
         topologies,
         config=ClusterConfig(

@@ -1,4 +1,4 @@
-"""End-to-end scheduler tests through the GrCUDARuntime facade.
+"""End-to-end scheduler tests through a single-GPU ``Session``.
 
 These exercise the VEC micro-program of the paper's Fig. 4 under both
 scheduling policies and check timing, overlap, coherence and results.
@@ -9,9 +9,9 @@ import pytest
 
 from repro import (
     ExecutionPolicy,
-    GrCUDARuntime,
     PrefetchPolicy,
     SchedulerConfig,
+    Session,
     GTX960,
     GTX1660_SUPER,
 )
@@ -42,7 +42,7 @@ COST = LinearCostModel(
 
 
 def make_runtime(policy=ExecutionPolicy.PARALLEL, gpu=GTX1660_SUPER, **kw):
-    return GrCUDARuntime(
+    return Session(
         gpu=gpu, config=SchedulerConfig(execution=policy, **kw)
     )
 
@@ -92,14 +92,14 @@ class TestFunctionalCorrectness:
     def test_no_races_under_parallel_scheduling(self):
         rt = make_runtime(ExecutionPolicy.PARALLEL)
         run_vec(rt, iterations=3)
-        check_no_races(rt.timeline)
+        check_no_races(rt.timeline())
 
 
 class TestSchedulingStructure:
     def test_independent_squares_use_two_streams(self):
         rt = make_runtime()
         run_vec(rt)
-        kernels = rt.timeline.kernels()
+        kernels = rt.timeline().kernels()
         squares = [k for k in kernels if k.label == "square"]
         assert len(squares) == 2
         assert squares[0].stream_id != squares[1].stream_id
@@ -107,13 +107,13 @@ class TestSchedulingStructure:
     def test_squares_overlap_in_time(self):
         rt = make_runtime()
         run_vec(rt)
-        a, b = [k for k in rt.timeline.kernels() if k.label == "square"]
+        a, b = [k for k in rt.timeline().kernels() if k.label == "square"]
         assert a.overlaps(b)
 
     def test_sum_waits_for_both_squares(self):
         rt = make_runtime()
         run_vec(rt)
-        kernels = rt.timeline.kernels()
+        kernels = rt.timeline().kernels()
         s = next(k for k in kernels if k.label == "sum")
         for sq in (k for k in kernels if k.label == "square"):
             assert s.start >= sq.end
@@ -122,7 +122,7 @@ class TestSchedulingStructure:
         # First child reuses a parent's stream (section IV-C).
         rt = make_runtime()
         run_vec(rt)
-        kernels = rt.timeline.kernels()
+        kernels = rt.timeline().kernels()
         s = next(k for k in kernels if k.label == "sum")
         square_streams = {
             k.stream_id for k in kernels if k.label == "square"
@@ -132,7 +132,7 @@ class TestSchedulingStructure:
     def test_serial_uses_single_stream(self):
         rt = make_runtime(ExecutionPolicy.SERIAL)
         run_vec(rt)
-        assert len({k.stream_id for k in rt.timeline.kernels()}) == 1
+        assert len({k.stream_id for k in rt.timeline().kernels()}) == 1
 
     def test_dag_shape_matches_fig4(self):
         rt = make_runtime()
@@ -151,7 +151,7 @@ class TestTransfersAndCoherence:
         run_vec(rt)
         prefetches = [
             t
-            for t in rt.timeline.transfers()
+            for t in rt.timeline().transfers()
             if t.meta.get("kind") is TransferKind.PREFETCH
         ]
         # X and Y are written on the host each iteration: 2 prefetches.
@@ -161,7 +161,7 @@ class TestTransfersAndCoherence:
     def test_maxwell_uses_eager_transfers(self):
         rt = make_runtime(gpu=GTX960)
         run_vec(rt)
-        kinds = {t.meta.get("kind") for t in rt.timeline.transfers()
+        kinds = {t.meta.get("kind") for t in rt.timeline().transfers()
                  if t.kind is IntervalKind.TRANSFER_HTOD}
         assert kinds == {TransferKind.EAGER}
 
@@ -170,13 +170,13 @@ class TestTransfersAndCoherence:
         run_vec(rt)
         htod = [
             t
-            for t in rt.timeline.transfers()
+            for t in rt.timeline().transfers()
             if t.kind is IntervalKind.TRANSFER_HTOD
         ]
         assert htod == []
         # Fault bytes appear in kernel resources instead.
         fault = sum(
-            r.meta["resources"].fault_bytes for r in rt.timeline.kernels()
+            r.meta["resources"].fault_bytes for r in rt.timeline().kernels()
         )
         assert fault == pytest.approx(2 * N * 4)
 
@@ -192,7 +192,7 @@ class TestTransfersAndCoherence:
         run_vec(rt)
         dtoh = [
             t
-            for t in rt.timeline.transfers()
+            for t in rt.timeline().transfers()
             if t.kind is IntervalKind.TRANSFER_DTOH
         ]
         assert len(dtoh) == 1  # Z[0] readback
@@ -213,7 +213,7 @@ class TestTransfersAndCoherence:
         rt.sync()
         htod = [
             t
-            for t in rt.timeline.transfers()
+            for t in rt.timeline().transfers()
             if t.kind is IntervalKind.TRANSFER_HTOD
         ]
         assert len(htod) == 1

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro import GrCUDARuntime, SchedulerConfig, ExecutionPolicy
+from repro import ExecutionPolicy, SchedulerConfig, Session
 from repro.core.history import (
     KernelExecutionRecord,
     KernelHistory,
@@ -110,7 +110,7 @@ class TestRecommendation:
 
 class TestRuntimeIntegration:
     def _run(self, block_size, policy=ExecutionPolicy.PARALLEL):
-        rt = GrCUDARuntime(
+        rt = Session(
             gpu="GTX 1660 Super",
             config=SchedulerConfig(execution=policy),
         )
@@ -139,7 +139,7 @@ class TestRuntimeIntegration:
     def test_end_to_end_recommendation(self):
         # Compute-bound kernel: 32-thread blocks under-occupy the GPU
         # and run slower; the heuristic should learn to prefer 1024.
-        rt = GrCUDARuntime(gpu="GTX 1660 Super")
+        rt = Session(gpu="GTX 1660 Super")
         n = 1 << 20
         k = rt.build_kernel(
             lambda x, m: None,

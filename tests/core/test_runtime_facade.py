@@ -1,4 +1,5 @@
-"""Tests for the GrCUDARuntime facade API."""
+"""Tests for the single-GPU ``Session`` runtime surface: construction,
+arrays, execution, kernel registries and re-entrant contexts."""
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from repro import (
     AccessKind,
     ExecutionPolicy,
-    GrCUDARuntime,
     SchedulerConfig,
+    Session,
     TESLA_P100,
 )
 from repro.kernels import LinearCostModel
@@ -17,19 +18,19 @@ COST = LinearCostModel(flops_per_item=100.0, dram_bytes_per_item=8.0)
 
 class TestConstruction:
     def test_gpu_by_string(self):
-        rt = GrCUDARuntime(gpu="p100")
+        rt = Session(gpu="p100")
         assert rt.spec is TESLA_P100
 
     def test_gpu_by_spec(self):
-        rt = GrCUDARuntime(gpu=TESLA_P100)
+        rt = Session(gpu=TESLA_P100)
         assert rt.spec is TESLA_P100
 
     def test_default_is_parallel(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         assert rt.config.execution is ExecutionPolicy.PARALLEL
 
     def test_serial_config(self):
-        rt = GrCUDARuntime(
+        rt = Session(
             config=SchedulerConfig(execution=ExecutionPolicy.SERIAL)
         )
         from repro.core.context import SerialExecutionContext
@@ -37,25 +38,25 @@ class TestConstruction:
         assert isinstance(rt.context, SerialExecutionContext)
 
     def test_repr(self):
-        assert "GTX 1660 Super" in repr(GrCUDARuntime())
+        assert "GTX 1660 Super" in repr(Session())
 
 
 class TestArrays:
     def test_array_attached_and_accounted(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         a = rt.array(1000, name="a")
         assert rt.device.allocated_bytes == a.nbytes
         a[0] = 1.0  # hook active: no error, coherence handled
 
     def test_free_arrays(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         rt.array(1000)
         rt.array(2000, dtype=np.float64)
         rt.free_arrays()
         assert rt.device.allocated_bytes == 0
 
     def test_virtual_array(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         a = rt.array(10**9, materialize=False)
         assert a.nbytes == 4 * 10**9 > 0
         assert not a.materialized
@@ -63,7 +64,7 @@ class TestArrays:
 
 class TestExecution:
     def test_elapsed_and_clock(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         k = rt.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
         x = rt.array(1 << 20)
         k(512, 256)(x, 1 << 20)
@@ -72,7 +73,7 @@ class TestExecution:
         assert rt.clock >= rt.elapsed()
 
     def test_reset_measurement(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         k = rt.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
         x = rt.array(1 << 20)
         k(512, 256)(x, 1 << 20)
@@ -83,7 +84,7 @@ class TestExecution:
         assert rt.elapsed() > 0
 
     def test_library_call_serial_context(self):
-        rt = GrCUDARuntime(
+        rt = Session(
             config=SchedulerConfig(execution=ExecutionPolicy.SERIAL)
         )
         x = rt.array(100)
@@ -97,7 +98,7 @@ class TestExecution:
         assert rt.clock >= 1e-3
 
     def test_dag_exposed(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         k = rt.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
         x = rt.array(1 << 16)
         k(64, 256)(x, 1 << 16)
@@ -105,7 +106,7 @@ class TestExecution:
         assert rt.dag.num_vertices == 1
 
     def test_history_exposed(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         k = rt.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
         x = rt.array(1 << 16)
         k(64, 256)(x, 1 << 16)
@@ -119,7 +120,7 @@ class TestRegistryIntegration:
 
         reg = KernelRegistry()
         reg.register("scale2", lambda x, n: None, COST)
-        rt = GrCUDARuntime(registry=reg)
+        rt = Session(registry=reg)
         k = rt.build_kernel("scale2", "scale2", "ptr, sint32")
         x = rt.array(1 << 16)
         k(64, 256)(x, 1 << 16)
@@ -128,7 +129,7 @@ class TestRegistryIntegration:
 
 
 class TestReentrantContextReuse:
-    """renew_context: one long-lived runtime, many isolated contexts
+    """renew_context: one long-lived session, many isolated contexts
     (the substrate of the repro.serve fleet)."""
 
     def _run_square(self, rt, kernel, n=1024):
@@ -138,7 +139,7 @@ class TestReentrantContextReuse:
         return x
 
     def test_fresh_dag_and_history_per_context(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         k = rt.build_kernel(
             lambda x, n: np.square(x[:n], out=x[:n]),
             "square", "ptr, sint32", COST,
@@ -161,13 +162,13 @@ class TestReentrantContextReuse:
         assert y[0] == pytest.approx(9.0)
         assert rt.history.execution_count("square") == 1
         tagged = [
-            r for r in rt.timeline.kernels()
+            r for r in rt.timeline().kernels()
             if r.meta.get("tenant") == "t1"
         ]
         assert len(tagged) == 1
 
     def test_renewal_reclaims_engine_streams(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         k = rt.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
         for _ in range(6):
             self._run_square(rt, k)
@@ -178,7 +179,7 @@ class TestReentrantContextReuse:
         assert len(rt.engine.streams) <= 3
 
     def test_undrained_renewal_keeps_work_in_flight(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         k = rt.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
         x = rt.array(1024, name="x")
         x.copy_from_host(np.zeros(1024, dtype=np.float32))
@@ -190,7 +191,7 @@ class TestReentrantContextReuse:
         rt.engine.sync_all()
 
     def test_surviving_arrays_reattach_on_drained_renewal(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         x = rt.array(16, name="x")
         rt.renew_context()
         assert x._on_cpu_access is not None

@@ -4,14 +4,14 @@ listing executed verbatim (modulo the CUDA source strings)."""
 import numpy as np
 import pytest
 
-from repro import GrCUDARuntime
+from repro import Session
 from repro.errors import PolyglotError
 from repro.lang import Polyglot
 
 
 @pytest.fixture
 def poly():
-    return Polyglot(GrCUDARuntime(gpu="GTX 1660 Super"))
+    return Polyglot(Session(gpu="GTX 1660 Super"))
 
 
 class TestArrayExpressions:
@@ -104,7 +104,7 @@ class TestFigure4Listing:
         # The scheduler ran the two squares on different streams.
         squares = [
             r
-            for r in poly.runtime.timeline.kernels()
+            for r in poly.runtime.timeline().kernels()
             if r.label == "square"
         ]
         assert len({s.stream_id for s in squares}) == 2

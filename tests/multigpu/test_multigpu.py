@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import DevicePlacementPolicy, SchedulerConfig, Session
 from repro.core.race import check_no_races
 from repro.gpusim.specs import GTX1660_SUPER
 from repro.gpusim.timeline import IntervalKind
 from repro.kernels import LinearCostModel
-from repro.multigpu import (
-    DevicePlacementPolicy,
-    MultiGpuScheduler,
-)
 
 COST = LinearCostModel(
     flops_per_item=500.0,
@@ -22,7 +19,9 @@ N = 1 << 20
 
 
 def make_scheduler(n_gpus=2, policy=DevicePlacementPolicy.MIN_TRANSFER):
-    return MultiGpuScheduler(["1660"] * n_gpus, policy=policy)
+    return Session(
+        gpus=n_gpus, gpu="1660", config=SchedulerConfig(placement=policy)
+    )
 
 
 class TestMultiGpuArray:
@@ -81,7 +80,7 @@ class TestPlacement:
             for i in range(chains)
         ]
         for a in arrays:
-            sched.write_input(a)
+            a.touch_write_full()
         for a in arrays:
             k(512, 256)(a, N)
         sched.sync()
@@ -89,17 +88,17 @@ class TestPlacement:
 
     def test_round_robin_alternates(self):
         sched = self.run_independent(DevicePlacementPolicy.ROUND_ROBIN)
-        assert sched.device_kernel_counts() == [2, 2]
+        assert sched.context.device_kernel_counts() == [2, 2]
 
     def test_min_transfer_balances_fresh_inputs(self):
         # Host-fresh inputs cost the same everywhere; the load tiebreak
         # spreads them.
         sched = self.run_independent(DevicePlacementPolicy.MIN_TRANSFER)
-        assert sched.device_kernel_counts() == [2, 2]
+        assert sched.context.device_kernel_counts() == [2, 2]
 
     def test_least_loaded_balances_independent_work(self):
         sched = self.run_independent(DevicePlacementPolicy.LEAST_LOADED)
-        assert sched.device_kernel_counts() == [2, 2]
+        assert sched.context.device_kernel_counts() == [2, 2]
 
     def test_least_loaded_ignores_data_location(self):
         # A dependent chain: locality would keep it on one GPU, but
@@ -107,11 +106,11 @@ class TestPlacement:
         sched = make_scheduler(2, DevicePlacementPolicy.LEAST_LOADED)
         k = sched.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
         a = sched.array(N, name="a", materialize=False)
-        sched.write_input(a)
+        a.touch_write_full()
         for _ in range(4):
             k(512, 256)(a, N)
         sched.sync()
-        counts = sched.device_kernel_counts()
+        counts = sched.context.device_kernel_counts()
         assert all(c > 0 for c in counts)  # chain spread across GPUs
         d2d = [
             r for r in sched.engine.timeline
@@ -125,11 +124,11 @@ class TestPlacement:
         sched = make_scheduler(2, DevicePlacementPolicy.MIN_TRANSFER)
         k = sched.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
         a = sched.array(N, name="a", materialize=False)
-        sched.write_input(a)
+        a.touch_write_full()
         for _ in range(4):
             k(512, 256)(a, N)
         sched.sync()
-        counts = sched.device_kernel_counts()
+        counts = sched.context.device_kernel_counts()
         assert sorted(counts) == [0, 4]  # the whole chain on one GPU
         d2d = [
             r for r in sched.engine.timeline
@@ -141,7 +140,7 @@ class TestPlacement:
         sched = make_scheduler(2, DevicePlacementPolicy.ROUND_ROBIN)
         k = sched.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
         a = sched.array(N, name="a", materialize=False)
-        sched.write_input(a)
+        a.touch_write_full()
         for _ in range(4):
             k(512, 256)(a, N)
         sched.sync()
@@ -158,11 +157,11 @@ class TestPlacement:
                 lambda x, n: None, "k", "ptr, sint32", COST
             )
             a = sched.array(N, name="a", materialize=False)
-            sched.write_input(a)
+            a.touch_write_full()
             for _ in range(6):
                 k(512, 256)(a, N)
             sched.sync()
-            return sched.elapsed
+            return sched.elapsed()
 
         assert run(DevicePlacementPolicy.MIN_TRANSFER) < run(
             DevicePlacementPolicy.ROUND_ROBIN
@@ -178,12 +177,12 @@ class TestScaling:
             for i in range(chains)
         ]
         for a in arrays:
-            sched.write_input(a)
+            a.touch_write_full()
         for _ in range(2):
             for a in arrays:
                 k(512, 256)(a, N)
         sched.sync()
-        return sched.elapsed
+        return sched.elapsed()
 
     def test_two_gpus_faster_than_one(self):
         t1 = self.independent_chains_time(1)
@@ -206,10 +205,10 @@ class TestCorrectness:
 
         k = sched.build_kernel(double, "double", "ptr, sint32", COST)
         a = sched.array(n, name="a")
-        sched.write_input(a, np.ones(n, dtype=np.float32))
+        a.copy_from_host(np.ones(n, dtype=np.float32))
         for _ in range(3):
             k(64, 128)(a, n)
-        out = sched.read_result(a)
+        out = a.to_numpy()
         assert np.all(out == 8.0)
 
     def test_dependencies_respected_across_gpus(self):
@@ -220,7 +219,7 @@ class TestCorrectness:
         a = sched.array(N, name="a", materialize=False)
         b = sched.array(N, name="b", materialize=False)
         c = sched.array(N, name="c", materialize=False)
-        sched.write_input(a)
+        a.touch_write_full()
         k(512, 256)(a, b, N)   # gpu0
         k(512, 256)(b, c, N)   # gpu1: must wait for gpu0's kernel
         sched.sync()
@@ -240,7 +239,7 @@ class TestCorrectness:
             sched.array(N, name=f"o{i}", materialize=False)
             for i in range(4)
         ]
-        sched.write_input(shared)
+        shared.touch_write_full()
         for o in outs:
             reader(512, 256)(shared, o, N)
         sched.sync()
@@ -253,8 +252,8 @@ class TestEngineMultiDevice:
         k = sched.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
         a = sched.array(N, name="a", materialize=False)
         b = sched.array(N, name="b", materialize=False)
-        sched.write_input(a)
-        sched.write_input(b)
+        a.touch_write_full()
+        b.touch_write_full()
         k(512, 256)(a, N)
         k(512, 256)(b, N)
         sched.sync()

@@ -27,14 +27,12 @@ from repro.faults import (
     SlotHealth,
     SlotLifecycle,
 )
-from repro.harness.serving import report_fingerprint
 from repro.serve import (
     GpuFleet,
     RequestStatus,
     SchedulerService,
     ServeConfig,
     execute_serial,
-    reset_request_ids,
 )
 from repro.serve.workloads import mixed_workload_graphs
 
@@ -283,13 +281,10 @@ def run_faulted(
     fleet_size=3,
     spacing=3e-4,
     deadline=None,
-    reset_ids=False,
     **config_kw,
 ):
     """One faulted serving run over the mixed workloads; returns
     (report, submitted)."""
-    if reset_ids:
-        reset_request_ids()
     if isinstance(plan, str):
         plan = FaultPlan.parse(plan)
     service = SchedulerService(
@@ -476,18 +471,22 @@ class TestServiceUnderFaults:
         assert m.shed > 0
         assert m.completed + m.shed + m.failed == len(submitted)
 
-    def test_fault_knobs_rejected_on_compute_sessions(self):
-        from repro.core.policies import SchedulerConfig
+    def test_fault_knobs_range_checked(self):
         from repro.errors import ConfigError
 
         for kw in (
-            {"max_retries": 2},
-            {"retry_backoff_us": 50.0},
-            {"shed_watermark": 0.5},
+            {"max_retries": -1},
+            {"max_retries": 1.5},
+            {"max_retries": True},
+            {"retry_backoff_us": -5.0},
+            {"shed_watermark": 7.0},
+            {"shed_watermark": -0.1},
         ):
             with pytest.raises(ConfigError):
-                SchedulerConfig(**kw).validate(serving=False)
-            SchedulerConfig(**kw).validate(serving=True)  # fine
+                ServeConfig(**kw)
+        # The bounds themselves are valid.
+        ServeConfig(max_retries=0, retry_backoff_us=0.0, shed_watermark=1.0)
+        ServeConfig(shed_watermark=0.0)
 
     def test_fault_plan_outside_fleet_rejected(self):
         with pytest.raises(ValueError):
@@ -526,14 +525,14 @@ class TestServiceUnderFaults:
 class TestFaultDeterminism:
     def test_same_plan_same_seed_bit_identical(self):
         plan = "crash:slot=1,at=1e-3;restart:slot=1,at=3e-3,warmup=2e-4"
-        a, _ = run_faulted(plan, reset_ids=True)
-        b, _ = run_faulted(plan, reset_ids=True)
-        assert report_fingerprint(a) == report_fingerprint(b)
+        a, _ = run_faulted(plan)
+        b, _ = run_faulted(plan)
+        assert a.fingerprint() == b.fingerprint()
 
     def test_different_plans_fingerprint_differently(self):
-        a, _ = run_faulted("crash:slot=1,at=1e-3", reset_ids=True)
-        b, _ = run_faulted("crash:slot=2,at=1e-3", reset_ids=True)
-        assert report_fingerprint(a) != report_fingerprint(b)
+        a, _ = run_faulted("crash:slot=1,at=1e-3")
+        b, _ = run_faulted("crash:slot=2,at=1e-3")
+        assert a.fingerprint() != b.fingerprint()
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -544,7 +543,6 @@ class TestFaultDeterminism:
         plan = FaultPlan.random(seed, slots=4, horizon=3e-3)
 
         def run_once():
-            reset_request_ids()
             service = SchedulerService(
                 fleet_topology=[2, 2, 1, 1],
                 config=ServeConfig(faults=plan),
@@ -565,7 +563,7 @@ class TestFaultDeterminism:
 
         first, submitted = run_once()
         second, _ = run_once()
-        assert report_fingerprint(first) == report_fingerprint(second)
+        assert first.fingerprint() == second.fingerprint()
         by_id = assert_all_terminal(first, submitted)
         assert first.metrics.terminal == len(submitted)
         for request_id, graph in submitted:
