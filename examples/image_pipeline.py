@@ -9,8 +9,6 @@ the scheduler reordered work without changing results.
 Run:  python examples/image_pipeline.py
 """
 
-import numpy as np
-
 from repro.core.race import check_no_races
 from repro.workloads import Mode, create_benchmark
 

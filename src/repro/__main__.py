@@ -77,9 +77,9 @@ EXPERIMENTS = {
 #: meta-experiment delegates to one of these with tracing forced on)
 TRACEABLE = ("serve-bench", "sim-bench", "movement-bench")
 
-#: per-experiment default Chrome-trace artifact paths (bare ``--trace``)
+#: per-experiment default Chrome-trace artifact paths (bare ``--trace``;
+#: serve-bench picks its own, TRACE_serving.json or TRACE_cluster.json)
 DEFAULT_TRACE_PATHS = {
-    "serve-bench": "TRACE_serving.json",
     "sim-bench": "TRACE_simulator.json",
     "movement-bench": "TRACE_movement.json",
 }
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scales",
-        type=int,
+        type=_positive_int,
         default=2,
         metavar="N",
         help="paper scale points per GPU for the sweep figures"
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--iterations",
-        type=int,
+        type=_positive_int,
         default=3,
         metavar="N",
         help="iterations per benchmark execution (default 3)",
@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="check every completed request's results against serial"
         " execution",
     )
-    serving.add_argument(
+    fault_plan = serving.add_mutually_exclusive_group()
+    fault_plan.add_argument(
         "--faults",
         default=None,
         metavar="PLAN",
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         " 'crash:slot=1,at=2e-3;restart:slot=1,at=4e-3,warmup=5e-4'"
         " (kinds: crash, drain, restart, degrade, transfer-fault)",
     )
-    serving.add_argument(
+    fault_plan.add_argument(
         "--fault-seed",
         type=int,
         default=None,
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     movement.add_argument(
         "--fleet-gpus",
-        type=int,
+        type=_nonnegative_int,
         default=2,
         metavar="N",
         help="GPUs in the fleet axis of the movement grid"
@@ -390,33 +391,6 @@ def run_experiment(name: str, args: argparse.Namespace) -> None:
             gpu=args.gpu, out_path=args.bench_out, trace_out=trace_out
         )
     if name == "serve-bench":
-        if args.cluster:
-            from repro.harness.cluster import cluster_bench
-
-            cluster_bench(
-                cluster=args.cluster,
-                tenants=args.tenants,
-                requests=args.requests,
-                policy=args.cluster_policy,
-                interconnect=args.interconnect,
-                admission=args.admission,
-                placement=args.placement,
-                gpu=args.gpu,
-                traffic=args.traffic,
-                faults=args.faults,
-                fault_seed=args.fault_seed,
-                deadline_us=args.deadline_us,
-                runs=args.cluster_runs,
-                validate=args.validate,
-                render=True,
-                bench_out=args.serve_out,
-                trace=tracing,
-                # Bare --trace falls through to the cluster benchmark's
-                # own default artifact (TRACE_cluster.json), not
-                # serve-bench's.
-                trace_out=getattr(args, "trace_out", None),
-            )
-            return
         if args.chaos_grid:
             from repro.harness.serving import chaos_grid
 
@@ -446,6 +420,10 @@ def run_experiment(name: str, args: argparse.Namespace) -> None:
             width_normalized=not args.raw_least_loaded,
             parallel=args.parallel,
             workers=args.workers,
+            cluster=args.cluster,
+            cluster_policy=args.cluster_policy,
+            interconnect=args.interconnect,
+            runs=args.cluster_runs if args.cluster else 1,
             validate=args.validate,
             bench_out=args.serve_out,
             trace=tracing,
@@ -471,6 +449,11 @@ def run_experiment(name: str, args: argparse.Namespace) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.chaos_grid and args.cluster:
+        parser.error(
+            "--chaos-grid runs the fleet chaos scenarios; it does not"
+            " take --cluster"
+        )
     if args.experiment == "trace":
         target = args.target or "serve-bench"
         if target not in TRACEABLE:

@@ -20,14 +20,12 @@ from repro.harness.figures import (
     figure12,
 )
 from repro.harness.serving import serve_bench
-from repro.harness.cluster import cluster_bench
 from repro.harness.movement import movement_bench
 from repro.harness.parallel import parallel_bench
 from repro.harness.simbench import sim_bench
 
 __all__ = [
     "serve_bench",
-    "cluster_bench",
     "movement_bench",
     "parallel_bench",
     "sim_bench",

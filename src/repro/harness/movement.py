@@ -3,23 +3,22 @@
 ``python -m repro movement-bench`` runs each suite workload under every
 :class:`~repro.memory.coherence.MovementPolicy` on the parallel
 scheduler and prints a comparison table: device makespan, bytes moved by
-engine-issued migrations, bytes left to the page-fault engine, and the
-number of transfer operations (BATCHED coalescing shows up here).  The
-BATCHED policy runs twice — per-acquire (``window=0``) and with the
-cross-acquire submission window — and the grid *asserts* the op-count
-dominance chain per workload:
+engine-issued migrations (and, across GPUs, by peer mirrors), bytes left
+to the page-fault engine, and the number of transfer operations (BATCHED
+coalescing shows up here).  The BATCHED policy runs twice — per-acquire
+(``window=0``) and with the cross-acquire submission window.
+
+One sweep covers every GPU count: a multi-GPU session runs every
+:class:`~repro.core.policies.DevicePlacementPolicy`, a single GPU (the
+one-device case of the same session) its one default placement.  Per
+workload and placement the sweep *asserts* the dominance relations —
+eager prefetch is at least as fast as page faults on makespan (faults
+serialize migration into the kernels; prefetch overlaps it), and the
+op-count chain
 
     ``batched+window HtoD ops <= batched HtoD ops <= eager HtoD ops``
 
-Since the movement policies reach the multi-GPU path through
-``Session(gpus=N)``, the sweep also covers the fleet grid: every
-:class:`~repro.core.policies.DevicePlacementPolicy` × movement policy on
-a two-GPU session, with the ROADMAP dominance relations asserted per
-placement — eager prefetch is at least as fast as page faults on
-makespan (faults serialize migration into the kernels; prefetch overlaps
-it), and the same HtoD-op-count chain as the single-GPU sweep.
-
-A third grid covers the *serving* axes: execution policy {serial,
+A serving grid covers the *serving* axes: execution policy {serial,
 parallel} × admission {fifo, priority, fair-share} over both serving
 traffic mixes (:data:`repro.serve.workloads.TRAFFIC_MIXES`), asserting
 every request's outputs against private serial execution.
@@ -33,16 +32,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.policies import (
     AdmissionPolicy,
     DevicePlacementPolicy,
     ExecutionPolicy,
     SchedulerConfig,
 )
-from repro.gpusim.timeline import Timeline
+from repro.harness.serving import drive
 from repro.memory.coherence import MovementPolicy
+from repro.serve.request import execute_serial
+from repro.serve.service import ServeConfig
+from repro.serve.workloads import traffic_mix_graphs
 from repro.workloads import Mode
 from repro.workloads.suite import create_benchmark, default_scales
 
@@ -52,78 +52,6 @@ DEFAULT_BENCHMARKS = ("vec", "b&s", "img", "ml")
 DOMINANCE_RTOL = 1e-9
 #: cross-acquire coalescing window the windowed-BATCHED cells run with
 DEFAULT_WINDOW = 4
-
-
-def timeline_fault_bytes(timeline: Timeline) -> float:
-    """Bytes migrated by the fault engine during kernels (the charge the
-    page-fault policy pays instead of issuing transfers)."""
-    return sum(
-        r.meta["resources"].fault_bytes
-        for r in timeline.kernels()
-        if r.meta.get("resources") is not None
-    )
-
-
-def timeline_moved_bytes(timeline: Timeline) -> float:
-    """Bytes moved host-to-device by engine-issued migrations."""
-    from repro.gpusim.timeline import IntervalKind
-
-    return sum(
-        r.nbytes
-        for r in timeline.transfers()
-        if r.kind is IntervalKind.TRANSFER_HTOD
-    )
-
-
-def timeline_htod_ops(timeline: Timeline) -> int:
-    from repro.gpusim.timeline import IntervalKind
-
-    return sum(
-        1
-        for r in timeline.transfers()
-        if r.kind is IntervalKind.TRANSFER_HTOD
-    )
-
-
-def _counter(run, name: str, fallback) -> float:
-    """A movement tally from the run's observability-registry snapshot,
-    falling back to the timeline scan for runs that carry no counters
-    (the registry is authoritative: it is what serve-bench reports, so
-    the sweep reading the same cells keeps the two surfaces honest)."""
-    counters = getattr(run, "counters", None)
-    if counters and name in counters:
-        return counters[name]
-    return fallback(run.timeline)
-
-
-def run_moved_bytes(run) -> float:
-    """Engine-issued HtoD migration bytes (registry-first)."""
-    return float(_counter(run, "coherence.htod_bytes", timeline_moved_bytes))
-
-
-def run_htod_ops(run) -> int:
-    """Engine-issued HtoD migration submissions (registry-first)."""
-    return int(_counter(run, "coherence.htod_ops", timeline_htod_ops))
-
-
-def run_fault_bytes(run) -> float:
-    """Bytes left to the page-fault engine (registry-first)."""
-    return float(_counter(run, "coherence.fault_bytes", timeline_fault_bytes))
-
-
-def run_dtoh_bytes(run) -> float:
-    """Host-readback (DtoH) bytes the coherence engine charged."""
-
-    def _scan(timeline: Timeline) -> float:
-        from repro.gpusim.timeline import IntervalKind
-
-        return sum(
-            r.nbytes
-            for r in timeline.transfers()
-            if r.kind is IntervalKind.TRANSFER_DTOH
-        )
-
-    return float(_counter(run, "coherence.dtoh_bytes", _scan))
 
 
 def _policy_variants(
@@ -139,120 +67,10 @@ def _policy_variants(
     return variants
 
 
-def _assert_htod_dominance(
-    scope: str, by_label: dict[str, int], window: int
-) -> None:
-    """The op-count chain: windowed batched <= batched <= eager."""
-    eager = by_label[MovementPolicy.EAGER_PREFETCH.value]
-    batched = by_label[MovementPolicy.BATCHED.value]
-    if batched > eager:
-        raise AssertionError(
-            f"{scope}: batched issued {batched} HtoD ops >"
-            f" eager's {eager} — coalescing must never add submissions"
-        )
-    if window > 0:
-        windowed = by_label[f"batched+w{window}"]
-        if windowed > batched:
-            raise AssertionError(
-                f"{scope}: batched+w{window} issued {windowed} HtoD ops"
-                f" > per-acquire batched's {batched} — the submission"
-                " window must never split transfers"
-            )
-
-
 @dataclass(frozen=True)
 class MovementCell:
-    """One (workload, movement policy) measurement."""
-
-    benchmark: str
-    scale: int
-    policy: MovementPolicy
-    elapsed: float
-    moved_bytes: float
-    fault_bytes: float
-    htod_ops: int
-    results: tuple[float, ...]
-    #: display label (distinguishes windowed BATCHED from per-acquire)
-    label: str = ""
-    #: cross-acquire coalescing window the cell ran with (0 = per-acquire)
-    window: int = 0
-    #: host-readback bytes (registry ``coherence.dtoh_bytes``)
-    dtoh_bytes: float = 0.0
-
-
-def sweep_movement_policies(
-    benchmarks=DEFAULT_BENCHMARKS,
-    gpu: str = "GTX 1660 Super",
-    iterations: int = 4,
-    scale_index: int = 0,
-    execute: bool = True,
-    window: int = DEFAULT_WINDOW,
-) -> list[MovementCell]:
-    """Run ``benchmarks`` under every movement policy on ``gpu``.
-
-    Raises if any policy's results diverge from the page-fault
-    baseline's — the policies must be functionally indistinguishable —
-    or if the HtoD op-count dominance chain is violated.
-    """
-    cells: list[MovementCell] = []
-    for name in benchmarks:
-        scales = default_scales(name, gpu)
-        scale = scales[min(scale_index, len(scales) - 1)]
-        reference: tuple[float, ...] | None = None
-        htod_by_label: dict[str, int] = {}
-        for label, policy, cell_window in _policy_variants(window):
-            bench = create_benchmark(
-                name, scale, iterations=iterations, execute=execute
-            )
-            run = bench.run(
-                gpu, Mode.PARALLEL, movement=policy,
-                movement_window=cell_window,
-            )
-            cell = MovementCell(
-                benchmark=name,
-                scale=scale,
-                policy=policy,
-                elapsed=run.elapsed,
-                moved_bytes=run_moved_bytes(run),
-                fault_bytes=run_fault_bytes(run),
-                htod_ops=run_htod_ops(run),
-                results=tuple(run.results),
-                label=label,
-                window=cell_window,
-                dtoh_bytes=run_dtoh_bytes(run),
-            )
-            if reference is None:
-                reference = cell.results
-            elif execute and cell.results != reference:
-                raise AssertionError(
-                    f"{name}: {label} results diverged from"
-                    f" {MovementPolicy.PAGE_FAULT.value}"
-                )
-            htod_by_label[label] = cell.htod_ops
-            cells.append(cell)
-        _assert_htod_dominance(name, htod_by_label, window)
-    return cells
-
-
-def timeline_d2d_bytes(timeline: Timeline) -> float:
-    """Bytes moved device-to-device (fleet peer mirrors)."""
-    from repro.gpusim.timeline import IntervalKind
-
-    return sum(
-        r.nbytes
-        for r in timeline.transfers()
-        if r.kind is IntervalKind.TRANSFER_D2D
-    )
-
-
-def run_d2d_bytes(run) -> float:
-    """Device-to-device mirror bytes (registry-first)."""
-    return float(_counter(run, "coherence.d2d_bytes", timeline_d2d_bytes))
-
-
-@dataclass(frozen=True)
-class FleetMovementCell:
-    """One (workload, placement, movement policy) fleet measurement."""
+    """One (workload, placement, movement policy) measurement on
+    ``gpus`` GPUs; the tallies are the run's ``coherence.*`` counters."""
 
     benchmark: str
     scale: int
@@ -260,44 +78,58 @@ class FleetMovementCell:
     placement: DevicePlacementPolicy
     policy: MovementPolicy
     elapsed: float
+    #: engine-issued HtoD migration bytes
     moved_bytes: float
+    #: device-to-device peer-mirror bytes
     d2d_bytes: float
+    #: bytes left to the page-fault engine
     fault_bytes: float
+    #: host-readback (DtoH) bytes
+    dtoh_bytes: float
+    #: engine-issued HtoD migration submissions
     htod_ops: int
     results: tuple[float, ...]
-    label: str = ""
-    window: int = 0
-    #: host-readback bytes (registry ``coherence.dtoh_bytes``)
-    dtoh_bytes: float = 0.0
+    #: display label (distinguishes windowed BATCHED from per-acquire)
+    label: str
+    #: cross-acquire coalescing window the cell ran with (0 = per-acquire)
+    window: int
 
 
-def sweep_fleet_movement(
+def sweep_movement_policies(
     benchmarks=DEFAULT_BENCHMARKS,
     gpu: str = "GTX 1660 Super",
-    gpus: int = 2,
+    gpus: int = 1,
     iterations: int = 4,
     scale_index: int = 0,
     execute: bool = True,
     window: int = DEFAULT_WINDOW,
-) -> list[FleetMovementCell]:
-    """The fleet grid: placement × movement policy on a multi-GPU
-    session, for every workload.
+) -> list[MovementCell]:
+    """Run ``benchmarks`` under every movement policy on a ``gpus``-GPU
+    session of ``gpu``: every placement policy when ``gpus > 1``, the
+    session's default placement on one GPU.
 
     Asserts, per (workload, placement):
 
-    * all movement policies produce bit-identical results;
-    * the ROADMAP dominance relation — eager prefetch's makespan is no
-      worse than page faults' (faults serialize the same bytes into the
-      kernels, so overlap can only help);
+    * all movement policies produce bit-identical results (and, across
+      placements, the same results);
+    * eager prefetch's makespan is no worse than page faults' (faults
+      serialize the same bytes into the kernels, so overlap can only
+      help);
     * the HtoD op-count chain — windowed batched <= batched <= eager.
     """
-    cells: list[FleetMovementCell] = []
+    placements = (
+        list(DevicePlacementPolicy)
+        if gpus > 1
+        else [SchedulerConfig().resolve_placement()]
+    )
+    cells: list[MovementCell] = []
     for name in benchmarks:
         scales = default_scales(name, gpu)
         scale = scales[min(scale_index, len(scales) - 1)]
         reference: tuple[float, ...] | None = None
-        for placement in DevicePlacementPolicy:
-            by_label: dict[str, FleetMovementCell] = {}
+        for placement in placements:
+            scope = f"{name}/{placement.value}"
+            by_label: dict[str, MovementCell] = {}
             for label, policy, cell_window in _policy_variants(window):
                 bench = create_benchmark(
                     name, scale, iterations=iterations, execute=execute
@@ -307,28 +139,29 @@ def sweep_fleet_movement(
                     gpus=gpus, placement=placement,
                     movement_window=cell_window,
                 )
-                cell = FleetMovementCell(
+                counters = run.counters
+                cell = MovementCell(
                     benchmark=name,
                     scale=scale,
                     gpus=gpus,
                     placement=placement,
                     policy=policy,
                     elapsed=run.elapsed,
-                    moved_bytes=run_moved_bytes(run),
-                    d2d_bytes=run_d2d_bytes(run),
-                    fault_bytes=run_fault_bytes(run),
-                    htod_ops=run_htod_ops(run),
+                    moved_bytes=float(counters["coherence.htod_bytes"]),
+                    d2d_bytes=float(counters["coherence.d2d_bytes"]),
+                    fault_bytes=float(counters["coherence.fault_bytes"]),
+                    dtoh_bytes=float(counters["coherence.dtoh_bytes"]),
+                    htod_ops=int(counters["coherence.htod_ops"]),
                     results=tuple(run.results),
                     label=label,
                     window=cell_window,
-                    dtoh_bytes=run_dtoh_bytes(run),
                 )
                 if reference is None:
                     reference = cell.results
                 elif execute and cell.results != reference:
                     raise AssertionError(
-                        f"{name}/{placement.value}: {label} results"
-                        " diverged across the fleet grid"
+                        f"{scope}: {label} results diverged across the"
+                        " movement grid"
                     )
                 by_label[label] = cell
                 cells.append(cell)
@@ -336,15 +169,25 @@ def sweep_fleet_movement(
             fault = by_label[MovementPolicy.PAGE_FAULT.value]
             if eager.elapsed > fault.elapsed * (1 + DOMINANCE_RTOL):
                 raise AssertionError(
-                    f"{name}/{placement.value}: dominance violated —"
+                    f"{scope}: dominance violated —"
                     f" eager {eager.elapsed:.6e}s >"
                     f" fault {fault.elapsed:.6e}s"
                 )
-            _assert_htod_dominance(
-                f"{name}/{placement.value}",
-                {lbl: c.htod_ops for lbl, c in by_label.items()},
-                window,
-            )
+            batched = by_label[MovementPolicy.BATCHED.value]
+            if batched.htod_ops > eager.htod_ops:
+                raise AssertionError(
+                    f"{scope}: batched issued {batched.htod_ops} HtoD ops"
+                    f" > eager's {eager.htod_ops} — coalescing must never"
+                    " add submissions"
+                )
+            windowed = by_label.get(f"batched+w{window}", batched)
+            if windowed.htod_ops > batched.htod_ops:
+                raise AssertionError(
+                    f"{scope}: batched+w{window} issued"
+                    f" {windowed.htod_ops} HtoD ops > per-acquire"
+                    f" batched's {batched.htod_ops} — the submission"
+                    " window must never split transfers"
+                )
     return cells
 
 
@@ -380,48 +223,26 @@ def sweep_serving_axes(
     same graph alone on a private serial runtime — scheduling and
     admission order must never change results.
     """
-    from repro.serve import SchedulerService, ServeConfig, execute_serial
-    from repro.serve.workloads import traffic_mix_graphs
-
     cells: list[ServingAxisCell] = []
     for mix in mixes:
         graphs = traffic_mix_graphs(requests, mix=mix, seed=seed)
+        arrivals = [i * 1e-4 for i in range(len(graphs))]
         references = [execute_serial(g, gpu=gpu) for g in graphs]
         for execution in (ExecutionPolicy.SERIAL, ExecutionPolicy.PARALLEL):
             for admission in AdmissionPolicy:
-                service = SchedulerService(
-                    fleet_size=fleet_size,
-                    gpu=gpu,
-                    config=ServeConfig(
+                report = drive(
+                    graphs,
+                    arrivals,
+                    ServeConfig(
                         admission=admission,
                         scheduler=SchedulerConfig(execution=execution),
                     ),
-                )
-                for t in range(tenants):
-                    service.register_tenant(
-                        f"tenant{t}", priority=tenants - 1 - t
-                    )
-                submitted = []
-                for i, graph in enumerate(graphs):
-                    submitted.append(
-                        service.submit(
-                            f"tenant{i % tenants}",
-                            graph,
-                            arrival_time=i * 1e-4,
-                        )
-                    )
-                report = service.run()
-                by_id = {r.request_id: r for r in report.results}
-                for request_id, reference in zip(submitted, references):
-                    got = by_id[request_id].outputs
-                    for out_name, expected in reference.items():
-                        if not np.array_equal(got[out_name], expected):
-                            raise AssertionError(
-                                f"{mix}/{execution.value}/"
-                                f"{admission.value}: request"
-                                f" {request_id} output {out_name!r}"
-                                " diverges from serial execution"
-                            )
+                    topology=[1] * fleet_size,
+                    gpu=gpu,
+                    tenants=tenants,
+                    validate=True,
+                    references=references,
+                ).report
                 m = report.metrics
                 cells.append(
                     ServingAxisCell(
@@ -465,23 +286,27 @@ def render_serving_table(cells: list[ServingAxisCell]) -> str:
     return "\n".join(lines)
 
 
-def render_fleet_table(cells: list[FleetMovementCell]) -> str:
+def render_movement_table(cells: list[MovementCell]) -> str:
+    gpus = cells[0].gpus if cells else 1
+    # peer mirrors (D2D) only exist across GPUs
+    d2d = gpus > 1
     lines = [
-        "Fleet movement grid (placement x movement, "
-        f"{cells[0].gpus if cells else 2} GPUs)",
+        f"Movement grid (placement x movement, {gpus} GPU"
+        f"{'s' if gpus > 1 else ''})",
         "=================================================",
         f"{'benchmark':<10} {'placement':<14} {'policy':<16}"
-        f" {'time ms':>10} {'moved MB':>9} {'D2D MB':>8}"
-        f" {'fault MB':>9} {'HtoD ops':>9}",
+        f" {'time ms':>10} {'moved MB':>9}"
+        + (f" {'D2D MB':>8}" if d2d else "")
+        + f" {'fault MB':>9} {'HtoD ops':>9}",
     ]
     for cell in cells:
         lines.append(
             f"{cell.benchmark:<10} {cell.placement.value:<14}"
-            f" {cell.label or cell.policy.value:<16}"
+            f" {cell.label:<16}"
             f" {cell.elapsed * 1e3:>10.3f}"
             f" {cell.moved_bytes / 1e6:>9.1f}"
-            f" {cell.d2d_bytes / 1e6:>8.1f}"
-            f" {cell.fault_bytes / 1e6:>9.1f}"
+            + (f" {cell.d2d_bytes / 1e6:>8.1f}" if d2d else "")
+            + f" {cell.fault_bytes / 1e6:>9.1f}"
             f" {cell.htod_ops:>9}"
         )
     lines.append("")
@@ -489,29 +314,6 @@ def render_fleet_table(cells: list[FleetMovementCell]) -> str:
         "asserted per placement: results bit-identical across policies,"
         " eager makespan <= fault makespan,"
         " batched+window <= batched <= eager HtoD ops"
-    )
-    return "\n".join(lines)
-
-
-def render_movement_table(cells: list[MovementCell]) -> str:
-    lines = [
-        "Movement-policy sweep (parallel scheduler)",
-        "==========================================",
-        f"{'benchmark':<10} {'policy':<16} {'time ms':>10}"
-        f" {'moved MB':>10} {'fault MB':>10} {'HtoD ops':>9}",
-    ]
-    for cell in cells:
-        lines.append(
-            f"{cell.benchmark:<10} {cell.label or cell.policy.value:<16}"
-            f" {cell.elapsed * 1e3:>10.3f}"
-            f" {cell.moved_bytes / 1e6:>10.1f}"
-            f" {cell.fault_bytes / 1e6:>10.1f}"
-            f" {cell.htod_ops:>9}"
-        )
-    lines.append("")
-    lines.append(
-        "results are bit-identical across policies (asserted per sweep);"
-        " batched+window <= batched <= eager HtoD ops (asserted)"
     )
     return "\n".join(lines)
 
@@ -528,48 +330,36 @@ def movement_bench(
     serving_axes: bool = True,
     serving_requests: int = 12,
     trace_out: str | None = None,
-) -> tuple[
-    list[MovementCell], list[FleetMovementCell], list[ServingAxisCell]
-]:
-    """The ``movement-bench`` experiment entry point: the single-GPU
-    movement sweep, the fleet placement × movement grid (``fleet_gpus=0``
-    skips it) and the serving execution × admission grid over both
-    traffic mixes (``serving_axes=False`` skips it).  ``trace_out``
-    additionally records one windowed-BATCHED run of the first workload
-    with the span tracer installed and writes it as Chrome-trace JSON —
-    the acquire/flush-window spans are the point of this trace."""
-    cells = sweep_movement_policies(
-        benchmarks,
-        gpu=gpu,
-        iterations=iterations,
-        scale_index=scale_index,
-        execute=execute,
-        window=window,
-    )
-    if render:
-        print(render_movement_table(cells))
-    fleet_cells: list[FleetMovementCell] = []
-    if fleet_gpus > 1:
-        fleet_cells = sweep_fleet_movement(
+) -> tuple[list[list[MovementCell]], list[ServingAxisCell]]:
+    """The ``movement-bench`` experiment entry point: the movement sweep
+    on one GPU and on ``fleet_gpus`` GPUs (``fleet_gpus`` below 2 skips
+    the second), then the serving execution × admission grid over both
+    traffic mixes (``serving_axes=False`` skips it).  Returns the cells
+    of each sweep and of the serving grid.  ``trace_out`` additionally
+    records one windowed-BATCHED run of the first workload with the span
+    tracer installed and writes it as Chrome-trace JSON — the
+    acquire/flush-window spans are the point of this trace."""
+    sweeps = []
+    for gpus in (1, fleet_gpus) if fleet_gpus > 1 else (1,):
+        cells = sweep_movement_policies(
             benchmarks,
             gpu=gpu,
-            gpus=fleet_gpus,
+            gpus=gpus,
             iterations=iterations,
             scale_index=scale_index,
             execute=execute,
             window=window,
         )
+        sweeps.append(cells)
         if render:
-            print()
-            print(render_fleet_table(fleet_cells))
+            print(render_movement_table(cells), end="\n\n")
     serving_cells: list[ServingAxisCell] = []
     if serving_axes:
         serving_cells = sweep_serving_axes(
             requests=serving_requests, gpu=gpu
         )
         if render:
-            print()
-            print(render_serving_table(serving_cells))
+            print(render_serving_table(serving_cells), end="\n\n")
     if trace_out:
         from repro.obs.export import write_chrome_trace
         from repro.obs.trace import Tracer, use_tracer
@@ -600,4 +390,4 @@ def movement_bench(
         )
         if render:
             print(f"wrote {trace_out}")
-    return cells, fleet_cells, serving_cells
+    return sweeps, serving_cells

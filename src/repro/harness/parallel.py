@@ -20,17 +20,14 @@ exercised on every run.
 
 from __future__ import annotations
 
-import json
 import os
-import time
 
-from repro.core.policies import SchedulerConfig
-from repro.harness.serving import _submit_traffic
+from repro.harness.runner import write_json
+from repro.harness.serving import drive, poisson_traffic
 from repro.obs.export import canonical_trace
-from repro.obs.trace import Tracer
 from repro.parallel import STRATEGIES
 from repro.serve.fleet import parse_fleet_spec
-from repro.serve.service import SchedulerService, ServeConfig
+from repro.serve.service import ServeConfig
 
 #: the strategy-matrix scenarios: the fault-free baseline plus a fault
 #: plan mixing a permanent crash (retry/re-placement path) with a
@@ -42,48 +39,6 @@ PARALLEL_SCENARIOS: dict[str, str | None] = {
         "crash:slot=1,at=2e-3;degrade:slot=0,at=1e-3,factor=2.0"
     ),
 }
-
-
-def _run_once(
-    *,
-    fleet: list[int],
-    parallel: str,
-    workers: int | None,
-    faults: str | None,
-    requests: int,
-    tenants: int,
-    gpu: str,
-    seed: int,
-    mean_interarrival_us: float,
-    traffic: str,
-    trace: bool,
-):
-    """One serving run under one strategy; returns (report, tracer,
-    wall_s) with the wall clock covering drain+report only."""
-    tracer = Tracer() if trace else None
-    service = SchedulerService(
-        fleet_topology=fleet,
-        gpu=gpu,
-        config=ServeConfig(
-            faults=faults,
-            parallel=parallel,
-            workers=workers,
-            scheduler=SchedulerConfig(),
-        ),
-        tracer=tracer,
-    )
-    _submit_traffic(
-        service,
-        tenants=tenants,
-        requests=requests,
-        traffic=traffic,
-        seed=seed,
-        mean_interarrival_us=mean_interarrival_us,
-    )
-    t0 = time.perf_counter()
-    report = service.run()
-    wall = time.perf_counter() - t0
-    return report, tracer, wall
 
 
 def parallel_bench(
@@ -110,29 +65,32 @@ def parallel_bench(
     if equality_requests is None:
         equality_requests = min(requests, 120)
 
+    def serve(strategy: str, plan: str | None, count: int, trace: bool):
+        graphs, arrivals = poisson_traffic(
+            count, traffic, seed, mean_interarrival_us
+        )
+        return drive(
+            graphs,
+            arrivals,
+            ServeConfig(faults=plan, parallel=strategy, workers=workers),
+            topology=fleet,
+            gpu=gpu,
+            tenants=tenants,
+            trace=trace,
+        )
+
     scenarios: dict[str, dict] = {}
     for name, plan in PARALLEL_SCENARIOS.items():
         # -- equality pass: traced, at the trace-friendly scale --------
         reference = None
         equality: dict[str, dict] = {}
         for strategy in STRATEGIES:
-            report, tracer, _ = _run_once(
-                fleet=fleet,
-                parallel=strategy,
-                workers=workers,
-                faults=plan,
-                requests=equality_requests,
-                tenants=tenants,
-                gpu=gpu,
-                seed=seed,
-                mean_interarrival_us=mean_interarrival_us,
-                traffic=traffic,
-                trace=True,
-            )
+            served = serve(strategy, plan, equality_requests, trace=True)
+            report = served.report
             state = (
                 report.fingerprint(),
                 report.counters,
-                canonical_trace(tracer, results=report.results),
+                canonical_trace(served.tracer, results=report.results),
             )
             if reference is None:
                 reference = state
@@ -154,20 +112,9 @@ def parallel_bench(
         base_fingerprint = None
         base_wall = None
         for strategy in STRATEGIES:
-            report, _, wall = _run_once(
-                fleet=fleet,
-                parallel=strategy,
-                workers=workers,
-                faults=plan,
-                requests=requests,
-                tenants=tenants,
-                gpu=gpu,
-                seed=seed,
-                mean_interarrival_us=mean_interarrival_us,
-                traffic=traffic,
-                trace=False,
-            )
-            fingerprint = report.fingerprint()
+            served = serve(strategy, plan, requests, trace=False)
+            wall = served.wall_s
+            fingerprint = served.report.fingerprint()
             if base_fingerprint is None:
                 base_fingerprint = fingerprint
                 base_wall = wall
@@ -209,9 +156,5 @@ def parallel_bench(
         "scenarios": scenarios,
     }
     if bench_out:
-        with open(bench_out, "w") as fh:
-            json.dump(sweep, fh, indent=2)
-            fh.write("\n")
-        if render:
-            print(f"wrote {bench_out}")
+        write_json(bench_out, sweep, render)
     return sweep

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 from repro.gpusim.specs import GPUSpec, gpu_by_name
@@ -97,3 +98,13 @@ def sweep_cells(
                         )
                     )
     return cells
+
+
+def write_json(path: str, payload: dict, render: bool = False) -> None:
+    """Write one benchmark artifact as indented JSON, replacing the file
+    (and say so when rendering)."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    if render:
+        print(f"wrote {path}")

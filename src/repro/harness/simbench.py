@@ -32,7 +32,6 @@ of the substrate is recorded alongside the paper figures.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass
 
@@ -45,6 +44,7 @@ from repro.gpusim.ops import (
     TransferOp,
 )
 from repro.gpusim.specs import gpu_by_name
+from repro.harness.runner import write_json
 from repro.obs.trace import Tracer
 
 #: Wall-clock may grow at most this factor beyond linear in op count.
@@ -417,10 +417,7 @@ def sim_bench(
             print(f"wrote {trace_out}")
 
     if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(results, fh, indent=2)
-        if render:
-            print(f"wrote {out_path}")
+        write_json(out_path, results, render)
 
     for check in near_linear:
         assert check["ok"], (

@@ -293,7 +293,6 @@ class TestPolicyEquivalenceOnWorkloads:
 
     @pytest.mark.parametrize("name,scale", WORKLOADS[:2])
     def test_eager_prefetch_strictly_reduces_fault_bytes(self, name, scale):
-        from repro.harness.movement import timeline_fault_bytes
         from repro.workloads import Mode, create_benchmark
 
         faulting = create_benchmark(name, scale, iterations=2).run(
@@ -304,8 +303,8 @@ class TestPolicyEquivalenceOnWorkloads:
             "GTX 1660 Super", Mode.PARALLEL,
             movement=MovementPolicy.EAGER_PREFETCH,
         )
-        lazy_faults = timeline_fault_bytes(faulting.timeline)
-        eager_faults = timeline_fault_bytes(eager.timeline)
+        lazy_faults = faulting.counters["coherence.fault_bytes"]
+        eager_faults = eager.counters["coherence.fault_bytes"]
         assert lazy_faults > 0
         assert eager_faults < lazy_faults
 

@@ -184,12 +184,12 @@ class TestFleetMovementHarness:
         """The movement-bench fleet grid runs end-to-end and enforces
         eager <= fault on makespan for every placement policy."""
         from repro.harness.movement import (
-            render_fleet_table,
-            sweep_fleet_movement,
+            render_movement_table,
+            sweep_movement_policies,
         )
 
-        cells = sweep_fleet_movement(
-            benchmarks=("vec",), iterations=2, execute=False
+        cells = sweep_movement_policies(
+            benchmarks=("vec",), gpus=2, iterations=2, execute=False
         )
         # placements x (movement policies + windowed BATCHED), one
         # workload
@@ -203,7 +203,7 @@ class TestFleetMovementHarness:
             assert eager.elapsed <= fault.elapsed * (1 + 1e-9)
             assert fault.fault_bytes > 0
             assert fault.moved_bytes == 0.0
-        table = render_fleet_table(cells)
+        table = render_movement_table(cells)
         assert "placement" in table and "page-fault" in table
 
 

@@ -229,3 +229,61 @@ class TestExecution:
             )
             == []
         )
+
+    def test_cluster_trace_holds_only_the_reported_replay(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Replays trace into fresh tracers: the trace of a 2-replay
+        cluster run equals the 1-replay trace in canonical form, and a
+        bare --trace on a cluster writes TRACE_cluster.json."""
+        import json
+
+        def canonical(path):
+            doc = json.loads(path.read_text())
+            for event in doc["traceEvents"]:
+                for key in ("wall_s", "wall_dur_s"):
+                    event.get("args", {}).pop(key, None)
+            return doc
+
+        monkeypatch.chdir(tmp_path)
+        cluster = [
+            "serve-bench", "--cluster", "2,1|2",
+            "--requests", "12", "--tenants", "2",
+        ]
+        assert main([*cluster, "--cluster-runs", "1", "--trace"]) == 0
+        twice = tmp_path / "twice.json"
+        assert main([*cluster, "--trace-out", str(twice)]) == 0
+        once = canonical(tmp_path / "TRACE_cluster.json")
+        assert canonical(twice) == once
+        assert not (tmp_path / "TRACE_serving.json").exists()
+
+
+class TestUsageErrors:
+    """Bad values exit with an argparse usage error (status 2) instead
+    of a traceback or a silently ignored flag."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure7", "--iterations", "0"],
+            ["figure7", "--scales", "0"],
+            [
+                "serve-bench", "--faults", "crash:slot=0,at=1e-3",
+                "--fault-seed", "3",
+            ],
+            ["serve-bench", "--cluster", "1|1", "--chaos-grid"],
+            ["movement-bench", "--fleet-gpus", "-3"],
+        ],
+        ids=[
+            "zero-iterations",
+            "zero-scales",
+            "faults-and-fault-seed",
+            "chaos-grid-on-cluster",
+            "negative-fleet-gpus",
+        ],
+    )
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
