@@ -8,6 +8,7 @@ timeline with its transfer/compute overlaps, and the speedup.
 Run:  python examples/ml_ensemble.py
 """
 
+from repro.harness.figures import figure2
 from repro.metrics import compute_overlaps
 from repro.workloads import Mode, create_benchmark
 
@@ -38,35 +39,13 @@ def main() -> None:
     print("\nexecution timeline (Fig. 10):")
     print(parallel.timeline.render_ascii(width=100))
 
-    # The scheduler inferred the Fig. 2 DAG automatically — show the
-    # dependency edges of one iteration, labelled with the array that
-    # caused each one (the edge labels of Fig. 2).
-    one_iter = create_benchmark("ml", SCALE, iterations=1, execute=False)
-    from repro import SchedulerConfig, Session  # session-owned DAG
-
-    rt = Session(gpu=GPU, config=SchedulerConfig())
-    arrays = {
-        name: rt.array(s.shape, dtype=s.dtype, name=name, materialize=False)
-        for name, s in one_iter.array_specs().items()
-    }
-    kernels = {
-        k.name: rt.build_kernel(lambda *a: None, k.name, k.signature, k.cost)
-        for k in one_iter.kernel_specs()
-    }
-    one_iter.refresh(arrays, 0)
-    for inv in one_iter.invocations():
-        args = tuple(
-            arrays[a] if isinstance(a, str) else a for a in inv.args
-        )
-        kernels[inv.kernel](inv.grid, inv.block)(*args)
-    rt.sync()
-    print("\ninferred dependencies (one iteration):")
-    for edge in rt.dag.edges:
-        if edge.parent.is_kernel and edge.child.is_kernel:
-            print(
-                f"  {edge.parent.label:10s} -> {edge.child.label:10s}"
-                f"  via {edge.array.name}"
-            )
+    # The scheduler inferred the Fig. 2 DAG automatically — show one
+    # iteration's kernels with their streams and dependency edges,
+    # labelled with the array that caused each one (Fig. 2's edge labels).
+    dag = figure2("ml", GPU)
+    assert dag.summary["streams"] == 2
+    print()
+    print(dag.render())
 
 
 if __name__ == "__main__":

@@ -102,9 +102,6 @@ class ClusterNetwork:
             "cluster.net_readback_bytes"
         )
 
-    def busy_until(self, node: int, direction: str = "in") -> float:
-        return self._free.get((node, direction), 0.0)
-
     def transfer(
         self, node: int, nbytes: int, now: float, direction: str = "in"
     ) -> float:

@@ -109,9 +109,6 @@ class ComputationalElement:
     def dependency_set_empty(self) -> bool:
         return not self.dependency_set
 
-    def array_for_id(self, array_id: int) -> DeviceArray:
-        return self._arrays[array_id]
-
     # -- classification ------------------------------------------------------
 
     @property

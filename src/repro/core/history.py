@@ -67,10 +67,6 @@ class KernelStats:
     def mean_duration(self) -> float:
         return self.total_duration / self.count
 
-    @property
-    def mean_seconds_per_byte(self) -> float:
-        return self.total_seconds_per_byte / self.count
-
 
 class KernelHistory:
     """Execution history of every kernel scheduled by one runtime."""

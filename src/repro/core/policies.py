@@ -175,14 +175,3 @@ class SchedulerConfig:
             policy = MovementPolicy.EAGER_PREFETCH
         return policy
 
-    def resolve_prefetch(self, spec: GPUSpec) -> PrefetchPolicy:
-        """Pin AUTO down for a concrete device.
-
-        Maxwell has no page-fault mechanism: every policy degrades to
-        eager synchronous-style copies ahead of the kernel (the paper:
-        "on the GTX 960, data is necessarily transferred ahead of the
-        computation").
-        """
-        if not spec.supports_page_faults:
-            return PrefetchPolicy.SYNC
-        return self.prefetch

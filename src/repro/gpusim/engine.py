@@ -254,13 +254,6 @@ class SimEngine:
         :meth:`~repro.obs.trace.Tracer.attach_engine`)."""
         return getattr(self, "_obs_name", "engine")
 
-    def set_tracer(self, tracer: Tracer, name: str | None = None) -> None:
-        """Swap in ``tracer`` (e.g. a Session-provided one) and register
-        this engine's timeline with it for per-device export tracks."""
-        self.tracer = tracer
-        if tracer.enabled:
-            tracer.attach_engine(self, name=name)
-
     # -- stream management --------------------------------------------------
 
     def create_stream(

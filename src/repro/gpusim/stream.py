@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.errors import InvalidStateError
 from repro.gpusim.ops import Operation
@@ -153,9 +153,6 @@ class SimStream:
     @property
     def free(self) -> bool:
         return not self.busy and not self.destroyed
-
-    def queued_ops(self) -> Iterable[Operation]:
-        return tuple(self.pending)
 
     def destroy(self) -> None:
         """Mark the stream unusable.  Only legal when idle."""

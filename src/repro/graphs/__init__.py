@@ -1,4 +1,10 @@
-"""Baselines: the C++ CUDA Graphs API and hand-tuned event scheduling.
+"""Task graphs, their static schedule, and the baselines that run it.
+
+:mod:`repro.graphs.taskgraph` declares one computation as data (arrays,
+kernels, launches); :mod:`repro.graphs.planner` derives its
+dependencies and the static stream schedule a skilled programmer
+writes.  The rest of the package is the baseline executors: the C++
+CUDA Graphs API and hand-tuned event scheduling.
 
 Section V-D compares the GrCUDA scheduler against three hand-optimized
 baselines, all re-implemented here on the simulator:

@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.errors import GraphError
 from repro.graphs.graph import CudaGraph, GraphNode
 from repro.kernels.kernel import Kernel
+
+if TYPE_CHECKING:
+    from repro.graphs.planner import StreamPlanStep
+    from repro.graphs.taskgraph import LaunchDecl
 
 _capture_ids = itertools.count()
 
@@ -97,3 +101,34 @@ class StreamCapture:
     def _check_open(self) -> None:
         if self._ended:
             raise GraphError("capture already ended")
+
+
+def capture_plan(
+    name: str,
+    steps: Sequence[StreamPlanStep],
+    launches: Sequence[LaunchDecl],
+    kernels: Mapping[str, Kernel],
+    arrays: Mapping[str, Any],
+) -> CudaGraph:
+    """Record ``launches`` as a hand-optimized host program would: one
+    capturing stream per planned stream, and the planned cross-stream
+    waits expressed through captured events."""
+    capture = StreamCapture(name=name)
+    streams = [
+        capture.stream() for _ in range(1 + max(s.stream for s in steps))
+    ]
+    events: dict[int, CaptureEvent] = {}
+    for launch, step in zip(launches, steps):
+        stream = streams[step.stream]
+        for w in step.waits:
+            capture.wait_event(stream, events[w])
+        capture.launch(
+            stream,
+            kernels[launch.kernel],
+            launch.grid,
+            launch.block,
+            launch.resolve(arrays),
+        )
+        if step.record_event:
+            events[step.index] = capture.record_event(stream)
+    return capture.end_capture()

@@ -1,8 +1,11 @@
-"""Static stream planning shared by the baseline executors.
+"""Static dependency analysis and stream planning of task graphs.
 
-Given the dependency structure of a static kernel sequence, assign each
-node a stream and derive the cross-stream event waits — the schedule a
-skilled CUDA programmer writes by hand (the Fig. 6 coloring):
+:func:`launch_parents` derives a task graph's dependencies with the same
+dependency-set analysis the runtime scheduler performs.  Given that
+structure, :func:`plan_streams` assigns each node a stream and derives
+the cross-stream event waits — the schedule a skilled CUDA programmer
+writes by hand (the Fig. 6 coloring), shared by the baseline executors
+and the serving layer's capture cache:
 
 * the first child of a node inherits its stream (no event needed);
 * otherwise reuse a stream whose current tail is an *ancestor* of the
@@ -16,6 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.dag import ComputationDAG
+from repro.core.element import ComputationalElement
+from repro.graphs.taskgraph import TaskGraph
+from repro.memory.array import DeviceArray
+
 
 @dataclass(frozen=True)
 class StreamPlanStep:
@@ -25,6 +33,33 @@ class StreamPlanStep:
     stream: int
     waits: tuple[int, ...]
     record_event: bool
+
+
+def launch_parents(graph: TaskGraph) -> list[list[int]]:
+    """Per launch of ``graph``, the indices of the launches it depends on.
+
+    The runtime scheduler's dependency-set analysis, run offline on
+    placeholder arrays: the parents of a launch are exactly those the
+    execution context would make it wait for.
+    """
+    accesses_of = graph.signature_accesses()
+    placeholders = {
+        name: DeviceArray(1, name=name) for name in graph.arrays
+    }
+    dag = ComputationDAG()
+    index_of: dict[int, int] = {}
+    parents_of: list[list[int]] = []
+    for i, launch in enumerate(graph.launches):
+        element = ComputationalElement(
+            [
+                (placeholders[n], k)
+                for n, k in zip(launch.array_names, accesses_of[launch.kernel])
+            ],
+            label=f"{launch.kernel}#{i}",
+        )
+        index_of[element.element_id] = i
+        parents_of.append([index_of[p.element_id] for p in dag.add(element)])
+    return parents_of
 
 
 def plan_streams(parents_of: list[list[int]]) -> list[StreamPlanStep]:

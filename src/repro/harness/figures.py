@@ -157,25 +157,23 @@ def figure2(
 
     bench = create_benchmark(benchmark, _mid_scale(benchmark, gpu),
                              iterations=1, execute=False)
+    graph = bench.graph()
     rt = Session(gpu=gpu, config=SchedulerConfig())
     arrays = {
         name: rt.array(
-            s.shape, dtype=s.dtype, name=name, materialize=False
+            decl.shape, dtype=decl.dtype, name=name, materialize=False
         )
-        for name, s in bench.array_specs().items()
+        for name, decl in graph.arrays.items()
     }
     kernels = {
         k.name: rt.build_kernel(lambda *a: None, k.name, k.signature, k.cost)
-        for k in bench.kernel_specs()
+        for k in graph.kernels
     }
     bench.refresh(arrays, 0)
-    elements = []
-    for inv in bench.invocations():
-        args = tuple(
-            arrays[a] if isinstance(a, str) else a for a in inv.args
+    for launch in graph.launches:
+        kernels[launch.kernel](launch.grid, launch.block)(
+            *launch.resolve(arrays)
         )
-        launch = kernels[inv.kernel](inv.grid, inv.block)(*args)
-        elements.append(launch)
     rt.sync()
     rows = []
     kernel_elems = [v for v in rt.dag.vertices if v.is_kernel]

@@ -48,6 +48,14 @@ def zero_block(shape: tuple[int, ...], dtype: Any) -> np.ndarray:
     return np.broadcast_to(np.zeros((), dtype=dtype), shape)
 
 
+def read_only_view(data: np.ndarray, dtype: Any) -> np.ndarray:
+    """``data`` as ``dtype`` (converted only on a mismatch), through a
+    view that cannot write it."""
+    view = np.asarray(data, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
 def is_zero_block(a: np.ndarray) -> bool:
     """Whether every element of ``a`` is one all-zero-bits element."""
     if any(a.strides):

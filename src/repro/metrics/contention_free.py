@@ -14,99 +14,67 @@ FP64 units and PCIe link, only reaches 15-20 % of its bound).
 
 from __future__ import annotations
 
-from repro.core.dag import ComputationDAG
-from repro.core.element import ComputationalElement
 from repro.gpusim.contention import ContentionModel
 from repro.gpusim.ops import KernelOp
 from repro.gpusim.specs import GPUSpec, gpu_by_name
+from repro.graphs.planner import launch_parents
+from repro.graphs.taskgraph import TaskGraph
 from repro.kernels.kernel import KernelLaunch, normalize_dim
-from repro.kernels.signature import parse_signature
-from repro.memory.array import AccessKind, DeviceArray
+from repro.memory.array import DeviceArray
 from repro.workloads.base import Benchmark
 
 
-def _refreshed_arrays(
-    benchmark: Benchmark, placeholders: dict[str, DeviceArray]
-) -> tuple[set[str], set[str]]:
-    """Arrays the host writes at iteration 0 and at steady state."""
-    written: set[str] = set()
-
-    def hook(array: DeviceArray, kind: AccessKind, touched: int) -> None:
-        if kind.writes:
-            written.add(array.name)
-
-    for arr in placeholders.values():
-        arr.set_access_hook(hook)
-    benchmark.refresh(placeholders, 0)
-    first = set(written)
-    written.clear()
-    benchmark.refresh(placeholders, 1)
-    steady = set(written)
-    for arr in placeholders.values():
-        arr.set_access_hook(None)
-    return first, steady
-
-
 def _critical_path(
-    benchmark: Benchmark,
+    graph: TaskGraph,
     spec: GPUSpec,
-    placeholders: dict[str, DeviceArray],
+    parents_of: list[list[int]],
     stale_inputs: set[str],
 ) -> float:
     """Critical-path time of one iteration with the given inputs stale."""
     model = ContentionModel(spec)
-    kernels = {k.name: k for k in benchmark.kernel_specs()}
-    sig_access = {
-        name: [p.access for p in parse_signature(k.signature) if p.is_pointer]
-        for name, k in kernels.items()
+    accesses_of = graph.signature_accesses()
+    # Virtual arrays of the declared geometry: cost models size their
+    # work from the arguments.
+    placeholders = {
+        name: DeviceArray(
+            decl.shape, dtype=decl.dtype, name=name, materialize=False
+        )
+        for name, decl in graph.arrays.items()
     }
-    specs = benchmark.array_specs()
     pcie = spec.pcie_bandwidth_gbs * 1e9
 
-    dag = ComputationDAG()
-    finish: dict[int, float] = {}
+    finish: list[float] = []
     pending_transfer = set(stale_inputs)
-    makespan = 0.0
-    for inv in benchmark.invocations():
-        array_names = [a for a in inv.args if isinstance(a, str)]
-        accesses = list(
-            zip(
-                (placeholders[n] for n in array_names),
-                sig_access[inv.kernel],
-            )
-        )
-        element = ComputationalElement(accesses, label=inv.kernel)
-        parents = dag.add(element)
-
-        kspec = kernels[inv.kernel]
-        launch = KernelLaunch(
+    for launch, parents in zip(graph.launches, parents_of):
+        kinds = accesses_of[launch.kernel]
+        kernel_launch = KernelLaunch(
             kernel=None,  # type: ignore[arg-type]  # cost models ignore it
-            grid=normalize_dim(inv.grid),
-            block=normalize_dim(inv.block),
-            args=tuple(inv.args),
-            array_args=tuple(accesses),
+            grid=normalize_dim(launch.grid),
+            block=normalize_dim(launch.block),
+            args=tuple(launch.args),
+            array_args=tuple(
+                zip((placeholders[n] for n in launch.array_names), kinds)
+            ),
             scalar_args=tuple(
-                a for a in inv.args if not isinstance(a, str)
+                a for a in launch.args if not isinstance(a, str)
             ),
         )
-        resources = kspec.cost.resources(launch)
+        resources = graph.kernel_by_name(launch.kernel).cost.resources(
+            kernel_launch
+        )
         duration = model.kernel_duration(
-            KernelOp(label=inv.kernel, resources=resources)
+            KernelOp(label=launch.kernel, resources=resources)
         )
 
         transfer = 0.0
-        for name, access in zip(array_names, sig_access[inv.kernel]):
+        for name, access in zip(launch.array_names, kinds):
             if access.reads and name in pending_transfer:
                 pending_transfer.discard(name)
-                transfer += specs[name].nbytes / pcie
+                transfer += graph.arrays[name].nbytes / pcie
 
-        start = max(
-            (finish[p.element_id] for p in parents), default=0.0
-        )
-        end = start + transfer + duration
-        finish[element.element_id] = end
-        makespan = max(makespan, end)
-    return makespan
+        start = max((finish[p] for p in parents), default=0.0)
+        finish.append(start + transfer + duration)
+    return max(finish)
 
 
 def contention_free_time(
@@ -119,17 +87,16 @@ def contention_free_time(
     result before refreshing the next batch).
     """
     spec = gpu_by_name(gpu) if isinstance(gpu, str) else gpu
-    placeholders = {
-        name: DeviceArray(
-            aspec.shape, dtype=aspec.dtype, name=name, materialize=False
-        )
-        for name, aspec in benchmark.array_specs().items()
-    }
-    first_writes, steady_writes = _refreshed_arrays(benchmark, placeholders)
-    first = _critical_path(benchmark, spec, placeholders, first_writes)
+    graph = benchmark.graph()
+    parents_of = launch_parents(graph)
+    first = _critical_path(
+        graph, spec, parents_of, set(benchmark.inputs(0))
+    )
     if benchmark.iterations <= 1:
         return first
-    steady = _critical_path(benchmark, spec, placeholders, steady_writes)
+    steady = _critical_path(
+        graph, spec, parents_of, set(benchmark.inputs(1))
+    )
     return first + (benchmark.iterations - 1) * steady
 
 

@@ -29,7 +29,12 @@ from repro.core.context import submit_kernel
 from repro.core.history import KernelExecutionRecord
 from repro.gpusim.timeline import TimelineRecord
 from repro.kernels.kernel import KernelLaunch, normalize_dim
-from repro.memory.array import AccessKind, DeviceArray, is_zero_block
+from repro.memory.array import (
+    AccessKind,
+    DeviceArray,
+    is_zero_block,
+    read_only_view,
+)
 from repro.memory.coherence import CoherenceEngine
 from repro.obs.trace import TraceEvent, Tracer
 
@@ -167,11 +172,7 @@ def submit_context(
             sub.arrays[name].copy_from_host(decl.init)
     for launch in graph.launches:
         kernel = slot.kernel_for(graph.kernel_by_name(launch.kernel))
-        args = tuple(
-            sub.arrays[a] if isinstance(a, str) else a
-            for a in launch.args
-        )
-        kernel(launch.grid, launch.block)(*args)
+        kernel(launch.grid, launch.block)(*launch.resolve(sub.arrays))
         slot.kernels_launched += 1
     return sub
 
@@ -225,7 +226,7 @@ def submit_replay(
         # a read-only view of it, so a kernel writing through a const
         # pointer raises instead of changing the graph.
         buffer = (
-            _read_only_view(decl.init, decl.dtype)
+            read_only_view(decl.init, decl.dtype)
             if decl.init is not None and name not in written
             else None
         )
@@ -253,12 +254,7 @@ def submit_replay(
         kernel = slot.kernel_for(
             graph.kernel_by_name(launch_decl.kernel)
         )
-        bound = kernel.bind_args(
-            tuple(
-                sub.arrays[a] if isinstance(a, str) else a
-                for a in launch_decl.args
-            )
-        )
+        bound = kernel.bind_args(launch_decl.resolve(sub.arrays))
         launch = KernelLaunch(
             kernel=bound.kernel,
             grid=normalize_dim(launch_decl.grid),
@@ -319,14 +315,6 @@ def read_outputs(
                 else arr.kernel_view.copy()
             )
     return outputs, engine.clock
-
-
-def _read_only_view(init: np.ndarray, dtype) -> np.ndarray:
-    """``init`` as ``dtype`` (converted only on a mismatch), through a
-    view that cannot write it."""
-    view = np.asarray(init, dtype=dtype).view()
-    view.flags.writeable = False
-    return view
 
 
 def _sanitize_meta(meta: dict) -> dict:

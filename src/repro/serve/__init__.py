@@ -49,14 +49,16 @@ from repro.serve.fleet import (
     GpuFleet,
     parse_fleet_spec,
 )
-from repro.serve.request import (
+from repro.graphs.taskgraph import (
     ArrayDecl,
-    GraphRequest,
-    GraphResult,
     KernelDecl,
     LaunchDecl,
-    RequestStatus,
     TaskGraph,
+)
+from repro.serve.request import (
+    GraphRequest,
+    GraphResult,
+    RequestStatus,
     execute_serial,
 )
 from repro.serve.service import (

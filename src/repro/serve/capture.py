@@ -5,7 +5,7 @@ dependency-inference path *and* records the equivalent multi-stream
 schedule through :class:`repro.graphs.capture.StreamCapture` — exactly
 the stream-capture baseline of section V-D, run once per distinct
 topology instead of once per program.  Every later request with the same
-:meth:`~repro.serve.request.TaskGraph.topology_key` replays the cached
+:meth:`~repro.graphs.taskgraph.TaskGraph.topology_key` replays the cached
 plan: kernels are submitted straight onto pre-assigned streams with
 pre-computed event waits, skipping per-launch dependency computation —
 the CUDA-Graphs amortization, applied fleet-wide.
@@ -23,15 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.dag import ComputationDAG
-from repro.core.element import ComputationalElement
-from repro.graphs.capture import StreamCapture
+from repro.graphs.capture import capture_plan
 from repro.graphs.graph import CudaGraph
-from repro.graphs.planner import StreamPlanStep, plan_streams
+from repro.graphs.planner import StreamPlanStep, launch_parents, plan_streams
+from repro.graphs.taskgraph import TaskGraph
 from repro.kernels.registry import build_kernel
 from repro.memory.array import DeviceArray
 from repro.obs.counters import CounterRegistry
-from repro.serve.request import TaskGraph
 
 
 @dataclass(frozen=True)
@@ -115,62 +113,26 @@ class CaptureCache:
 def derive_plan(graph: TaskGraph) -> CapturePlan:
     """Derive the replay schedule for one topology.
 
-    Dependencies come from the same dependency-set analysis the runtime
-    scheduler performs, run offline on placeholder arrays; the resulting
-    schedule is recorded through :class:`StreamCapture` (streams + event
-    record/wait calls, the section V-D baseline idiom) and kept both as
-    plan steps for the replay executor and as the captured
+    Dependencies come from :func:`~repro.graphs.planner.launch_parents`,
+    the runtime scheduler's dependency-set analysis run offline; the
+    resulting schedule is recorded through stream capture (streams +
+    event record/wait calls, the section V-D baseline idiom) and kept
+    both as plan steps for the replay executor and as the captured
     :class:`CudaGraph`.
     """
-    accesses_of = graph.signature_accesses()
+    steps = tuple(plan_streams(launch_parents(graph)))
+    stream_count = 1 + max(s.stream for s in steps)
+
     placeholders = {
         name: DeviceArray(1, name=name) for name in graph.arrays
     }
-    dag = ComputationDAG()
-    index_of: dict[int, int] = {}
-    parents_of: list[list[int]] = []
-    for i, launch in enumerate(graph.launches):
-        names = [a for a in launch.args if isinstance(a, str)]
-        kinds = accesses_of[launch.kernel]
-        element = ComputationalElement(
-            [(placeholders[n], k) for n, k in zip(names, kinds)],
-            label=f"{launch.kernel}#{i}",
-        )
-        parents = dag.add(element)
-        index_of[element.element_id] = i
-        parents_of.append([index_of[p.element_id] for p in parents])
-
-    steps = tuple(plan_streams(parents_of))
-    stream_count = 1 + max(s.stream for s in steps)
-
-    # Record the schedule through stream capture, as a hand-optimized
-    # host program would: one capturing stream per planned stream, waits
-    # expressed through captured events.
-    capture = StreamCapture(name=f"serve:{graph.name}")
-    cap_streams = [capture.stream() for _ in range(stream_count)]
-    cap_kernels = {
+    kernels = {
         k.name: build_kernel(k.fn, k.name, k.signature, cost_model=k.cost)
         for k in graph.kernels
     }
-    events: dict[int, object] = {}
-    for launch, step in zip(graph.launches, steps):
-        stream = cap_streams[step.stream]
-        for w in step.waits:
-            capture.wait_event(stream, events[w])
-        capture.launch(
-            stream,
-            cap_kernels[launch.kernel],
-            launch.grid,
-            launch.block,
-            tuple(
-                placeholders[a] if isinstance(a, str) else a
-                for a in launch.args
-            ),
-        )
-        if step.record_event:
-            events[step.index] = capture.record_event(stream)
-    captured = capture.end_capture()
-
+    captured = capture_plan(
+        f"serve:{graph.name}", steps, graph.launches, kernels, placeholders
+    )
     return CapturePlan(
         steps=steps,
         stream_count=stream_count,

@@ -298,11 +298,6 @@ class GpuFleet:
                 slot.index, plan.for_slot(slot.index)
             )
 
-    def admitting_slots(self) -> list[FleetSlot]:
-        """Slots currently accepting dispatches (lifecycle order is
-        slot-id order, so the list is deterministic)."""
-        return [s for s in self.slots if s.admitting]
-
     def admitting_gpus(self) -> int:
         return sum(s.gpus for s in self.slots if s.admitting)
 

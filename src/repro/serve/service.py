@@ -2,7 +2,7 @@
 
 :class:`SchedulerService` is the jump from the paper's single-program
 scheduler to shared-infrastructure dispatch: many logical tenants submit
-:class:`~repro.serve.request.TaskGraph` s; an admission-control queue
+:class:`~repro.graphs.taskgraph.TaskGraph` s; an admission-control queue
 (FIFO / priority / fair-share) decides *who* goes next; the
 :class:`~repro.serve.fleet.GpuFleet` placement policy decides *where*
 — which fleet *slot*, each a long-lived (possibly multi-GPU)

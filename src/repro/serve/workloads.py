@@ -1,19 +1,20 @@
 """Adapters: suite benchmarks -> servable task graphs.
 
 The paper's benchmark suite (:mod:`repro.workloads.suite`) declares each
-workload once — arrays, kernels (with roofline costs) and per-iteration
-invocations.  That declaration is exactly a
-:class:`~repro.serve.request.TaskGraph`, so the serving layer's mixed
-workloads come straight from the suite: a tenant submitting "one VEC
-iteration at scale 100k with seed 7" gets the same kernels, cost models
-and inputs the figure experiments use.
+workload's iteration once, as a :class:`~repro.graphs.taskgraph.TaskGraph`
+plus the host writes before it, so the serving layer's mixed workloads
+come straight from the suite: a tenant submitting "one VEC iteration at
+scale 100k with seed 7" gets the same kernels, cost models and inputs
+the figure experiments use.
 """
 
 from __future__ import annotations
 
-from repro.memory.array import AccessKind, DeviceArray, zero_block
-from repro.serve.request import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
-from repro.workloads.base import Benchmark
+import dataclasses
+
+from repro.graphs.taskgraph import ArrayDecl, TaskGraph
+from repro.memory.array import read_only_view, zero_block
+from repro.workloads.base import Benchmark, generate
 from repro.workloads.suite import create_benchmark
 
 
@@ -22,65 +23,27 @@ def graph_from_benchmark(
 ) -> TaskGraph:
     """One iteration of ``bench`` as a self-contained task graph.
 
-    Host inputs are generated exactly as the benchmark's ``refresh``
-    would (same per-iteration RNG), captured into the graph's array
-    declarations; launches are the benchmark's invocations verbatim.
-    Every ``init`` is read-only: a written array keeps its staging
-    buffer, and an array ``refresh`` never writes gets a zero block.
+    The benchmark's declared graph, with the host writes of
+    ``bench.inputs(iteration)`` generated once (same per-iteration RNG)
+    and adopted as read-only ``init``; every array the iteration does
+    not write gets a zero block.
     """
-    specs = bench.array_specs()
-    written: set[str] = set()
-
-    def record_write(
-        array: DeviceArray, kind: AccessKind, touched: int
-    ) -> None:
-        if kind.writes:
-            written.add(array.name)
-
-    # Detached arrays: refresh() writes the iteration's host inputs into
-    # them with no runtime attached, which costs nothing and lets us
-    # take the exact input data; the hook only notes which it wrote.
-    staging = {
-        name: DeviceArray(spec.shape, dtype=spec.dtype, name=name)
-        for name, spec in specs.items()
-    }
-    for array in staging.values():
-        array.set_access_hook(record_write)
-    bench.refresh(staging, iteration)
+    graph = bench.graph()
+    data = generate(bench.inputs(iteration))
     arrays = {}
-    for name, spec in specs.items():
-        buffer = staging[name].kernel_view
-        if name in written:
-            buffer.flags.writeable = False
+    for name, decl in graph.arrays.items():
+        shape = (decl.shape,) if isinstance(decl.shape, int) else decl.shape
+        if name in data:
+            init = read_only_view(data[name], decl.dtype)
+            if init.shape != shape:
+                raise ValueError(
+                    f"shape mismatch: array {name} {shape}, input"
+                    f" {init.shape}"
+                )
         else:
-            buffer = zero_block(buffer.shape, buffer.dtype)
-        arrays[name] = ArrayDecl(
-            name=name,
-            shape=buffer.shape,
-            dtype=spec.dtype,
-            init=buffer,
-        )
-    kernels = tuple(
-        KernelDecl(
-            name=k.name, signature=k.signature, fn=k.fn, cost=k.cost
-        )
-        for k in bench.kernel_specs()
-    )
-    launches = tuple(
-        LaunchDecl(
-            kernel=inv.kernel,
-            grid=inv.grid,
-            block=inv.block,
-            args=tuple(inv.args),
-        )
-        for inv in bench.invocations()
-    )
-    return TaskGraph(
-        name=f"{bench.name}@{bench.scale}",
-        arrays=arrays,
-        kernels=kernels,
-        launches=launches,
-    )
+            init = zero_block(shape, decl.dtype)
+        arrays[name] = ArrayDecl(name, shape, decl.dtype, init)
+    return dataclasses.replace(graph, arrays=arrays)
 
 
 #: Small per-workload scales that keep serving benchmarks fast while

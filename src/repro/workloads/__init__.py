@@ -9,19 +9,13 @@ modes:
 * CUDA Graphs built by **stream capture** (Fig. 8),
 * **hand-tuned CUDA events** with explicit prefetching (Fig. 8).
 
-Each kernel carries both a real numpy implementation (results are
-validated against independent references) and a roofline cost profile
-(timings are simulated).
+Each benchmark declares one iteration as a task graph plus the host
+writes before each iteration.  Each kernel carries both a real numpy
+implementation (results are validated against independent references)
+and a roofline cost profile (timings are simulated).
 """
 
-from repro.workloads.base import (
-    ArraySpec,
-    Benchmark,
-    Invocation,
-    KernelSpec,
-    Mode,
-    RunResult,
-)
+from repro.workloads.base import Benchmark, Mode, RunResult
 from repro.workloads.vec import VectorSquares
 from repro.workloads.bs import BlackScholes
 from repro.workloads.img import ImageProcessing
@@ -35,10 +29,7 @@ from repro.workloads.suite import (
 )
 
 __all__ = [
-    "ArraySpec",
     "Benchmark",
-    "Invocation",
-    "KernelSpec",
     "Mode",
     "RunResult",
     "VectorSquares",

@@ -1,11 +1,12 @@
 """Benchmark framework: declare a workload once, run it five ways.
 
-A :class:`Benchmark` declares its arrays, kernels (numpy implementation +
-roofline cost model + NIDL signature) and the per-iteration kernel
-invocations.  The framework derives every execution mode from that single
-declaration:
+A :class:`Benchmark` declares one iteration as a
+:class:`~repro.graphs.taskgraph.TaskGraph` — its arrays, kernels (numpy
+implementation + roofline cost model + NIDL signature) and launches —
+plus :meth:`~Benchmark.inputs`, the host writes before each iteration.
+The framework derives every execution mode from that single declaration:
 
-* the GrCUDA modes replay the invocations through the runtime's host API,
+* the GrCUDA modes replay the launches through the runtime's host API,
   exactly like the Python host code of the paper's Fig. 4;
 * the baseline modes derive the *optimal static schedule* (the Fig. 6
   stream coloring) with the same greedy rules and execute it through the
@@ -20,12 +21,10 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.dag import ComputationDAG
-from repro.core.element import ComputationalElement
 from repro.core.policies import (
     DevicePlacementPolicy,
     ExecutionPolicy,
@@ -37,16 +36,37 @@ from repro.gpusim.device import Device
 from repro.gpusim.engine import SimEngine
 from repro.gpusim.specs import GPUSpec, gpu_by_name
 from repro.gpusim.timeline import Timeline
-from repro.graphs.capture import StreamCapture
+from repro.graphs.capture import capture_plan
 from repro.graphs.graph import CudaGraph
 from repro.graphs.handtuned import HandTunedScheduler
-from repro.graphs.planner import plan_streams
+from repro.graphs.planner import launch_parents, plan_streams
+from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.kernel import Kernel
-from repro.kernels.profile import CostModel
 from repro.kernels.registry import build_kernel
-from repro.kernels.signature import parse_signature
 from repro.memory.array import AccessKind, DeviceArray
 from repro.memory.coherence import CoherenceEngine, MovementPolicy
+from repro.obs.counters import CounterRegistry
+
+#: The host writes before one iteration, in write order: array name ->
+#: a generator of the array's data.
+Writes = dict[str, Callable[[], np.ndarray]]
+
+
+def generate(writes: Writes) -> dict[str, np.ndarray]:
+    """Every write's data, generated in write order."""
+    return {name: make() for name, make in writes.items()}
+
+
+def uniform32(
+    rng: np.random.Generator, low: float, high: float, shape
+) -> np.ndarray:
+    """``rng.uniform(low, high, shape).astype(np.float32)``, into an
+    array allocated before the float64 draw.  Serving graphs keep their
+    inputs, and a kept array placed just above a freed draw fragments
+    the heap: 400 serving graphs took 0.1 GB more RSS that way."""
+    out = np.empty(shape, np.float32)
+    out[...] = rng.uniform(low, high, shape)
+    return out
 
 
 class Mode(enum.Enum):
@@ -61,48 +81,6 @@ class Mode(enum.Enum):
     @property
     def is_grcuda(self) -> bool:
         return self in (Mode.SERIAL, Mode.PARALLEL)
-
-
-@dataclass(frozen=True)
-class ArraySpec:
-    """Declaration of one benchmark array."""
-
-    shape: tuple[int, ...] | int
-    dtype: Any = np.float32
-
-    @property
-    def nbytes(self) -> int:
-        shape = (
-            (self.shape,) if isinstance(self.shape, int) else self.shape
-        )
-        n = 1
-        for s in shape:
-            n *= s
-        return n * np.dtype(self.dtype).itemsize
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Declaration of one kernel: implementation + signature + cost."""
-
-    name: str
-    signature: str
-    fn: Any  # Callable[..., None]
-    cost: CostModel
-
-
-@dataclass(frozen=True)
-class Invocation:
-    """One kernel launch inside an iteration.
-
-    ``args`` entries that are strings name benchmark arrays; everything
-    else is passed through as a scalar.
-    """
-
-    kernel: str
-    grid: int | tuple[int, ...]
-    block: int | tuple[int, ...]
-    args: tuple[Any, ...]
 
 
 @dataclass
@@ -125,16 +103,6 @@ class RunResult:
     @property
     def per_iteration(self) -> float:
         return self.elapsed / max(1, self.iterations)
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    """Static-schedule entry for one invocation (baseline modes)."""
-
-    index: int
-    stream: int
-    waits: tuple[int, ...]       # invocation indices to wait on
-    record_event: bool
 
 
 class Benchmark(abc.ABC):
@@ -164,28 +132,22 @@ class Benchmark(abc.ABC):
         self.iterations = iterations
         self.seed = seed
         self.execute = execute
-        self._inputs: list[dict[str, np.ndarray]] = []
 
     # -- declaration (subclass responsibility) ------------------------------
 
     @abc.abstractmethod
-    def array_specs(self) -> dict[str, ArraySpec]:
-        """Arrays the workload allocates, by name."""
+    def graph(self) -> TaskGraph:
+        """One iteration: the arrays, kernels and launches in
+        host-program order (no input data; see :meth:`inputs`)."""
 
     @abc.abstractmethod
-    def kernel_specs(self) -> list[KernelSpec]:
-        """Kernels the workload builds."""
+    def inputs(self, iteration: int) -> Writes:
+        """The host writes before ``iteration``, in write order.
 
-    @abc.abstractmethod
-    def invocations(self) -> list[Invocation]:
-        """Kernel launches of ONE iteration, in host-program order."""
-
-    @abc.abstractmethod
-    def refresh(self, arrays: dict[str, DeviceArray], iteration: int) -> None:
-        """Host-side input (re-)initialization before an iteration.
-
-        Must record the generated inputs via :meth:`record_inputs` so
-        that :meth:`reference` can validate results.
+        A pure function of the seed and the iteration.  A generator runs
+        only when its data is wanted, and a caller that wants the data
+        runs every generator of one call once, in order: they may share
+        one RNG stream.
         """
 
     @abc.abstractmethod
@@ -203,50 +165,44 @@ class Benchmark(abc.ABC):
         """Deterministic per-iteration RNG."""
         return np.random.default_rng((self.seed, iteration))
 
-    def record_inputs(self, iteration: int, **named: np.ndarray) -> None:
-        """Store the iteration's inputs for :meth:`reference`."""
-        while len(self._inputs) <= iteration:
-            self._inputs.append({})
-        self._inputs[iteration].update(
-            {k: np.array(v, copy=True) for k, v in named.items()}
+    def declare(
+        self,
+        arrays: list[ArrayDecl],
+        kernels: list[KernelDecl],
+        launches: list[LaunchDecl],
+    ) -> TaskGraph:
+        """The task graph :meth:`graph` returns, named after the
+        benchmark and its scale."""
+        return TaskGraph(
+            name=f"{self.name}@{self.scale}",
+            arrays={a.name: a for a in arrays},
+            kernels=tuple(kernels),
+            launches=tuple(launches),
         )
 
-    def load_input(
-        self,
-        iteration: int,
-        array: DeviceArray,
-        make,
-        record: str | None = None,
-    ) -> np.ndarray | None:
-        """Write one host input into ``array``.
+    def refresh(self, arrays: dict[str, DeviceArray], iteration: int) -> None:
+        """Host-side input (re-)initialization before an iteration.
 
-        When functional execution is on, ``make()`` generates the data,
-        it is copied in (paying the UM costs through the access hook) and
-        optionally recorded for :meth:`reference`.  In timing-only mode
-        the write is *announced* instead (identical timing) without
-        generating gigabytes of values.
+        With functional execution on, each write of :meth:`inputs` is
+        generated and copied in (paying the UM costs through the access
+        hook).  In timing-only mode the write is *announced* instead
+        (identical timing) without generating gigabytes of values.
         """
-        if self.execute:
-            data = make()
-            array.copy_from_host(data)
-            if record:
-                self.record_inputs(iteration, **{record: data})
-            return data
-        array.touch_write_full()
-        return None
-
-    def inputs(self, iteration: int) -> dict[str, np.ndarray]:
-        return self._inputs[iteration]
+        for name, make in self.inputs(iteration).items():
+            if self.execute:
+                arrays[name].copy_from_host(make())
+            else:
+                arrays[name].touch_write_full()
 
     def memory_footprint_bytes(self) -> int:
         """Total UM allocation, the quantity of Table I."""
-        return sum(s.nbytes for s in self.array_specs().values())
+        return self.graph().total_bytes
 
     def kernel_count_per_iteration(self) -> int:
-        return len(self.invocations())
+        return len(self.graph().launches)
 
     def distinct_kernel_count(self) -> int:
-        return len(self.kernel_specs())
+        return len(self.graph().kernels)
 
     # -- mode dispatch ---------------------------------------------------------
 
@@ -334,30 +290,32 @@ class Benchmark(abc.ABC):
             gpus=gpus, placement=placement,
             movement_window=movement_window,
         )
+        graph = self.graph()
         arrays = {
             name: rt.array(
-                spec.shape,
-                dtype=spec.dtype,
+                decl.shape,
+                dtype=decl.dtype,
                 name=name,
                 materialize=self.execute,
             )
-            for name, spec in self.array_specs().items()
+            for name, decl in graph.arrays.items()
         }
         kernels = {
-            spec.name: rt.build_kernel(
-                spec.fn if self.execute else _noop,
-                spec.name,
-                spec.signature,
-                cost_model=spec.cost,
+            k.name: rt.build_kernel(
+                k.fn if self.execute else _noop,
+                k.name,
+                k.signature,
+                cost_model=k.cost,
             )
-            for spec in self.kernel_specs()
+            for k in graph.kernels
         }
         results: list[float] = []
         for it in range(self.iterations):
             self.refresh(arrays, it)
-            for inv in self.invocations():
-                args = self._resolve_args(inv.args, arrays)
-                kernels[inv.kernel](inv.grid, inv.block)(*args)
+            for launch in graph.launches:
+                kernels[launch.kernel](launch.grid, launch.block)(
+                    *launch.resolve(arrays)
+                )
             results.append(self.read_result(arrays))
         rt.sync()
         timeline = rt.timeline()
@@ -380,110 +338,58 @@ class Benchmark(abc.ABC):
             counters=rt.counters(),
         )
 
-    # -- static plan shared by the baseline modes ---------------------------------
-
-    def static_plan(self) -> list[PlanStep]:
-        """The optimal static schedule a skilled programmer would write.
-
-        Dependencies come from the same dependency-set analysis the
-        runtime scheduler performs (run offline on placeholder arrays);
-        stream assignment uses the first-child-inherits rule.  This is
-        the Fig. 6 coloring, derived rather than hard-coded, and shared
-        by the graph-manual, graph-capture and hand-tuned runners.
-        """
-        sig_access = {
-            spec.name: [
-                p.access for p in parse_signature(spec.signature) if p.is_pointer
-            ]
-            for spec in self.kernel_specs()
-        }
-        placeholders = {
-            name: DeviceArray(1, name=name) for name in self.array_specs()
-        }
-        dag = ComputationDAG()
-        elements: list[ComputationalElement] = []
-        parents_of: list[list[int]] = []
-        index_of: dict[int, int] = {}
-        for i, inv in enumerate(self.invocations()):
-            array_names = [a for a in inv.args if isinstance(a, str)]
-            accesses = [
-                (placeholders[n], k)
-                for n, k in zip(array_names, sig_access[inv.kernel])
-            ]
-            e = ComputationalElement(accesses, label=f"{inv.kernel}#{i}")
-            parent_elems = dag.add(e)
-            elements.append(e)
-            index_of[e.element_id] = i
-            parents_of.append(
-                [index_of[p.element_id] for p in parent_elems]
-            )
-
-        return [
-            PlanStep(
-                index=s.index,
-                stream=s.stream,
-                waits=s.waits,
-                record_event=s.record_event,
-            )
-            for s in plan_streams(parents_of)
-        ]
-
     # -- baseline infrastructure ------------------------------------------------
+    #
+    # The three baselines share one static plan: the runtime scheduler's
+    # dependency analysis run offline (graphs.planner.launch_parents) and
+    # the first-child-inherits stream assignment — the Fig. 6 coloring,
+    # derived rather than hard-coded.
 
     def _baseline_setup(
-        self, gpu: str | GPUSpec
-    ) -> tuple[SimEngine, dict[str, DeviceArray], dict[str, Kernel]]:
+        self, gpu: str | GPUSpec, graph: TaskGraph
+    ) -> tuple[
+        SimEngine, _BaselineHost, dict[str, DeviceArray], dict[str, Kernel]
+    ]:
         spec = gpu_by_name(gpu) if isinstance(gpu, str) else gpu
         engine = SimEngine(Device(spec))
         arrays = {
             name: DeviceArray(
-                aspec.shape,
-                dtype=aspec.dtype,
+                decl.shape,
+                dtype=decl.dtype,
                 devices=engine.devices,
                 name=name,
                 materialize=self.execute,
             )
-            for name, aspec in self.array_specs().items()
+            for name, decl in graph.arrays.items()
         }
         host = _BaselineHost(engine)
-        self._baseline_host = host
         for arr in arrays.values():
             arr.set_access_hook(host.hook)
         kernels = {
-            kspec.name: build_kernel(
-                kspec.fn if self.execute else _noop,
-                kspec.name,
-                kspec.signature,
-                cost_model=kspec.cost,
+            k.name: build_kernel(
+                k.fn if self.execute else _noop,
+                k.name,
+                k.signature,
+                cost_model=k.cost,
             )
-            for kspec in self.kernel_specs()
+            for k in graph.kernels
         }
-        return engine, arrays, kernels
-
-    def _resolve_args(
-        self, args: tuple[Any, ...], arrays: dict[str, DeviceArray]
-    ) -> tuple[Any, ...]:
-        return tuple(
-            arrays[a] if isinstance(a, str) else a for a in args
-        )
+        return engine, host, arrays, kernels
 
     def _finish_baseline(
         self,
         engine: SimEngine,
+        host: _BaselineHost,
         mode: Mode,
         results: list[float],
         streams_used: int,
     ) -> RunResult:
         engine.sync_all()
-        from repro.obs.counters import CounterRegistry
-
         merged = CounterRegistry()
         engine_counters = getattr(engine, "counters", None)
         if engine_counters is not None:
             merged.merge(engine_counters)
-        host = getattr(self, "_baseline_host", None)
-        if host is not None:
-            merged.merge(host.coherence.counters)
+        merged.merge(host.coherence.counters)
         return RunResult(
             benchmark=self.name,
             mode=mode,
@@ -498,13 +404,13 @@ class Benchmark(abc.ABC):
         )
 
     def _run_graph(self, gpu: str | GPUSpec, mode: Mode) -> RunResult:
-        engine, arrays, kernels = self._baseline_setup(gpu)
-        plan = self.static_plan()
-        invocations = self.invocations()
+        graph = self.graph()
+        engine, host, arrays, kernels = self._baseline_setup(gpu, graph)
+        plan = plan_streams(launch_parents(graph))
         if mode is Mode.GRAPH_MANUAL:
-            graph = CudaGraph(name=self.name)
+            cuda_graph = CudaGraph(name=self.name)
             nodes = []
-            for inv, step in zip(invocations, plan):
+            for launch, step in zip(graph.launches, plan):
                 # Manual deps: explicit edges — the cross-stream waits of
                 # the plan, plus the same-stream chain expressed as an
                 # edge to the immediate same-stream predecessor.
@@ -516,57 +422,33 @@ class Benchmark(abc.ABC):
                 if same_stream_prior:
                     deps.append(nodes[same_stream_prior[-1]])
                 nodes.append(
-                    graph.add_kernel_node(
-                        kernels[inv.kernel],
-                        inv.grid,
-                        inv.block,
-                        self._resolve_args(inv.args, arrays),
+                    cuda_graph.add_kernel_node(
+                        kernels[launch.kernel],
+                        launch.grid,
+                        launch.block,
+                        launch.resolve(arrays),
                         deps=deps,
                     )
                 )
         else:
-            cap = StreamCapture(name=self.name)
-            cap_streams = [
-                cap.stream()
-                for _ in range(1 + max(s.stream for s in plan))
-            ]
-            events: dict[int, Any] = {}
-            for inv, step in zip(invocations, plan):
-                stream = cap_streams[step.stream]
-                for w in step.waits:
-                    cap.wait_event(stream, events[w])
-                cap.launch(
-                    stream,
-                    kernels[inv.kernel],
-                    inv.grid,
-                    inv.block,
-                    self._resolve_args(inv.args, arrays),
-                )
-                if step.record_event:
-                    events[step.index] = cap.record_event(stream)
-            graph = cap.end_capture()
-        exe = graph.instantiate()
+            cuda_graph = capture_plan(
+                self.name, plan, graph.launches, kernels, arrays
+            )
+        exe = cuda_graph.instantiate()
         results: list[float] = []
         for it in range(self.iterations):
             self.refresh(arrays, it)
             exe.launch(engine)
             results.append(self.read_result(arrays))
         return self._finish_baseline(
-            engine, mode, results, exe.stream_count
+            engine, host, mode, results, exe.stream_count
         )
 
     def _run_handtuned(self, gpu: str | GPUSpec) -> RunResult:
-        engine, arrays, kernels = self._baseline_setup(gpu)
-        plan = self.static_plan()
-        invocations = self.invocations()
-        sig_access = {
-            spec.name: [
-                p.access
-                for p in parse_signature(spec.signature)
-                if p.is_pointer
-            ]
-            for spec in self.kernel_specs()
-        }
+        graph = self.graph()
+        engine, host, arrays, kernels = self._baseline_setup(gpu, graph)
+        plan = plan_streams(launch_parents(graph))
+        accesses_of = graph.signature_accesses()
         ht = HandTunedScheduler(engine)
         streams = [
             ht.stream() for _ in range(1 + max(s.stream for s in plan))
@@ -575,29 +457,28 @@ class Benchmark(abc.ABC):
         for it in range(self.iterations):
             self.refresh(arrays, it)
             events: dict[int, Any] = {}
-            for inv, step in zip(invocations, plan):
+            for launch, step in zip(graph.launches, plan):
                 stream = streams[step.stream]
                 for w in step.waits:
                     ht.wait_event(stream, events[w])
                 # The expert prefetches every stale read array explicitly.
-                array_names = [a for a in inv.args if isinstance(a, str)]
                 for name, access in zip(
-                    array_names, sig_access[inv.kernel]
+                    launch.array_names, accesses_of[launch.kernel]
                 ):
                     if access.reads:
                         ht.prefetch(arrays[name], stream)
                 ht.launch(
                     stream,
-                    kernels[inv.kernel],
-                    inv.grid,
-                    inv.block,
-                    self._resolve_args(inv.args, arrays),
+                    kernels[launch.kernel],
+                    launch.grid,
+                    launch.block,
+                    launch.resolve(arrays),
                 )
                 if step.record_event:
                     events[step.index] = ht.record_event(stream)
             results.append(self.read_result(arrays))
         return self._finish_baseline(
-            engine, Mode.HANDTUNED, results, len(streams)
+            engine, host, Mode.HANDTUNED, results, len(streams)
         )
 
 

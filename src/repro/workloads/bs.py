@@ -20,9 +20,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
+from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.workloads.base import ArraySpec, Benchmark, Invocation, KernelSpec
+from repro.workloads.base import Benchmark, Writes, generate
 
 #: Option parameters (the CUDA sample's fixed rate/volatility setup).
 RISK_FREE = 0.02
@@ -74,50 +75,45 @@ class BlackScholes(Benchmark):
         "European call options for 10 stocks; FP64-heavy, no dependencies"
     )
 
-    def array_specs(self) -> dict[str, ArraySpec]:
-        n = self.scale
-        specs: dict[str, ArraySpec] = {}
-        for i in range(NUM_STOCKS):
-            specs[f"x{i}"] = ArraySpec(n, np.float64)
-            specs[f"y{i}"] = ArraySpec(n, np.float64)
-        return specs
-
-    def kernel_specs(self) -> list[KernelSpec]:
-        return [
-            KernelSpec(
-                name="bs",
-                signature="const ptr double, ptr double, sint32",
-                fn=_bs_kernel,
-                # log, exp, sqrt and two ndtr evaluations expand to ~180
-                # FP64 operations per option (transcendentals are
-                # multi-instruction sequences); 8 B in + 8 B out.
-                cost=LinearCostModel(
-                    flops_per_item=180.0,
-                    dram_bytes_per_item=16.0,
-                    l2_bytes_per_item=16.0,
-                    instructions_per_item=180.0,
-                    fp64=True,
-                ),
-            )
-        ]
-
-    def invocations(self) -> list[Invocation]:
+    def graph(self) -> TaskGraph:
         n = self.scale
         g, b = self.num_blocks, self.block_size
-        return [
-            Invocation("bs", g, b, (f"x{i}", f"y{i}", n))
-            for i in range(NUM_STOCKS)
-        ]
+        return self.declare(
+            arrays=[
+                ArrayDecl(f"{xy}{i}", n, np.float64)
+                for i in range(NUM_STOCKS)
+                for xy in "xy"
+            ],
+            kernels=[
+                KernelDecl(
+                    name="bs",
+                    signature="const ptr double, ptr double, sint32",
+                    fn=_bs_kernel,
+                    # log, exp, sqrt and two ndtr evaluations expand to
+                    # ~180 FP64 operations per option (transcendentals
+                    # are multi-instruction sequences); 8 B in + 8 B out.
+                    cost=LinearCostModel(
+                        flops_per_item=180.0,
+                        dram_bytes_per_item=16.0,
+                        l2_bytes_per_item=16.0,
+                        instructions_per_item=180.0,
+                        fp64=True,
+                    ),
+                )
+            ],
+            launches=[
+                LaunchDecl("bs", g, b, (f"x{i}", f"y{i}", n))
+                for i in range(NUM_STOCKS)
+            ],
+        )
 
-    def refresh(self, arrays: dict[str, DeviceArray], iteration: int) -> None:
+    def inputs(self, iteration: int) -> Writes:
         rng = self.rng(iteration)
-        for i in range(NUM_STOCKS):
-            self.load_input(
-                iteration,
-                arrays[f"x{i}"],
-                lambda: rng.uniform(20.0, 40.0, self.scale),
-                record=f"x{i}",
-            )
+
+        def prices() -> np.ndarray:
+            return rng.uniform(20.0, 40.0, self.scale)
+
+        return {f"x{i}": prices for i in range(NUM_STOCKS)}
 
     def read_result(self, arrays: dict[str, DeviceArray]) -> float:
         return float(
@@ -125,7 +121,7 @@ class BlackScholes(Benchmark):
         )
 
     def reference(self, iteration: int) -> float:
-        ins = self.inputs(iteration)
+        ins = generate(self.inputs(iteration))
         return float(
             sum(
                 black_scholes_call(ins[f"x{i}"][:1])[0]

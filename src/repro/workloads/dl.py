@@ -22,9 +22,10 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
+from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.workloads.base import ArraySpec, Benchmark, Invocation, KernelSpec
+from repro.workloads.base import Benchmark, Writes, generate, uniform32
 
 KERNEL_SIZE = 3
 
@@ -64,122 +65,116 @@ class DeepLearning(Benchmark):
         if self.scale < 4:
             raise ValueError("DL needs scale >= 4")
 
-    def array_specs(self) -> dict[str, ArraySpec]:
+    def graph(self) -> TaskGraph:
         s = self.scale
         h = s // 2
-        img = ArraySpec((s, s), np.float32)
-        half = ArraySpec((h, h), np.float32)
-        w = ArraySpec((KERNEL_SIZE, KERNEL_SIZE), np.float32)
-        return {
-            "x": img, "y": img,
-            "w1": w, "w2": w, "w3": w, "w4": w,
-            "x1": img, "y1": img,
-            "x2": half, "y2": half,
-            "x3": half, "y3": half,
-            "z": ArraySpec(2 * h * h, np.float32),
-            "wd": ArraySpec(2 * h * h, np.float32),
-            "out": ArraySpec(1, np.float32),
-        }
-
-    def kernel_specs(self) -> list[KernelSpec]:
-        conv_sig = "const ptr, const ptr, ptr, sint32"
-        return [
-            KernelSpec(
-                "conv", conv_sig, _conv,
-                # 3x3 kernel across 32 feature channels (~600 MACs per
-                # output pixel); register-limited occupancy.  The
-                # functional implementation computes one representative
-                # channel; the cost model prices the full layer.
-                LinearCostModel(
-                    flops_per_item=600.0,
-                    dram_bytes_per_item=12.0,
-                    l2_bytes_per_item=200.0,
-                    instructions_per_item=250.0,
-                    sm_fraction_cap=0.85,
-                ),
-            ),
-            KernelSpec(
-                "pool", "const ptr, ptr, sint32", _pool,
-                LinearCostModel(
-                    flops_per_item=3.0,
-                    dram_bytes_per_item=5.0,
-                    instructions_per_item=5.0,
-                ),
-            ),
-            KernelSpec(
-                "concat", "const ptr, const ptr, ptr, sint32", _concat,
-                LinearCostModel(
-                    dram_bytes_per_item=12.0,
-                    instructions_per_item=3.0,
-                ),
-            ),
-            KernelSpec(
-                "dot", "const ptr, const ptr, ptr, sint32", _dot,
-                LinearCostModel(
-                    flops_per_item=2.0,
-                    dram_bytes_per_item=8.0,
-                    instructions_per_item=4.0,
-                ),
-            ),
-        ]
-
-    def invocations(self) -> list[Invocation]:
-        s = self.scale
-        h = s // 2
+        img, half, w = (s, s), (h, h), (KERNEL_SIZE, KERNEL_SIZE)
         g2 = (48, 48)
         b2 = (self.block_size_2d, self.block_size_2d)
         g1, b1 = self.num_blocks, self.block_size
-        return [
-            Invocation("conv", g2, b2, ("x", "w1", "x1", s)),
-            Invocation("pool", g2, b2, ("x1", "x2", s)),
-            Invocation("conv", g2, b2, ("x2", "w2", "x3", h)),
-            Invocation("conv", g2, b2, ("y", "w3", "y1", s)),
-            Invocation("pool", g2, b2, ("y1", "y2", s)),
-            Invocation("conv", g2, b2, ("y2", "w4", "y3", h)),
-            Invocation("concat", g1, b1, ("x3", "y3", "z", h * h)),
-            Invocation("dot", g1, b1, ("z", "wd", "out", 2 * h * h)),
-        ]
+        conv_sig = "const ptr, const ptr, ptr, sint32"
+        return self.declare(
+            arrays=[
+                ArrayDecl("x", img),
+                ArrayDecl("y", img),
+                ArrayDecl("w1", w),
+                ArrayDecl("w2", w),
+                ArrayDecl("w3", w),
+                ArrayDecl("w4", w),
+                ArrayDecl("x1", img),
+                ArrayDecl("y1", img),
+                ArrayDecl("x2", half),
+                ArrayDecl("y2", half),
+                ArrayDecl("x3", half),
+                ArrayDecl("y3", half),
+                ArrayDecl("z", 2 * h * h),
+                ArrayDecl("wd", 2 * h * h),
+                ArrayDecl("out", 1),
+            ],
+            kernels=[
+                KernelDecl(
+                    "conv", conv_sig, _conv,
+                    # 3x3 kernel across 32 feature channels (~600 MACs
+                    # per output pixel); register-limited occupancy.
+                    # The functional implementation computes one
+                    # representative channel; the cost model prices the
+                    # full layer.
+                    LinearCostModel(
+                        flops_per_item=600.0,
+                        dram_bytes_per_item=12.0,
+                        l2_bytes_per_item=200.0,
+                        instructions_per_item=250.0,
+                        sm_fraction_cap=0.85,
+                    ),
+                ),
+                KernelDecl(
+                    "pool", "const ptr, ptr, sint32", _pool,
+                    LinearCostModel(
+                        flops_per_item=3.0,
+                        dram_bytes_per_item=5.0,
+                        instructions_per_item=5.0,
+                    ),
+                ),
+                KernelDecl(
+                    "concat", "const ptr, const ptr, ptr, sint32", _concat,
+                    LinearCostModel(
+                        dram_bytes_per_item=12.0,
+                        instructions_per_item=3.0,
+                    ),
+                ),
+                KernelDecl(
+                    "dot", "const ptr, const ptr, ptr, sint32", _dot,
+                    LinearCostModel(
+                        flops_per_item=2.0,
+                        dram_bytes_per_item=8.0,
+                        instructions_per_item=4.0,
+                    ),
+                ),
+            ],
+            launches=[
+                LaunchDecl("conv", g2, b2, ("x", "w1", "x1", s)),
+                LaunchDecl("pool", g2, b2, ("x1", "x2", s)),
+                LaunchDecl("conv", g2, b2, ("x2", "w2", "x3", h)),
+                LaunchDecl("conv", g2, b2, ("y", "w3", "y1", s)),
+                LaunchDecl("pool", g2, b2, ("y1", "y2", s)),
+                LaunchDecl("conv", g2, b2, ("y2", "w4", "y3", h)),
+                LaunchDecl("concat", g1, b1, ("x3", "y3", "z", h * h)),
+                LaunchDecl("dot", g1, b1, ("z", "wd", "out", 2 * h * h)),
+            ],
+        )
 
-    def refresh(self, arrays: dict[str, DeviceArray], iteration: int) -> None:
+    def inputs(self, iteration: int) -> Writes:
         rng = self.rng(iteration)
         s = self.scale
-        for name in ("x", "y"):
-            self.load_input(
-                iteration,
-                arrays[name],
-                lambda: rng.uniform(0.0, 1.0, (s, s)).astype(np.float32),
-                record=name,
-            )
+
+        def image() -> np.ndarray:
+            return uniform32(rng, 0.0, 1.0, (s, s))
+
+        writes = {"x": image, "y": image}
         if iteration == 0:
-            wrng = self.rng(424_243)
-            h = s // 2
-            self._weights = {}
-            for name in ("w1", "w2", "w3", "w4"):
-                data = self.load_input(
-                    iteration,
-                    arrays[name],
-                    lambda: wrng.uniform(
-                        -0.5, 0.5, (KERNEL_SIZE, KERNEL_SIZE)
-                    ).astype(np.float32),
-                )
-                if data is not None:
-                    self._weights[name] = data
-            data = self.load_input(
-                iteration,
-                arrays["wd"],
-                lambda: wrng.uniform(-0.1, 0.1, 2 * h * h).astype(
-                    np.float32
-                ),
-            )
-            if data is not None:
-                self._weights["wd"] = data
+            writes.update(self._weight_inputs())
+        return writes
+
+    def _weight_inputs(self) -> Writes:
+        """The network's weights, written once before the first
+        iteration."""
+        wrng = self.rng(424_243)
+        h = self.scale // 2
+
+        def kernel() -> np.ndarray:
+            return uniform32(wrng, -0.5, 0.5, (KERNEL_SIZE, KERNEL_SIZE))
+
+        return {
+            "w1": kernel, "w2": kernel, "w3": kernel, "w4": kernel,
+            "wd": lambda: uniform32(wrng, -0.1, 0.1, 2 * h * h),
+        }
 
     def read_result(self, arrays: dict[str, DeviceArray]) -> float:
         return float(arrays["out"][0])
 
     def reference(self, iteration: int) -> float:
-        ins = self.inputs(iteration)
-        w = self._weights
+        ins = generate(self.inputs(iteration))
+        w = generate(self._weight_inputs())
         s = self.scale
         h = s // 2
 

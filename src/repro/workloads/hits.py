@@ -30,9 +30,10 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.workloads.base import ArraySpec, Benchmark, Invocation, KernelSpec
+from repro.workloads.base import Benchmark, Writes
 
 AVG_DEGREE = 3
 
@@ -82,25 +83,11 @@ class HITS(Benchmark):
             self._at_cache = self._a.T.tocsr()
         return self._at_cache
 
-    def array_specs(self) -> dict[str, ArraySpec]:
+    def graph(self) -> TaskGraph:
         n = self.scale
         nnz = n * AVG_DEGREE
-        return {
-            "a_row": ArraySpec(n + 1, np.int32),
-            "a_col": ArraySpec(nnz, np.int32),
-            "a_val": ArraySpec(nnz, np.float32),
-            "at_row": ArraySpec(n + 1, np.int32),
-            "at_col": ArraySpec(nnz, np.int32),
-            "at_val": ArraySpec(nnz, np.float32),
-            "auth": ArraySpec(n, np.float32),
-            "hub": ArraySpec(n, np.float32),
-            "auth2": ArraySpec(n, np.float32),
-            "hub2": ArraySpec(n, np.float32),
-            "auth_norm": ArraySpec(1, np.float32),
-            "hub_norm": ArraySpec(1, np.float32),
-        }
+        g, b = self.num_blocks, self.block_size
 
-    def kernel_specs(self) -> list[KernelSpec]:
         def spmv_a(row, col, val, vin, vout, n):
             vout[:n] = self._a @ vin[:n]
 
@@ -132,52 +119,65 @@ class HITS(Benchmark):
             dram_bytes_per_item=8.0,
             instructions_per_item=4.0,
         )
-        return [
-            KernelSpec("spmv_a", spmv_sig, spmv_a, spmv_cost),
-            KernelSpec("spmv_at", spmv_sig, spmv_at, spmv_cost),
-            KernelSpec("sum", "const ptr, ptr, sint32", vec_sum, vec_cost),
-            KernelSpec(
-                "divide", "const ptr, ptr, const ptr, sint32", divide,
-                div_cost,
+        step = [
+            LaunchDecl(
+                "spmv_at", g, b,
+                ("at_row", "at_col", "at_val", "hub", "auth2", n),
             ),
+            LaunchDecl(
+                "spmv_a", g, b,
+                ("a_row", "a_col", "a_val", "auth", "hub2", n),
+            ),
+            LaunchDecl("sum", g, b, ("auth2", "auth_norm", n)),
+            LaunchDecl("sum", g, b, ("hub2", "hub_norm", n)),
+            LaunchDecl("divide", g, b, ("auth2", "auth", "auth_norm", n)),
+            LaunchDecl("divide", g, b, ("hub2", "hub", "hub_norm", n)),
         ]
-
-    def invocations(self) -> list[Invocation]:
-        n = self.scale
-        g, b = self.num_blocks, self.block_size
-        steps: list[Invocation] = []
-        for _ in range(self.inner_steps):
-            steps += [
-                Invocation(
-                    "spmv_at", g, b,
-                    ("at_row", "at_col", "at_val", "hub", "auth2", n),
+        return self.declare(
+            arrays=[
+                ArrayDecl("a_row", n + 1, np.int32),
+                ArrayDecl("a_col", nnz, np.int32),
+                ArrayDecl("a_val", nnz),
+                ArrayDecl("at_row", n + 1, np.int32),
+                ArrayDecl("at_col", nnz, np.int32),
+                ArrayDecl("at_val", nnz),
+                ArrayDecl("auth", n),
+                ArrayDecl("hub", n),
+                ArrayDecl("auth2", n),
+                ArrayDecl("hub2", n),
+                ArrayDecl("auth_norm", 1),
+                ArrayDecl("hub_norm", 1),
+            ],
+            kernels=[
+                KernelDecl("spmv_a", spmv_sig, spmv_a, spmv_cost),
+                KernelDecl("spmv_at", spmv_sig, spmv_at, spmv_cost),
+                KernelDecl("sum", "const ptr, ptr, sint32", vec_sum, vec_cost),
+                KernelDecl(
+                    "divide", "const ptr, ptr, const ptr, sint32", divide,
+                    div_cost,
                 ),
-                Invocation(
-                    "spmv_a", g, b,
-                    ("a_row", "a_col", "a_val", "auth", "hub2", n),
-                ),
-                Invocation("sum", g, b, ("auth2", "auth_norm", n)),
-                Invocation("sum", g, b, ("hub2", "hub_norm", n)),
-                Invocation("divide", g, b, ("auth2", "auth", "auth_norm", n)),
-                Invocation("divide", g, b, ("hub2", "hub", "hub_norm", n)),
-            ]
-        return steps
+            ],
+            launches=step * self.inner_steps,
+        )
 
-    def refresh(self, arrays: dict[str, DeviceArray], iteration: int) -> None:
+    def inputs(self, iteration: int) -> Writes:
+        writes: Writes = {}
         if iteration == 0:
-            csr_parts = {
-                "a_row": lambda: self._a.indptr.astype(np.int32),
-                "a_col": lambda: self._a.indices.astype(np.int32),
-                "a_val": lambda: self._a.data,
-                "at_row": lambda: self._at.indptr.astype(np.int32),
-                "at_col": lambda: self._at.indices.astype(np.int32),
-                "at_val": lambda: self._at.data,
-            }
-            for name, make in csr_parts.items():
-                self.load_input(iteration, arrays[name], make)
-        arrays["auth"].fill(1.0)
-        arrays["hub"].fill(1.0)
-        self.record_inputs(iteration)  # graph is fixed; vectors reset
+            # The graph is fixed: its CSR arrays are uploaded once.
+            for m, csr in (("a", lambda: self._a), ("at", lambda: self._at)):
+                writes[f"{m}_row"] = lambda csr=csr: csr().indptr.astype(
+                    np.int32
+                )
+                writes[f"{m}_col"] = lambda csr=csr: csr().indices.astype(
+                    np.int32
+                )
+                writes[f"{m}_val"] = lambda csr=csr: csr().data
+
+        # Both vectors restart from ones every iteration.
+        def ones() -> np.ndarray:
+            return np.ones(self.scale, dtype=np.float32)
+
+        return {**writes, "auth": ones, "hub": ones}
 
     def read_result(self, arrays: dict[str, DeviceArray]) -> float:
         return float(

@@ -26,9 +26,10 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
+from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.workloads.base import ArraySpec, Benchmark, Invocation, KernelSpec
+from repro.workloads.base import Benchmark, Writes, generate, uniform32
 
 SIGMA_SMALL = 1.0
 SIGMA_LARGE = 4.0
@@ -95,177 +96,157 @@ class ImageProcessing(Benchmark):
         " gradient masks; 4-stream pipeline"
     )
 
-    def array_specs(self) -> dict[str, ArraySpec]:
+    def graph(self) -> TaskGraph:
         s = self.scale
-        img = ArraySpec((s, s), np.float32)
-        scalar = ArraySpec(1, np.float32)
-        return {
-            "image": img,
-            "blurred_small": img,
-            "mask_small": img,
-            "blurred_large": img,
-            "mask_large": img,
-            "blurred_unsharpen": img,
-            "image_unsharpened": img,
-            "image2": img,
-            "image3": img,
-            "minimum": scalar,
-            "maximum": scalar,
-        }
-
-    def kernel_specs(self) -> list[KernelSpec]:
+        g2 = (self.num_blocks_2d, self.num_blocks_2d)
+        b2 = (self.block_size_2d, self.block_size_2d)
+        g1, b1 = self.num_blocks, self.block_size
         blur_cost = dict(
             dram_bytes_per_item=8.0,
             instructions_per_item=30.0,
             sm_fraction_cap=0.6,  # shared-memory tiles limit occupancy
         )
-        return [
-            KernelSpec(
-                "blur_small", "const ptr, ptr, sint32", _blur(SIGMA_SMALL),
-                LinearCostModel(
-                    flops_per_item=18.0, l2_bytes_per_item=44.0, **blur_cost
+        images = (
+            "image", "blurred_small", "mask_small", "blurred_large",
+            "mask_large", "blurred_unsharpen", "image_unsharpened",
+            "image2", "image3",
+        )
+        return self.declare(
+            arrays=[ArrayDecl(name, (s, s)) for name in images]
+            + [ArrayDecl("minimum", 1), ArrayDecl("maximum", 1)],
+            kernels=[
+                KernelDecl(
+                    "blur_small", "const ptr, ptr, sint32",
+                    _blur(SIGMA_SMALL),
+                    LinearCostModel(
+                        flops_per_item=18.0, l2_bytes_per_item=44.0,
+                        **blur_cost,
+                    ),
                 ),
-            ),
-            KernelSpec(
-                "blur_large", "const ptr, ptr, sint32", _blur(SIGMA_LARGE),
-                LinearCostModel(
-                    flops_per_item=50.0, l2_bytes_per_item=80.0, **blur_cost
+                KernelDecl(
+                    "blur_large", "const ptr, ptr, sint32",
+                    _blur(SIGMA_LARGE),
+                    LinearCostModel(
+                        flops_per_item=50.0, l2_bytes_per_item=80.0,
+                        **blur_cost,
+                    ),
                 ),
-            ),
-            KernelSpec(
-                "blur_unsharpen", "const ptr, ptr, sint32",
-                _blur(SIGMA_UNSHARPEN),
-                LinearCostModel(
-                    flops_per_item=30.0, l2_bytes_per_item=60.0, **blur_cost
+                KernelDecl(
+                    "blur_unsharpen", "const ptr, ptr, sint32",
+                    _blur(SIGMA_UNSHARPEN),
+                    LinearCostModel(
+                        flops_per_item=30.0, l2_bytes_per_item=60.0,
+                        **blur_cost,
+                    ),
                 ),
-            ),
-            KernelSpec(
-                "sobel", "const ptr, ptr, sint32", _sobel,
-                LinearCostModel(
-                    flops_per_item=25.0,
-                    dram_bytes_per_item=8.0,
-                    l2_bytes_per_item=40.0,
-                    instructions_per_item=20.0,
-                    sm_fraction_cap=0.75,
+                KernelDecl(
+                    "sobel", "const ptr, ptr, sint32", _sobel,
+                    LinearCostModel(
+                        flops_per_item=25.0,
+                        dram_bytes_per_item=8.0,
+                        l2_bytes_per_item=40.0,
+                        instructions_per_item=20.0,
+                        sm_fraction_cap=0.75,
+                    ),
                 ),
-            ),
-            KernelSpec(
-                "maximum", "const ptr, ptr, sint32", _maximum,
-                LinearCostModel(
-                    flops_per_item=1.0,
-                    dram_bytes_per_item=4.0,
-                    instructions_per_item=4.0,
+                KernelDecl(
+                    "maximum", "const ptr, ptr, sint32", _maximum,
+                    LinearCostModel(
+                        flops_per_item=1.0,
+                        dram_bytes_per_item=4.0,
+                        instructions_per_item=4.0,
+                    ),
                 ),
-            ),
-            KernelSpec(
-                "minimum", "const ptr, ptr, sint32", _minimum,
-                LinearCostModel(
-                    flops_per_item=1.0,
-                    dram_bytes_per_item=4.0,
-                    instructions_per_item=4.0,
+                KernelDecl(
+                    "minimum", "const ptr, ptr, sint32", _minimum,
+                    LinearCostModel(
+                        flops_per_item=1.0,
+                        dram_bytes_per_item=4.0,
+                        instructions_per_item=4.0,
+                    ),
                 ),
-            ),
-            KernelSpec(
-                "extend", "ptr, const ptr, const ptr, sint32", _extend,
-                LinearCostModel(
-                    flops_per_item=5.0,
-                    dram_bytes_per_item=8.0,
-                    instructions_per_item=6.0,
+                KernelDecl(
+                    "extend", "ptr, const ptr, const ptr, sint32", _extend,
+                    LinearCostModel(
+                        flops_per_item=5.0,
+                        dram_bytes_per_item=8.0,
+                        instructions_per_item=6.0,
+                    ),
                 ),
-            ),
-            KernelSpec(
-                "unsharpen",
-                "const ptr, const ptr, ptr, float, sint32",
-                _unsharpen,
-                LinearCostModel(
-                    flops_per_item=6.0,
-                    dram_bytes_per_item=12.0,
-                    instructions_per_item=8.0,
+                KernelDecl(
+                    "unsharpen",
+                    "const ptr, const ptr, ptr, float, sint32",
+                    _unsharpen,
+                    LinearCostModel(
+                        flops_per_item=6.0,
+                        dram_bytes_per_item=12.0,
+                        instructions_per_item=8.0,
+                    ),
                 ),
-            ),
-            KernelSpec(
-                "combine",
-                "const ptr, const ptr, const ptr, ptr, sint32",
-                _combine,
-                LinearCostModel(
-                    flops_per_item=4.0,
-                    dram_bytes_per_item=16.0,
-                    l2_bytes_per_item=16.0,
-                    instructions_per_item=8.0,
+                KernelDecl(
+                    "combine",
+                    "const ptr, const ptr, const ptr, ptr, sint32",
+                    _combine,
+                    LinearCostModel(
+                        flops_per_item=4.0,
+                        dram_bytes_per_item=16.0,
+                        l2_bytes_per_item=16.0,
+                        instructions_per_item=8.0,
+                    ),
                 ),
-            ),
-        ]
-
-    def invocations(self) -> list[Invocation]:
-        s = self.scale
-        g2 = (self.num_blocks_2d, self.num_blocks_2d)
-        b2 = (self.block_size_2d, self.block_size_2d)
-        g1, b1 = self.num_blocks, self.block_size
-        return [
-            Invocation("blur_small", g2, b2, ("image", "blurred_small", s)),
-            Invocation("blur_large", g2, b2, ("image", "blurred_large", s)),
-            Invocation(
-                "blur_unsharpen", g2, b2, ("image", "blurred_unsharpen", s)
-            ),
-            Invocation("sobel", g2, b2, ("blurred_small", "mask_small", s)),
-            Invocation("sobel", g2, b2, ("blurred_large", "mask_large", s)),
-            Invocation("maximum", g1, b1, ("mask_large", "maximum", s)),
-            Invocation("minimum", g1, b1, ("mask_large", "minimum", s)),
-            Invocation(
-                "extend", g1, b1, ("mask_large", "minimum", "maximum", s)
-            ),
-            Invocation(
-                "unsharpen",
-                g2,
-                b2,
-                (
-                    "image",
-                    "blurred_unsharpen",
-                    "image_unsharpened",
-                    UNSHARPEN_AMOUNT,
-                    s,
+            ],
+            launches=[
+                LaunchDecl("blur_small", g2, b2, ("image", "blurred_small", s)),
+                LaunchDecl("blur_large", g2, b2, ("image", "blurred_large", s)),
+                LaunchDecl(
+                    "blur_unsharpen", g2, b2,
+                    ("image", "blurred_unsharpen", s),
                 ),
-            ),
-            Invocation(
-                "combine",
-                g2,
-                b2,
-                (
-                    "image_unsharpened",
-                    "blurred_large",
-                    "mask_large",
-                    "image2",
-                    s,
+                LaunchDecl("sobel", g2, b2, ("blurred_small", "mask_small", s)),
+                LaunchDecl("sobel", g2, b2, ("blurred_large", "mask_large", s)),
+                LaunchDecl("maximum", g1, b1, ("mask_large", "maximum", s)),
+                LaunchDecl("minimum", g1, b1, ("mask_large", "minimum", s)),
+                LaunchDecl(
+                    "extend", g1, b1, ("mask_large", "minimum", "maximum", s)
                 ),
-            ),
-            Invocation(
-                "combine",
-                g2,
-                b2,
-                ("image2", "blurred_small", "mask_small", "image3", s),
-            ),
-        ]
+                LaunchDecl(
+                    "unsharpen", g2, b2,
+                    (
+                        "image", "blurred_unsharpen", "image_unsharpened",
+                        UNSHARPEN_AMOUNT, s,
+                    ),
+                ),
+                LaunchDecl(
+                    "combine", g2, b2,
+                    (
+                        "image_unsharpened", "blurred_large", "mask_large",
+                        "image2", s,
+                    ),
+                ),
+                LaunchDecl(
+                    "combine", g2, b2,
+                    ("image2", "blurred_small", "mask_small", "image3", s),
+                ),
+            ],
+        )
 
     @property
     def num_blocks_2d(self) -> int:
         return 48
 
-    def refresh(self, arrays: dict[str, DeviceArray], iteration: int) -> None:
+    def inputs(self, iteration: int) -> Writes:
         rng = self.rng(iteration)
-        self.load_input(
-            iteration,
-            arrays["image"],
-            lambda: rng.uniform(
-                0.0, 1.0, (self.scale, self.scale)
-            ).astype(np.float32),
-            record="image",
-        )
+        return {
+            "image": lambda: uniform32(
+                rng, 0.0, 1.0, (self.scale, self.scale)
+            ),
+        }
 
     def read_result(self, arrays: dict[str, DeviceArray]) -> float:
         return float(np.sum(arrays["image3"][0], dtype=np.float64))
 
     def reference(self, iteration: int) -> float:
-        image = self.inputs(iteration)["image"].astype(np.float32)
+        image = generate(self.inputs(iteration))["image"]
         side = self.scale
         bs = np.empty_like(image)
         bl = np.empty_like(image)

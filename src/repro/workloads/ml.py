@@ -24,14 +24,25 @@ hides its latency.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.workloads.base import ArraySpec, Benchmark, Invocation, KernelSpec
+from repro.workloads.base import Benchmark, Writes, generate, uniform32
 
 FEATURES = 200
 CLASSES = 10
+
+#: the classifiers' parameters
+WEIGHT_SHAPES = {
+    "nb_w": (CLASSES, FEATURES),
+    "nb_b": (CLASSES,),
+    "rr_w": (CLASSES, FEATURES),
+    "rr_b": (CLASSES,),
+}
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
@@ -89,157 +100,141 @@ class MLEnsemble(Benchmark):
         " sharing a read-only input"
     )
 
-    def array_specs(self) -> dict[str, ArraySpec]:
-        r = self.scale
-        return {
-            "x": ArraySpec((r, FEATURES), np.float32),
-            "z": ArraySpec((r, FEATURES), np.float32),
-            "nb_w": ArraySpec((CLASSES, FEATURES), np.float32),
-            "nb_b": ArraySpec(CLASSES, np.float32),
-            "rr_w": ArraySpec((CLASSES, FEATURES), np.float32),
-            "rr_b": ArraySpec(CLASSES, np.float32),
-            "r1": ArraySpec((r, CLASSES), np.float32),
-            "r2": ArraySpec((r, CLASSES), np.float32),
-            "r": ArraySpec(r, np.float32),
-        }
-
-    def kernel_specs(self) -> list[KernelSpec]:
-        mmul_sig = "const ptr, const ptr, ptr, sint32, sint32, sint32"
-        rows_cols_sig = "ptr, sint32, sint32"
-        return [
-            KernelSpec(
-                "nb_mmul", mmul_sig, _mmul,
-                # Tall-matrix multiplication with poor parallelism: the
-                # slow branch ("the low IPC in ML is caused by a slow
-                # kernel that operates on tall matrices").
-                LinearCostModel(
-                    flops_per_item=2.0,
-                    dram_bytes_per_item=1.0,
-                    l2_bytes_per_item=8.0,
-                    instructions_per_item=6.0,
-                    sm_fraction_cap=0.25,
-                    items_fn=_mmul_items,
-                ),
-            ),
-            KernelSpec(
-                "rr_mmul", mmul_sig, _mmul,
-                LinearCostModel(
-                    flops_per_item=2.0,
-                    dram_bytes_per_item=1.0,
-                    l2_bytes_per_item=8.0,
-                    instructions_per_item=2.0,
-                    sm_fraction_cap=0.9,
-                    items_fn=_mmul_items,
-                ),
-            ),
-            KernelSpec(
-                "addv", "ptr, const ptr, sint32, sint32", _addv,
-                LinearCostModel(
-                    flops_per_item=1.0,
-                    dram_bytes_per_item=8.0,
-                    instructions_per_item=4.0,
-                    items_fn=_rows_classes_items,
-                ),
-            ),
-            KernelSpec(
-                "exp", rows_cols_sig, _exp,
-                LinearCostModel(
-                    flops_per_item=12.0,
-                    dram_bytes_per_item=8.0,
-                    instructions_per_item=10.0,
-                    items_fn=_rows_classes_items,
-                ),
-            ),
-            KernelSpec(
-                "norm", rows_cols_sig, _norm,
-                LinearCostModel(
-                    flops_per_item=6.0,
-                    dram_bytes_per_item=8.0,
-                    instructions_per_item=8.0,
-                    items_fn=_rows_classes_items,
-                ),
-            ),
-            KernelSpec(
-                "softmax", rows_cols_sig, _softmax,
-                LinearCostModel(
-                    flops_per_item=14.0,
-                    dram_bytes_per_item=8.0,
-                    instructions_per_item=12.0,
-                    items_fn=_rows_classes_items,
-                ),
-            ),
-            KernelSpec(
-                "argmax", "const ptr, const ptr, ptr, sint32, sint32",
-                _argmax,
-                LinearCostModel(
-                    flops_per_item=3.0,
-                    dram_bytes_per_item=9.0,
-                    instructions_per_item=6.0,
-                    items_fn=_rows_classes_items,
-                ),
-            ),
-        ]
-
-    def invocations(self) -> list[Invocation]:
+    def graph(self) -> TaskGraph:
         r = self.scale
         g, b = self.num_blocks, self.block_size
-        return [
-            Invocation("nb_mmul", g, b, ("x", "nb_w", "r1", r, FEATURES, CLASSES)),
-            Invocation("addv", g, b, ("r1", "nb_b", r, CLASSES)),
-            Invocation("exp", g, b, ("r1", r, CLASSES)),
-            Invocation("softmax", g, b, ("r1", r, CLASSES)),
-            Invocation("rr_mmul", g, b, ("z", "rr_w", "r2", r, FEATURES, CLASSES)),
-            Invocation("addv", g, b, ("r2", "rr_b", r, CLASSES)),
-            Invocation("norm", g, b, ("r2", r, CLASSES)),
-            Invocation("softmax", g, b, ("r2", r, CLASSES)),
-            Invocation("argmax", g, b, ("r1", "r2", "r", r, CLASSES)),
-        ]
+        mmul_sig = "const ptr, const ptr, ptr, sint32, sint32, sint32"
+        rows_cols_sig = "ptr, sint32, sint32"
+        return self.declare(
+            arrays=[
+                ArrayDecl("x", (r, FEATURES)),
+                ArrayDecl("z", (r, FEATURES)),
+                ArrayDecl("nb_w", (CLASSES, FEATURES)),
+                ArrayDecl("nb_b", CLASSES),
+                ArrayDecl("rr_w", (CLASSES, FEATURES)),
+                ArrayDecl("rr_b", CLASSES),
+                ArrayDecl("r1", (r, CLASSES)),
+                ArrayDecl("r2", (r, CLASSES)),
+                ArrayDecl("r", r),
+            ],
+            kernels=[
+                KernelDecl(
+                    "nb_mmul", mmul_sig, _mmul,
+                    # Tall-matrix multiplication with poor parallelism:
+                    # the slow branch ("the low IPC in ML is caused by a
+                    # slow kernel that operates on tall matrices").
+                    LinearCostModel(
+                        flops_per_item=2.0,
+                        dram_bytes_per_item=1.0,
+                        l2_bytes_per_item=8.0,
+                        instructions_per_item=6.0,
+                        sm_fraction_cap=0.25,
+                        items_fn=_mmul_items,
+                    ),
+                ),
+                KernelDecl(
+                    "rr_mmul", mmul_sig, _mmul,
+                    LinearCostModel(
+                        flops_per_item=2.0,
+                        dram_bytes_per_item=1.0,
+                        l2_bytes_per_item=8.0,
+                        instructions_per_item=2.0,
+                        sm_fraction_cap=0.9,
+                        items_fn=_mmul_items,
+                    ),
+                ),
+                KernelDecl(
+                    "addv", "ptr, const ptr, sint32, sint32", _addv,
+                    LinearCostModel(
+                        flops_per_item=1.0,
+                        dram_bytes_per_item=8.0,
+                        instructions_per_item=4.0,
+                        items_fn=_rows_classes_items,
+                    ),
+                ),
+                KernelDecl(
+                    "exp", rows_cols_sig, _exp,
+                    LinearCostModel(
+                        flops_per_item=12.0,
+                        dram_bytes_per_item=8.0,
+                        instructions_per_item=10.0,
+                        items_fn=_rows_classes_items,
+                    ),
+                ),
+                KernelDecl(
+                    "norm", rows_cols_sig, _norm,
+                    LinearCostModel(
+                        flops_per_item=6.0,
+                        dram_bytes_per_item=8.0,
+                        instructions_per_item=8.0,
+                        items_fn=_rows_classes_items,
+                    ),
+                ),
+                KernelDecl(
+                    "softmax", rows_cols_sig, _softmax,
+                    LinearCostModel(
+                        flops_per_item=14.0,
+                        dram_bytes_per_item=8.0,
+                        instructions_per_item=12.0,
+                        items_fn=_rows_classes_items,
+                    ),
+                ),
+                KernelDecl(
+                    "argmax", "const ptr, const ptr, ptr, sint32, sint32",
+                    _argmax,
+                    LinearCostModel(
+                        flops_per_item=3.0,
+                        dram_bytes_per_item=9.0,
+                        instructions_per_item=6.0,
+                        items_fn=_rows_classes_items,
+                    ),
+                ),
+            ],
+            launches=[
+                LaunchDecl(
+                    "nb_mmul", g, b, ("x", "nb_w", "r1", r, FEATURES, CLASSES)
+                ),
+                LaunchDecl("addv", g, b, ("r1", "nb_b", r, CLASSES)),
+                LaunchDecl("exp", g, b, ("r1", r, CLASSES)),
+                LaunchDecl("softmax", g, b, ("r1", r, CLASSES)),
+                LaunchDecl(
+                    "rr_mmul", g, b, ("z", "rr_w", "r2", r, FEATURES, CLASSES)
+                ),
+                LaunchDecl("addv", g, b, ("r2", "rr_b", r, CLASSES)),
+                LaunchDecl("norm", g, b, ("r2", r, CLASSES)),
+                LaunchDecl("softmax", g, b, ("r2", r, CLASSES)),
+                LaunchDecl("argmax", g, b, ("r1", "r2", "r", r, CLASSES)),
+            ],
+        )
 
-    def refresh(self, arrays: dict[str, DeviceArray], iteration: int) -> None:
+    def inputs(self, iteration: int) -> Writes:
         rng = self.rng(iteration)
-        x = self.load_input(
-            iteration,
-            arrays["x"],
-            lambda: rng.uniform(
-                -1.0, 1.0, (self.scale, FEATURES)
-            ).astype(np.float32),
-            record="x",
+        x = functools.cache(
+            lambda: uniform32(rng, -1.0, 1.0, (self.scale, FEATURES))
         )
         # Ridge regression reads the standardized features, prepared on
         # the host (a second full-size upload, like the GrCUDA bench).
-        self.load_input(
-            iteration,
-            arrays["z"],
-            lambda: _standardize(x),
-            record="z",
-        )
+        writes = {"x": x, "z": lambda: _standardize(x())}
         if iteration == 0:
-            wrng = self.rng(999_983)
-            shapes = {
-                "nb_w": (CLASSES, FEATURES),
-                "nb_b": (CLASSES,),
-                "rr_w": (CLASSES, FEATURES),
-                "rr_b": (CLASSES,),
-            }
-            self._weights = {}
-            for name, shape in shapes.items():
-                data = self.load_input(
-                    iteration,
-                    arrays[name],
-                    lambda shape=shape: wrng.uniform(
-                        -0.5, 0.5, shape
-                    ).astype(np.float32),
-                )
-                if data is not None:
-                    self._weights[name] = data
+            writes.update(self._weight_inputs())
+        return writes
+
+    def _weight_inputs(self) -> Writes:
+        """The classifiers' parameters, written once before the first
+        iteration."""
+        wrng = self.rng(999_983)
+        return {
+            name: lambda shape=shape: uniform32(wrng, -0.5, 0.5, shape)
+            for name, shape in WEIGHT_SHAPES.items()
+        }
 
     def read_result(self, arrays: dict[str, DeviceArray]) -> float:
         return float(np.sum(arrays["r"][:64], dtype=np.float64))
 
     def reference(self, iteration: int) -> float:
-        x = self.inputs(iteration)["x"]
-        z = self.inputs(iteration)["z"]
-        w = self._weights
+        ins = generate(self.inputs(iteration))
+        x, z = ins["x"], ins["z"]
+        w = generate(self._weight_inputs())
         rows = self.scale
         r1 = x @ w["nb_w"].T
         _addv(r1, w["nb_b"], rows, CLASSES)

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.workloads.base import ArraySpec, Benchmark, Invocation, KernelSpec
+from repro.workloads.base import Benchmark, Writes, generate, uniform32
 
 
 def _square(x: np.ndarray, n: int) -> None:
@@ -42,71 +43,57 @@ class VectorSquares(Benchmark):
         "Sum of differences of two squared vectors; streaming inputs"
     )
 
-    def array_specs(self) -> dict[str, ArraySpec]:
-        n = self.scale
-        return {
-            "x": ArraySpec(n, np.float32),
-            "y": ArraySpec(n, np.float32),
-            "res": ArraySpec(1, np.float32),
-        }
-
-    def kernel_specs(self) -> list[KernelSpec]:
-        return [
-            KernelSpec(
-                name="square",
-                signature="ptr, sint32",
-                fn=_square,
-                # 1 FLOP, read+write 4 B each: purely memory-bound.
-                cost=LinearCostModel(
-                    flops_per_item=1.0,
-                    dram_bytes_per_item=8.0,
-                    l2_bytes_per_item=8.0,
-                    instructions_per_item=4.0,
-                ),
-            ),
-            KernelSpec(
-                name="reduce",
-                signature="const ptr, const ptr, ptr, sint32",
-                fn=_reduce,
-                # Reads both vectors; the scalar result is negligible.
-                cost=LinearCostModel(
-                    flops_per_item=2.0,
-                    dram_bytes_per_item=8.0,
-                    l2_bytes_per_item=8.0,
-                    instructions_per_item=6.0,
-                ),
-            ),
-        ]
-
-    def invocations(self) -> list[Invocation]:
+    def graph(self) -> TaskGraph:
         n = self.scale
         g, b = self.num_blocks, self.block_size
-        return [
-            Invocation("square", g, b, ("x", n)),
-            Invocation("square", g, b, ("y", n)),
-            Invocation("reduce", g, b, ("x", "y", "res", n)),
-        ]
+        return self.declare(
+            arrays=[ArrayDecl("x", n), ArrayDecl("y", n), ArrayDecl("res", 1)],
+            kernels=[
+                KernelDecl(
+                    name="square",
+                    signature="ptr, sint32",
+                    fn=_square,
+                    # 1 FLOP, read+write 4 B each: purely memory-bound.
+                    cost=LinearCostModel(
+                        flops_per_item=1.0,
+                        dram_bytes_per_item=8.0,
+                        l2_bytes_per_item=8.0,
+                        instructions_per_item=4.0,
+                    ),
+                ),
+                KernelDecl(
+                    name="reduce",
+                    signature="const ptr, const ptr, ptr, sint32",
+                    fn=_reduce,
+                    # Reads both vectors; the scalar result is negligible.
+                    cost=LinearCostModel(
+                        flops_per_item=2.0,
+                        dram_bytes_per_item=8.0,
+                        l2_bytes_per_item=8.0,
+                        instructions_per_item=6.0,
+                    ),
+                ),
+            ],
+            launches=[
+                LaunchDecl("square", g, b, ("x", n)),
+                LaunchDecl("square", g, b, ("y", n)),
+                LaunchDecl("reduce", g, b, ("x", "y", "res", n)),
+            ],
+        )
 
-    def refresh(self, arrays: dict[str, DeviceArray], iteration: int) -> None:
+    def inputs(self, iteration: int) -> Writes:
         rng = self.rng(iteration)
-        self.load_input(
-            iteration,
-            arrays["x"],
-            lambda: rng.uniform(0.0, 2.0, self.scale).astype(np.float32),
-            record="x",
-        )
-        self.load_input(
-            iteration,
-            arrays["y"],
-            lambda: rng.uniform(0.0, 2.0, self.scale).astype(np.float32),
-            record="y",
-        )
+
+        def vector() -> np.ndarray:
+            return uniform32(rng, 0.0, 2.0, self.scale)
+
+        return {"x": vector, "y": vector}
 
     def read_result(self, arrays: dict[str, DeviceArray]) -> float:
         return float(arrays["res"][0])
 
     def reference(self, iteration: int) -> float:
-        ins = self.inputs(iteration)
+        ins = generate(self.inputs(iteration))
         x64 = ins["x"].astype(np.float32)
         y64 = ins["y"].astype(np.float32)
         return float(

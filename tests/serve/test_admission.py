@@ -11,7 +11,7 @@ from repro.serve.admission import (
     PriorityQueue,
     make_queue,
 )
-from repro.serve.request import (
+from repro.serve import (
     ArrayDecl,
     GraphRequest,
     KernelDecl,

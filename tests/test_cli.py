@@ -132,6 +132,12 @@ class TestExecution:
         assert "Table I" in out
         assert "GPU memory" in out
 
+    def test_figure2_runs(self, capsys):
+        assert main(["figure2"]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 2/6" in out
+        assert "softmax(r1), softmax(r2)" in out
+
     def test_figure10_runs(self, capsys):
         assert main(["figure10", "--iterations", "2"]) == 0
         out = capsys.readouterr().out

@@ -26,20 +26,37 @@ MODULES = (
 )
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_imports_in_a_fresh_interpreter(module):
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import {module}"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_in_a_fresh_interpreter(module):
+    proc = _fresh_interpreter(f"import {module}")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["repro.workloads", "repro.graphs.taskgraph"])
+def test_declarations_load_no_serving_module(module):
+    """The benchmark suite and the task-graph declarations sit below the
+    serving, parallel and cluster layers."""
+    layers = ("repro.serve", "repro.parallel", "repro.cluster")
+    proc = _fresh_interpreter(
+        f"import sys, {module}\n"
+        f"print(*sorted(m for m in sys.modules if m.startswith({layers!r})))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_every_package_is_listed():

@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.graphs.taskgraph import ArrayDecl
 from repro.workloads import Mode, create_benchmark
-from repro.workloads.base import ArraySpec, _BaselineHost
+from repro.workloads.base import _BaselineHost, generate
+from repro.workloads.vec import VectorSquares
 from repro.gpusim import Device, SimEngine, GTX1660_SUPER
 from repro.memory import DeviceArray
 
 
-class TestArraySpec:
+class TestArrayDecl:
     def test_nbytes_1d(self):
-        assert ArraySpec(100, np.float32).nbytes == 400
+        assert ArrayDecl("a", 100, np.float32).nbytes == 400
 
     def test_nbytes_2d(self):
-        assert ArraySpec((10, 20), np.float64).nbytes == 1600
+        assert ArrayDecl("a", (10, 20), np.float64).nbytes == 1600
 
 
 class TestModeEnum:
@@ -54,34 +56,84 @@ class TestBenchmarkPlumbing:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_record_and_read_inputs(self):
-        bench = create_benchmark("vec", 100)
-        bench.record_inputs(0, x=np.ones(3))
-        bench.record_inputs(2, y=np.zeros(2))  # gap-filling
-        assert list(bench.inputs(0)) == ["x"]
-        assert list(bench.inputs(2)) == ["y"]
-        assert bench.inputs(1) == {}
-
-    def test_load_input_execute_mode_copies(self):
+    def test_refresh_execute_mode_copies_the_inputs(self):
         bench = create_benchmark("vec", 100, execute=True)
-        arr = DeviceArray(100, name="x")
-        data = bench.load_input(
-            0, arr, lambda: np.full(100, 7.0, dtype=np.float32), record="x"
-        )
-        assert data is not None
-        assert arr.kernel_view[0] == 7.0
-        assert "x" in bench.inputs(0)
+        arrays = {
+            name: DeviceArray(decl.shape, dtype=decl.dtype, name=name)
+            for name, decl in bench.graph().arrays.items()
+        }
+        bench.refresh(arrays, 0)
+        data = generate(bench.inputs(0))
+        assert list(data) == ["x", "y"]
+        for name, values in data.items():
+            assert np.array_equal(arrays[name].kernel_view, values)
+        assert arrays["res"].kernel_view[0] == 0.0
 
-    def test_load_input_timing_mode_skips_generation(self):
-        bench = create_benchmark("vec", 100, execute=False)
-        arr = DeviceArray(100, name="x", materialize=False)
-
+    def test_refresh_timing_mode_announces_without_generating(self):
         def boom():
             raise AssertionError("must not generate data in timing mode")
 
-        assert bench.load_input(0, arr, boom) is None
-        # The write was still announced: device copy invalidated.
-        assert arr.migration_bytes(0) == arr.nbytes
+        class Untouchable(VectorSquares):
+            def inputs(self, iteration):
+                return {"x": boom, "y": boom}
+
+        bench = Untouchable(100, execute=False)
+        arrays = {
+            name: DeviceArray(
+                decl.shape, dtype=decl.dtype, name=name, materialize=False
+            )
+            for name, decl in bench.graph().arrays.items()
+        }
+        for arr in arrays.values():
+            arr.mark_write(0)
+        bench.refresh(arrays, 0)
+        # Each write was still announced: the device copy invalidated.
+        for name in ("x", "y"):
+            assert arrays[name].migration_bytes(0) == arrays[name].nbytes
+            assert arrays[name].host_valid
+        assert not arrays["res"].host_valid
+
+
+class TestTaskGraphInputs:
+    """``graph_from_benchmark`` adopts what ``inputs()`` generates."""
+
+    @staticmethod
+    def _vec_with(x):
+        class Fixed(VectorSquares):
+            def inputs(self, iteration):
+                return {"x": lambda: x}
+
+        return Fixed(4)
+
+    def test_matching_data_is_adopted_read_only_without_a_copy(self):
+        from repro.serve.workloads import graph_from_benchmark
+
+        x = np.arange(4, dtype=np.float32)
+        init = graph_from_benchmark(self._vec_with(x)).arrays["x"].init
+        assert np.shares_memory(init, x)
+        assert not init.flags.writeable
+        assert x.flags.writeable  # the generator's array is left alone
+
+    def test_dtype_is_converted_on_a_mismatch(self):
+        from repro.serve.workloads import graph_from_benchmark
+
+        x = np.arange(4, dtype=np.float64)
+        init = graph_from_benchmark(self._vec_with(x)).arrays["x"].init
+        assert init.dtype == np.float32
+        assert np.array_equal(init, x)
+
+    def test_shape_mismatch_raises(self):
+        from repro.serve.workloads import graph_from_benchmark
+
+        bench = self._vec_with(np.zeros(5, dtype=np.float32))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            graph_from_benchmark(bench)
+        arrays = {
+            name: DeviceArray(decl.shape, dtype=decl.dtype, name=name)
+            for name, decl in bench.graph().arrays.items()
+        }
+        with pytest.raises(ValueError, match="shape mismatch"):
+            bench.refresh(arrays, 0)
 
 
 class TestBaselineHost:

@@ -29,6 +29,18 @@ class TestAgainstReference:
                 f"{bench_name} under {mode.value}"
             )
 
+    @pytest.mark.parametrize("iteration", [0, 1])
+    def test_reference_of_a_fresh_instance(self, bench_name, iteration):
+        """``reference`` regenerates its inputs from the seed: it needs
+        no earlier run of the same instance."""
+        want = create_benchmark(
+            bench_name, TEST_SCALES[bench_name], iterations=2, seed=11
+        ).reference(iteration)
+        _, result = run_mode(bench_name, Mode.SERIAL, seed=11)
+        assert result.results[iteration] == pytest.approx(
+            want, rel=1e-4, abs=1e-5
+        )
+
     def test_all_modes_agree_exactly(self, bench_name):
         outcomes = {}
         for mode in Mode:
@@ -56,8 +68,6 @@ class TestDeterminism:
         assert r1.elapsed == r2.elapsed  # virtual time is deterministic
 
     def test_different_seed_different_inputs(self, bench_name):
-        if bench_name == "hits":
-            pytest.skip("HITS resets its vectors to ones every iteration")
         _, r1 = run_mode(bench_name, Mode.PARALLEL, seed=1)
         _, r2 = run_mode(bench_name, Mode.PARALLEL, seed=2)
         assert r1.results != r2.results

@@ -217,12 +217,6 @@ class TestCostModels:
     def test_resources_positive_and_finite(self, name):
         scale = {"img": 64, "dl": 64}.get(name, 10_000)
         bench = create_benchmark(name, scale, execute=False)
-        placeholders = {
-            n: type(
-                "A", (), {"size": s.nbytes // 4, "nbytes": s.nbytes}
-            )()
-            for n, s in bench.array_specs().items()
-        }
         # Use the contention-free machinery to price every invocation.
         from repro.metrics.contention_free import contention_free_time
 
@@ -235,7 +229,7 @@ class TestCostModels:
             bench = cls(scale, execute=False)
             fp64_kernels = [
                 k.name
-                for k in bench.kernel_specs()
+                for k in bench.graph().kernels
                 if getattr(k.cost, "fp64", False)
             ]
             if name == "b&s":

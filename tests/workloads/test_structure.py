@@ -4,6 +4,7 @@ Table I memory footprints, suite registry."""
 import pytest
 
 from repro.core.race import check_no_races
+from repro.graphs.planner import launch_parents, plan_streams
 from repro.gpusim.specs import ALL_GPUS, GTX960, GTX1660_SUPER, TESLA_P100
 from repro.workloads import BENCHMARKS, Mode, create_benchmark, default_scales
 from repro.workloads.suite import PAPER_SCALES
@@ -13,6 +14,11 @@ from tests.workloads.conftest import TEST_SCALES
 def make(name, **kw):
     kw.setdefault("iterations", 2)
     return create_benchmark(name, TEST_SCALES[name], **kw)
+
+
+def baseline_plan(name):
+    """The static schedule the baseline modes derive for ``name``."""
+    return plan_streams(launch_parents(make(name).graph()))
 
 
 class TestSuiteRegistry:
@@ -63,18 +69,18 @@ class TestStaticPlans:
         ],
     )
     def test_stream_counts_match_fig6(self, name, streams):
-        plan = make(name).static_plan()
+        plan = baseline_plan(name)
         assert 1 + max(s.stream for s in plan) == streams
 
     def test_plan_waits_are_cross_stream(self, bench_name):
-        plan = make(bench_name).static_plan()
+        plan = baseline_plan(bench_name)
         for step in plan:
             for w in step.waits:
                 assert plan[w].stream != step.stream
                 assert plan[w].record_event
 
     def test_plan_waits_point_backwards(self, bench_name):
-        plan = make(bench_name).static_plan()
+        plan = baseline_plan(bench_name)
         for step in plan:
             assert all(w < step.index for w in step.waits)
 
