@@ -95,18 +95,22 @@ def mixed_workload_graphs(
     Graphs of the same workload share a topology (same kernels, shapes
     and launch wiring) but carry different input data (per-graph seeds),
     which is exactly the mix the batching window and capture cache are
-    built for.
+    built for.  ``scales`` overrides :data:`SERVING_SCALES` per
+    workload; a workload with a scale in neither raises ValueError.
     """
     names = workloads or list(SERVING_SCALES)
-    scales = scales or SERVING_SCALES
+    scales = {**SERVING_SCALES, **(scales or {})}
+    unscaled = sorted(set(names) - set(scales))
+    if unscaled:
+        raise ValueError(
+            f"no serving scale for {unscaled}: workloads with one are"
+            f" {sorted(scales)}; give the others a scale in scales="
+        )
     graphs: list[TaskGraph] = []
     for i in range(count):
         name = names[i % len(names)]
         bench = create_benchmark(
-            name,
-            scales.get(name, SERVING_SCALES.get(name, 10_000)),
-            seed=seed + i,
-            iterations=1,
+            name, scales[name], seed=seed + i, iterations=1
         )
         graphs.append(graph_from_benchmark(bench, iteration=0))
     return graphs

@@ -23,7 +23,7 @@ from scipy.special import ndtr
 from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.workloads.base import Benchmark, Writes, generate
+from repro.workloads.base import Benchmark, Writes, fill_uniform, generate
 
 #: Option parameters (the CUDA sample's fixed rate/volatility setup).
 RISK_FREE = 0.02
@@ -111,7 +111,7 @@ class BlackScholes(Benchmark):
         rng = self.rng(iteration)
 
         def prices() -> np.ndarray:
-            return rng.uniform(20.0, 40.0, self.scale)
+            return fill_uniform(rng, 20.0, 40.0, np.empty(self.scale))
 
         return {f"x{i}": prices for i in range(NUM_STOCKS)}
 

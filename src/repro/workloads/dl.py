@@ -25,7 +25,7 @@ from scipy import ndimage
 from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.workloads.base import Benchmark, Writes, generate, uniform32
+from repro.workloads.base import Benchmark, Writes, fill_uniform, generate
 
 KERNEL_SIZE = 3
 
@@ -148,7 +148,7 @@ class DeepLearning(Benchmark):
         s = self.scale
 
         def image() -> np.ndarray:
-            return uniform32(rng, 0.0, 1.0, (s, s))
+            return fill_uniform(rng, 0.0, 1.0, np.empty((s, s), np.float32))
 
         writes = {"x": image, "y": image}
         if iteration == 0:
@@ -162,11 +162,14 @@ class DeepLearning(Benchmark):
         h = self.scale // 2
 
         def kernel() -> np.ndarray:
-            return uniform32(wrng, -0.5, 0.5, (KERNEL_SIZE, KERNEL_SIZE))
+            shape = (KERNEL_SIZE, KERNEL_SIZE)
+            return fill_uniform(wrng, -0.5, 0.5, np.empty(shape, np.float32))
 
         return {
             "w1": kernel, "w2": kernel, "w3": kernel, "w4": kernel,
-            "wd": lambda: uniform32(wrng, -0.1, 0.1, 2 * h * h),
+            "wd": lambda: fill_uniform(
+                wrng, -0.1, 0.1, np.empty(2 * h * h, np.float32)
+            ),
         }
 
     def read_result(self, arrays: dict[str, DeviceArray]) -> float:

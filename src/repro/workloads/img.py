@@ -29,7 +29,7 @@ from scipy import ndimage
 from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.workloads.base import Benchmark, Writes, generate, uniform32
+from repro.workloads.base import Benchmark, Writes, fill_uniform, generate
 
 SIGMA_SMALL = 1.0
 SIGMA_LARGE = 4.0
@@ -237,8 +237,8 @@ class ImageProcessing(Benchmark):
     def inputs(self, iteration: int) -> Writes:
         rng = self.rng(iteration)
         return {
-            "image": lambda: uniform32(
-                rng, 0.0, 1.0, (self.scale, self.scale)
+            "image": lambda: fill_uniform(
+                rng, 0.0, 1.0, np.empty((self.scale, self.scale), np.float32)
             ),
         }
 

@@ -31,7 +31,7 @@ import numpy as np
 from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.workloads.base import Benchmark, Writes, generate, uniform32
+from repro.workloads.base import Benchmark, Writes, fill_uniform, generate
 
 FEATURES = 200
 CLASSES = 10
@@ -46,10 +46,13 @@ WEIGHT_SHAPES = {
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
-    """Host-side feature standardization for the Ridge branch."""
+    """Host-side feature standardization for the Ridge branch (a
+    float32 ``x`` gives a float32 result)."""
     mu = x.mean(axis=0, keepdims=True)
     sd = x.std(axis=0, keepdims=True) + 1e-6
-    return ((x - mu) / sd).astype(np.float32)
+    z = np.subtract(x, mu)
+    z /= sd
+    return z
 
 
 def _mmul(x: np.ndarray, w: np.ndarray, out: np.ndarray,
@@ -210,7 +213,9 @@ class MLEnsemble(Benchmark):
     def inputs(self, iteration: int) -> Writes:
         rng = self.rng(iteration)
         x = functools.cache(
-            lambda: uniform32(rng, -1.0, 1.0, (self.scale, FEATURES))
+            lambda: fill_uniform(
+                rng, -1.0, 1.0, np.empty((self.scale, FEATURES), np.float32)
+            )
         )
         # Ridge regression reads the standardized features, prepared on
         # the host (a second full-size upload, like the GrCUDA bench).
@@ -224,7 +229,9 @@ class MLEnsemble(Benchmark):
         iteration."""
         wrng = self.rng(999_983)
         return {
-            name: lambda shape=shape: uniform32(wrng, -0.5, 0.5, shape)
+            name: lambda shape=shape: fill_uniform(
+                wrng, -0.5, 0.5, np.empty(shape, np.float32)
+            )
             for name, shape in WEIGHT_SHAPES.items()
         }
 

@@ -24,7 +24,7 @@ import numpy as np
 from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.workloads.base import Benchmark, Writes, generate, uniform32
+from repro.workloads.base import Benchmark, Writes, fill_uniform, generate
 
 
 def _square(x: np.ndarray, n: int) -> None:
@@ -85,7 +85,9 @@ class VectorSquares(Benchmark):
         rng = self.rng(iteration)
 
         def vector() -> np.ndarray:
-            return uniform32(rng, 0.0, 2.0, self.scale)
+            return fill_uniform(
+                rng, 0.0, 2.0, np.empty(self.scale, np.float32)
+            )
 
         return {"x": vector, "y": vector}
 

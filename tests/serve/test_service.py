@@ -307,3 +307,16 @@ class TestServingScales:
         for name, scale in SERVING_SCALES.items():
             bench = create_benchmark(name, scale, execute=False)
             assert bench.memory_footprint_bytes() < 64 * 1024 * 1024
+
+    def test_unknown_workload_without_a_scale_is_rejected(self):
+        with pytest.raises(ValueError, match=r"no serving scale for \['img'\]") as err:
+            mixed_workload_graphs(1, workloads=["vec", "img"])
+        assert "['b&s', 'ml', 'vec']" in str(err.value)
+
+    def test_given_scales_override_the_serving_scales(self):
+        graphs = mixed_workload_graphs(
+            2, workloads=["img", "vec"], scales={"img": 16}
+        )
+        assert [g.name for g in graphs] == [
+            "img@16", f"vec@{SERVING_SCALES['vec']}"
+        ]

@@ -5,7 +5,12 @@ import pytest
 
 from repro.graphs.taskgraph import ArrayDecl
 from repro.workloads import Mode, create_benchmark
-from repro.workloads.base import _BaselineHost, generate
+from repro.workloads.base import (
+    FILL_CHUNK,
+    _BaselineHost,
+    fill_uniform,
+    generate,
+)
 from repro.workloads.vec import VectorSquares
 from repro.gpusim import Device, SimEngine, GTX1660_SUPER
 from repro.memory import DeviceArray
@@ -92,6 +97,31 @@ class TestBenchmarkPlumbing:
             assert arrays[name].migration_bytes(0) == arrays[name].nbytes
             assert arrays[name].host_valid
         assert not arrays["res"].host_valid
+
+
+class TestFillUniform:
+    @pytest.mark.parametrize("low, high", [
+        (0.0, 1.0), (-1.0, 1.0), (20.0, 40.0), (-0.1, 0.1),
+    ])
+    @pytest.mark.parametrize("shape", [
+        0, 1, FILL_CHUNK - 1, FILL_CHUNK, FILL_CHUNK + 1,
+        3 * FILL_CHUNK + 5, (4000, 200),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_is_numpys_uniform_bit_for_bit(self, dtype, shape, low, high):
+        filled_rng = np.random.default_rng(7)
+        uniform_rng = np.random.default_rng(7)
+        out = np.empty(shape, dtype)
+        assert fill_uniform(filled_rng, low, high, out) is out
+        want = uniform_rng.uniform(low, high, shape).astype(dtype)
+        assert np.array_equal(out, want)
+        # Same stream consumption: the next draw matches too.
+        assert filled_rng.random() == uniform_rng.random()
+
+    def test_rejects_a_non_contiguous_out(self):
+        out = np.empty((4, 4))[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            fill_uniform(np.random.default_rng(0), 0.0, 1.0, out)
 
 
 class TestTaskGraphInputs:
