@@ -254,16 +254,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallel",
         choices=list(STRATEGIES),
         default="sequential",
-        help="execution strategy for per-slot simulation (default"
-        " sequential; every strategy yields the same fingerprint)",
+        help="where completed requests' kernels run once the"
+        " timing-only simulation drains: in-process (sequential, the"
+        " default) or in a forked worker pool (process); every"
+        " strategy yields the same fingerprint",
     )
     serving.add_argument(
         "--workers",
         type=_positive_int,
         default=None,
         metavar="N",
-        help="worker cap for the process strategy"
-        " (default: min(cpu_count, fleet slots))",
+        help="worker-pool size for the process strategy"
+        " (default: cpu_count)",
     )
     serving.add_argument(
         "--chaos-grid",

@@ -361,13 +361,6 @@ class Cluster(Dispatcher):
         # it struck after the queue drained.
         self._advance_lifecycles(self._now)
 
-    def close(self) -> None:
-        """Release every node service's execution-strategy resources
-        (worker processes under ``serve.parallel="process"``);
-        idempotent."""
-        for node in self.nodes:
-            node.service.close()
-
     def _placement_round(self) -> None:
         """Pop every queued request in admission order, stage its inputs
         over the network and enqueue it on the chosen node."""
@@ -423,11 +416,13 @@ class Cluster(Dispatcher):
         return self.network.transfer(node.index, nbytes, now)
 
     def _drain_round(self) -> None:
-        """Drain every node in id order, collect the new results, and
-        re-queue work a non-admitting node shed or failed (once its
-        retries are exhausted, the node's terminal record stands)."""
+        """Drain every node in id order, collect the new results and
+        the completions the data plane will compute, and re-queue work
+        a non-admitting node shed or failed (once its retries are
+        exhausted, the node's terminal record stands)."""
         for node in self.nodes:
             node.service.drain()
+            self.numerics.update(node.service.numerics)
             fresh = node.service.results[node.result_cursor:]
             node.result_cursor = len(node.service.results)
             self._advance(node, self._now)

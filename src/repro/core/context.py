@@ -59,6 +59,7 @@ def submit_kernel(
     *,
     tags: dict | None = None,
     history=None,
+    on_complete=None,
     policy: MovementPolicy | None = None,
     kind: TransferKind | None = None,
 ) -> tuple[KernelOp, AcquirePlan]:
@@ -66,7 +67,8 @@ def submit_kernel(
     launch's accesses to ``coherence``, then submit the kernel on
     ``stream`` with the resulting fault charge and completion-applied
     location-set transitions.  ``history`` receives a
-    :class:`KernelExecutionRecord` at completion."""
+    :class:`KernelExecutionRecord` at completion, and ``on_complete``
+    is called with the completed op."""
     accesses = launch.array_args
     plan = coherence.acquire(
         list(accesses), stream, device_index,
@@ -98,6 +100,8 @@ def submit_kernel(
         op.info.update(tags)
     if history is not None:
         op.on_complete.append(kernel_history_recorder(launch, history))
+    if on_complete is not None:
+        op.on_complete.append(on_complete)
     coherence.release(plan, op)
     coherence.engine.submit(stream, op)
     return op, plan
@@ -199,8 +203,10 @@ class ExecutionContext(abc.ABC):
         array.set_access_hook(self._on_cpu_access)
 
     @abc.abstractmethod
-    def launch(self, launch: KernelLaunch) -> None:
-        """Schedule one kernel launch (GrCUDA launch handler)."""
+    def launch(self, launch: KernelLaunch, on_complete=None) -> None:
+        """Schedule one kernel launch (GrCUDA launch handler);
+        ``on_complete`` is called with its op when the kernel
+        completes."""
 
     @abc.abstractmethod
     def _on_cpu_access(
@@ -255,7 +261,7 @@ class SerialExecutionContext(ExecutionContext):
 
     serial = True
 
-    def launch(self, launch: KernelLaunch) -> None:
+    def launch(self, launch: KernelLaunch, on_complete=None) -> None:
         self.kernel_count += 1
         self.engine.charge_host_time(self.config.serial_overhead_us * 1e-6)
         stream = self.engine.default_stream
@@ -264,7 +270,7 @@ class SerialExecutionContext(ExecutionContext):
         submit_kernel(
             self.coherence, stream, launch,
             tags=self.op_tags, history=self.history.record,
-            kind=TransferKind.EAGER,
+            on_complete=on_complete, kind=TransferKind.EAGER,
         )
         self.engine.sync_stream(stream)
 
@@ -405,7 +411,7 @@ class ParallelExecutionContext(ExecutionContext):
 
     # -- kernel scheduling ------------------------------------------------------
 
-    def launch(self, launch: KernelLaunch) -> None:
+    def launch(self, launch: KernelLaunch, on_complete=None) -> None:
         self.kernel_count += 1
         self.engine.charge_host_time(
             self.config.scheduling_overhead_us * 1e-6
@@ -421,7 +427,7 @@ class ParallelExecutionContext(ExecutionContext):
         op, plan = submit_kernel(
             self.coherence, stream, launch, device_index,
             tags=self.op_tags, history=self.history.record,
-            policy=self.movement,
+            on_complete=on_complete, policy=self.movement,
         )
         if self._placing:
             contention = self.devices[device_index].contention

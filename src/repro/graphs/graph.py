@@ -77,14 +77,8 @@ class CudaGraph:
         deps: list[GraphNode] | tuple[GraphNode, ...] = (),
     ) -> GraphNode:
         """``cudaGraphAddKernelNode``: explicit dependencies, no capture."""
-        launch = kernel.bind_args(tuple(args))
-        launch = KernelLaunch(
-            kernel=launch.kernel,
-            grid=normalize_dim(grid),
-            block=normalize_dim(block),
-            args=launch.args,
-            array_args=launch.array_args,
-            scalar_args=launch.scalar_args,
+        launch = kernel.bind_args(
+            tuple(args), normalize_dim(grid), normalize_dim(block)
         )
         return self._add(
             GraphNode(

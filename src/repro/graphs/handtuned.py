@@ -16,7 +16,7 @@ from typing import Any
 from repro.core.context import submit_kernel
 from repro.gpusim.engine import SimEngine
 from repro.gpusim.stream import SimEvent, SimStream
-from repro.kernels.kernel import Kernel, KernelLaunch, normalize_dim
+from repro.kernels.kernel import Kernel, normalize_dim
 from repro.memory.array import DeviceArray
 from repro.memory.coherence import CoherenceEngine, MovementPolicy
 
@@ -82,13 +82,7 @@ class HandTunedScheduler:
         other execution mode.
         """
         self.engine.charge_host_time(LAUNCH_OVERHEAD_US * 1e-6)
-        launch = kernel.bind_args(tuple(args))
-        launch = KernelLaunch(
-            kernel=launch.kernel,
-            grid=normalize_dim(grid),
-            block=normalize_dim(block),
-            args=launch.args,
-            array_args=launch.array_args,
-            scalar_args=launch.scalar_args,
+        launch = kernel.bind_args(
+            tuple(args), normalize_dim(grid), normalize_dim(block)
         )
         submit_kernel(self.coherence, stream, launch)

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.kernels.profile import CostModel
 from repro.kernels.signature import parse_signature
-from repro.memory.array import is_zero_block, zero_block
 
 
 def _captured(value: object) -> object:
@@ -28,10 +27,6 @@ def _captured(value: object) -> object:
     if value is None or isinstance(value, (bool, int, float, str, bytes)):
         return value
     return id(value)
-
-
-def _zero_block_decl(name, shape, dtype, init_shape, init_dtype):
-    return ArrayDecl(name, shape, dtype, zero_block(init_shape, init_dtype))
 
 
 @dataclass(frozen=True)
@@ -54,16 +49,6 @@ class ArrayDecl:
         for s in shape:
             n *= s
         return n * np.dtype(self.dtype).itemsize
-
-    def __reduce__(self):
-        # numpy pickles a broadcast view at full size and loads it
-        # writable; a zero block ships as its shape and dtype instead.
-        init = self.init
-        if init is not None and is_zero_block(init):
-            return _zero_block_decl, (
-                self.name, self.shape, self.dtype, init.shape, init.dtype,
-            )
-        return ArrayDecl, (self.name, self.shape, self.dtype, init)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ checks the substrate's whole contract in one sweep:
 - **determinism** — report fingerprints, counter snapshots and the
   canonical Chrome trace (wall-clock fields stripped) are bit-identical
   across ``sequential`` / ``process``;
-- **speed** — per-strategy wall-clock time and speedup over the
-  refactored sequential baseline, written to ``BENCH_parallel.json``
+- **speed** — per-strategy wall-clock time of ``run()`` (timing-only
+  simulation, then the data plane in-process or in a forked pool) and
+  speedup over the sequential baseline, written to ``BENCH_parallel.json``
   (the CI ``parallel-smoke`` artifact; the speedup gate lives in CI,
   where runners actually have cores — ``cpu_count`` is recorded so a
   1-core box reporting ~1x is interpretable).
@@ -30,9 +31,8 @@ from repro.serve.fleet import parse_fleet_spec
 from repro.serve.service import ServeConfig
 
 #: the strategy-matrix scenarios: the fault-free baseline plus a fault
-#: plan mixing a permanent crash (retry/re-placement path) with a
-#: degrade (per-slot slowdown), both slot-scoped so work units carry
-#: their effects into the workers
+#: plan mixing a permanent crash (retry/re-placement path: the voided
+#: attempts compute nothing) with a degrade (per-slot slowdown)
 PARALLEL_SCENARIOS: dict[str, str | None] = {
     "fault-free": None,
     "crash-degrade": (

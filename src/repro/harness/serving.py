@@ -353,7 +353,7 @@ def serve_bench(
     spread / affinity) and ``interconnect`` prices cross-node staging
     and readback.  Each node serves with ``admission`` and
     ``placement``; the fleet-only knobs (``movement_window``,
-    ``width_normalized``, ``parallel``, ``workers``) do not apply.
+    ``width_normalized``) do not apply.
 
     ``trace`` (or a ``trace_out`` path, which implies it) records every
     span the service, fleet, coherence and engine layers emit and writes
@@ -375,10 +375,11 @@ def serve_bench(
     outputs to check, but every submission must still reach a terminal
     status (asserted unconditionally).
 
-    ``parallel`` selects the execution strategy for per-slot simulation
-    (``sequential`` / ``process``) and ``workers`` caps
-    the worker pool; every strategy produces the same fingerprint (see
-    README "Parallel execution").
+    ``parallel`` selects where completed requests' kernels run
+    (``sequential``: in-process; ``process``: a forked pool of
+    ``workers``, default one per core), on a fleet or a cluster; every
+    strategy produces the same fingerprint (see README "Parallel
+    execution").
     """
     if tenants <= 0 or requests <= 0 or fleet_size <= 0:
         raise ValueError("tenants, requests and fleet_size must be positive")
@@ -429,7 +430,12 @@ def serve_bench(
             policy=cluster_policy,
             interconnect=interconnect,
             faults=faults,
-            serve=ServeConfig(admission=admission, placement=placement),
+            serve=ServeConfig(
+                admission=admission,
+                placement=placement,
+                parallel=parallel,
+                workers=workers,
+            ),
         )
     graphs, arrivals = poisson_traffic(
         requests, traffic, seed, mean_interarrival_us

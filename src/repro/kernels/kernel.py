@@ -90,6 +90,11 @@ class KernelLaunch:
         self.kernel.compute_fn(*concrete)
 
 
+def timing_only(*args: Any) -> None:
+    """The compute function of a timing-only kernel: the simulator
+    prices and schedules its launches, and nothing is computed."""
+
+
 #: Set by the execution context; receives every launch.
 LaunchHandler = Callable[[KernelLaunch], None]
 
@@ -126,8 +131,14 @@ class Kernel:
             )
         return ConfiguredKernel(self, grid3, block3)
 
-    def bind_args(self, args: tuple[Any, ...]) -> KernelLaunch:
-        """Validate ``args`` against the signature; package a launch."""
+    def bind_args(
+        self,
+        args: tuple[Any, ...],
+        grid: Dim = (1, 1, 1),
+        block: Dim = (1, 1, 1),
+    ) -> KernelLaunch:
+        """Validate ``args`` against the signature; package a launch of
+        the given normalized geometry (not dispatched)."""
         params = self.signature.parameters
         if len(args) != len(params):
             raise LaunchError(
@@ -155,11 +166,10 @@ class Kernel:
                         f" scalar; got a DeviceArray"
                     )
                 scalar_args.append(arg)
-        # Bind a placeholder geometry; ConfiguredKernel overrides it.
         return KernelLaunch(
             kernel=self,
-            grid=(1, 1, 1),
-            block=(1, 1, 1),
+            grid=grid,
+            block=block,
             args=tuple(args),
             array_args=tuple(array_args),
             scalar_args=tuple(scalar_args),
@@ -177,16 +187,12 @@ class ConfiguredKernel:
     grid: Dim
     block: Dim
 
+    def bind(self, *args: Any) -> KernelLaunch:
+        """The launch of ``args`` at this geometry, not yet dispatched."""
+        return self.kernel.bind_args(args, self.grid, self.block)
+
     def __call__(self, *args: Any) -> KernelLaunch:
-        launch = self.kernel.bind_args(args)
-        launch = KernelLaunch(
-            kernel=launch.kernel,
-            grid=self.grid,
-            block=self.block,
-            args=launch.args,
-            array_args=launch.array_args,
-            scalar_args=launch.scalar_args,
-        )
+        launch = self.bind(*args)
         self.kernel.launch_count += 1
         if self.kernel.launch_handler is None:
             raise LaunchError(

@@ -225,6 +225,12 @@ class DeviceArray:
         self._check_alive()
         self._notify(AccessKind.WRITE, self.nbytes)
 
+    def touch_read_full(self) -> None:
+        """Announce a full-array host read without reading data:
+        timing-equivalent to :meth:`to_numpy`."""
+        self._check_alive()
+        self._notify(AccessKind.READ, self.nbytes)
+
     def to_numpy(self) -> np.ndarray:
         """Host-side bulk read; returns a copy."""
         self._check_alive()

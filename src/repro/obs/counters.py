@@ -75,10 +75,6 @@ class CounterRegistry:
     def inc(self, name: str, delta: float = 1) -> None:
         self.counter(name).value += delta
 
-    def set(self, name: str, value: float) -> None:
-        """Gauge write: assign instead of accumulate."""
-        self.counter(name).value = value
-
     def set_max(self, name: str, value: float) -> None:
         """High-watermark gauge: keep the largest value seen."""
         cell = self.counter(name)

@@ -1,74 +1,52 @@
-"""Execution strategies: where each planned :class:`SlotWork` runs.
+"""Where each plane of a serving run executes.
 
-The service plans placement rounds sequentially (admission, placement,
-capture-cache lookups and fault draws are inherently ordered), then
-hands the round's work units to a strategy:
+The control plane always runs in-process and in order:
+:class:`SequentialStrategy` simulates each planned
+:class:`~repro.parallel.work.SlotWork` of a placement round, and the
+service merges the outcomes in slot-id order.
 
-* ``sequential`` — in-process loop; the golden reference every other
-  strategy must match bit-for-bit.
-* ``process`` — persistent forked workers with picklable work units
-  (:mod:`repro.parallel.process`); real multi-core speedup, paid for
-  in serialization.
+The data plane is :func:`map_numerics`, selected by the
+``ServeConfig.parallel`` name:
 
-Both return one :class:`~repro.parallel.work.SlotOutcome` per
-work; the service merges them in slot-id order, so results never
-depend on completion order.
+* ``sequential`` — every completed request's numerics in-process, in
+  request-id order; the reference.
+* ``process`` — the same calls mapped over one forked worker pool.  The
+  pool forks after the drain, so workers inherit every graph, and a
+  task is just a request index plus its completion order.  Results come
+  back in request-id order whatever the worker count or which worker
+  finishes first, so both names report bit-identically.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING
 
-from repro.parallel.work import SlotOutcome, SlotWork, execute_slot_work
+import numpy as np
+
+from repro.parallel.work import (
+    SlotOutcome,
+    SlotWork,
+    execute_slot_work,
+    run_numerics,
+)
 
 if TYPE_CHECKING:
     # repro.serve imports this module at run time (see work.py).
+    from repro.graphs.taskgraph import TaskGraph
     from repro.serve.fleet import FleetSlot
 
-__all__ = [
-    "STRATEGIES",
-    "ExecutionStrategy",
-    "SequentialStrategy",
-    "make_strategy",
-    "resolve_workers",
-]
+__all__ = ["STRATEGIES", "SequentialStrategy", "map_numerics"]
 
-#: the strategy matrix, in golden-reference-first order
+#: the data-plane strategies, reference first
 STRATEGIES = ("sequential", "process")
 
 
-def resolve_workers(workers: int | None, slot_count: int) -> int:
-    """Effective worker count: never more than there are slots (a
-    worker per slot saturates the fork/join), defaulting to one per
-    slot capped at the machine's cores."""
-    if workers is not None:
-        return max(1, min(workers, slot_count))
-    return max(1, min(slot_count, os.cpu_count() or 1))
-
-
-class ExecutionStrategy:
-    """Executes one placement round's slot work units."""
-
-    name = "?"
-
-    def execute(self, works: list[SlotWork]) -> list[SlotOutcome]:
-        raise NotImplementedError
-
-    def note_cold_restart(self, slot_index: int) -> None:
-        """A slot crash-restarted parent-side; strategies holding
-        remote slot replicas must mirror it before that slot's next
-        work (no-op for in-process strategies — they share the slot
-        objects)."""
-
-    def close(self) -> None:
-        """Release pools/processes; idempotent."""
-
-
-class SequentialStrategy(ExecutionStrategy):
-    """In-process, in-order execution — the golden reference."""
-
-    name = "sequential"
+class SequentialStrategy:
+    """Simulates one placement round's slot work units in-process, in
+    order."""
 
     def __init__(
         self,
@@ -90,25 +68,44 @@ class SequentialStrategy(ExecutionStrategy):
         ]
 
 
-def make_strategy(
-    name: str,
-    slots: list[FleetSlot],
-    config,
-    *,
-    workers: int | None = None,
-    trace: bool = False,
-) -> ExecutionStrategy:
-    """Build the strategy ``name`` over ``slots`` (lazy import keeps
-    ``multiprocessing`` off the sequential path)."""
-    if name == "sequential":
-        return SequentialStrategy(slots, config, trace=trace)
-    if name == "process":
-        from repro.parallel.process import ProcessStrategy
+#: the graphs of the run a forked pool serves (set in each worker)
+_graphs: list[TaskGraph] = []
 
-        return ProcessStrategy(
-            slots, config, trace=trace, workers=workers
+
+def _inherit(graphs: list[TaskGraph]) -> None:
+    global _graphs
+    _graphs = graphs
+
+
+def _numerics_task(task: tuple[int, list[int]]) -> dict[str, np.ndarray]:
+    index, order = task
+    return run_numerics(_graphs[index], order)
+
+
+def map_numerics(
+    works: list[tuple[TaskGraph, list[int]]],
+    parallel: str,
+    workers: int | None = None,
+) -> list[dict[str, np.ndarray]]:
+    """The outputs of every ``(graph, completion order)`` work, in work
+    order.  ``process`` sizes its pool by ``workers`` (None: one per
+    core); a worker that dies raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`, a
+    :class:`RuntimeError`, and a kernel's exception re-raises here."""
+    if parallel == "sequential" or not works:
+        return [run_numerics(graph, order) for graph, order in works]
+    # fork (not spawn): workers inherit the graphs and the kernel
+    # functions instead of unpickling them, so a task is two small
+    # values.  The initializer's arguments are inherited, not sent.
+    with ProcessPoolExecutor(
+        max_workers=workers or os.cpu_count(),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_inherit,
+        initargs=([graph for graph, _ in works],),
+    ) as pool:
+        return list(
+            pool.map(
+                _numerics_task,
+                [(i, order) for i, (_, order) in enumerate(works)],
+            )
         )
-    raise ValueError(
-        f"unknown execution strategy {name!r}; expected one of"
-        f" {STRATEGIES}"
-    )

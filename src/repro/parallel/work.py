@@ -1,34 +1,36 @@
-"""Picklable per-slot work units and the slot-local batch executor.
+"""Per-slot work units, the timing-only slot executor and the data
+plane.
 
-This module is the isolation boundary of the parallel substrate: a
-:class:`SlotWork` carries *everything* one fleet slot needs to simulate
-one placement round's batch — the requests, the (pre-derived) capture
-plan, the dispatch-time fault draws — and :func:`execute_slot_work`
-runs it against a :class:`~repro.serve.fleet.FleetSlot` touching **no
-service-global state**: no admission queue, no capture cache, no tenant
-accounting, no shared tracer.  Everything the service needs back rides
-the returned :class:`SlotOutcome`, which the parent merges in slot-id
-order (see ``SchedulerService._merge_round``) so both execution
-strategies — sequential and process — produce bit-identical reports.
+Serving is split in two.  The *control plane* simulates every request
+timing-only: a :class:`SlotWork` carries everything one fleet slot needs
+to simulate one placement round's batch — the requests, the
+(pre-derived) capture plan, the dispatch-time fault draws — and
+:func:`execute_slot_work` runs it against a
+:class:`~repro.serve.fleet.FleetSlot` touching **no service-global
+state**: no admission queue, no capture cache, no tenant accounting, no
+shared tracer.  Arrays are virtual, kernels have no bodies, and each
+request records the order in which the engine completed its kernels.
+Everything the service needs back rides the returned
+:class:`SlotOutcome`, which the service merges in slot-id order (see
+``SchedulerService._merge_round``).
 
-The submission helpers (:func:`submit_context`, :func:`submit_replay`,
-:func:`read_outputs`) are the former ``SchedulerService`` private
-methods, hoisted to module level so worker processes can import them
-by qualified name (a bound-method closure would not pickle).
+The *data plane* is one pure function, :func:`run_numerics`: a
+completed request's kernels run once, in that recorded order, on the
+graph's own inputs.  Virtual time never reads a computed value, so
+where and when the data plane runs cannot change a simulated number.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.core.context import submit_kernel
 from repro.core.history import KernelExecutionRecord
-from repro.gpusim.timeline import TimelineRecord
-from repro.kernels.kernel import KernelLaunch, normalize_dim
+from repro.kernels.kernel import Kernel, KernelLaunch
+from repro.kernels.registry import build_kernel
 from repro.memory.array import (
     AccessKind,
     DeviceArray,
@@ -40,7 +42,8 @@ from repro.obs.trace import TraceEvent, Tracer
 
 if TYPE_CHECKING:
     # repro.serve imports this package at run time (the service drives
-    # the strategies), so the serving types are for annotations only.
+    # the slot rounds), so the serving types are for annotations only.
+    from repro.graphs.taskgraph import LaunchDecl, TaskGraph
     from repro.serve.capture import CapturePlan
     from repro.serve.fleet import FleetSlot
     from repro.serve.request import GraphRequest
@@ -50,7 +53,8 @@ __all__ = [
     "SlotWork",
     "Submission",
     "execute_slot_work",
-    "read_outputs",
+    "read_back",
+    "run_numerics",
     "submit_context",
     "submit_replay",
 ]
@@ -62,8 +66,7 @@ class SlotWork:
 
     Built sequentially by the service's plan phase (so admission,
     placement, capture-cache lookups and fault draws stay
-    deterministic), then executed by whichever strategy the service
-    runs.  Picklable end to end for the process strategy.
+    deterministic), then simulated by :func:`execute_slot_work`.
     """
 
     slot_index: int
@@ -71,13 +74,13 @@ class SlotWork:
     #: these from the admission queue)
     batch: list[GraphRequest]
     #: pre-derived capture plan (None: context path — the plan was a
-    #: cache miss, derived and cached parent-side for the *next* batch)
+    #: cache miss, derived and cached for the *next* batch)
     plan: CapturePlan | None
     batch_id: int
     #: DEGRADE stretch factor pinned at dispatch time
     slowdown: float
     #: transfer-fault draw pinned at dispatch time (lifecycle state is
-    #: parent-owned; workers must not re-draw)
+    #: service-owned; slot execution must not re-draw)
     transfer_fault: bool
     #: slot virtual time when the batch was planned (trace span start)
     clock_start: float
@@ -93,58 +96,47 @@ class SlotOutcome:
     #: stretch; stream reclaim is clock-neutral)
     finish: float
     #: per batch member, in batch order:
-    #: ``(request_id, outputs, start_time, read_clock)`` — the virtual
-    #: time the member's outputs became readable (its result finish
-    #: time, pre-stretch)
-    results: list[tuple[int, dict[str, np.ndarray], float, float]]
+    #: ``(request_id, order, start_time, read_clock)`` — ``order`` lists
+    #: the member's launch indices in kernel completion order, and
+    #: ``read_clock`` is the virtual time its outputs became readable
+    #: (its result finish time, pre-stretch)
+    results: list[tuple[int, list[int], float, float]]
     #: per batch member, in batch order: ``(tenant, kernel records)``
     histories: list[tuple[str, list[KernelExecutionRecord]]]
     #: buffered engine/coherence trace events (tracing runs only)
     trace_events: list[TraceEvent] | None = None
-    # -- process strategy only: slot-state deltas the parent mirrors --
-    #: timeline records appended by this batch (meta sanitized to
-    #: picklable primitives); None for in-process strategies, which
-    #: mutate the real slot engine directly
-    timeline_records: list[TimelineRecord] | None = None
-    #: absolute engine counter snapshot after the batch
-    engine_counters: dict | None = None
-    #: absolute slot roll-up counter snapshot after the batch
-    slot_counters: dict | None = None
-    #: absolute kernels-launched total for the slot
-    kernels_launched: int = 0
 
 
 class Submission:
     """In-flight bookkeeping for one request inside a batch."""
 
     def __init__(
-        self,
-        request: GraphRequest,
-        slot: FleetSlot,
-        start_time: float,
-        batch_id: int,
-        batch_size: int,
-        replayed: bool,
+        self, request: GraphRequest, slot: FleetSlot, start_time: float
     ) -> None:
         self.request = request
         self.slot = slot
         self.start_time = start_time
-        self.batch_id = batch_id
-        self.batch_size = batch_size
-        self.replayed = replayed
         self.arrays: dict[str, DeviceArray] = {}
         self.context = None            # context path only
         self.coherence: CoherenceEngine | None = None   # replay path
         self.history: list[KernelExecutionRecord] = []  # replay path
+        #: launch indices in the order the engine completed their kernels
+        self.order: list[int] = []
+
+    def recorder(self, index: int):
+        """An op ``on_complete`` callback recording launch ``index``."""
+        return lambda _op: self.order.append(index)
 
 
-def submit_context(
-    slot: FleetSlot,
-    request: GraphRequest,
-    config,
-    batch_id: int,
-    batch_size: int,
-) -> Submission:
+def bind_launch(
+    kernel: Kernel, decl: LaunchDecl, arrays: dict[str, DeviceArray]
+) -> KernelLaunch:
+    """``decl``'s launch of ``kernel`` over ``arrays``, not yet
+    submitted."""
+    return kernel(decl.grid, decl.block).bind(*decl.resolve(arrays))
+
+
+def submit_context(slot: FleetSlot, request: GraphRequest) -> Submission:
     """Serve one request through a fresh execution context: the full
     dependency-inference and device-placement scheduling path of the
     paper (on a multi-GPU slot the graph transparently spans the
@@ -158,21 +150,21 @@ def submit_context(
         },
         drain=False,
     )
-    sub = Submission(
-        request, slot, slot.engine.clock, batch_id, batch_size,
-        replayed=False,
-    )
+    sub = Submission(request, slot, slot.engine.clock)
     sub.context = ctx
     for name, decl in graph.arrays.items():
         sub.arrays[name] = rt.array(
-            decl.shape, dtype=decl.dtype, name=name
+            decl.shape, dtype=decl.dtype, name=name, materialize=False
         )
     for name, decl in graph.arrays.items():
         if decl.init is not None:
-            sub.arrays[name].copy_from_host(decl.init)
-    for launch in graph.launches:
-        kernel = slot.kernel_for(graph.kernel_by_name(launch.kernel))
-        kernel(launch.grid, launch.block)(*launch.resolve(sub.arrays))
+            sub.arrays[name].touch_write_full()
+    for i, launch_decl in enumerate(graph.launches):
+        kernel = slot.kernel_for(graph.kernel_by_name(launch_decl.kernel))
+        ctx.launch(
+            bind_launch(kernel, launch_decl, sub.arrays),
+            on_complete=sub.recorder(i),
+        )
         slot.kernels_launched += 1
     return sub
 
@@ -182,8 +174,6 @@ def submit_replay(
     request: GraphRequest,
     plan: CapturePlan,
     config,
-    batch_id: int,
-    batch_size: int,
     member: int = 0,
 ) -> Submission:
     """Serve one request by replaying the cached capture plan:
@@ -200,10 +190,7 @@ def submit_replay(
         "request": request.request_id,
         "replay": True,
     }
-    sub = Submission(
-        request, slot, engine.clock, batch_id, batch_size,
-        replayed=True,
-    )
+    sub = Submission(request, slot, engine.clock)
     # Replay bypasses execution contexts, so the request gets its
     # own coherence engine: shared-input migration hazards, movement
     # policy, cross-acquire coalescing windows and state transitions
@@ -220,26 +207,13 @@ def submit_replay(
     streams = slot.replay_streams(plan.stream_count, member=member)
     engine.charge_host_time(config.replay_overhead_us * 1e-6)
 
-    written = graph.written_arrays()
     for name, decl in graph.arrays.items():
-        # An input no launch writes is read in place: the array adopts
-        # a read-only view of it, so a kernel writing through a const
-        # pointer raises instead of changing the graph.
-        buffer = (
-            read_only_view(decl.init, decl.dtype)
-            if decl.init is not None and name not in written
-            else None
-        )
         arr = DeviceArray(
             decl.shape, dtype=decl.dtype, devices=rt.devices,
-            name=name, buffer=buffer,
+            name=name, materialize=False,
         )
         rt.adopt_array(arr)  # freed with the batch
         if decl.init is not None:
-            # An adopted buffer already holds the input, and a fresh
-            # one is already zero.
-            if buffer is None and not is_zero_block(decl.init):
-                arr.copy_from_host(decl.init)
             # No hook installed: declare the host write to the engine
             # so planned overlays and pending migrations reset too.
             coherence.cpu_access(arr, AccessKind.WRITE, arr.nbytes)
@@ -254,18 +228,11 @@ def submit_replay(
         kernel = slot.kernel_for(
             graph.kernel_by_name(launch_decl.kernel)
         )
-        bound = kernel.bind_args(launch_decl.resolve(sub.arrays))
-        launch = KernelLaunch(
-            kernel=bound.kernel,
-            grid=normalize_dim(launch_decl.grid),
-            block=normalize_dim(launch_decl.block),
-            args=bound.args,
-            array_args=bound.array_args,
-            scalar_args=bound.scalar_args,
-        )
+        launch = bind_launch(kernel, launch_decl, sub.arrays)
         _, acq = submit_kernel(
             coherence, stream, launch, step.stream % slot.gpus,
             tags=tags, history=sub.history.append,
+            on_complete=sub.recorder(step.index),
         )
         slot.kernels_launched += 1
         finish_event = None
@@ -279,27 +246,19 @@ def submit_replay(
     return sub
 
 
-def read_outputs(
-    sub: Submission,
-) -> tuple[dict[str, np.ndarray], float]:
-    """Read the request's outputs (synchronizing just enough);
-    returns them with the virtual time they became readable.
-    Recording is a separate step — a mid-batch fault voids the
-    whole batch *after* its outputs were (wastefully) read.
-
-    On the replay path a written output's buffer goes to the result
-    uncopied: the batch frees its arrays right after.  An output no
-    launch writes is copied, so results never alias graph inputs."""
+def read_back(sub: Submission) -> float:
+    """Declare the reads of the request's outputs (synchronizing just
+    enough) and return the virtual time they became readable.  No data
+    moves: the data plane computes the outputs once the request
+    completes.  Recording is a separate step — a mid-batch fault voids
+    the whole batch *after* its readbacks were simulated."""
     engine = sub.slot.engine
-    graph = sub.request.graph
-    written = graph.written_arrays()
-    outputs: dict[str, np.ndarray] = {}
-    for name in graph.outputs:
+    for name in sub.request.graph.outputs:
         arr = sub.arrays[name]
         if sub.context is not None:
             # Attached array: the CPU-access hook syncs producers
             # precisely and charges the readback migration.
-            outputs[name] = arr.to_numpy()
+            arr.touch_read_full()
         else:
             # Replay path (engine already drained): declare the
             # readback to the request's coherence engine, mirroring
@@ -309,23 +268,7 @@ def read_outputs(
                 arr, AccessKind.READ, arr.nbytes,
                 stream=engine.default_stream,
             )
-            outputs[name] = (
-                arr.kernel_view
-                if name in written
-                else arr.kernel_view.copy()
-            )
-    return outputs, engine.clock
-
-
-def _sanitize_meta(meta: dict) -> dict:
-    """Timeline-record meta restricted to picklable primitives; the
-    Chrome exporter's ``_clean_args`` drops everything else anyway, so
-    exports from mirrored records stay identical."""
-    return {
-        k: v
-        for k, v in meta.items()
-        if v is None or isinstance(v, (str, int, float, bool))
-    }
+    return engine.clock
 
 
 def execute_slot_work(
@@ -334,19 +277,14 @@ def execute_slot_work(
     config,
     *,
     trace: bool = False,
-    collect_state: bool = False,
 ) -> SlotOutcome:
-    """Simulate one batch on one slot; the parallel-safe core of the
-    old ``SchedulerService._execute_batch``.
+    """Simulate one batch on one slot, timing-only.
 
     Touches only ``slot`` (its engine, session, counters, kernel
     caches) plus the work unit itself.  With ``trace``, engine and
     coherence events are buffered on a private tracer (restored on
-    exit) so concurrent slots cannot interleave a shared event list —
-    the parent appends the buffers in slot-id order.  With
-    ``collect_state`` (the process strategy), the outcome additionally
-    carries the timeline/counter deltas the parent mirrors onto its
-    own slot objects.
+    exit) and the service appends the buffers in slot-id order, so a
+    trace never depends on the order slots were simulated in.
     """
     engine = slot.engine
     # getattr: frozen reference engines in the golden tests predate the
@@ -355,9 +293,6 @@ def execute_slot_work(
     buffer = Tracer() if trace else None
     if buffer is not None:
         engine.tracer = buffer
-    timeline_cursor = (
-        len(engine.timeline.records) if collect_state else 0
-    )
     try:
         batch = work.batch
         # The slot idles until the last coalesced arrival (or retry
@@ -370,34 +305,27 @@ def execute_slot_work(
         engine.charge_host_time(config.dispatch_overhead_us * 1e-6)
         plan = work.plan
         submissions = [
-            submit_replay(
-                slot, r, plan, config, work.batch_id, len(batch),
-                member=i,
-            )
+            submit_replay(slot, r, plan, config, member=i)
             if plan is not None
-            else submit_context(
-                slot, r, config, work.batch_id, len(batch)
-            )
+            else submit_context(slot, r)
             for i, r in enumerate(batch)
         ]
         if plan is not None:
             # Replay bypasses the per-array CPU hooks, so drain before
             # the manual readbacks below.
             engine.sync_all()
-        finalized = [
-            (sub, *read_outputs(sub)) for sub in submissions
-        ]
+        read_clocks = [read_back(sub) for sub in submissions]
         engine.sync_all()
         if work.slowdown > 1.0 and engine.clock > t0:
             # A degraded slot stretches the whole batch span: the
             # extra wall time lands after the fact, which keeps the
-            # in-batch schedule (and its numerics) untouched.
+            # in-batch schedule (and its completion order) untouched.
             engine.charge_host_time(
                 (engine.clock - t0) * (work.slowdown - 1.0)
             )
         # Reclaim per-request streams and absorb per-request coherence
         # counters into the slot roll-up, so a long-lived slot engine
-        # stays bounded.  Histories travel back to the parent — tenant
+        # stays bounded.  Histories travel back to the service — tenant
         # accounting is service-owned.
         histories: list[tuple[str, list[KernelExecutionRecord]]] = []
         for sub in submissions:
@@ -421,27 +349,59 @@ def execute_slot_work(
             histories.append((sub.request.tenant, records))
         slot.session.free_arrays()
         finish = engine.clock
-        results = [
-            (sub.request.request_id, outputs, sub.start_time, read_clock)
-            for sub, outputs, read_clock in finalized
-        ]
-        outcome = SlotOutcome(
+        return SlotOutcome(
             slot_index=work.slot_index,
             batch_id=work.batch_id,
             finish=finish,
-            results=results,
+            results=[
+                (sub.request.request_id, sub.order, sub.start_time, clock)
+                for sub, clock in zip(submissions, read_clocks)
+            ],
             histories=histories,
             trace_events=list(buffer.events) if buffer is not None else None,
         )
-        if collect_state:
-            outcome.timeline_records = [
-                dataclasses.replace(rec, meta=_sanitize_meta(rec.meta))
-                for rec in engine.timeline.records[timeline_cursor:]
-            ]
-            outcome.engine_counters = engine.counters.snapshot()
-            outcome.slot_counters = slot.counters.snapshot()
-            outcome.kernels_launched = slot.kernels_launched
-        return outcome
     finally:
         if buffer is not None:
             engine.tracer = saved_tracer
+
+
+def run_numerics(
+    graph: TaskGraph, order: Sequence[int]
+) -> dict[str, np.ndarray]:
+    """The data plane: run ``graph``'s launches once each, in
+    ``order`` (launch indices, as the kernels completed in the
+    simulation), and return the graph's outputs.
+
+    An input no launch writes is read in place, through a read-only
+    view, so a kernel writing through a ``const`` pointer raises
+    :class:`ValueError` instead of changing the graph.  Every written
+    array is private: zeros, or a copy of its non-zero input.  Written
+    outputs are returned uncopied and unwritten ones are copied, so
+    results never alias inputs.
+    """
+    written = graph.written_arrays()
+    arrays = {}
+    for name, decl in graph.arrays.items():
+        buffer = None  # fresh zeros
+        if decl.init is not None and name not in written:
+            buffer = read_only_view(decl.init, decl.dtype)
+        elif decl.init is not None and not is_zero_block(decl.init):
+            buffer = np.array(decl.init, dtype=decl.dtype)
+        arrays[name] = DeviceArray(
+            decl.shape, dtype=decl.dtype, name=name, buffer=buffer
+        )
+    kernels = {
+        k.name: build_kernel(k.fn, k.name, k.signature, cost_model=k.cost)
+        for k in graph.kernels
+    }
+    for i in order:
+        decl = graph.launches[i]
+        bind_launch(kernels[decl.kernel], decl, arrays).execute()
+    return {
+        name: (
+            arrays[name].kernel_view
+            if name in written
+            else arrays[name].kernel_view.copy()
+        )
+        for name in graph.outputs
+    }

@@ -13,7 +13,10 @@ do identically:
 * the total-outage step — fast-forward to the first revival, or shed
   the whole queue when no child will ever admit again — and the
   deadline check;
-* the exponential-backoff re-queue and the terminal drop record.
+* the exponential-backoff re-queue and the terminal drop record;
+* the data plane: once :meth:`Dispatcher.drain` has simulated every
+  request timing-only, :meth:`Dispatcher.run` computes each COMPLETED
+  request's outputs once, in request-id order.
 
 Each level keeps its own round policy (:meth:`Dispatcher.drain`), its
 report, and its counter and trace names (the class constants), so a
@@ -28,6 +31,7 @@ from typing import TYPE_CHECKING, Any
 from repro.faults import FaultKind, FaultPlan, Transition
 from repro.obs.counters import CounterRegistry
 from repro.obs.trace import Tracer
+from repro.parallel.strategy import map_numerics
 from repro.serve.admission import make_queue
 from repro.serve.request import (
     GraphRequest,
@@ -81,8 +85,13 @@ class Dispatcher:
         self.counters = CounterRegistry()
         self._max_retries = serve.max_retries
         self._retry_backoff_us = serve.retry_backoff_us
-        #: instance-owned ids: concurrent dispatchers (and forked
-        #: workers) never interleave them
+        self._parallel = serve.parallel
+        self._workers = serve.workers
+        #: request id -> (graph, launch indices in kernel completion
+        #: order) of each completion the data plane has yet to compute
+        self.numerics: dict[int, tuple[TaskGraph, list[int]]] = {}
+        #: instance-owned ids: concurrent dispatchers never interleave
+        #: them
         self._request_ids = itertools.count(1)
         #: monotone virtual-time cursor of the dispatch decisions
         self._now = 0.0
@@ -161,23 +170,29 @@ class Dispatcher:
     # -- the serving loop --------------------------------------------------
 
     def run(self):
-        """Serve every admitted request to a terminal status, then
-        report (resources are released either way)."""
-        try:
-            self.drain()
-            return self.report()
-        finally:
-            self.close()
+        """Serve every admitted request to a terminal status, compute
+        the completed requests' outputs, then report."""
+        self.drain()
+        completed = sorted(
+            (r for r in self.results if r.status is RequestStatus.COMPLETED),
+            key=lambda r: r.request_id,
+        )
+        outputs = map_numerics(
+            [self.numerics[r.request_id] for r in completed],
+            self._parallel,
+            self._workers,
+        )
+        for result, out in zip(completed, outputs):
+            result.outputs = out
+        return self.report()
 
     def drain(self) -> None:
-        """Serve until every admitted request is terminal."""
+        """Serve until every admitted request is terminal (timing
+        only: outputs are computed by :meth:`run`)."""
         raise NotImplementedError
 
     def report(self):
         raise NotImplementedError
-
-    def close(self) -> None:
-        """Release execution resources; idempotent."""
 
     # -- lifecycles --------------------------------------------------------
 

@@ -24,9 +24,11 @@ Placement therefore composes across two levels:
   :class:`~repro.core.policies.SchedulerConfig` ``placement`` knob
   (defaulting to the paper's MIN_TRANSFER pricing).
 
-Each slot keeps a per-fleet kernel cache (kernels bind the session's
-context *dispatcher*, so they survive per-request context renewal) and
-reusable per-device replay-stream pools for capture-cache fast paths.
+Each slot keeps a per-fleet cache of timing-only kernels (kernels bind
+the session's context *dispatcher*, so they survive per-request context
+renewal; their bodies run later, in the data plane of
+:mod:`repro.parallel`) and reusable per-device replay-stream pools for
+capture-cache fast paths.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.errors import ConfigError
 from repro.faults import FaultPlan, SlotHealth, SlotLifecycle
 from repro.gpusim.specs import GPUSpec, gpu_by_name
 from repro.gpusim.stream import SimStream
-from repro.kernels.kernel import Kernel
+from repro.kernels.kernel import Kernel, timing_only
 from repro.obs.counters import CounterRegistry
 from repro.obs.trace import Tracer, current_tracer
 from repro.serve.request import GraphRequest
@@ -192,11 +194,13 @@ class FleetSlot:
         return (self.gpus, tuple(s.name for s in self.session.specs))
 
     def kernel_for(self, decl) -> Kernel:
-        """Build-or-reuse the kernel for ``decl`` on this slot."""
+        """Build-or-reuse the timing-only kernel for ``decl`` on this
+        slot: priced and scheduled like ``decl``, with no body."""
         kernel = self._kernels.get(decl.identity)
         if kernel is None:
             kernel = self.session.build_kernel(
-                decl.fn, decl.name, decl.signature, cost_model=decl.cost
+                timing_only, decl.name, decl.signature,
+                cost_model=decl.cost,
             )
             self._kernels[decl.identity] = kernel
         return kernel

@@ -48,8 +48,6 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.policies import (
     AdmissionPolicy,
     DevicePlacementPolicy,
@@ -61,11 +59,7 @@ from repro.faults import FaultPlan
 from repro.metrics.service import ServiceMetrics, compute_service_metrics
 from repro.obs.counters import CounterRegistry
 from repro.obs.trace import Tracer, current_tracer
-from repro.parallel.strategy import (
-    STRATEGIES,
-    ExecutionStrategy,
-    make_strategy,
-)
+from repro.parallel.strategy import STRATEGIES, SequentialStrategy
 from repro.parallel.work import SlotOutcome, SlotWork
 from repro.serve.capture import CaptureCache
 from repro.serve.dispatch import Dispatcher
@@ -115,13 +109,12 @@ class ServeConfig:
     #: :class:`~repro.serve.fleet.GpuFleet`); only consulted when the
     #: service builds its own fleet
     width_normalized: bool = True
-    #: execution strategy for per-slot simulation between placement
-    #: rounds: ``sequential`` (golden reference) or ``process`` —
-    #: both produce bit-identical reports (see
-    #: :mod:`repro.parallel`)
+    #: where completed requests' kernels run once the timing-only
+    #: simulation has drained: ``sequential`` (in-process, the
+    #: reference) or ``process`` (a forked worker pool) — both produce
+    #: bit-identical reports (see :mod:`repro.parallel`)
     parallel: str = "sequential"
-    #: worker count for the process strategy (None: one
-    #: per slot, capped at the machine's cores)
+    #: size of the ``process`` pool (None: one worker per core)
     workers: int | None = None
     #: per-device runtime/scheduler configuration
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
@@ -332,9 +325,6 @@ class SchedulerService(Dispatcher):
         self.cache = CaptureCache(enabled=self.config.capture_cache)
         self._batch_ids = itertools.count(1)
         self._batches = 0
-        #: execution strategy, built lazily on first drain (services
-        #: constructed for introspection never pay for worker pools)
-        self._strategy: ExecutionStrategy | None = None
         self._c_admitted = self.counters.counter("serve.admitted")
         self._c_batches = self.counters.counter("serve.batches")
         self._c_batched_requests = self.counters.counter(
@@ -375,37 +365,17 @@ class SchedulerService(Dispatcher):
 
     # -- the serving loop ---------------------------------------------------
 
-    def close(self) -> None:
-        """Release execution-strategy resources (worker processes);
-        idempotent.  :meth:`run` calls this itself; use
-        it directly after driving :meth:`drain` by hand."""
-        if self._strategy is not None:
-            self._strategy.close()
-            self._strategy = None
-
-    def _ensure_strategy(self) -> ExecutionStrategy:
-        if self._strategy is None:
-            self._strategy = make_strategy(
-                self.config.parallel,
-                self.fleet.slots,
-                self.config,
-                workers=self.config.workers,
-                trace=self.tracer.enabled,
-            )
-        return self._strategy
-
     def drain(self) -> None:
         """Serve until the admission queue is empty (no report built —
         the cluster layer drains each node per placement round and
         reports once at the end).
 
-        The loop is a fork/join over *placement rounds*: plan a round
-        of per-slot batches sequentially (admission, placement, fault
-        draws — the inherently ordered decisions), execute every
-        planned batch under the configured strategy (each slot's
-        simulation is independent between rounds), then merge the
-        outcomes in slot-id order so every strategy reports
-        bit-identically.
+        The loop runs *placement rounds*: plan a round of per-slot
+        batches (admission, placement, fault draws — the inherently
+        ordered decisions), simulate every planned batch timing-only
+        (each slot's simulation is independent between rounds), then
+        merge the outcomes in slot-id order.  Outputs are computed
+        afterwards, by :meth:`run`.
 
         Every popped request reaches a terminal status — COMPLETED,
         SHED, TIMEOUT or FAILED — even under total fleet loss: when no
@@ -413,7 +383,9 @@ class SchedulerService(Dispatcher):
         shed instead of deadlocking; when a restart is pending, the
         loop fast-forwards virtual time to it.
         """
-        strategy = self._ensure_strategy()
+        strategy = SequentialStrategy(
+            self.fleet.slots, self.config, trace=self.tracer.enabled
+        )
         while len(self.queue):
             works = self._plan_round()
             if not works:
@@ -526,28 +498,16 @@ class SchedulerService(Dispatcher):
     def _merge_round(
         self, works: list[SlotWork], outcomes: list[SlotOutcome]
     ) -> None:
-        """Join one executed round back into service state, in slot-id
+        """Join one simulated round back into service state, in slot-id
         order (every batch in a round dispatched at the same virtual
         instant, so slot id is the deterministic tie-break) — results,
         retries, tenant histories, lifecycle advancement and traces
-        merge identically whatever order the strategy finished in."""
+        merge identically whatever order the slots were simulated in."""
         by_slot = {o.slot_index: o for o in outcomes}
         for work in sorted(works, key=lambda w: w.slot_index):
             outcome = by_slot[work.slot_index]
             slot = self.fleet.slots[work.slot_index]
             finish = outcome.finish
-            if outcome.timeline_records is not None:
-                # Process strategy: mirror the worker-side slot state
-                # (records append in worker order, so the timeline's
-                # incremental aggregates stay bit-identical).
-                for rec in outcome.timeline_records:
-                    slot.engine.timeline.add(rec)
-                for name, value in outcome.engine_counters.items():
-                    slot.engine.counters.set(name, value)
-                for name, value in outcome.slot_counters.items():
-                    slot.counters.set(name, value)
-                slot.engine.clock = finish
-                slot.kernels_launched = outcome.kernels_launched
             if outcome.trace_events:
                 self.tracer.events.extend(outcome.trace_events)
             crashed = self._advance(slot, finish)
@@ -556,19 +516,19 @@ class SchedulerService(Dispatcher):
             if crashed or work.transfer_fault:
                 # The batch's work is lost (crash) or its results never
                 # arrived (transient transfer fault): the simulated
-                # time it burned stays on the timeline, the outputs are
-                # discarded and every member re-queues with backoff (or
+                # time it burned stays on the timeline, nothing is
+                # computed and every member re-queues with backoff (or
                 # fails).
                 for r in work.batch:
                     self._retry_or_fail(r, slot, finish)
             else:
                 requests = {r.request_id: r for r in work.batch}
-                for request_id, outputs, start, read_clock in (
+                for request_id, order, start, read_clock in (
                     outcome.results
                 ):
                     self._record_result(
                         requests[request_id],
-                        outputs,
+                        order,
                         start,
                         read_clock,
                         slot=slot,
@@ -602,10 +562,6 @@ class SchedulerService(Dispatcher):
         # The slot's (simulated) host process died: built kernels and
         # MIN_TRANSFER warmth die with it.
         slot.cold_restart()
-        if self._strategy is not None:
-            # Remote slot replicas (process strategy) mirror the
-            # restart before the slot's next work unit.
-            self._strategy.note_cold_restart(slot.index)
 
     def _shed_to_watermark(self, now: float) -> None:
         """Graceful degradation: below the healthy-capacity watermark,
@@ -676,7 +632,7 @@ class SchedulerService(Dispatcher):
     def _record_result(
         self,
         request: GraphRequest,
-        outputs: dict[str, np.ndarray],
+        order: list[int],
         start_time: float,
         finish: float,
         *,
@@ -686,12 +642,15 @@ class SchedulerService(Dispatcher):
         timed_out = (
             request.deadline is not None and finish > request.deadline
         )
+        if not timed_out:
+            # A timed-out request's results were never delivered, so
+            # only a completion leaves work for the data plane.
+            self.numerics[request.request_id] = (request.graph, order)
         result = GraphResult(
             request_id=request.request_id,
             tenant=request.tenant,
             graph_name=request.graph.name,
-            # A timed-out request's results were never delivered.
-            outputs={} if timed_out else outputs,
+            outputs={},
             arrival_time=request.arrival_time,
             start_time=start_time,
             finish_time=finish,

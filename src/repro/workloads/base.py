@@ -41,7 +41,7 @@ from repro.graphs.graph import CudaGraph
 from repro.graphs.handtuned import HandTunedScheduler
 from repro.graphs.planner import launch_parents, plan_streams
 from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
-from repro.kernels.kernel import Kernel
+from repro.kernels.kernel import Kernel, timing_only
 from repro.kernels.registry import build_kernel
 from repro.memory.array import AccessKind, DeviceArray
 from repro.memory.coherence import CoherenceEngine, MovementPolicy
@@ -324,7 +324,7 @@ class Benchmark(abc.ABC):
         }
         kernels = {
             k.name: rt.build_kernel(
-                k.fn if self.execute else _noop,
+                k.fn if self.execute else timing_only,
                 k.name,
                 k.signature,
                 cost_model=k.cost,
@@ -389,7 +389,7 @@ class Benchmark(abc.ABC):
             arr.set_access_hook(host.hook)
         kernels = {
             k.name: build_kernel(
-                k.fn if self.execute else _noop,
+                k.fn if self.execute else timing_only,
                 k.name,
                 k.signature,
                 cost_model=k.cost,
@@ -520,8 +520,3 @@ class _BaselineHost:
         self.coherence.cpu_access(
             array, kind, touched, stream=self.engine.default_stream
         )
-
-
-def _noop(*args: Any) -> None:
-    """Stand-in compute function when functional execution is disabled
-    (timing-only sweeps)."""

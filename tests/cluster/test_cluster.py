@@ -42,12 +42,16 @@ def run_cluster(
     seed=11,
     interconnect="ethernet-100g",
     deadline_us=None,
+    serve=None,
 ):
     """One small deterministic cluster run; returns (report, submitted)."""
     cluster = Cluster(
         topologies,
         config=ClusterConfig(
-            policy=policy, interconnect=interconnect, faults=faults
+            policy=policy,
+            interconnect=interconnect,
+            faults=faults,
+            serve=serve or ServeConfig(),
         ),
     )
     submitted = []
@@ -300,6 +304,39 @@ class TestNodeFaults:
         a, _ = run_cluster(faults="crash:node=0,at=1e-3")
         b, _ = run_cluster(faults="crash:node=1,at=1e-3")
         assert a.fingerprint() != b.fingerprint()
+
+
+class TestClusterDataPlane:
+    def test_crashed_cluster_same_fingerprint_under_the_pool(self):
+        plan = "crash:node=1,at=2e-3"
+        sequential, _ = run_cluster(faults=plan, count=12)
+        pooled, _ = run_cluster(
+            faults=plan,
+            count=12,
+            serve=ServeConfig(parallel="process", workers=2),
+        )
+        assert sequential.counters["cluster.node_faults_injected"] == 1
+        assert pooled.fingerprint() == sequential.fingerprint()
+
+    def test_serve_bench_passes_parallel_flags_to_the_cluster(
+        self, monkeypatch
+    ):
+        from repro.harness import serving
+
+        seen = []
+
+        def fake_drive(graphs, arrivals, config, **kwargs):
+            seen.append(config)
+            return serving.Served(report=None, tracer=None, wall_s=0.0)
+
+        monkeypatch.setattr(serving, "drive", fake_drive)
+        serving.serve_bench(
+            requests=2, cluster="2,1|1", parallel="process", workers=2
+        )
+        (config,) = seen
+        assert isinstance(config, ClusterConfig)
+        assert config.serve.parallel == "process"
+        assert config.serve.workers == 2
 
 
 # -- the property test -----------------------------------------------------

@@ -33,15 +33,13 @@ class TestCounterRegistry:
         a.value += 3
         assert reg.get("engine.steps") == 3
 
-    def test_inc_set_get_defaults(self):
+    def test_inc_get_defaults(self):
         reg = CounterRegistry()
         assert reg.get("missing") == 0
         assert reg.get("missing", default=-1) == -1
         reg.inc("a")
         reg.inc("a", 2)
-        reg.set("b", 7)
         assert reg.get("a") == 3
-        assert reg.get("b") == 7
 
     def test_set_max_is_a_high_watermark(self):
         reg = CounterRegistry()

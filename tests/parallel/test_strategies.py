@@ -1,15 +1,30 @@
 """The execution-strategy matrix contract: every strategy produces
-bit-identical reports, counters and canonical traces; strategies and
-services close idempotently; request-id allocation is service-owned.
+bit-identical reports, counters and canonical traces; the data-plane
+pool is loud when a worker dies, sends small tasks and leaves no worker
+behind; request-id allocation is service-owned.
 """
+
+import multiprocessing
+import os
+import pickle
+import signal
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.kernels.profile import LinearCostModel
 from repro.obs.export import canonical_trace
 from repro.obs.trace import Tracer
-from repro.parallel import STRATEGIES, make_strategy, resolve_workers
-from repro.serve import SchedulerService, ServeConfig
+from repro.parallel import STRATEGIES, strategy
+from repro.serve import (
+    ArrayDecl,
+    KernelDecl,
+    LaunchDecl,
+    SchedulerService,
+    ServeConfig,
+    TaskGraph,
+)
 from repro.serve.workloads import traffic_mix_graphs
 
 FAULT_PLAN = "crash:slot=1,at=2e-3;degrade:slot=0,at=1e-3,factor=2.0"
@@ -66,11 +81,13 @@ class TestStrategyMatrix:
             assert states[strategy][2] == reference[2], strategy
 
     def test_process_with_single_worker_matches(self):
-        """Worker sharding is a pure partition: one worker owning every
-        slot equals the multi-worker run."""
-        one, _ = run_strategy("process", workers=1, trace=False)
-        many, _ = run_strategy("process", workers=3, trace=False)
-        assert one.fingerprint() == many.fingerprint()
+        """Results are collected in request-id order: one, two and
+        three workers report the same fingerprint."""
+        fingerprints = {
+            run_strategy("process", workers=w, trace=False)[0].fingerprint()
+            for w in (1, 2, 3)
+        }
+        assert len(fingerprints) == 1
 
     def test_faulted_process_counters_match_sequential(self):
         seq, _ = run_strategy("sequential", faults=FAULT_PLAN, trace=False)
@@ -80,42 +97,93 @@ class TestStrategyMatrix:
 
 
 class TestLifecycle:
-    def test_service_close_is_idempotent(self):
+    def test_process_run_leaves_no_worker_alive(self):
         service = SchedulerService(
             fleet_size=2, config=ServeConfig(parallel="process")
         )
         service.register_tenant("t")
         service.submit("t", traffic_mix_graphs(1, seed=1)[0])
         service.run()
-        service.close()
-        service.close()
-
-    def test_process_strategy_close_twice(self):
-        service = SchedulerService(fleet_size=2)
-        strategy = make_strategy(
-            "process", service.fleet.slots, service.config
-        )
-        strategy.close()
-        strategy.close()
+        assert multiprocessing.active_children() == []
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="greenlets"):
             ServeConfig(parallel="greenlets")
         with pytest.raises(ValueError):
             ServeConfig(workers=0)
-        with pytest.raises(ValueError):
-            make_strategy("greenlets", [], None)
 
 
-class TestResolveWorkers:
-    def test_explicit_cap_clamped_to_slots(self):
-        assert resolve_workers(8, 3) == 3
-        assert resolve_workers(2, 3) == 2
-        assert resolve_workers(1, 3) == 1
+#: the test process; pool workers are its forks
+TEST_PID = os.getpid()
 
-    def test_default_is_at_least_one(self):
-        assert resolve_workers(None, 1) == 1
-        assert resolve_workers(None, 64) >= 1
+
+def _exit_outside_test_process(x, y, n):
+    if os.getpid() != TEST_PID:
+        os._exit(1)
+    y[:n] = x[:n]
+
+
+def _fail(x, y, n):
+    raise ZeroDivisionError("kernel failed")
+
+
+def _one_kernel_graph(fn) -> TaskGraph:
+    n = 64
+    return TaskGraph(
+        name="one-kernel",
+        arrays={
+            "x": ArrayDecl("x", (n,), np.float32, init=np.ones(n, np.float32)),
+            "y": ArrayDecl("y", (n,), np.float32),
+        },
+        kernels=(
+            KernelDecl(
+                "k", "const ptr, ptr, sint32", fn,
+                LinearCostModel(flops_per_item=1.0, dram_bytes_per_item=8.0),
+            ),
+        ),
+        launches=(LaunchDecl("k", 1, 64, ("x", "y", n)),),
+    )
+
+
+def _hung(signum, frame):
+    pytest.fail("run() hung on a dead worker")
+
+
+class TestPool:
+    def test_dead_worker_raises_instead_of_hanging(self):
+        service = SchedulerService(
+            fleet_size=2, config=ServeConfig(parallel="process")
+        )
+        service.submit("t", _one_kernel_graph(_exit_outside_test_process))
+        previous = signal.signal(signal.SIGALRM, _hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError):
+                service.run()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_kernel_error_reraises_in_the_parent(self):
+        service = SchedulerService(
+            fleet_size=2, config=ServeConfig(parallel="process")
+        )
+        service.submit("t", _one_kernel_graph(_fail))
+        with pytest.raises(ZeroDivisionError, match="kernel failed"):
+            service.run()
+
+    def test_each_task_pickles_under_a_kilobyte(self, monkeypatch):
+        sizes = []
+
+        class Recording(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                sizes.append(len(pickle.dumps((fn, args, kwargs))))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(strategy, "ProcessPoolExecutor", Recording)
+        report, _ = run_strategy("process", workers=2, trace=False)
+        assert len(sizes) == report.metrics.completed > 0
+        assert max(sizes) < 1024
 
 
 class TestServiceOwnedRequestIds:

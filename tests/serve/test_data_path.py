@@ -1,6 +1,6 @@
 """The serving data path carries each input byte once: arrays a graph's
-producer never writes are zero blocks, replay reads unwritten inputs in
-place, and readback hands written buffers over uncopied — without
+producer never writes are zero blocks, the data plane reads unwritten
+inputs in place and hands written buffers over uncopied — without
 changing any simulated quantity or result."""
 
 import dataclasses
@@ -130,8 +130,8 @@ def _const_violating_graph(seed: int) -> TaskGraph:
 def test_replayed_kernel_cannot_write_a_const_input(fleet):
     graphs = [_const_violating_graph(seed) for seed in (1, 2)]
     before = [g.arrays["x"].init.copy() for g in graphs]
-    # The first request infers its schedule on private copies; the
-    # second replays the captured plan over the graph's own input.
+    # Both requests' kernels read the graph's own input in place: the
+    # capture miss as well as the replay.
     with pytest.raises(ValueError, match="read-only"):
         _serve(graphs, fleet, batch_window=0.0)
     for graph, data in zip(graphs, before):

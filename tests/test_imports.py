@@ -21,8 +21,7 @@ MODULES = (
         for init in (SRC / "repro").glob("*/__init__.py")
     )
     # the modules of the old parallel -> serve -> parallel cycle
-    + ["repro.parallel.process", "repro.parallel.strategy",
-       "repro.parallel.work"]
+    + ["repro.parallel.strategy", "repro.parallel.work"]
 )
 
 
