@@ -5,7 +5,8 @@
   the simpler policy loses concurrency on branchy DAGs.
 * **New-stream policy** — FIFO reuse vs ALWAYS_NEW: reuse keeps the
   stream count bounded with no performance cost.
-* **Prefetching** — AUTO vs NONE: without prefetch, concurrent kernels
+* **Prefetching** — the parallel scheduler's default eager prefetch vs
+  PAGE_FAULT movement: without prefetch, concurrent kernels
   bottleneck on the page-fault controller ("disabling automatic
   prefetching is not recommended", section V-C).
 """
@@ -14,9 +15,9 @@ import pytest
 
 from repro import (
     ExecutionPolicy,
+    MovementPolicy,
     NewStreamPolicy,
     ParentStreamPolicy,
-    PrefetchPolicy,
     SchedulerConfig,
 )
 from repro.workloads import Mode, create_benchmark
@@ -29,8 +30,7 @@ def run_with_config(name, scale, config, iterations=3):
     )
     original = Benchmark._build_session
 
-    def patched(self, gpu, execution, prefetch, movement=None,
-                gpus=1, placement=None, **session_knobs):
+    def patched(self, gpu, execution, movement=None, **session_knobs):
         from repro.session import Session
 
         return Session(gpu=gpu, config=config)
@@ -127,14 +127,14 @@ class TestPrefetchAblation:
             args=(
                 "b&s",
                 8_000_000,
-                SchedulerConfig(prefetch=PrefetchPolicy.AUTO),
+                SchedulerConfig(),
             ),
             rounds=1,
             iterations=1,
         )
         none = run_with_config(
             "b&s", 8_000_000,
-            SchedulerConfig(prefetch=PrefetchPolicy.NONE),
+            SchedulerConfig(movement=MovementPolicy.PAGE_FAULT),
         )
         slowdown = none.elapsed / auto.elapsed
         print(f"\nB&S without prefetch: {slowdown:.2f}x slower")
@@ -148,7 +148,7 @@ class TestPrefetchAblation:
             args=(
                 "vec",
                 20_000_000,
-                SchedulerConfig(prefetch=PrefetchPolicy.NONE),
+                SchedulerConfig(movement=MovementPolicy.PAGE_FAULT),
             ),
             rounds=1,
             iterations=1,

@@ -13,6 +13,7 @@ acceptance bar it tracks:
 """
 
 import numpy as np
+import pytest
 
 from repro.multigpu import DevicePlacementPolicy
 from repro.serve import (
@@ -54,7 +55,6 @@ def run_serving(
     capture_cache=True,
     requests=REQUESTS,
     fleet_topology=None,
-    width_normalized=True,
     traffic=None,
 ):
     if traffic is None:
@@ -69,7 +69,6 @@ def run_serving(
             placement=placement,
             batch_window=batch_window,
             capture_cache=capture_cache,
-            width_normalized=width_normalized,
         ),
     )
     for t in range(TENANTS):
@@ -141,65 +140,27 @@ def test_placement_policies_all_serve():
         )
 
 
-def test_width_normalized_placement_skewed_mix(benchmark):
-    """Satellite check for width-normalized LEAST_LOADED: on a fleet of
-    mixed slot widths under the skewed traffic mix, pricing slots by
-    outstanding-work/GPUs must actually change placement (wide slots
-    absorb more of the backlog) without costing throughput."""
-    normalized, submitted = benchmark.pedantic(
+@pytest.mark.parametrize(
+    "traffic", [None, "skewed"], ids=["mixed", "skewed"]
+)
+def test_heterogeneous_fleet_throughput(benchmark, traffic):
+    """The ``--fleet 2,2,1,1`` shape: multi-GPU slots serve the mixed
+    load, and the skewed mix that width-normalized LEAST_LOADED pricing
+    exists for, correctly, and every slot carries traffic."""
+    report, submitted = benchmark.pedantic(
         run_serving,
         kwargs={
             "requests": 60,
             "fleet_topology": [2, 2, 1, 1],
-            "traffic": "skewed",
-            "width_normalized": True,
+            "traffic": traffic,
         },
-        rounds=1,
-        iterations=1,
-    )
-    raw, _ = run_serving(
-        requests=60,
-        fleet_topology=[2, 2, 1, 1],
-        traffic="skewed",
-        width_normalized=False,
-    )
-    nm, rm = normalized.metrics, raw.metrics
-    print(
-        f"\nwidth-normalized {nm.throughput_rps:.0f} req/s"
-        f" (p99 {nm.latency.p99 * 1e3:.2f} ms) vs raw-clock"
-        f" {rm.throughput_rps:.0f} req/s"
-        f" (p99 {rm.latency.p99 * 1e3:.2f} ms)"
-    )
-    assert nm.completed == 60 and rm.completed == 60
-    # The pricing change is real: the two runs place differently.
-    place = lambda rep: [  # noqa: E731
-        r.device_index
-        for r in sorted(rep.results, key=lambda r: r.request_id)
-    ]
-    assert place(normalized) != place(raw)
-    # ...and doesn't cost throughput on the mix it was built for.
-    assert nm.throughput_rps >= rm.throughput_rps * 0.98
-    # Numerics are placement-independent: spot-check against serial.
-    by_id = {r.request_id: r for r in normalized.results}
-    for request_id, graph in submitted[:10]:
-        reference = execute_serial(graph)
-        result = by_id[request_id]
-        for name, expected in reference.items():
-            assert np.array_equal(result.outputs[name], expected)
-
-
-def test_heterogeneous_fleet_throughput(benchmark):
-    """The ``--fleet 2,2,1,1`` shape: multi-GPU slots serve the mixed
-    load correctly and every slot carries traffic."""
-    report, submitted = benchmark.pedantic(
-        run_serving,
-        kwargs={"requests": 60, "fleet_topology": [2, 2, 1, 1]},
         rounds=1,
         iterations=1,
     )
     m = report.metrics
     print(
-        f"\nheterogeneous [2,2,1,1]: {m.throughput_rps:.0f} req/s,"
+        f"\nheterogeneous [2,2,1,1] {traffic or 'mixed'}:"
+        f" {m.throughput_rps:.0f} req/s,"
         f" p99 {m.latency.p99 * 1e3:.2f} ms,"
         f" util {m.mean_utilization * 100:.0f}%"
     )

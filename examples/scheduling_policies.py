@@ -10,9 +10,9 @@ Run:  python examples/scheduling_policies.py
 
 from repro import (
     ExecutionPolicy,
+    MovementPolicy,
     NewStreamPolicy,
     ParentStreamPolicy,
-    PrefetchPolicy,
     SchedulerConfig,
 )
 from repro import Session
@@ -27,8 +27,7 @@ def run_config(label: str, config: SchedulerConfig):
     bench = create_benchmark("hits", SCALE, iterations=3, execute=False)
     original = Benchmark._build_session
     Benchmark._build_session = (
-        lambda self, gpu, execution, prefetch, movement=None,
-        gpus=1, placement=None, **knobs: Session(gpu=gpu, config=config)
+        lambda self, gpu, *args, **knobs: Session(gpu=gpu, config=config)
     )
     try:
         result = bench.run(GPU, Mode.PARALLEL)
@@ -75,14 +74,14 @@ def main() -> None:
         SchedulerConfig(new_stream=NewStreamPolicy.ALWAYS_NEW),
     )
 
-    print("\nprefetch policy:")
+    print("\nmovement policy:")
     run_config(
-        "AUTO (scheduler prefetches, recommended)",
-        SchedulerConfig(prefetch=PrefetchPolicy.AUTO),
+        "default (scheduler prefetches, recommended)",
+        SchedulerConfig(),
     )
     run_config(
-        "NONE (page faults; the paper advises against)",
-        SchedulerConfig(prefetch=PrefetchPolicy.NONE),
+        "PAGE_FAULT (the paper advises against)",
+        SchedulerConfig(movement=MovementPolicy.PAGE_FAULT),
     )
 
 

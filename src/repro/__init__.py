@@ -31,7 +31,6 @@ from repro.core.policies import (
     ExecutionPolicy,
     NewStreamPolicy,
     ParentStreamPolicy,
-    PrefetchPolicy,
     SchedulerConfig,
 )
 from repro.errors import ConfigError
@@ -66,7 +65,6 @@ __all__ = [
     "ExecutionPolicy",
     "NewStreamPolicy",
     "ParentStreamPolicy",
-    "PrefetchPolicy",
     "SchedulerConfig",
     "ALL_GPUS",
     "GTX960",

@@ -190,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_nonnegative_int,
         default=0,
         metavar="N",
-        help="cross-acquire BATCHED coalescing window for the fleet"
-        " sessions (default 0 = per-acquire)",
+        help="cross-acquire BATCHED coalescing window for every serving"
+        " session, on a fleet or a cluster (default 0 = per-acquire)",
     )
     serving.add_argument(
         "--serve-out",
@@ -242,13 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="US",
         help="per-request deadline, microseconds after arrival"
         " (default: no deadlines)",
-    )
-    serving.add_argument(
-        "--raw-least-loaded",
-        action="store_true",
-        help="price LEAST_LOADED by raw slot clock instead of"
-        " width-normalized backlog/GPUs (the pre-normalization"
-        " behaviour, for A/B comparison)",
     )
     serving.add_argument(
         "--parallel",
@@ -419,7 +412,6 @@ def run_experiment(name: str, args: argparse.Namespace) -> None:
             faults=args.faults,
             fault_seed=args.fault_seed,
             deadline_us=args.deadline_us,
-            width_normalized=not args.raw_least_loaded,
             parallel=args.parallel,
             workers=args.workers,
             cluster=args.cluster,
@@ -476,12 +468,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name.ljust(width)}  {desc}")
         return 0
     if args.experiment == "all":
-        # "all" means the paper's figures/tables; the serving, movement
-        # and simulator benchmarks are not paper experiments and stay
-        # opt-in.
+        # "all" means the paper's figures and tables; every benchmark
+        # is opt-in.
         names = [
-            n for n in EXPERIMENTS
-            if n not in ("serve-bench", "movement-bench", "sim-bench")
+            n for n in EXPERIMENTS if n.startswith(("figure", "table"))
         ]
     else:
         names = [args.experiment]

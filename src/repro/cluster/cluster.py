@@ -124,8 +124,6 @@ class ClusterConfig:
     #: node-scoped fault plan (or its DSL form, e.g.
     #: ``"crash:node=1,at=2e-3"``); None runs fault-free
     faults: "FaultPlan | str | None" = None
-    #: BIN_PACK per-round budget: requests per node GPU before spilling
-    pack_per_gpu: int = 8
     #: template for every node's local service configuration
     serve: ServeConfig = field(default_factory=ServeConfig)
 
@@ -324,9 +322,7 @@ class Cluster(Dispatcher):
         self.network = ClusterNetwork(
             self.config.interconnect, counters=self.counters
         )
-        self.scheduler = ClusterScheduler(
-            self.config.policy, pack_per_gpu=self.config.pack_per_gpu
-        )
+        self.scheduler = ClusterScheduler(self.config.policy)
         #: every request the cluster admitted, by id (re-placement and
         #: readback need the graph back from a result)
         self._requests: dict[int, GraphRequest] = {}

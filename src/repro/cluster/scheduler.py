@@ -10,7 +10,7 @@ picks the GPU per kernel.
 Policies (:class:`ClusterPlacementPolicy`):
 
 * ``BIN_PACK`` — fill nodes in id order, moving on only when a node's
-  per-round budget (``pack_per_gpu`` × its GPUs) is consumed.  The
+  per-round budget (:data:`PACK_PER_GPU` × its GPUs) is consumed.  The
   consolidating scheduler: fewest nodes touched, best capture/warmth
   locality per node, most headroom left for later arrivals.
 * ``SPREAD`` — level load: cheapest (per-GPU staged bytes, node clock,
@@ -35,6 +35,9 @@ from repro.serve.request import GraphRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import ClusterNode
+
+#: BIN_PACK per-round budget: requests per node GPU before spilling
+PACK_PER_GPU = 8
 
 
 class ClusterPlacementPolicy(enum.Enum):
@@ -73,14 +76,8 @@ class ClusterScheduler:
         policy: "ClusterPlacementPolicy | str" = (
             ClusterPlacementPolicy.SPREAD
         ),
-        pack_per_gpu: int = 8,
     ) -> None:
         self.policy = ClusterPlacementPolicy.coerce(policy)
-        if pack_per_gpu <= 0:
-            raise ConfigError(
-                f"pack_per_gpu must be positive, got {pack_per_gpu}"
-            )
-        self.pack_per_gpu = pack_per_gpu
         #: requests assigned this round, by node index
         self._assigned: dict[int, int] = {}
         #: staged bytes assigned this round, by node index
@@ -122,7 +119,7 @@ class ClusterScheduler:
     ) -> "ClusterNode":
         if self.policy is ClusterPlacementPolicy.BIN_PACK:
             for node in nodes:  # nodes arrive in id order
-                budget = self.pack_per_gpu * node.total_gpus
+                budget = PACK_PER_GPU * node.total_gpus
                 if self._assigned.get(node.index, 0) < budget:
                     return node
             # Every budget consumed: densest-first overflow, still

@@ -16,7 +16,6 @@ from repro.core.policies import (
     ExecutionPolicy,
     NewStreamPolicy,
     ParentStreamPolicy,
-    PrefetchPolicy,
     SchedulerConfig,
 )
 from repro.core.streams import StreamManager
@@ -38,7 +37,6 @@ __all__ = [
     "ExecutionPolicy",
     "NewStreamPolicy",
     "ParentStreamPolicy",
-    "PrefetchPolicy",
     "SchedulerConfig",
     "StreamManager",
     "ExecutionContext",

@@ -50,6 +50,13 @@ from repro.memory.coherence import (
     MovementPolicy,
 )
 
+#: Host cost the parallel scheduler charges per kernel launch:
+#: dependency computation, stream assignment and the launch itself.
+SCHEDULING_OVERHEAD_US = 10.0
+#: The serial scheduler's lighter per-launch cost: it "does not compute
+#: dependencies, making overheads even smaller" (section V-C).
+SERIAL_OVERHEAD_US = 4.0
+
 
 def submit_kernel(
     coherence: CoherenceEngine,
@@ -253,17 +260,16 @@ class SerialExecutionContext(ExecutionContext):
     The original scheduler predates the automatic prefetcher, so unified
     memory reaches the GPU through page faults on Pascal+ (plain UM
     behaviour) and through eager copies on Maxwell, which has no fault
-    mechanism.  ``SchedulerConfig(prefetch=PrefetchPolicy.SYNC)`` forces
-    eager copies everywhere (used by the contention-free measurements);
-    ``SchedulerConfig(movement=...)`` selects any movement policy
-    explicitly.  The serial scheduler is single-GPU: it runs on device 0.
+    mechanism.  ``SchedulerConfig(movement=...)`` selects any movement
+    policy explicitly.  The serial scheduler is single-GPU: it runs on
+    device 0.
     """
 
     serial = True
 
     def launch(self, launch: KernelLaunch, on_complete=None) -> None:
         self.kernel_count += 1
-        self.engine.charge_host_time(self.config.serial_overhead_us * 1e-6)
+        self.engine.charge_host_time(SERIAL_OVERHEAD_US * 1e-6)
         stream = self.engine.default_stream
         # The original scheduler's eager copies predate the prefetch API;
         # they surface as plain EAGER transfers whatever the device.
@@ -336,7 +342,7 @@ class ParallelExecutionContext(ExecutionContext):
 
     def __init__(self, engine: SimEngine, config: SchedulerConfig) -> None:
         super().__init__(engine, config)
-        self.placement = config.resolve_placement()
+        self.placement = config.placement
         self._per_device = [
             _PerDevice(i, engine, config) for i in range(len(self.devices))
         ]
@@ -413,9 +419,7 @@ class ParallelExecutionContext(ExecutionContext):
 
     def launch(self, launch: KernelLaunch, on_complete=None) -> None:
         self.kernel_count += 1
-        self.engine.charge_host_time(
-            self.config.scheduling_overhead_us * 1e-6
-        )
+        self.engine.charge_host_time(SCHEDULING_OVERHEAD_US * 1e-6)
         element = KernelElement(launch)
         device_index = self._choose_device(launch)
         per_dev, stream = self._place(element, device_index)

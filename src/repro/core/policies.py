@@ -12,16 +12,14 @@ Section IV-C defines the policy space:
   fresh streams (``DISJOINT``).  ``SAME_AS_PARENT`` schedules every child
   on the parent's stream ("simpler policies further reduce the scheduling
   costs"), trading concurrency for bookkeeping.
-* **Prefetch policy** — on Pascal+ the scheduler prefetches UM arrays
-  ahead of kernels (``AUTO`` enables exactly that); ``NONE`` falls back
-  to page faults (the ablation the paper advises against); ``SYNC``
-  moves data eagerly before each launch (the only choice on Maxwell).
-* **Movement policy** — the newer, executor-independent axis consumed by
+* **Movement policy** — how data reaches the device, consumed by
   :class:`repro.memory.coherence.CoherenceEngine`: ``PAGE_FAULT`` (lazy
-  on-demand migration), ``EAGER_PREFETCH`` (copy as soon as the DAG
-  schedules a consumer) or ``BATCHED`` (coalesce adjacent-array copies).
-  When unset, it is derived from the prefetch policy so existing
-  configurations keep their exact behaviour.
+  on-demand migration; the ablation the paper advises against),
+  ``EAGER_PREFETCH`` (copy as soon as the DAG schedules a consumer) or
+  ``BATCHED`` (coalesce adjacent-array copies).  Unset, it is the
+  scheduler's own choice: the parallel scheduler prefetches, the serial
+  one (which predates the prefetcher) relies on page faults.  Maxwell
+  has no page faults, so lazy migration degrades to eager copies there.
 * **Device-placement policy** — which GPU a computation runs on, for
   multi-GPU sessions and the serving fleet (round-robin / min-transfer /
   least-loaded).
@@ -75,30 +73,15 @@ class ParentStreamPolicy(enum.Enum):
     SAME_AS_PARENT = "same-as-parent"  # all children on the parent stream
 
 
-class PrefetchPolicy(enum.Enum):
-    AUTO = "auto"    # async prefetch on page-fault GPUs, eager otherwise
-    NONE = "none"    # rely on page faults (Pascal+ only)
-    SYNC = "sync"    # eager copy before every launch
-
-
 @dataclass
 class SchedulerConfig:
-    """Complete configuration of one runtime instance.
-
-    ``scheduling_overhead_us`` is the host-side cost charged per kernel
-    launch by the parallel scheduler (dependency computation + stream
-    assignment + launch); ``serial_overhead_us`` is the lighter cost of
-    the serial scheduler, which "does not compute dependencies, making
-    overheads even smaller" (section V-C).
-    """
+    """Complete configuration of one runtime instance."""
 
     execution: ExecutionPolicy = ExecutionPolicy.PARALLEL
     new_stream: NewStreamPolicy = NewStreamPolicy.FIFO
     parent_stream: ParentStreamPolicy = ParentStreamPolicy.DISJOINT
-    prefetch: PrefetchPolicy = PrefetchPolicy.AUTO
-    #: data-movement policy for the coherence engine; None derives it
-    #: from ``prefetch`` (and the scheduler's execution policy), keeping
-    #: legacy configurations bit-identical
+    #: data-movement policy for the coherence engine; None is the
+    #: scheduler's own default (see :meth:`resolve_movement`)
     movement: MovementPolicy | None = None
     #: submission-window size for cross-acquire BATCHED coalescing: the
     #: stale inputs of up to this many adjacent launches merge into one
@@ -107,13 +90,9 @@ class SchedulerConfig:
     #: bit-identical to the pre-window BATCHED behaviour.  Ignored by
     #: the other movement policies.
     movement_window: int = 0
-    #: device-placement policy for multi-GPU sessions and the serving
-    #: fleet; None resolves to MIN_TRANSFER for a compute session and
-    #: LEAST_LOADED for a serving fleet (each path's historical default)
-    placement: DevicePlacementPolicy | None = None
-    scheduling_overhead_us: float = 10.0
-    serial_overhead_us: float = 4.0
-    track_history: bool = True
+    #: which GPU of a multi-GPU session runs each computation (a serving
+    #: fleet picks slots by :attr:`repro.serve.ServeConfig.placement`)
+    placement: DevicePlacementPolicy = DevicePlacementPolicy.MIN_TRANSFER
 
     def validate(self, gpus: int = 1) -> None:
         """Reject configurations that cannot mean anything; ``gpus`` is
@@ -124,8 +103,6 @@ class SchedulerConfig:
             )
         if gpus < 1:
             raise ConfigError(f"gpus must be >= 1, got {gpus}")
-        if self.scheduling_overhead_us < 0 or self.serial_overhead_us < 0:
-            raise ConfigError("scheduler overheads must be >= 0")
         if (
             not isinstance(self.movement_window, int)
             or isinstance(self.movement_window, bool)
@@ -136,35 +113,20 @@ class SchedulerConfig:
                 f" {self.movement_window!r}"
             )
 
-    def resolve_placement(
-        self, serving: bool = False
-    ) -> DevicePlacementPolicy:
-        """Pin the placement policy down for one session kind."""
-        if self.placement is not None:
-            return self.placement
-        return (
-            DevicePlacementPolicy.LEAST_LOADED
-            if serving
-            else DevicePlacementPolicy.MIN_TRANSFER
-        )
-
     def resolve_movement(
         self, spec: GPUSpec, serial: bool = False
     ) -> MovementPolicy:
         """Pin the movement policy down for a concrete device.
 
-        Explicit ``movement`` wins.  Otherwise the legacy prefetch knob
-        maps onto the new axis: ``NONE`` -> page faults; ``AUTO`` on the
-        serial scheduler also means faults (the original scheduler
-        predates the automatic prefetcher); everything else prefetches
-        eagerly.  Devices without a fault mechanism always degrade to
-        eager copies — there is nothing lazy to fall back on.
+        Explicit ``movement`` wins.  Otherwise the parallel scheduler
+        prefetches eagerly and the serial one relies on page faults (the
+        original scheduler predates the automatic prefetcher).  Devices
+        without a fault mechanism always degrade to eager copies — there
+        is nothing lazy to fall back on.
         """
         if self.movement is not None:
             policy = self.movement
-        elif self.prefetch is PrefetchPolicy.NONE:
-            policy = MovementPolicy.PAGE_FAULT
-        elif serial and self.prefetch is not PrefetchPolicy.SYNC:
+        elif serial:
             policy = MovementPolicy.PAGE_FAULT
         else:
             policy = MovementPolicy.EAGER_PREFETCH
@@ -174,4 +136,3 @@ class SchedulerConfig:
         ):
             policy = MovementPolicy.EAGER_PREFETCH
         return policy
-

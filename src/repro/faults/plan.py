@@ -10,8 +10,8 @@ A :class:`FaultPlan` is an immutable, time-sorted sequence of
   — semicolon-separated events, each ``kind:key=value,...``;
 * **seeded generation** (:meth:`FaultPlan.random`, the ``--fault-seed``
   axis) — a :class:`random.Random`-driven chaos scenario that is a pure
-  function of ``(seed, slots, horizon)``, so replaying a seed replays
-  the exact fault sequence;
+  function of ``(seed, horizon, slots or nodes)``, so replaying a seed
+  replays the exact fault sequence;
 * **hand construction** in tests.
 
 Nothing here touches wall clocks or global state: determinism is the
@@ -254,29 +254,39 @@ class FaultPlan:
     def random(
         cls,
         seed: int,
-        slots: int,
         horizon: float,
-        events: int | None = None,
-        allow_total_blackout: bool = True,
+        *,
+        slots: int | None = None,
+        nodes: int | None = None,
     ) -> "FaultPlan":
         """A seeded chaos scenario: a pure function of its arguments.
 
-        Draws 1..``events`` (default 1..2×slots) events over the first
-        80% of ``horizon`` (faults near the very end strike after the
-        queue drained and test nothing).  Crashes and drains are
-        followed by a restart with probability 1/2, so degraded *and*
-        recovered topologies both occur across seeds.  With
-        ``allow_total_blackout=False`` slot 0 is never crashed or
-        drained, guaranteeing at least one survivor.
+        Targets exactly one of ``slots`` fleet slots (slot-scoped specs)
+        or ``nodes`` cluster nodes (node-scoped specs).  Draws 1..2×
+        targets events over the first 80% of ``horizon`` (faults near
+        the very end strike after the queue drained and test nothing).
+        Crashes and drains are followed by a restart with probability
+        1/2, so degraded *and* recovered topologies both occur across
+        seeds.
         """
-        if slots <= 0:
-            raise ValueError("a fault plan needs >= 1 slot")
+        if (slots is None) == (nodes is None):
+            raise ValueError(
+                "a fault plan targets exactly one of slots= / nodes="
+            )
+        targets = slots if nodes is None else nodes
+        if targets <= 0:
+            scope = "slot" if nodes is None else "node"
+            raise ValueError(f"a fault plan needs >= 1 {scope}")
         if horizon <= 0:
             raise ValueError("fault horizon must be positive")
+
+        def spec(kind, target, at, **extra) -> FaultSpec:
+            if nodes is None:
+                return FaultSpec(kind, target, at, **extra)
+            return FaultSpec.for_node(kind, target, at, **extra)
+
         rng = random.Random(seed)
-        count = events if events is not None else rng.randint(
-            1, max(1, 2 * slots)
-        )
+        count = rng.randint(1, 2 * targets)
         window = horizon * 0.8
         specs: list[FaultSpec] = []
         for _ in range(count):
@@ -288,86 +298,22 @@ class FaultPlan:
                     FaultKind.TRANSFER_FAULT,
                 ]
             )
-            lo = 0 if allow_total_blackout else min(1, slots - 1)
-            slot = rng.randrange(lo, slots) if slots > lo else 0
+            target = rng.randrange(targets)
             at = rng.uniform(0.0, window)
             if kind is FaultKind.DEGRADE:
                 specs.append(
-                    FaultSpec(
-                        kind, slot, at, factor=rng.uniform(1.5, 4.0)
-                    )
+                    spec(kind, target, at, factor=rng.uniform(1.5, 4.0))
                 )
                 continue
-            specs.append(FaultSpec(kind, slot, at))
+            specs.append(spec(kind, target, at))
             if kind in (FaultKind.CRASH, FaultKind.DRAIN) and (
                 rng.random() < 0.5
             ):
                 delay = rng.uniform(0.05, 0.3) * horizon
                 specs.append(
-                    FaultSpec(
+                    spec(
                         FaultKind.RESTART,
-                        slot,
-                        at + delay,
-                        warmup=rng.uniform(0.0, 0.05) * horizon,
-                    )
-                )
-        return cls(specs=tuple(specs), seed=seed)
-
-    @classmethod
-    def random_nodes(
-        cls,
-        seed: int,
-        nodes: int,
-        horizon: float,
-        events: int | None = None,
-        allow_total_blackout: bool = True,
-    ) -> "FaultPlan":
-        """A seeded node-scoped chaos scenario for the cluster layer.
-
-        The node-level twin of :meth:`random`: a pure function of its
-        arguments that emits ``node=``-scoped specs over ``nodes``
-        cluster nodes.  Crashes and drains are followed by a restart
-        with probability 1/2; ``allow_total_blackout=False`` never
-        crashes or drains node 0, guaranteeing a surviving node.
-        """
-        if nodes <= 0:
-            raise ValueError("a node fault plan needs >= 1 node")
-        if horizon <= 0:
-            raise ValueError("fault horizon must be positive")
-        rng = random.Random(seed)
-        count = events if events is not None else rng.randint(
-            1, max(1, 2 * nodes)
-        )
-        window = horizon * 0.8
-        specs: list[FaultSpec] = []
-        for _ in range(count):
-            kind = rng.choice(
-                [
-                    FaultKind.CRASH,
-                    FaultKind.DRAIN,
-                    FaultKind.DEGRADE,
-                    FaultKind.TRANSFER_FAULT,
-                ]
-            )
-            lo = 0 if allow_total_blackout else min(1, nodes - 1)
-            node = rng.randrange(lo, nodes) if nodes > lo else 0
-            at = rng.uniform(0.0, window)
-            if kind is FaultKind.DEGRADE:
-                specs.append(
-                    FaultSpec.for_node(
-                        kind, node, at, factor=rng.uniform(1.5, 4.0)
-                    )
-                )
-                continue
-            specs.append(FaultSpec.for_node(kind, node, at))
-            if kind in (FaultKind.CRASH, FaultKind.DRAIN) and (
-                rng.random() < 0.5
-            ):
-                delay = rng.uniform(0.05, 0.3) * horizon
-                specs.append(
-                    FaultSpec.for_node(
-                        FaultKind.RESTART,
-                        node,
+                        target,
                         at + delay,
                         warmup=rng.uniform(0.0, 0.05) * horizon,
                     )

@@ -120,7 +120,7 @@ def sweep_movement_policies(
     placements = (
         list(DevicePlacementPolicy)
         if gpus > 1
-        else [SchedulerConfig().resolve_placement()]
+        else [SchedulerConfig().placement]
     )
     cells: list[MovementCell] = []
     for name in benchmarks:

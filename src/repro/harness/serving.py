@@ -320,7 +320,6 @@ def serve_bench(
     faults: str | FaultPlan | None = None,
     fault_seed: int | None = None,
     deadline_us: float | None = None,
-    width_normalized: bool = True,
     parallel: str = "sequential",
     workers: int | None = None,
     cluster: str | list[list[int]] | None = None,
@@ -339,21 +338,20 @@ def serve_bench(
     ``fleet`` is a topology spec — ``"2,2,1,1"`` or ``[2, 2, 1, 1]``
     GPUs per slot — overriding the flat ``fleet_size`` (which builds
     1-GPU slots); ``traffic`` names a serving mix from
-    :data:`repro.serve.workloads.TRAFFIC_MIXES`; ``movement_window``
-    sizes the coherence engine's cross-acquire BATCHED coalescing
-    window.  ``validate=True`` re-executes every completed request's
-    graph alone on a private serial runtime and asserts numerical
-    equality — slow, but the ground-truth check the acceptance tests
-    rely on.
+    :data:`repro.serve.workloads.TRAFFIC_MIXES`; ``movement_window`` > 0
+    selects BATCHED movement with that cross-acquire coalescing window
+    (on a fleet or a cluster).  ``validate=True`` re-executes every
+    completed request's graph alone on a private serial runtime and
+    asserts numerical equality — slow, but the ground-truth check the
+    acceptance tests rely on.
 
     ``cluster`` is a ``|``-separated per-node topology spec
     (``"2,1|2"`` = node0 with slots of 2 and 1 GPUs, node1 with one
     2-GPU slot) and serves on a multi-node cluster instead of one
     fleet: ``cluster_policy`` picks the node scheduler (bin-pack /
     spread / affinity) and ``interconnect`` prices cross-node staging
-    and readback.  Each node serves with ``admission`` and
-    ``placement``; the fleet-only knobs (``movement_window``,
-    ``width_normalized``) do not apply.
+    and readback.  Each node serves with the same ``admission``,
+    ``placement`` and ``movement_window`` as a fleet would.
 
     ``trace`` (or a ``trace_out`` path, which implies it) records every
     span the service, fleet, coherence and engine layers emit and writes
@@ -401,42 +399,37 @@ def serve_bench(
         # faults actually land while the queue is live.
         horizon = requests * mean_interarrival_us * 1e-6
         faults = (
-            FaultPlan.random(fault_seed, slots=len(fleet), horizon=horizon)
+            FaultPlan.random(fault_seed, horizon, slots=len(fleet))
             if cluster is None
-            else FaultPlan.random_nodes(
-                fault_seed, nodes=len(cluster), horizon=horizon
-            )
+            else FaultPlan.random(fault_seed, horizon, nodes=len(cluster))
         )
 
-    if cluster is None:
-        # The window only has meaning under BATCHED movement: asking
-        # for a coalescing window implies the policy, otherwise the
-        # knob would be a silent no-op under the default eager
-        # prefetcher.
-        movement = MovementPolicy.BATCHED if movement_window > 0 else None
-        config = ServeConfig(
-            admission=admission,
-            placement=placement,
-            faults=faults,
-            width_normalized=width_normalized,
-            parallel=parallel,
-            workers=workers,
-            scheduler=SchedulerConfig(
-                movement=movement, movement_window=movement_window
-            ),
-        )
-    else:
-        config = ClusterConfig(
+    # The window only has meaning under BATCHED movement: asking for a
+    # coalescing window implies the policy, otherwise the knob would be
+    # a silent no-op under the default eager prefetcher.
+    movement = MovementPolicy.BATCHED if movement_window > 0 else None
+    # A fleet carries the slot-scoped plan itself; a cluster's plan is
+    # node-scoped and its per-node template carries none.
+    serve = ServeConfig(
+        admission=admission,
+        placement=placement,
+        faults=faults if cluster is None else None,
+        parallel=parallel,
+        workers=workers,
+        scheduler=SchedulerConfig(
+            movement=movement, movement_window=movement_window
+        ),
+    )
+    config = (
+        serve
+        if cluster is None
+        else ClusterConfig(
             policy=cluster_policy,
             interconnect=interconnect,
             faults=faults,
-            serve=ServeConfig(
-                admission=admission,
-                placement=placement,
-                parallel=parallel,
-                workers=workers,
-            ),
+            serve=serve,
         )
+    )
     graphs, arrivals = poisson_traffic(
         requests, traffic, seed, mean_interarrival_us
     )

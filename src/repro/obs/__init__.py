@@ -25,7 +25,6 @@ from repro.obs.export import (
 )
 from repro.obs.trace import (
     NULL_TRACER,
-    NullTracer,
     Span,
     TraceEvent,
     Tracer,
@@ -38,7 +37,6 @@ __all__ = [
     "Counter",
     "CounterRegistry",
     "NULL_TRACER",
-    "NullTracer",
     "Span",
     "TraceEvent",
     "Tracer",

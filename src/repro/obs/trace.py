@@ -20,10 +20,10 @@ Every event carries **two clocks**:
 
 Disabled cost contract: the hot paths guard every tracer call with a
 single ``if tracer.enabled:`` attribute test, the cheapest check Python
-offers.  ``NULL_TRACER`` (the module default) additionally short-circuits
-``span()`` to a shared no-op span, so even unguarded call sites allocate
-nothing.  sim-bench asserts the end-to-end cost of the disabled path is
-< 5% of an untraced run.
+offers.  A disabled tracer (such as ``NULL_TRACER``, the module default)
+short-circuits ``span()`` to a shared no-op span, so even unguarded call
+sites allocate nothing.  sim-bench asserts the end-to-end cost of the
+disabled path is < 5% of an untraced run.
 
 Tracers reach engines created deep inside harness code through a
 module-level default: :func:`use_tracer` installs a tracer for a
@@ -189,9 +189,9 @@ _NULL_SPAN = _NullSpan()
 class Tracer:
     """Collects :class:`TraceEvent` s from every instrumented layer.
 
-    A tracer constructed with ``enabled=False`` behaves exactly like
-    :data:`NULL_TRACER`: every method is a no-op and nothing is
-    allocated.  This is how the sim-bench overhead pair measures the
+    A tracer constructed with ``enabled=False``, such as
+    :data:`NULL_TRACER`, records nothing: every method returns before
+    allocating.  This is how the sim-bench overhead pair measures the
     disabled path explicitly.
     """
 
@@ -296,32 +296,8 @@ class Tracer:
         return f"<Tracer {state} events={len(self.events)}>"
 
 
-class NullTracer(Tracer):
-    """The shared always-off tracer; the module default.
-
-    A distinct type (not just ``Tracer(enabled=False)``) so the
-    determinism suite can distinguish *absent* (this default) from
-    *explicitly disabled* — the acceptance criteria require both to be
-    bit-identical with the enabled path.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(enabled=False)
-
-    def span(self, name, **kwargs):
-        return _NULL_SPAN
-
-    def instant(self, name, **kwargs) -> None:
-        pass
-
-    def complete(self, name, **kwargs) -> None:
-        pass
-
-    def attach_engine(self, engine, name=None) -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()
+#: The shared always-off tracer; the module default.
+NULL_TRACER = Tracer(enabled=False)
 
 _default_tracer: Tracer = NULL_TRACER
 
@@ -356,7 +332,6 @@ def use_tracer(tracer: Tracer | None) -> Iterator[Tracer]:
 
 __all__ = [
     "NULL_TRACER",
-    "NullTracer",
     "Span",
     "TraceEvent",
     "Tracer",

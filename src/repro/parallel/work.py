@@ -48,6 +48,13 @@ if TYPE_CHECKING:
     from repro.serve.fleet import FleetSlot
     from repro.serve.request import GraphRequest
 
+#: Host cost of one dispatch decision, charged once per batch.
+DISPATCH_OVERHEAD_US = 5.0
+#: Flat host cost of replaying a cached capture plan: the
+#: ``cudaGraphLaunch`` analogue, against the per-kernel scheduling
+#: overhead of the inference path.
+REPLAY_OVERHEAD_US = 3.0
+
 __all__ = [
     "SlotOutcome",
     "SlotWork",
@@ -205,7 +212,7 @@ def submit_replay(
     # Each batch member replays on its own stream slice so members
     # space-share instead of serializing behind shared FIFOs.
     streams = slot.replay_streams(plan.stream_count, member=member)
-    engine.charge_host_time(config.replay_overhead_us * 1e-6)
+    engine.charge_host_time(REPLAY_OVERHEAD_US * 1e-6)
 
     for name, decl in graph.arrays.items():
         arr = DeviceArray(
@@ -302,7 +309,7 @@ def execute_slot_work(
         if engine.clock < start_floor:
             engine.charge_host_time(start_floor - engine.clock)
         t0 = engine.clock
-        engine.charge_host_time(config.dispatch_overhead_us * 1e-6)
+        engine.charge_host_time(DISPATCH_OVERHEAD_US * 1e-6)
         plan = work.plan
         submissions = [
             submit_replay(slot, r, plan, config, member=i)

@@ -14,8 +14,9 @@ Placement therefore composes across two levels:
 
 * **service-level** (this module): which *slot* gets the request —
   ``ROUND_ROBIN`` cycles the fleet; ``LEAST_LOADED`` picks the slot
-  that becomes available earliest (ties resolve in slot-id order, so
-  serving replays are reproducible); ``MIN_TRANSFER`` prefers a slot
+  with the least backlog ahead of the request per GPU (ties resolve by
+  availability, then slot id, so serving replays are reproducible);
+  ``MIN_TRANSFER`` prefers a slot
   that has already served this graph topology (*warm*: kernels built,
   capture plan exercised), pricing cold slots at the graph's full UM
   footprint and tie-breaking on availability then slot id.
@@ -254,7 +255,6 @@ class GpuFleet:
         config: SchedulerConfig | None = None,
         gpu: str | GPUSpec = "GTX 1660 Super",
         tracer: Tracer | None = None,
-        width_normalized: bool = True,
     ) -> None:
         if not slots:
             raise ValueError("a fleet needs at least one slot")
@@ -272,10 +272,6 @@ class GpuFleet:
             for i, entry in enumerate(slots)
         ]
         self.policy = policy
-        #: LEAST_LOADED prices backlog/gpus (a 2-GPU slot drains ~2x
-        #: faster) instead of the raw engine clock; False restores the
-        #: pre-normalization pricing for A/B benchmarking
-        self.width_normalized = width_normalized
         self._rr_next = 0
 
     def attach_faults(self, plan: FaultPlan) -> None:
@@ -304,30 +300,6 @@ class GpuFleet:
 
     def admitting_gpus(self) -> int:
         return sum(s.gpus for s in self.slots if s.admitting)
-
-    @classmethod
-    def build(
-        cls,
-        size: int,
-        gpu: str | GPUSpec = "GTX 1660 Super",
-        policy: DevicePlacementPolicy = DevicePlacementPolicy.LEAST_LOADED,
-        config: SchedulerConfig | None = None,
-        gpus_per_slot: int = 1,
-        tracer: Tracer | None = None,
-        width_normalized: bool = True,
-    ) -> "GpuFleet":
-        """Factory: a homogeneous fleet of ``size`` slots, each with
-        ``gpus_per_slot`` × ``gpu``."""
-        if size <= 0:
-            raise ValueError("fleet size must be positive")
-        return cls(
-            [gpus_per_slot] * size,
-            policy=policy,
-            config=config,
-            gpu=gpu,
-            tracer=tracer,
-            width_normalized=width_normalized,
-        )
 
     @property
     def topology(self) -> list[int]:
@@ -406,22 +378,20 @@ class GpuFleet:
                     return slot
             raise ValueError("no eligible slots to place on")
         if self.policy is DevicePlacementPolicy.LEAST_LOADED:
-            if self.width_normalized:
-                # Price the *backlog ahead of this request* per GPU: a
-                # 2-GPU slot drains its queue ~2x faster, so raw engine
-                # clocks over-penalize wide slots.  The raw clock stays
-                # as the tie-break so idle slots (zero backlog each)
-                # still resolve by availability, then slot id.
-                floor = request.dispatch_floor
-                return min(
-                    slots,
-                    key=lambda s: (
-                        max(0.0, s.clock - floor) / s.gpus,
-                        s.clock,
-                        s.index,
-                    ),
-                )
-            return min(slots, key=lambda s: (s.clock, s.index))
+            # Price the *backlog ahead of this request* per GPU: a
+            # 2-GPU slot drains its queue ~2x faster, so raw engine
+            # clocks over-penalize wide slots.  The raw clock stays as
+            # the tie-break so idle slots (zero backlog each) still
+            # resolve by availability, then slot id.
+            floor = request.dispatch_floor
+            return min(
+                slots,
+                key=lambda s: (
+                    max(0.0, s.clock - floor) / s.gpus,
+                    s.clock,
+                    s.index,
+                ),
+            )
         # MIN_TRANSFER: migration cost first, availability tie-break.
         key = request.topology_key
         return min(

@@ -13,12 +13,12 @@ Each admitted graph executes with full per-request isolation — its own
 execution context (DAG, stream manager, history) on the slot's session,
 via :meth:`~repro.session.Session.renew_context`-style re-entrant
 context use.  Admission and the fault-management knobs live on
-:class:`ServeConfig`.  ``ServeConfig`` placement picks slots (unset, it
-follows the fleet-wide :class:`~repro.core.policies.SchedulerConfig`'s
-``placement``, else LEAST_LOADED); the scheduler config's
-``placement`` governs the in-slot device decision (defaulting to the
-paper's MIN_TRANSFER).  Queueing, fault handling and terminal records
-are the shared :class:`~repro.serve.dispatch.Dispatcher`'s.
+:class:`ServeConfig`.  The two placement levels are independent:
+``ServeConfig.placement`` picks slots (default LEAST_LOADED) and the
+per-slot :class:`~repro.core.policies.SchedulerConfig`'s ``placement``
+picks the GPU inside a slot (default the paper's MIN_TRANSFER).
+Queueing, fault handling and terminal records are the shared
+:class:`~repro.serve.dispatch.Dispatcher`'s.
 
 Two optimizations ride the dispatch path:
 
@@ -70,25 +70,17 @@ from repro.serve.tenant import TenantState
 
 @dataclass
 class ServeConfig:
-    """Configuration of one :class:`SchedulerService` instance.
-
-    ``placement`` left as None follows the per-device ``scheduler``
-    config's ``placement``, else least-loaded.
-    """
+    """Configuration of one :class:`SchedulerService` instance."""
 
     admission: AdmissionPolicy = AdmissionPolicy.FIFO
-    placement: DevicePlacementPolicy | None = None
+    #: which fleet slot runs each batch (the in-slot device decision is
+    #: ``scheduler.placement``)
+    placement: DevicePlacementPolicy = DevicePlacementPolicy.LEAST_LOADED
     #: coalesce topology-identical requests whose arrivals lie within
     #: this many virtual seconds of the batch head (0 disables batching)
     batch_window: float = 500e-6
     batch_max: int = 8
     capture_cache: bool = True
-    #: host-side cost of one dispatch decision (charged once per batch)
-    dispatch_overhead_us: float = 5.0
-    #: flat host-side cost of replaying a cached capture plan (the
-    #: ``cudaGraphLaunch`` analogue, vs. per-kernel scheduling overhead
-    #: on the inference path)
-    replay_overhead_us: float = 3.0
     #: seeded deterministic fault-injection plan (or its DSL string form,
     #: parsed at construction); None serves fault-free
     faults: FaultPlan | str | None = None
@@ -105,10 +97,6 @@ class ServeConfig:
     #: queue depth kept per admitting GPU while below the watermark —
     #: everything beyond it is shed
     shed_queue_per_gpu: int = 4
-    #: LEAST_LOADED prices backlog per GPU (see
-    #: :class:`~repro.serve.fleet.GpuFleet`); only consulted when the
-    #: service builds its own fleet
-    width_normalized: bool = True
     #: where completed requests' kernels run once the timing-only
     #: simulation has drained: ``sequential`` (in-process, the
     #: reference) or ``process`` (a forked worker pool) — both produce
@@ -146,8 +134,6 @@ class ServeConfig:
                 "shed_watermark is a capacity fraction and must lie in"
                 f" [0, 1], got {self.shed_watermark!r}"
             )
-        if self.placement is None:
-            self.placement = self.scheduler.resolve_placement(serving=True)
         if isinstance(self.faults, str):
             self.faults = FaultPlan.parse(self.faults)
 
@@ -314,7 +300,6 @@ class SchedulerService(Dispatcher):
                 policy=self.config.placement,
                 config=self.config.scheduler,
                 tracer=explicit_tracer,
-                width_normalized=self.config.width_normalized,
             )
         self.fleet = fleet
         if self.config.faults is not None:

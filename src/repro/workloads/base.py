@@ -28,7 +28,6 @@ import numpy as np
 from repro.core.policies import (
     DevicePlacementPolicy,
     ExecutionPolicy,
-    PrefetchPolicy,
     SchedulerConfig,
 )
 from repro.session import Session
@@ -232,17 +231,16 @@ class Benchmark(abc.ABC):
         self,
         gpu: str | GPUSpec,
         mode: Mode = Mode.PARALLEL,
-        prefetch: PrefetchPolicy = PrefetchPolicy.AUTO,
         movement: MovementPolicy | None = None,
         gpus: int = 1,
-        placement: DevicePlacementPolicy | None = None,
+        placement: DevicePlacementPolicy = DevicePlacementPolicy.MIN_TRANSFER,
         movement_window: int = 0,
     ) -> RunResult:
         """Execute the benchmark once under ``mode`` on ``gpu``.
 
         ``movement`` selects the coherence engine's data-movement policy
-        explicitly (the movement-bench axis); None keeps the legacy
-        derivation from ``prefetch``; ``movement_window`` sizes the
+        explicitly (the movement-bench axis); None keeps the scheduler's
+        own default; ``movement_window`` sizes the
         cross-acquire BATCHED coalescing window (0 = per-acquire).
         ``gpus``/``placement`` run the
         GrCUDA modes on a multi-GPU session — the declaration is device
@@ -259,13 +257,13 @@ class Benchmark(abc.ABC):
             # gpus/placement pass through: a serial multi-GPU request is
             # rejected by Session's config validation, not ignored here.
             return self._run_grcuda(
-                gpu, ExecutionPolicy.SERIAL, prefetch, movement,
+                gpu, ExecutionPolicy.SERIAL, movement,
                 gpus=gpus, placement=placement,
                 movement_window=movement_window,
             )
         if mode is Mode.PARALLEL:
             return self._run_grcuda(
-                gpu, ExecutionPolicy.PARALLEL, prefetch, movement,
+                gpu, ExecutionPolicy.PARALLEL, movement,
                 gpus=gpus, placement=placement,
                 movement_window=movement_window,
             )
@@ -279,10 +277,9 @@ class Benchmark(abc.ABC):
         self,
         gpu: str | GPUSpec,
         execution: ExecutionPolicy,
-        prefetch: PrefetchPolicy,
         movement: MovementPolicy | None = None,
         gpus: int = 1,
-        placement: DevicePlacementPolicy | None = None,
+        placement: DevicePlacementPolicy = DevicePlacementPolicy.MIN_TRANSFER,
         movement_window: int = 0,
     ) -> Session:
         return Session(
@@ -290,7 +287,6 @@ class Benchmark(abc.ABC):
             gpu=gpu,
             config=SchedulerConfig(
                 execution=execution,
-                prefetch=prefetch,
                 movement=movement,
                 placement=placement,
                 movement_window=movement_window,
@@ -301,14 +297,13 @@ class Benchmark(abc.ABC):
         self,
         gpu: str | GPUSpec,
         execution: ExecutionPolicy,
-        prefetch: PrefetchPolicy,
         movement: MovementPolicy | None = None,
         gpus: int = 1,
-        placement: DevicePlacementPolicy | None = None,
+        placement: DevicePlacementPolicy = DevicePlacementPolicy.MIN_TRANSFER,
         movement_window: int = 0,
     ) -> RunResult:
         rt = self._build_session(
-            gpu, execution, prefetch, movement,
+            gpu, execution, movement,
             gpus=gpus, placement=placement,
             movement_window=movement_window,
         )

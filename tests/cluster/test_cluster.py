@@ -24,6 +24,7 @@ from repro.cluster import (
 )
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
+from repro.memory.coherence import MovementPolicy
 from repro.serve import (
     GpuFleet,
     RequestStatus,
@@ -338,6 +339,28 @@ class TestClusterDataPlane:
         assert config.serve.parallel == "process"
         assert config.serve.workers == 2
 
+    def test_serve_bench_applies_the_movement_window_to_the_cluster(
+        self, monkeypatch
+    ):
+        from repro.harness import serving
+
+        seen = []
+        drive = serving.drive
+
+        def recording_drive(graphs, arrivals, config, **kwargs):
+            seen.append(config)
+            return drive(graphs, arrivals, config, **kwargs)
+
+        monkeypatch.setattr(serving, "drive", recording_drive)
+        report = serving.serve_bench(
+            requests=24, cluster="2,1|2", movement_window=4, validate=True
+        )
+        (config,) = seen
+        assert isinstance(config, ClusterConfig)
+        assert config.serve.scheduler.movement is MovementPolicy.BATCHED
+        assert config.serve.scheduler.movement_window == 4
+        assert report.counters["coherence.window_flushes"] > 0
+
 
 # -- the property test -----------------------------------------------------
 
@@ -351,7 +374,7 @@ class TestClusterChaosProperty:
         fingerprint-equal reports across two runs, every request
         reaches a terminal status, and completed results match
         serial."""
-        plan = FaultPlan.random_nodes(seed, nodes=2, horizon=2e-3)
+        plan = FaultPlan.random(seed, nodes=2, horizon=2e-3)
         first, submitted = run_cluster(
             faults=plan, count=6, seed=seed % 17
         )

@@ -9,11 +9,12 @@ import pytest
 
 from repro import (
     ExecutionPolicy,
-    PrefetchPolicy,
+    MovementPolicy,
     SchedulerConfig,
     Session,
     GTX960,
     GTX1660_SUPER,
+    TESLA_P100,
 )
 from repro.core.race import check_no_races
 from repro.gpusim.ops import TransferKind
@@ -166,7 +167,7 @@ class TestTransfersAndCoherence:
         assert kinds == {TransferKind.EAGER}
 
     def test_pagefault_policy_skips_transfers(self):
-        rt = make_runtime(prefetch=PrefetchPolicy.NONE)
+        rt = make_runtime(movement=MovementPolicy.PAGE_FAULT)
         run_vec(rt)
         htod = [
             t
@@ -181,9 +182,9 @@ class TestTransfersAndCoherence:
         assert fault == pytest.approx(2 * N * 4)
 
     def test_pagefault_slower_than_prefetch(self):
-        r1 = make_runtime(prefetch=PrefetchPolicy.AUTO)
+        r1 = make_runtime()
         run_vec(r1, iterations=3)
-        r2 = make_runtime(prefetch=PrefetchPolicy.NONE)
+        r2 = make_runtime(movement=MovementPolicy.PAGE_FAULT)
         run_vec(r2, iterations=3)
         assert r1.elapsed() < r2.elapsed()
 
@@ -217,6 +218,40 @@ class TestTransfersAndCoherence:
             if t.kind is IntervalKind.TRANSFER_HTOD
         ]
         assert len(htod) == 1
+
+
+PAGE, EAGER, BATCHED = (
+    MovementPolicy.PAGE_FAULT,
+    MovementPolicy.EAGER_PREFETCH,
+    MovementPolicy.BATCHED,
+)
+
+#: requested movement -> the session's movement, per scheduler, on a
+#: device with page faults.  ``None`` is the scheduler's own default.
+RESOLVED_MOVEMENT = {
+    ExecutionPolicy.SERIAL: {
+        None: PAGE, PAGE: PAGE, EAGER: EAGER, BATCHED: BATCHED,
+    },
+    ExecutionPolicy.PARALLEL: {
+        None: EAGER, PAGE: PAGE, EAGER: EAGER, BATCHED: BATCHED,
+    },
+}
+
+
+@pytest.mark.parametrize("movement", [None, PAGE, EAGER, BATCHED])
+@pytest.mark.parametrize(
+    "execution", [ExecutionPolicy.SERIAL, ExecutionPolicy.PARALLEL]
+)
+@pytest.mark.parametrize(
+    "gpu", [GTX960, GTX1660_SUPER, TESLA_P100], ids=lambda g: g.name
+)
+def test_movement_resolution(gpu, execution, movement):
+    expected = RESOLVED_MOVEMENT[execution][movement]
+    if gpu is GTX960 and expected is PAGE:
+        # Maxwell has no page faults: lazy migration degrades to eager.
+        expected = EAGER
+    rt = make_runtime(execution, gpu=gpu, movement=movement)
+    assert rt.context.movement is expected
 
 
 class TestCpuAccessPaths:

@@ -18,6 +18,7 @@ from repro.core.context import (
 )
 from repro.kernels import LinearCostModel
 from repro.memory.array import DeviceArray
+from repro.serve import ServeConfig
 
 COST = LinearCostModel(
     flops_per_item=100.0,
@@ -154,25 +155,18 @@ class TestConfigValidation:
                 config=SchedulerConfig(execution=ExecutionPolicy.SERIAL),
             )
 
-    def test_negative_overhead_rejected(self):
-        with pytest.raises(ConfigError):
-            SchedulerConfig(scheduling_overhead_us=-1.0).validate()
-
     def test_placement_resolution(self):
-        cfg = SchedulerConfig()
         assert (
-            cfg.resolve_placement()
+            SchedulerConfig().placement
             is DevicePlacementPolicy.MIN_TRANSFER
         )
-        assert (
-            cfg.resolve_placement(serving=True)
-            is DevicePlacementPolicy.LEAST_LOADED
+        assert ServeConfig().placement is DevicePlacementPolicy.LEAST_LOADED
+        # The levels are independent: an in-slot policy leaves the slot
+        # policy at its own default.
+        serving = ServeConfig(
+            scheduler=SchedulerConfig(
+                placement=DevicePlacementPolicy.ROUND_ROBIN
+            )
         )
-        explicit = SchedulerConfig(
-            placement=DevicePlacementPolicy.ROUND_ROBIN
-        )
-        assert (
-            explicit.resolve_placement(serving=True)
-            is DevicePlacementPolicy.ROUND_ROBIN
-        )
+        assert serving.placement is DevicePlacementPolicy.LEAST_LOADED
 

@@ -8,7 +8,6 @@ from repro.gpusim.ops import KernelOp, KernelResourceRequest
 from repro.gpusim.specs import gpu_by_name
 from repro.obs.trace import (
     NULL_TRACER,
-    NullTracer,
     Tracer,
     current_tracer,
     set_default_tracer,
@@ -88,7 +87,7 @@ class TestSpans:
 
 class TestDisabledPaths:
     @pytest.mark.parametrize(
-        "tracer", [NULL_TRACER, NullTracer(), Tracer(enabled=False)]
+        "tracer", [NULL_TRACER, Tracer(enabled=False)]
     )
     def test_disabled_tracers_record_nothing(self, tracer):
         span = tracer.span("s", track="t")

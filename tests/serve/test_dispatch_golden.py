@@ -120,7 +120,7 @@ CLUSTER_CASES: dict[str, tuple[str, object, float | None, dict]] = {
     **{
         f"cluster/random-nodes-{seed}": (
             "spread",
-            FaultPlan.random_nodes(
+            FaultPlan.random(
                 seed, nodes=2, horizon=CLUSTER_REQUESTS * CLUSTER_GAP
             ),
             None,

@@ -158,9 +158,9 @@ class TestNodeScopedPlans:
         assert spec.node == 1
 
     def test_random_nodes_is_pure_function_of_seed(self):
-        a = FaultPlan.random_nodes(42, nodes=2, horizon=10e-3)
-        b = FaultPlan.random_nodes(42, nodes=2, horizon=10e-3)
-        c = FaultPlan.random_nodes(43, nodes=2, horizon=10e-3)
+        a = FaultPlan.random(42, nodes=2, horizon=10e-3)
+        b = FaultPlan.random(42, nodes=2, horizon=10e-3)
+        c = FaultPlan.random(43, nodes=2, horizon=10e-3)
         assert a == b
         assert a.seed == 42
         assert a != c
@@ -168,9 +168,15 @@ class TestNodeScopedPlans:
 
     def test_random_nodes_respects_node_bound(self):
         for seed in range(20):
-            plan = FaultPlan.random_nodes(seed, nodes=2, horizon=5e-3)
+            plan = FaultPlan.random(seed, nodes=2, horizon=5e-3)
             assert plan.max_node() <= 1
             assert plan.max_slot() == -1
+
+    def test_random_takes_exactly_one_scope(self):
+        with pytest.raises(ValueError):
+            FaultPlan.random(1, 1e-3)
+        with pytest.raises(ValueError):
+            FaultPlan.random(1, 1e-3, slots=2, nodes=2)
 
 
 # -- the slot state machine ------------------------------------------------

@@ -103,7 +103,7 @@ class TestTopologySpec:
         assert fleet.slots[2].session.gpus == 1
 
     def test_build_with_gpus_per_slot(self):
-        fleet = GpuFleet.build(3, gpus_per_slot=2)
+        fleet = GpuFleet([2] * 3)
         assert fleet.topology == [2, 2, 2]
 
     def test_legacy_spec_list_still_means_one_gpu_slots(self):

@@ -196,7 +196,7 @@ class TestFleetPlacement:
     @pytest.mark.parametrize("policy", list(DevicePlacementPolicy))
     def test_every_policy_spreads_load(self, policy):
         service = SchedulerService(
-            fleet=GpuFleet.build(2, policy=policy),
+            fleet=GpuFleet([1] * 2, policy=policy),
         )
         submit_mixed(service, ["a", "b"], 8)
         report = service.run()
@@ -204,8 +204,8 @@ class TestFleetPlacement:
         assert all(b > 0 for b in report.metrics.device_busy)
 
     def test_min_transfer_prefers_warm_topology(self):
-        fleet = GpuFleet.build(
-            2, policy=DevicePlacementPolicy.MIN_TRANSFER
+        fleet = GpuFleet(
+            [1] * 2, policy=DevicePlacementPolicy.MIN_TRANSFER
         )
         service = SchedulerService(
             fleet=fleet,
@@ -220,8 +220,8 @@ class TestFleetPlacement:
         assert len(devices) == 1
 
     def test_least_loaded_balances(self):
-        fleet = GpuFleet.build(
-            2, policy=DevicePlacementPolicy.LEAST_LOADED
+        fleet = GpuFleet(
+            [1] * 2, policy=DevicePlacementPolicy.LEAST_LOADED
         )
         service = SchedulerService(
             fleet=fleet, config=ServeConfig(batch_window=0.0)

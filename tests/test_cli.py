@@ -138,6 +138,18 @@ class TestExecution:
         assert "Figure 2/6" in out
         assert "softmax(r1), softmax(r2)" in out
 
+    def test_all_runs_exactly_the_paper_experiments(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(
+            "repro.__main__.run_experiment",
+            lambda name, args: ran.append(name),
+        )
+        assert main(["all"]) == 0
+        assert ran == [
+            "figure1", "figure2", "table1", "figure7", "figure8",
+            "figure9", "figure10", "figure11", "figure12",
+        ]
+
     def test_figure10_runs(self, capsys):
         assert main(["figure10", "--iterations", "2"]) == 0
         out = capsys.readouterr().out
