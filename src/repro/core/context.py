@@ -77,11 +77,12 @@ def submit_kernel(
     :class:`KernelExecutionRecord` at completion, and ``on_complete``
     is called with the completed op."""
     accesses = launch.array_args
+    # Priced first: a launch its cost model rejects plans no movement.
+    resources: KernelResourceRequest = launch.resources()
     plan = coherence.acquire(
         list(accesses), stream, device_index,
         label=launch.label, policy=policy, kind=kind,
     )
-    resources: KernelResourceRequest = launch.resources()
     if plan.fault_bytes > 0:
         resources = combine_resources(resources, plan.fault_bytes)
     op = KernelOp(
@@ -93,15 +94,19 @@ def submit_kernel(
     # peer-to-peer copy reading GPU 0's replica does not conflict with a
     # kernel also reading it, but does conflict with anything touching
     # the destination replica.
-    op.info["reads"] = frozenset(
-        a.copy_keys[device_index] for a, k in accesses if k.reads
-    )
-    op.info["writes"] = frozenset(
-        a.copy_keys[device_index] for a, k in accesses if k.writes
-    )
-    op.info["array_names"] = {
-        a.copy_keys[device_index]: a.name for a, _ in accesses
-    }
+    reads = []
+    writes = []
+    names = {}
+    for array, access in accesses:
+        key = array.copy_keys[device_index]
+        if access.reads:
+            reads.append(key)
+        if access.writes:
+            writes.append(key)
+        names[key] = array.name
+    op.info["reads"] = frozenset(reads)
+    op.info["writes"] = frozenset(writes)
+    op.info["array_names"] = names
     op.info["device"] = device_index
     if tags:
         op.info.update(tags)
@@ -150,19 +155,16 @@ def kernel_history_recorder(launch: KernelLaunch, sink):
     data_bytes = float(sum(a.nbytes for a, _ in launch.array_args))
 
     def record(completed_op) -> None:
+        stream = completed_op.stream
         sink(
             KernelExecutionRecord(
-                kernel_name=launch.label,
-                threads_per_block=launch.threads_per_block,
-                blocks=launch.blocks,
-                data_bytes=data_bytes,
-                duration=completed_op.end_time - completed_op.start_time,
-                stream_id=(
-                    completed_op.stream.stream_id
-                    if completed_op.stream is not None
-                    else -1
-                ),
-                end_time=completed_op.end_time,
+                launch.label,
+                launch.threads_per_block,
+                launch.blocks,
+                data_bytes,
+                completed_op.end_time - completed_op.start_time,
+                stream.stream_id if stream is not None else -1,
+                completed_op.end_time,
             )
         )
 

@@ -29,20 +29,24 @@ tests assert equivalence over randomized access sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.element import ComputationalElement
+from repro.gpusim.timeline import same_type_eq
 from repro.memory.array import DeviceArray
 
 
-@dataclass(frozen=True)
-class DependencyEdge:
+class DependencyEdge(NamedTuple):
     """One inferred data dependency, labelled with the array that caused
-    it (the edge labels of Fig. 2)."""
+    it (the edge labels of Fig. 2).  Read-only."""
 
     parent: ComputationalElement
     child: ComputationalElement
     array: DeviceArray
+
+    __eq__ = same_type_eq
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
 
 
 class ComputationDAG:
@@ -104,9 +108,7 @@ class ComputationDAG:
         for parent in parents.values():
             parent.children_count += 1
             edge = DependencyEdge(
-                parent=parent,
-                child=element,
-                array=edge_arrays[parent.element_id],
+                parent, element, edge_arrays[parent.element_id]
             )
             self.edges.append(edge)
             self._child_edges.setdefault(parent.element_id, []).append(edge)

@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
+
+from repro.gpusim.timeline import same_type_eq
 
 
-@dataclass(frozen=True)
-class KernelExecutionRecord:
-    """One completed kernel execution."""
+class KernelExecutionRecord(NamedTuple):
+    """One completed kernel execution (read-only)."""
 
     kernel_name: str
     threads_per_block: int
@@ -31,6 +33,10 @@ class KernelExecutionRecord:
     duration: float         # seconds on the simulated device
     stream_id: int
     end_time: float
+
+    __eq__ = same_type_eq
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
 
     @property
     def seconds_per_byte(self) -> float:

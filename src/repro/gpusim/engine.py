@@ -78,6 +78,14 @@ _WORK_EPS = 1e-9
 #: with the contention model's one-shot allocator).
 _DMA_QUEUE_RATE = ContentionModel._DMA_QUEUE_RATE
 
+#: Timeline interval kind of each transfer direction.
+_TRANSFER_KINDS = {
+    TransferDirection.HOST_TO_DEVICE: IntervalKind.TRANSFER_HTOD,
+    TransferDirection.DEVICE_TO_HOST: IntervalKind.TRANSFER_DTOH,
+    TransferDirection.DEVICE_TO_DEVICE: IntervalKind.TRANSFER_D2D,
+}
+
+
 def _completion_threshold(op: Operation) -> float:
     """``_WORK_EPS * max(1.0, work_total)`` without the max() call."""
     total = op.work_total
@@ -391,7 +399,9 @@ class SimEngine:
             "sync_all", track=self._obs_track, clock=self._clock
         ):
             self._fire_pre_sync_hooks()
-            self._run_until(lambda: self._busy_streams == 0, what="device")
+            while self._busy_streams:
+                if not self._step():
+                    raise self._deadlock("device")
 
     def _clock(self) -> float:
         """Bound clock reader for tracer spans."""
@@ -406,10 +416,14 @@ class SimEngine:
     def _run_until(self, pred: Callable[[], bool], what: str) -> None:
         while not pred():
             if not self._step():
-                raise DeadlockError(
-                    f"waiting on {what}, but no operation can make progress"
-                    " (cyclic event wait or event never recorded)"
-                )
+                raise self._deadlock(what)
+
+    @staticmethod
+    def _deadlock(what: str) -> DeadlockError:
+        return DeadlockError(
+            f"waiting on {what}, but no operation can make progress"
+            " (cyclic event wait or event never recorded)"
+        )
 
     def _advance_to_time(self, target: float) -> None:
         """Simulate until ``clock == target`` (GPU may go idle earlier)."""
@@ -912,29 +926,18 @@ class SimEngine:
         if isinstance(op, KernelOp):
             kind = IntervalKind.KERNEL
             nbytes = 0.0
-            meta = {"resources": op.resources}
+            meta = {"resources": op.resources, **op.info}
         elif isinstance(op, TransferOp):
-            kind = {
-                TransferDirection.HOST_TO_DEVICE: IntervalKind.TRANSFER_HTOD,
-                TransferDirection.DEVICE_TO_HOST: IntervalKind.TRANSFER_DTOH,
-                TransferDirection.DEVICE_TO_DEVICE: IntervalKind.TRANSFER_D2D,
-            }[op.direction]
+            kind = _TRANSFER_KINDS[op.direction]
             nbytes = op.nbytes
-            meta = {"kind": op.kind}
+            meta = {"kind": op.kind, **op.info}
         else:
             kind = IntervalKind.EVENT
             nbytes = 0.0
-            meta = {}
-        meta.update(op.info)
+            meta = dict(op.info)
         self.timeline.add(
             TimelineRecord(
-                op_id=op.op_id,
-                label=op.label,
-                kind=kind,
-                stream_id=op.stream.stream_id,
-                start=op.start_time,
-                end=op.end_time,
-                nbytes=nbytes,
-                meta=meta,
+                op.op_id, op.label, kind, op.stream.stream_id,
+                op.start_time, op.end_time, nbytes, meta,
             )
         )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -52,11 +53,17 @@ class TransferKind(enum.Enum):
     EXPLICIT = "explicit"    # user-requested copy
 
 
-@dataclass
+#: The quantities of a :class:`KernelResourceRequest` that must be finite
+#: and non-negative.
+_QUANTITIES = ("flops", "dram_bytes", "l2_bytes", "instructions", "fault_bytes")
+
+
+@dataclass(frozen=True)
 class KernelResourceRequest:
     """Resource footprint of one kernel launch, consumed by the contention
     model.  Produced by :mod:`repro.kernels.profile` from a kernel's cost
-    profile and launch geometry.
+    profile and launch geometry.  Immutable: a cost model hands every
+    launch of one size the same request.
 
     Attributes
     ----------
@@ -92,30 +99,24 @@ class KernelResourceRequest:
     threads_total: int
     fault_bytes: float = 0.0
     sm_fraction_cap: float = 1.0
-    _sig: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _sig: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if min(self.flops, self.dram_bytes, self.l2_bytes,
-               self.instructions, self.fault_bytes) < 0:
-            raise ValueError("kernel resource quantities must be >= 0")
+        for name in _QUANTITIES:
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"kernel resource {name} must be finite and >= 0,"
+                    f" got {value}"
+                )
         if self.threads_total <= 0:
             raise ValueError("threads_total must be positive")
         if not 0.0 < self.sm_fraction_cap <= 1.0:
             raise ValueError("sm_fraction_cap must be in (0, 1]")
-
-    def signature(self) -> tuple:
-        """Hashable, totally ordered identity of this resource footprint.
-
-        Launches with equal signatures are indistinguishable to the
-        contention model — they form one *contention class* — so the
-        engine can price them together.  Resources are immutable after
-        submit, so the tuple is computed once and cached.
-        """
-        sig = self._sig
-        if sig is None:
-            sig = (
+        object.__setattr__(
+            self,
+            "_sig",
+            (
                 self.flops,
                 self.fp64,
                 self.dram_bytes,
@@ -124,9 +125,17 @@ class KernelResourceRequest:
                 self.threads_total,
                 self.fault_bytes,
                 self.sm_fraction_cap,
-            )
-            self._sig = sig
-        return sig
+            ),
+        )
+
+    def signature(self) -> tuple:
+        """Hashable, totally ordered identity of this resource footprint.
+
+        Launches with equal signatures are indistinguishable to the
+        contention model — they form one *contention class* — so the
+        engine can price them together.  Computed once, at construction.
+        """
+        return self._sig
 
 
 @dataclass
@@ -176,7 +185,10 @@ class Operation:
         self.wait_events.append(event)
 
     def waits_satisfied(self) -> bool:
-        return all(ev.complete for ev in self.wait_events)
+        for ev in self.wait_events:
+            if not ev.complete:
+                return False
+        return True
 
     def describe(self) -> str:
         return f"{type(self).__name__}({self.label or self.op_id})"

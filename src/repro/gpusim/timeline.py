@@ -4,13 +4,29 @@ Every completed operation leaves a :class:`TimelineRecord`.  The overlap
 metrics of section V-F (CT/TC/CC/TOT) are computed from these records by
 :mod:`repro.metrics.overlap`; Fig. 10's ML timeline is rendered straight
 from a :class:`Timeline`.
+
+The simulator's hot path follows two rules.  Values built per op or per
+launch (timeline records, kernel launches, kernel-history records,
+dependency edges) are read-only, built like tuples rather than as
+frozen dataclasses, and passed positionally where they are built per
+op; their equality and hashing stay those of the fields, between
+values of one type.  Facts fixed at construction (array sizes, a cost
+model's price for one launch size, a kernel's parameter kinds, an
+enum's classification) are computed once, not on every use.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
+
+
+def same_type_eq(self: tuple, other: object) -> bool:
+    """``__eq__`` of a tuple-built record: field-wise, and only between
+    values of one type.  Not ``NotImplemented`` for another type: the
+    reflected ``tuple.__eq__`` would then equate a record with a plain
+    tuple of its fields."""
+    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
 
 class IntervalKind(enum.Enum):
@@ -22,27 +38,51 @@ class IntervalKind(enum.Enum):
     TRANSFER_D2D = "d2d"
     EVENT = "event"
 
-    @property
-    def is_transfer(self) -> bool:
-        return self in (
-            IntervalKind.TRANSFER_HTOD,
-            IntervalKind.TRANSFER_DTOH,
-            IntervalKind.TRANSFER_D2D,
-        )
+    def __init__(self, value: str) -> None:
+        # A member attribute: the timeline asks it once per record.
+        self.is_transfer = value in ("htod", "dtoh", "d2d")
 
 
-@dataclass(frozen=True)
-class TimelineRecord:
-    """One completed operation on the device timeline."""
-
+class _Interval(NamedTuple):
     op_id: int
     label: str
     kind: IntervalKind
     stream_id: int
     start: float
     end: float
-    nbytes: float = 0.0
-    meta: dict = field(default_factory=dict, compare=False, hash=False)
+    nbytes: float
+    meta: dict
+
+
+class TimelineRecord(_Interval):
+    """One completed operation on the device timeline.
+
+    ``meta`` (a fresh dict when not given) carries free-form
+    annotations and takes no part in equality or hashing.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        op_id: int,
+        label: str,
+        kind: IntervalKind,
+        stream_id: int,
+        start: float,
+        end: float,
+        nbytes: float = 0.0,
+        meta: dict | None = None,
+    ) -> "TimelineRecord":
+        if end < start:
+            raise ValueError(f"record {label!r}: end {end} < start {start}")
+        return tuple.__new__(
+            cls,
+            (
+                op_id, label, kind, stream_id, start, end, nbytes,
+                {} if meta is None else meta,
+            ),
+        )
 
     @property
     def duration(self) -> float:
@@ -52,11 +92,13 @@ class TimelineRecord:
         """True if the two intervals intersect with positive measure."""
         return self.start < other.end and other.start < self.end
 
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(
-                f"record {self.label!r}: end {self.end} < start {self.start}"
-            )
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self[:7] == other[:7]
+
+    __ne__ = object.__ne__
+
+    def __hash__(self) -> int:
+        return hash(self[:7])
 
 
 class Timeline:

@@ -13,12 +13,12 @@ scheduler) — the host never blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from repro.errors import LaunchError
+from repro.gpusim.timeline import same_type_eq
 from repro.kernels.profile import CostModel
 from repro.kernels.signature import Signature
 from repro.memory.array import AccessKind, DeviceArray
@@ -28,13 +28,23 @@ MAX_THREADS_PER_BLOCK = 1024
 
 Dim = tuple[int, int, int]
 
+_INTEGER = (int, np.integer)
 
-def normalize_dim(dim: int | tuple[int, ...]) -> Dim:
-    """Normalize an int or 1-3 element tuple to a 3-D geometry tuple."""
-    if isinstance(dim, (int, np.integer)):
+
+def normalize_dim(dim: int | tuple[int, ...] | list[int]) -> Dim:
+    """Normalize an integer, or a tuple or list of 1-3 integers, to a
+    3-D geometry tuple."""
+    if isinstance(dim, _INTEGER):
         values: tuple[int, ...] = (int(dim),)
-    else:
+    elif isinstance(dim, (tuple, list)) and all(
+        isinstance(v, _INTEGER) for v in dim
+    ):
         values = tuple(int(v) for v in dim)
+    else:
+        raise LaunchError(
+            "geometry must be an integer or a tuple or list of 1-3"
+            f" integers, got {dim!r}"
+        )
     if not 1 <= len(values) <= 3:
         raise LaunchError(f"geometry must have 1-3 dimensions, got {values}")
     if any(v < 1 for v in values):
@@ -46,8 +56,7 @@ def _dim_product(dim: Dim) -> int:
     return dim[0] * dim[1] * dim[2]
 
 
-@dataclass(frozen=True)
-class KernelLaunch:
+class KernelLaunch(NamedTuple):
     """One fully-specified kernel invocation, ready for scheduling."""
 
     kernel: "Kernel"
@@ -56,6 +65,10 @@ class KernelLaunch:
     args: tuple[Any, ...]
     array_args: tuple[tuple[DeviceArray, AccessKind], ...]
     scalar_args: tuple[Any, ...]
+
+    __eq__ = same_type_eq
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
 
     @property
     def threads_per_block(self) -> int:
@@ -74,8 +87,12 @@ class KernelLaunch:
         return self.kernel.name
 
     def resources(self):
-        """Price this launch with the kernel's cost model."""
-        return self.kernel.cost_model.resources(self)
+        """Price this launch with the kernel's cost model; an invalid
+        price fails the launch, naming the kernel."""
+        try:
+            return self.kernel.cost_model.resources(self)
+        except ValueError as exc:
+            raise LaunchError(f"{self.kernel.name}: {exc}") from exc
 
     def execute(self) -> None:
         """Run the functional (numpy) implementation.
@@ -116,6 +133,10 @@ class Kernel:
         self.cost_model = cost_model
         self.launch_handler = launch_handler
         self.launch_count = 0
+        #: per parameter: (is_pointer, access, name), read by every bind
+        self._params = tuple(
+            (p.is_pointer, p.access, p.name) for p in signature.parameters
+        )
 
     def __call__(
         self, grid: int | tuple[int, ...], block: int | tuple[int, ...] = 128
@@ -139,7 +160,7 @@ class Kernel:
     ) -> KernelLaunch:
         """Validate ``args`` against the signature; package a launch of
         the given normalized geometry (not dispatched)."""
-        params = self.signature.parameters
+        params = self._params
         if len(args) != len(params):
             raise LaunchError(
                 f"{self.name}: expected {len(params)} arguments"
@@ -147,45 +168,44 @@ class Kernel:
             )
         array_args: list[tuple[DeviceArray, AccessKind]] = []
         scalar_args: list[Any] = []
-        for arg, param in zip(args, params):
-            if param.is_pointer:
+        for arg, (is_pointer, access, name) in zip(args, params):
+            if is_pointer:
                 # Duck-typed: anything exposing the device-pointer
                 # protocol of DeviceArray binds to a pointer.
                 if not (
                     hasattr(arg, "kernel_view") and hasattr(arg, "nbytes")
                 ):
                     raise LaunchError(
-                        f"{self.name}: parameter {param.name!r} is a"
+                        f"{self.name}: parameter {name!r} is a"
                         f" pointer; got {type(arg).__name__}"
                     )
-                array_args.append((arg, param.access))
+                array_args.append((arg, access))
             else:
                 if isinstance(arg, DeviceArray):
                     raise LaunchError(
-                        f"{self.name}: parameter {param.name!r} is a"
+                        f"{self.name}: parameter {name!r} is a"
                         f" scalar; got a DeviceArray"
                     )
                 scalar_args.append(arg)
         return KernelLaunch(
-            kernel=self,
-            grid=grid,
-            block=block,
-            args=tuple(args),
-            array_args=tuple(array_args),
-            scalar_args=tuple(scalar_args),
+            self, grid, block, tuple(args), tuple(array_args),
+            tuple(scalar_args),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Kernel {self.name}({self.signature.raw})>"
 
 
-@dataclass(frozen=True)
-class ConfiguredKernel:
+class ConfiguredKernel(NamedTuple):
     """A kernel with its launch geometry fixed; calling it launches."""
 
     kernel: Kernel
     grid: Dim
     block: Dim
+
+    __eq__ = same_type_eq
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
 
     def bind(self, *args: Any) -> KernelLaunch:
         """The launch of ``args`` at this geometry, not yet dispatched."""

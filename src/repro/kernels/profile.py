@@ -8,7 +8,7 @@ per kernel; tests pin them against hand-computed values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Protocol
 
 from repro.gpusim.ops import KernelResourceRequest
@@ -37,6 +37,11 @@ class LinearCostModel:
 
     A fixed ``*_base`` term covers launch-constant work (e.g. a reduction
     tree's final passes).
+
+    The price of a launch depends only on its item count and total
+    thread count, so each such pair is priced once per model and every
+    later launch of that size gets the same (immutable) request.  The
+    memo is not part of the model's ``repr``, ``==`` or ``hash``.
     """
 
     flops_per_item: float = 0.0
@@ -48,6 +53,9 @@ class LinearCostModel:
     fp64: bool = False
     sm_fraction_cap: float = 1.0
     items_fn: Callable[["KernelLaunch"], float] | None = None
+    _priced: dict[tuple[float, int], KernelResourceRequest] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def _items(self, launch: "KernelLaunch") -> float:
         if self.items_fn is not None:
@@ -59,15 +67,19 @@ class LinearCostModel:
 
     def resources(self, launch: "KernelLaunch") -> KernelResourceRequest:
         n = self._items(launch)
-        return KernelResourceRequest(
-            flops=self.flops_per_item * n + self.flops_base,
-            fp64=self.fp64,
-            dram_bytes=self.dram_bytes_per_item * n + self.dram_bytes_base,
-            l2_bytes=self.l2_bytes_per_item * n,
-            instructions=self.instructions_per_item * n,
-            threads_total=launch.threads_total,
-            sm_fraction_cap=self.sm_fraction_cap,
-        )
+        threads = launch.threads_total
+        request = self._priced.get((n, threads))
+        if request is None:
+            request = self._priced[n, threads] = KernelResourceRequest(
+                flops=self.flops_per_item * n + self.flops_base,
+                fp64=self.fp64,
+                dram_bytes=self.dram_bytes_per_item * n + self.dram_bytes_base,
+                l2_bytes=self.l2_bytes_per_item * n,
+                instructions=self.instructions_per_item * n,
+                threads_total=threads,
+                sm_fraction_cap=self.sm_fraction_cap,
+            )
+        return request
 
 
 @dataclass(frozen=True)

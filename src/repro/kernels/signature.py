@@ -22,6 +22,7 @@ might limit the scheduler from performing further optimizations."
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from repro.errors import SignatureError
@@ -169,8 +170,12 @@ def _parse_parameter(token: str, position: int) -> Parameter:
     )
 
 
+@functools.cache
 def parse_signature(text: str) -> Signature:
     """Parse a NIDL signature string into a :class:`Signature`.
+
+    Memoized per string: a :class:`Signature` is immutable, so every
+    kernel built from one signature string shares one parse.
 
     Raises
     ------

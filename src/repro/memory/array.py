@@ -91,6 +91,13 @@ class DeviceArray:
     ) -> None:
         self._shape = (shape,) if isinstance(shape, int) else tuple(shape)
         self._dtype = np.dtype(dtype)
+        # The shape never changes: element and byte counts are plain
+        # attributes, read on every launch and transfer.
+        size = 1
+        for s in self._shape:
+            size *= s
+        self.size: int = size
+        self.nbytes: int = size * self._dtype.itemsize
         self.materialized = materialize
         if buffer is None:
             # A virtual (``materialize=False``) array keeps its declared
@@ -126,17 +133,6 @@ class DeviceArray:
     @property
     def dtype(self) -> np.dtype:
         return self._dtype
-
-    @property
-    def nbytes(self) -> int:
-        return self.size * self._dtype.itemsize
-
-    @property
-    def size(self) -> int:
-        n = 1
-        for s in self._shape:
-            n *= s
-        return n
 
     @property
     def itemsize(self) -> int:

@@ -168,7 +168,8 @@ class Benchmark(abc.ABC):
         A pure function of the seed and the iteration.  A generator runs
         only when its data is wanted, and a caller that wants the data
         runs every generator of one call once, in order: they may share
-        one RNG stream.
+        one RNG stream.  Build that stream on its first draw
+        (``functools.cache``): a timing-only refresh draws nothing.
         """
 
     @abc.abstractmethod

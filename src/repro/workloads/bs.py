@@ -17,6 +17,8 @@ the best speedups of Fig. 7).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.special import ndtr
 
@@ -108,10 +110,10 @@ class BlackScholes(Benchmark):
         )
 
     def inputs(self, iteration: int) -> Writes:
-        rng = self.rng(iteration)
+        rng = functools.cache(lambda: self.rng(iteration))
 
         def prices() -> np.ndarray:
-            return fill_uniform(rng, 20.0, 40.0, np.empty(self.scale))
+            return fill_uniform(rng(), 20.0, 40.0, np.empty(self.scale))
 
         return {f"x{i}": prices for i in range(NUM_STOCKS)}
 

@@ -19,6 +19,8 @@ of Fig. 11.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import ndimage
 
@@ -144,11 +146,11 @@ class DeepLearning(Benchmark):
         )
 
     def inputs(self, iteration: int) -> Writes:
-        rng = self.rng(iteration)
+        rng = functools.cache(lambda: self.rng(iteration))
         s = self.scale
 
         def image() -> np.ndarray:
-            return fill_uniform(rng, 0.0, 1.0, np.empty((s, s), np.float32))
+            return fill_uniform(rng(), 0.0, 1.0, np.empty((s, s), np.float32))
 
         writes = {"x": image, "y": image}
         if iteration == 0:
@@ -158,17 +160,17 @@ class DeepLearning(Benchmark):
     def _weight_inputs(self) -> Writes:
         """The network's weights, written once before the first
         iteration."""
-        wrng = self.rng(424_243)
+        wrng = functools.cache(lambda: self.rng(424_243))
         h = self.scale // 2
 
         def kernel() -> np.ndarray:
             shape = (KERNEL_SIZE, KERNEL_SIZE)
-            return fill_uniform(wrng, -0.5, 0.5, np.empty(shape, np.float32))
+            return fill_uniform(wrng(), -0.5, 0.5, np.empty(shape, np.float32))
 
         return {
             "w1": kernel, "w2": kernel, "w3": kernel, "w4": kernel,
             "wd": lambda: fill_uniform(
-                wrng, -0.1, 0.1, np.empty(2 * h * h, np.float32)
+                wrng(), -0.1, 0.1, np.empty(2 * h * h, np.float32)
             ),
         }
 

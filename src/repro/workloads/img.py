@@ -23,6 +23,8 @@ executed serially explains the speedup in IMG").
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import ndimage
 
@@ -235,10 +237,10 @@ class ImageProcessing(Benchmark):
         return 48
 
     def inputs(self, iteration: int) -> Writes:
-        rng = self.rng(iteration)
+        rng = functools.cache(lambda: self.rng(iteration))
         return {
             "image": lambda: fill_uniform(
-                rng, 0.0, 1.0, np.empty((self.scale, self.scale), np.float32)
+                rng(), 0.0, 1.0, np.empty((self.scale, self.scale), np.float32)
             ),
         }
 

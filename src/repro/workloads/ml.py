@@ -211,10 +211,10 @@ class MLEnsemble(Benchmark):
         )
 
     def inputs(self, iteration: int) -> Writes:
-        rng = self.rng(iteration)
+        rng = functools.cache(lambda: self.rng(iteration))
         x = functools.cache(
             lambda: fill_uniform(
-                rng, -1.0, 1.0, np.empty((self.scale, FEATURES), np.float32)
+                rng(), -1.0, 1.0, np.empty((self.scale, FEATURES), np.float32)
             )
         )
         # Ridge regression reads the standardized features, prepared on
@@ -227,10 +227,10 @@ class MLEnsemble(Benchmark):
     def _weight_inputs(self) -> Writes:
         """The classifiers' parameters, written once before the first
         iteration."""
-        wrng = self.rng(999_983)
+        wrng = functools.cache(lambda: self.rng(999_983))
         return {
             name: lambda shape=shape: fill_uniform(
-                wrng, -0.5, 0.5, np.empty(shape, np.float32)
+                wrng(), -0.5, 0.5, np.empty(shape, np.float32)
             )
             for name, shape in WEIGHT_SHAPES.items()
         }

@@ -19,6 +19,8 @@ increase in memory throughput").
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
@@ -82,11 +84,11 @@ class VectorSquares(Benchmark):
         )
 
     def inputs(self, iteration: int) -> Writes:
-        rng = self.rng(iteration)
+        rng = functools.cache(lambda: self.rng(iteration))
 
         def vector() -> np.ndarray:
             return fill_uniform(
-                rng, 0.0, 2.0, np.empty(self.scale, np.float32)
+                rng(), 0.0, 2.0, np.empty(self.scale, np.float32)
             )
 
         return {"x": vector, "y": vector}

@@ -65,6 +65,12 @@ CI_KEYS = {
         "assertions.streams_flatness.ops_per_sec_hi",
         "assertions.streams_flatness.ratio",
         "assertions.streams_flatness.limit",
+        # Lists: _assert_ci_keys walks dicts, so they are named by key.
+        "assertions.near_linear",
+        "assertions.repricings_bounded",
+        "assertions.disabled_overhead.ok",
+        "assertions.disabled_overhead.disabled_wall_s",
+        "assertions.disabled_overhead.limit_wall_s",
     ],
 }
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import Session
 from repro.errors import LaunchError
+from repro.gpusim.ops import KernelResourceRequest
 from repro.kernels import (
     FixedCostModel,
     LinearCostModel,
@@ -41,6 +43,35 @@ class TestNormalizeDim:
         with pytest.raises(LaunchError):
             normalize_dim((1, 2, 3, 4))
 
+    @pytest.mark.parametrize(
+        "dim, want",
+        [
+            (5, (5, 1, 1)),
+            (np.int64(5), (5, 1, 1)),
+            ((4, 4), (4, 4, 1)),
+            ([4, 4], (4, 4, 1)),
+        ],
+    )
+    def test_integer_spellings_accepted(self, dim, want):
+        assert normalize_dim(dim) == want
+
+    @pytest.mark.parametrize(
+        "dim", ["12", "256", (2.9,), 5.0, np.float64(3.0)]
+    )
+    def test_non_integer_spellings_rejected(self, dim):
+        # Iterating a string or truncating a float would launch a
+        # geometry nobody asked for.
+        with pytest.raises(LaunchError, match="integer"):
+            normalize_dim(dim)
+
+    def test_misspelled_launch_rejected(self):
+        k = make_kernel([])
+        x, y = DeviceArray(8), DeviceArray(8)
+        with pytest.raises(LaunchError, match=r"\(2\.9,\)"):
+            k((2.9,), "256")(x, y, 8)
+        with pytest.raises(LaunchError, match="'256'"):
+            k(2, "256")(x, y, 8)
+
 
 class TestLaunchValidation:
     def test_block_limit(self):
@@ -76,6 +107,32 @@ class TestLaunchValidation:
         k = build_kernel(lambda x, n: None, "k", "ptr, sint32")
         with pytest.raises(LaunchError):
             k(1, 32)(DeviceArray(4), 4)
+
+
+class TestNonFiniteCost:
+    """A non-finite cost fails the launch itself, naming the kernel,
+    instead of a later sync with an anonymous time-step error."""
+
+    @pytest.mark.parametrize("flops", [float("nan"), float("inf")])
+    def test_launch_names_the_kernel(self, flops):
+        session = Session()
+        k = session.build_kernel(
+            lambda x, n: None,
+            "bad_cost",
+            "ptr, sint32",
+            cost_model=LinearCostModel(flops_per_item=flops),
+        )
+        x = session.array(64)
+        with pytest.raises(LaunchError, match="bad_cost.*flops"):
+            k(1, 32)(x, 64)
+
+    @pytest.mark.parametrize("flops", [float("nan"), float("inf"), -1.0])
+    def test_request_names_the_field(self, flops):
+        with pytest.raises(ValueError, match="flops"):
+            KernelResourceRequest(
+                flops=flops, fp64=False, dram_bytes=0.0, l2_bytes=0.0,
+                instructions=0.0, threads_total=1,
+            )
 
 
 class TestLaunchPackaging:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.graphs.taskgraph import ArrayDecl
 from repro.workloads import Mode, create_benchmark
+from repro.workloads.suite import BENCHMARKS, default_scales
 from repro.workloads.base import (
     FILL_CHUNK,
     _BaselineHost,
@@ -73,6 +74,25 @@ class TestBenchmarkPlumbing:
         for name, values in data.items():
             assert np.array_equal(arrays[name].kernel_view, values)
         assert arrays["res"].kernel_view[0] == 0.0
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_timing_only_run_constructs_no_generator(self, name, monkeypatch):
+        """A timing-only refresh only announces its writes, so no input
+        generator may be built either (one ``default_rng`` costs about
+        as much as simulating a kernel)."""
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        scale = default_scales(name, "GTX 1660 Super")[0]
+        for mode in Mode:
+            bench = create_benchmark(name, scale, iterations=2, execute=False)
+            bench.run("GTX 1660 Super", mode)
+        assert built == []
 
     def test_refresh_timing_mode_announces_without_generating(self):
         def boom():
