@@ -12,7 +12,8 @@ Usage::
         spread --validate --serve-out BENCH_cluster.json
     python -m repro movement-bench --gpu "GTX 1660 Super" \
         --iterations 4 --fleet-gpus 2
-    python -m repro trace serve-bench --trace-out trace.json
+    python -m repro serve-bench --trace-out trace.json
+    python -m repro sim-bench --trace
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ EXPERIMENTS = {
     ),
 }
 
-#: experiments that can run under the span tracer (the ``trace``
-#: meta-experiment delegates to one of these with tracing forced on)
+#: experiments that can run under the span tracer; ``--trace`` or
+#: ``--trace-out`` on any other experiment is a usage error
 TRACEABLE = ("serve-bench", "sim-bench", "movement-bench")
 
 #: per-experiment default Chrome-trace artifact paths (bare ``--trace``;
@@ -114,16 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=[*EXPERIMENTS, "trace", "all", "list"],
-        help="which experiment to run ('list' to enumerate; 'trace'"
-        " runs a traceable experiment with span recording on)",
-    )
-    parser.add_argument(
-        "target",
-        nargs="?",
-        default=None,
-        help="experiment the 'trace' meta-experiment delegates to"
-        " (default serve-bench)",
+        choices=[*EXPERIMENTS, "all", "list"],
+        help="which experiment to run ('list' to enumerate)",
     )
     parser.add_argument(
         "--scales",
@@ -448,19 +441,13 @@ def main(argv: list[str] | None = None) -> int:
             "--chaos-grid runs the fleet chaos scenarios; it does not"
             " take --cluster"
         )
-    if args.experiment == "trace":
-        target = args.target or "serve-bench"
-        if target not in TRACEABLE:
-            parser.error(
-                f"'trace' targets one of {', '.join(TRACEABLE)};"
-                f" got {target!r}"
-            )
-        args.trace = True
-        run_experiment(target, args)
-        return 0
-    if args.target is not None:
+    if (args.trace or args.trace_out) and (
+        args.experiment not in TRACEABLE or args.chaos_grid
+    ):
         parser.error(
-            "a target experiment is only meaningful with 'trace'"
+            "--trace/--trace-out record spans only for"
+            f" {', '.join(TRACEABLE)} (not with --chaos-grid);"
+            f" got {args.experiment!r}"
         )
     if args.experiment == "list":
         width = max(len(n) for n in EXPERIMENTS)

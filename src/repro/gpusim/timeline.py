@@ -270,8 +270,8 @@ def merge_intervals(
 
 
 def intervals_measure(intervals: Iterable[tuple[float, float]]) -> float:
-    """Total length of the union of ``intervals``."""
-    return sum(b - a for a, b in merge_intervals(intervals))
+    """Total length of the union of ``intervals`` (0.0 when empty)."""
+    return sum((b - a for a, b in merge_intervals(intervals)), 0.0)
 
 
 def intersect_two(

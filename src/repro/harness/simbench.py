@@ -25,6 +25,9 @@ repeats interleaved across the whole grid so that machine-load drift
 hits every cell equally instead of biasing whichever cell ran while the
 box was busy (single runs made the 200-op/64-stream cell look ~12%
 slower than steady state purely from warm-up and scheduler noise).
+Every timed grid run starts from a collected heap and no cell keeps
+its engine, so a run never pays collector passes over other cells'
+garbage.
 
 Results are written to ``BENCH_simulator.json`` so the perf trajectory
 of the substrate is recorded alongside the paper figures.
@@ -32,6 +35,7 @@ of the substrate is recorded alongside the paper figures.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import asdict, dataclass
 
@@ -170,41 +174,49 @@ def _measure_grid(
         for num_ops in ops_grid
     ]
     walls: dict[tuple[int, int], list[float]] = {key: [] for key in keys}
-    engines: dict[tuple[int, int], SimEngine] = {}
+    summaries: dict[tuple[int, int], dict] = {}
     for _ in range(repeats):
         for key in keys:
             num_ops, num_streams = key
+            # Start every timed run from a collected heap: no earlier
+            # run's garbage is left for this run's collections to walk.
+            gc.collect()
             t0 = time.perf_counter()
-            engines[key] = _churn_run(num_ops, num_streams, gpu)
+            engine = _churn_run(num_ops, num_streams, gpu)
             walls[key].append(time.perf_counter() - t0)
+            summaries[key] = _summary(engine)
+            del engine
     cells = []
     for key in keys:
         num_ops, num_streams = key
-        engine = engines[key]
         wall = min(walls[key])
-        counters = engine.counters
         cells.append(
             SimBenchCell(
                 ops=num_ops,
                 streams=num_streams,
                 repeats=repeats,
                 wall_s=wall,
-                sim_makespan_s=engine.timeline.makespan,
-                steps=engine.steps,
-                repricings=engine.repricings,
-                running_set_changes=engine.running_set_changes,
-                timeline_records=len(engine.timeline),
-                classes=int(counters.get("engine.classes")),
-                class_repricings=int(
-                    counters.get("engine.class_repricings")
-                ),
-                heap_stale_drops=int(
-                    counters.get("engine.heap_stale_drops")
-                ),
                 ops_per_sec=num_ops / wall if wall > 0 else float("inf"),
+                **summaries[key],
             )
         )
     return cells
+
+
+def _summary(engine: SimEngine) -> dict:
+    """The simulation counters a :class:`SimBenchCell` reports: kept
+    instead of the engine, so no cell's engine outlives its run."""
+    counters = engine.counters
+    return {
+        "sim_makespan_s": engine.timeline.makespan,
+        "steps": engine.steps,
+        "repricings": engine.repricings,
+        "running_set_changes": engine.running_set_changes,
+        "timeline_records": len(engine.timeline),
+        "classes": int(counters.get("engine.classes")),
+        "class_repricings": int(counters.get("engine.class_repricings")),
+        "heap_stale_drops": int(counters.get("engine.heap_stale_drops")),
+    }
 
 
 def _measure_overhead(

@@ -3,8 +3,11 @@
 GrCUDA's ``buildkernel(code, name, signature)`` compiles CUDA source with
 NVRTC.  Our "source" is either a Python callable (the functional
 implementation) or the name of an implementation previously registered in
-a :class:`KernelRegistry` — which is how the workload suite ships its 33
-kernels.
+a :class:`KernelRegistry`.  The workload suite and the serving layer pass
+callables: each :class:`~repro.graphs.taskgraph.KernelDecl` carries its
+``fn``, and nothing registers in :data:`GLOBAL_REGISTRY`.  A registry
+serves host programs that name their kernels, as GrCUDA programs name
+CUDA source; a :class:`~repro.session.Session` may carry its own.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.gpusim.timeline import IntervalKind, Timeline
+from repro.gpusim.timeline import IntervalKind, Timeline, intervals_measure
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.request import GraphResult
@@ -53,25 +53,12 @@ def busy_seconds(
     Overlapping kernels/transfers count once (this is *occupancy*, not
     work): the device was busy whenever at least one operation ran.
     """
-    intervals = sorted(
+    return intervals_measure(
         (r.start, r.end)
         for r in timeline
         if r.kind is IntervalKind.KERNEL
         or (include_transfers and r.kind.is_transfer)
     )
-    total = 0.0
-    cur_start: float | None = None
-    cur_end = 0.0
-    for start, end in intervals:
-        if cur_start is None or start > cur_end:
-            if cur_start is not None:
-                total += cur_end - cur_start
-            cur_start, cur_end = start, end
-        else:
-            cur_end = max(cur_end, end)
-    if cur_start is not None:
-        total += cur_end - cur_start
-    return total
 
 
 @dataclass(frozen=True)

@@ -35,14 +35,7 @@ from repro.faults import (
     FaultSpec,
     SlotHealth,
 )
-from repro.serve.admission import (
-    AdmissionPolicy,
-    AdmissionQueue,
-    FairShareQueue,
-    FifoQueue,
-    PriorityQueue,
-    make_queue,
-)
+from repro.serve.admission import AdmissionPolicy, AdmissionQueue
 from repro.serve.capture import CaptureCache, CapturePlan, derive_plan
 from repro.serve.fleet import (
     FleetSlot,
@@ -75,11 +68,9 @@ __all__ = [
     "CaptureCache",
     "CapturePlan",
     "DevicePlacementPolicy",
-    "FairShareQueue",
     "FaultKind",
     "FaultPlan",
     "FaultSpec",
-    "FifoQueue",
     "FleetSlot",
     "GpuFleet",
     "parse_fleet_spec",
@@ -87,7 +78,6 @@ __all__ = [
     "GraphResult",
     "KernelDecl",
     "LaunchDecl",
-    "PriorityQueue",
     "RequestStatus",
     "SchedulerService",
     "ServeConfig",
@@ -97,5 +87,4 @@ __all__ = [
     "TenantState",
     "derive_plan",
     "execute_serial",
-    "make_queue",
 ]

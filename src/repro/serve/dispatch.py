@@ -32,7 +32,7 @@ from repro.faults import FaultKind, FaultPlan, Transition
 from repro.obs.counters import CounterRegistry
 from repro.obs.trace import Tracer
 from repro.parallel.strategy import map_numerics
-from repro.serve.admission import make_queue
+from repro.serve.admission import AdmissionQueue
 from repro.serve.request import (
     GraphRequest,
     GraphResult,
@@ -78,7 +78,7 @@ class Dispatcher:
         #: this level's fault plan (None serves fault-free)
         self.faults = faults
         self.children = children
-        self.queue = make_queue(serve.admission)
+        self.queue = AdmissionQueue(serve.admission)
         self.tenants: dict[str, TenantState] = {}
         #: terminal results in the order they were reached
         self.results: list[GraphResult] = []

@@ -59,6 +59,13 @@ def generate(writes: Writes) -> dict[str, np.ndarray]:
 #: Draws per chunk of :func:`fill_uniform` (256 KB of float64).
 FILL_CHUNK = 1 << 15
 
+#: Blocks of every 1D launch (the kernels grid-stride over the data).
+NUM_BLOCKS = 512
+#: Blocks per side of every 2D launch (IMG, DL).
+NUM_BLOCKS_2D = 48
+#: Threads per side of every 2D block (IMG, DL).
+BLOCK_SIZE_2D = 8
+
 
 def fill_uniform(
     rng: np.random.Generator, low: float, high: float, out: np.ndarray
@@ -138,8 +145,6 @@ class Benchmark(abc.ABC):
         self,
         scale: int,
         block_size: int = 256,
-        block_size_2d: int = 8,
-        num_blocks: int = 512,
         iterations: int = 6,
         seed: int = 42,
         execute: bool = True,
@@ -148,8 +153,6 @@ class Benchmark(abc.ABC):
             raise ValueError("scale must be positive")
         self.scale = scale
         self.block_size = block_size
-        self.block_size_2d = block_size_2d
-        self.num_blocks = num_blocks
         self.iterations = iterations
         self.seed = seed
         self.execute = execute

@@ -25,7 +25,7 @@ from scipy.special import ndtr
 from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.workloads.base import Benchmark, Writes, fill_uniform, generate
+from repro.workloads.base import NUM_BLOCKS, Benchmark, Writes, fill_uniform, generate
 
 #: Option parameters (the CUDA sample's fixed rate/volatility setup).
 RISK_FREE = 0.02
@@ -79,7 +79,7 @@ class BlackScholes(Benchmark):
 
     def graph(self) -> TaskGraph:
         n = self.scale
-        g, b = self.num_blocks, self.block_size
+        g, b = NUM_BLOCKS, self.block_size
         return self.declare(
             arrays=[
                 ArrayDecl(f"{xy}{i}", n, np.float64)

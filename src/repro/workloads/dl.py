@@ -27,7 +27,15 @@ from scipy import ndimage
 from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.workloads.base import Benchmark, Writes, fill_uniform, generate
+from repro.workloads.base import (
+    BLOCK_SIZE_2D,
+    NUM_BLOCKS,
+    NUM_BLOCKS_2D,
+    Benchmark,
+    Writes,
+    fill_uniform,
+    generate,
+)
 
 KERNEL_SIZE = 3
 
@@ -71,9 +79,9 @@ class DeepLearning(Benchmark):
         s = self.scale
         h = s // 2
         img, half, w = (s, s), (h, h), (KERNEL_SIZE, KERNEL_SIZE)
-        g2 = (48, 48)
-        b2 = (self.block_size_2d, self.block_size_2d)
-        g1, b1 = self.num_blocks, self.block_size
+        g2 = (NUM_BLOCKS_2D, NUM_BLOCKS_2D)
+        b2 = (BLOCK_SIZE_2D, BLOCK_SIZE_2D)
+        g1, b1 = NUM_BLOCKS, self.block_size
         conv_sig = "const ptr, const ptr, ptr, sint32"
         return self.declare(
             arrays=[

@@ -33,7 +33,7 @@ from scipy import sparse
 from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.workloads.base import Benchmark, Writes
+from repro.workloads.base import NUM_BLOCKS, Benchmark, Writes
 
 AVG_DEGREE = 3
 
@@ -86,7 +86,7 @@ class HITS(Benchmark):
     def graph(self) -> TaskGraph:
         n = self.scale
         nnz = n * AVG_DEGREE
-        g, b = self.num_blocks, self.block_size
+        g, b = NUM_BLOCKS, self.block_size
 
         def spmv_a(row, col, val, vin, vout, n):
             vout[:n] = self._a @ vin[:n]

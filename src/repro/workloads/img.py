@@ -31,7 +31,15 @@ from scipy import ndimage
 from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.workloads.base import Benchmark, Writes, fill_uniform, generate
+from repro.workloads.base import (
+    BLOCK_SIZE_2D,
+    NUM_BLOCKS,
+    NUM_BLOCKS_2D,
+    Benchmark,
+    Writes,
+    fill_uniform,
+    generate,
+)
 
 SIGMA_SMALL = 1.0
 SIGMA_LARGE = 4.0
@@ -100,9 +108,9 @@ class ImageProcessing(Benchmark):
 
     def graph(self) -> TaskGraph:
         s = self.scale
-        g2 = (self.num_blocks_2d, self.num_blocks_2d)
-        b2 = (self.block_size_2d, self.block_size_2d)
-        g1, b1 = self.num_blocks, self.block_size
+        g2 = (NUM_BLOCKS_2D, NUM_BLOCKS_2D)
+        b2 = (BLOCK_SIZE_2D, BLOCK_SIZE_2D)
+        g1, b1 = NUM_BLOCKS, self.block_size
         blur_cost = dict(
             dram_bytes_per_item=8.0,
             instructions_per_item=30.0,
@@ -231,10 +239,6 @@ class ImageProcessing(Benchmark):
                 ),
             ],
         )
-
-    @property
-    def num_blocks_2d(self) -> int:
-        return 48
 
     def inputs(self, iteration: int) -> Writes:
         rng = functools.cache(lambda: self.rng(iteration))

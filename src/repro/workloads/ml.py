@@ -31,7 +31,7 @@ import numpy as np
 from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.workloads.base import Benchmark, Writes, fill_uniform, generate
+from repro.workloads.base import NUM_BLOCKS, Benchmark, Writes, fill_uniform, generate
 
 FEATURES = 200
 CLASSES = 10
@@ -105,7 +105,7 @@ class MLEnsemble(Benchmark):
 
     def graph(self) -> TaskGraph:
         r = self.scale
-        g, b = self.num_blocks, self.block_size
+        g, b = NUM_BLOCKS, self.block_size
         mmul_sig = "const ptr, const ptr, ptr, sint32, sint32, sint32"
         rows_cols_sig = "ptr, sint32, sint32"
         return self.declare(

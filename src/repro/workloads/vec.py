@@ -26,7 +26,7 @@ import numpy as np
 from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.workloads.base import Benchmark, Writes, fill_uniform, generate
+from repro.workloads.base import NUM_BLOCKS, Benchmark, Writes, fill_uniform, generate
 
 
 def _square(x: np.ndarray, n: int) -> None:
@@ -47,7 +47,7 @@ class VectorSquares(Benchmark):
 
     def graph(self) -> TaskGraph:
         n = self.scale
-        g, b = self.num_blocks, self.block_size
+        g, b = NUM_BLOCKS, self.block_size
         return self.declare(
             arrays=[ArrayDecl("x", n), ArrayDecl("y", n), ArrayDecl("res", 1)],
             kernels=[

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.serve.admission import (
-    AdmissionPolicy,
-    FairShareQueue,
-    FifoQueue,
-    PriorityQueue,
-    make_queue,
-)
+from repro.serve.admission import AdmissionPolicy, AdmissionQueue
 from repro.serve import (
     ArrayDecl,
     GraphRequest,
@@ -45,20 +39,26 @@ def request(tenant: str, priority: int = 0, arrival: float = 0.0):
     )
 
 
-class TestFactory:
-    def test_make_queue_covers_every_policy(self):
-        assert isinstance(make_queue(AdmissionPolicy.FIFO), FifoQueue)
-        assert isinstance(
-            make_queue(AdmissionPolicy.PRIORITY), PriorityQueue
-        )
-        assert isinstance(
-            make_queue(AdmissionPolicy.FAIR_SHARE), FairShareQueue
-        )
+FIFO = AdmissionPolicy.FIFO
+PRIORITY = AdmissionPolicy.PRIORITY
+FAIR_SHARE = AdmissionPolicy.FAIR_SHARE
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("policy", list(AdmissionPolicy))
+    def test_one_queue_covers_every_policy(self, policy):
+        q = AdmissionQueue(policy)
+        assert q.policy is policy
+        r = request("a")
+        q.push(r)
+        assert q.peek() is r
+        assert q.pop() is r
+        assert q.pop() is None
 
 
 class TestFifo:
     def test_strict_arrival_order(self):
-        q = FifoQueue()
+        q = AdmissionQueue(FIFO)
         reqs = [request("a"), request("b"), request("a")]
         for r in reqs:
             q.push(r)
@@ -66,7 +66,7 @@ class TestFifo:
         assert q.pop() is None
 
     def test_take_matching_preserves_rest(self):
-        q = FifoQueue()
+        q = AdmissionQueue(FIFO)
         reqs = [request("a"), request("b"), request("a")]
         for r in reqs:
             q.push(r)
@@ -76,7 +76,7 @@ class TestFifo:
         assert q.pop() is reqs[1]
 
     def test_admitted_counts_charged(self):
-        q = FifoQueue()
+        q = AdmissionQueue(FIFO)
         for r in [request("a"), request("a"), request("b")]:
             q.push(r)
         q.pop()
@@ -86,7 +86,7 @@ class TestFifo:
 
 class TestPriority:
     def test_highest_priority_first(self):
-        q = PriorityQueue()
+        q = AdmissionQueue(PRIORITY)
         low = request("a", priority=0)
         hi = request("b", priority=5)
         mid = request("c", priority=2)
@@ -95,7 +95,7 @@ class TestPriority:
         assert [q.pop() for _ in range(3)] == [hi, mid, low]
 
     def test_fifo_within_level(self):
-        q = PriorityQueue()
+        q = AdmissionQueue(PRIORITY)
         first = request("a", priority=1)
         second = request("b", priority=1)
         q.push(first)
@@ -104,7 +104,7 @@ class TestPriority:
         assert q.pop() is second
 
     def test_low_priority_can_starve_by_design(self):
-        q = PriorityQueue()
+        q = AdmissionQueue(PRIORITY)
         starved = request("low", priority=0)
         q.push(starved)
         for _ in range(5):
@@ -116,7 +116,7 @@ class TestPriority:
 
 class TestFairShare:
     def test_round_robins_equal_backlogs(self):
-        q = FairShareQueue()
+        q = AdmissionQueue(FAIR_SHARE)
         for _ in range(3):
             q.push(request("a"))
             q.push(request("b"))
@@ -127,7 +127,7 @@ class TestFairShare:
             assert set(served[i:i + 3]) == {"a", "b", "c"}
 
     def test_newcomer_catches_up_but_does_not_monopolize(self):
-        q = FairShareQueue()
+        q = AdmissionQueue(FAIR_SHARE)
         for _ in range(4):
             q.push(request("old"))
         assert q.pop().tenant == "old"
@@ -143,16 +143,16 @@ class TestFairShare:
         assert following.count("new") == 2
 
     def test_pending_by_tenant(self):
-        q = FairShareQueue()
+        q = AdmissionQueue(FAIR_SHARE)
         q.push(request("a"))
         q.push(request("a"))
         q.push(request("b"))
         assert q.pending_by_tenant() == {"a": 2, "b": 1}
 
     def test_take_matching_respects_global_arrival_order(self):
-        # A bounded take must prefer globally-older requests even when
-        # they live in different per-tenant queues.
-        q = FairShareQueue()
+        # A bounded take must prefer globally-older requests whichever
+        # tenant they belong to.
+        q = AdmissionQueue(FAIR_SHARE)
         a0 = request("a")
         b1 = request("b")
         a2 = request("a")
@@ -186,7 +186,7 @@ class TestFairShareNeverStarves:
         among tenants that have work queued.  A backlogged tenant can
         therefore be overtaken at most once by each other tenant before
         it is served again."""
-        q = FairShareQueue()
+        q = AdmissionQueue(FAIR_SHARE)
         for op, tenant in ops:
             if op == "push":
                 q.push(request(tenant))
@@ -213,7 +213,7 @@ class TestFairShareNeverStarves:
     ):
         """With every tenant continuously backlogged, admitted counts
         never diverge by more than one — no tenant starves."""
-        q = FairShareQueue()
+        q = AdmissionQueue(FAIR_SHARE)
         names = [f"t{i}" for i in range(tenants)]
         for _ in range(per_tenant):
             for name in names:
@@ -240,8 +240,8 @@ class TestEnumValues:
 class TestEvictLowest:
     """The graceful-degradation shed hook (service watermark shedding)."""
 
-    def _loaded(self, queue_cls):
-        q = queue_cls()
+    def _loaded(self, policy):
+        q = AdmissionQueue(policy)
         # Two priorities, staggered arrivals; ids increase with pushes.
         q.push(request("a", priority=1, arrival=1.0))
         q.push(request("b", priority=0, arrival=2.0))
@@ -249,11 +249,9 @@ class TestEvictLowest:
         q.push(request("b", priority=1, arrival=4.0))
         return q
 
-    @pytest.mark.parametrize(
-        "queue_cls", [FifoQueue, PriorityQueue, FairShareQueue]
-    )
-    def test_sheds_lowest_priority_newest_first(self, queue_cls):
-        q = self._loaded(queue_cls)
+    @pytest.mark.parametrize("policy", [FIFO, PRIORITY, FAIR_SHARE])
+    def test_sheds_lowest_priority_newest_first(self, policy):
+        q = self._loaded(policy)
         victims = q.evict_lowest(2)
         # Both priority-0 requests go, the newer one first.
         assert [(v.priority, v.arrival_time) for v in victims] == [
@@ -261,13 +259,11 @@ class TestEvictLowest:
         ]
         assert len(q) == 2
 
-    @pytest.mark.parametrize(
-        "queue_cls", [FifoQueue, PriorityQueue, FairShareQueue]
-    )
-    def test_survivors_keep_relative_order(self, queue_cls):
-        q = self._loaded(queue_cls)
+    @pytest.mark.parametrize("policy", [FIFO, PRIORITY, FAIR_SHARE])
+    def test_survivors_keep_relative_order(self, policy):
+        q = self._loaded(policy)
         before = []
-        probe = self._loaded(queue_cls)
+        probe = self._loaded(policy)
         while (r := probe.pop()) is not None:
             before.append((r.priority, r.arrival_time))
         q.evict_lowest(2)
@@ -278,7 +274,7 @@ class TestEvictLowest:
         assert after == survivors
 
     def test_eviction_not_charged_to_admission(self):
-        q = FairShareQueue()
+        q = AdmissionQueue(FAIR_SHARE)
         q.push(request("a", arrival=1.0))
         q.push(request("a", arrival=2.0))
         q.pop()  # one genuine admission
@@ -288,20 +284,20 @@ class TestEvictLowest:
         assert q.admitted_counts["a"] == 1
 
     def test_zero_or_negative_count_is_noop(self):
-        q = self._loaded(FifoQueue)
+        q = self._loaded(FIFO)
         assert q.evict_lowest(0) == []
         assert q.evict_lowest(-3) == []
         assert len(q) == 4
 
     def test_count_beyond_queue_drains_it(self):
-        q = self._loaded(PriorityQueue)
+        q = self._loaded(PRIORITY)
         victims = q.evict_lowest(99)
         assert len(victims) == 4
         assert len(q) == 0
         assert q.pop() is None
 
     def test_request_id_breaks_arrival_ties(self):
-        q = FifoQueue()
+        q = AdmissionQueue(FIFO)
         first = request("a", priority=0, arrival=1.0)
         second = request("a", priority=0, arrival=1.0)
         q.push(first)

@@ -89,7 +89,7 @@ class TestParser:
         args = build_parser().parse_args(["serve-bench"])
         assert args.trace is False
         assert args.trace_out is None
-        assert args.target is None
+        assert not hasattr(args, "target")
 
     def test_trace_flags(self):
         args = build_parser().parse_args(
@@ -99,18 +99,45 @@ class TestParser:
         args = build_parser().parse_args(["sim-bench", "--trace"])
         assert args.trace is True
 
-    def test_trace_meta_experiment_takes_a_target(self):
-        args = build_parser().parse_args(["trace", "serve-bench"])
-        assert args.experiment == "trace"
-        assert args.target == "serve-bench"
+    def test_trace_is_a_flag_of_the_traced_experiment(self):
+        args = build_parser().parse_args(["serve-bench", "--trace"])
+        assert args.experiment == "serve-bench"
+        assert args.trace is True
 
-    def test_target_rejected_outside_trace(self):
+    def test_second_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["figure7", "serve-bench"])
 
-    def test_trace_rejects_untraceable_target(self):
+    def test_trace_rejects_untraceable_experiment(self):
         with pytest.raises(SystemExit):
-            main(["trace", "figure7"])
+            main(["figure7", "--trace"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--trace-out", "x.json"],
+            ["parallel-bench", "--trace"],
+            ["all", "--trace"],
+            ["serve-bench", "--chaos-grid", "--trace"],
+            ["serve-bench", "--chaos-grid", "--trace-out", "x.json"],
+        ],
+        ids=" ".join,
+    )
+    def test_trace_flags_rejected_where_nothing_is_traced(
+        self, argv, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "serve-bench, sim-bench, movement-bench" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trace_is_no_experiment(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["trace", "serve-bench"])
 
     def test_serve_bench_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
@@ -231,14 +258,20 @@ class TestExecution:
         assert f"wrote {trace_path}" in capsys.readouterr().out
         assert validate_chrome_trace_file(str(trace_path)) == []
 
-    def test_trace_meta_experiment_defaults_to_serve_bench(
+    def test_bare_trace_writes_the_default_serving_trace(
         self, capsys, tmp_path, monkeypatch
     ):
         from repro.obs.export import validate_chrome_trace_file
 
         monkeypatch.chdir(tmp_path)
         assert (
-            main(["trace", "--requests", "6", "--tenants", "2"]) == 0
+            main(
+                [
+                    "serve-bench", "--trace",
+                    "--requests", "6", "--tenants", "2",
+                ]
+            )
+            == 0
         )
         assert (tmp_path / "TRACE_serving.json").exists()
         assert (
