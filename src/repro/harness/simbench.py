@@ -228,8 +228,10 @@ def _measure_overhead(
     """The tracer-overhead cell pair: the same churn under the default
     null tracer (baseline), a constructed-but-disabled tracer, and a
     recording tracer.  Repeats are interleaved (so drift hits every
-    variant equally) and each variant reports its min wall-clock — the
-    run least polluted by scheduler noise."""
+    variant equally), every timed run starts from a collected heap (so
+    no collection of an earlier run's garbage lands in one variant's
+    runs) and each variant reports its min wall-clock — the run least
+    polluted by scheduler noise."""
     walls: dict[str, list[float]] = {
         "baseline": [], "disabled": [], "enabled": []
     }
@@ -242,6 +244,7 @@ def _measure_overhead(
                 tracer = Tracer(enabled=False)
             else:
                 tracer = Tracer()
+            gc.collect()
             t0 = time.perf_counter()
             _churn_run(num_ops, num_streams, gpu, tracer=tracer)
             walls[variant].append(time.perf_counter() - t0)

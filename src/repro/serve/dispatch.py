@@ -93,6 +93,9 @@ class Dispatcher:
         #: instance-owned ids: concurrent dispatchers never interleave
         #: them
         self._request_ids = itertools.count(1)
+        #: topology key -> its :attr:`GraphRequest.topology_id`, numbered
+        #: in first-enqueue order (one table per dispatcher, per run)
+        self._topology_ids: dict[tuple, int] = {}
         #: monotone virtual-time cursor of the dispatch decisions
         self._now = 0.0
         #: fault specs already counted as injected (a DRAIN makes two
@@ -149,6 +152,8 @@ class Dispatcher:
             request.tenant, priority=request.priority
         )
         state.submitted += 1
+        ids = self._topology_ids
+        request.topology_id = ids.setdefault(request.topology_key, len(ids))
         self.queue.push(request)
         self.counters.set_max(self.QUEUE_PEAK, len(self.queue))
         if self.tracer.enabled:

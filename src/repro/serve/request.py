@@ -82,6 +82,10 @@ class GraphRequest:
     #: slot index of the last failed dispatch (None = never failed);
     #: used to count re-placements onto surviving slots
     last_slot: int | None = None
+    #: the queueing dispatcher's number for :attr:`topology_key`, set
+    #: on every enqueue: equal keys get equal numbers within one
+    #: dispatcher, so the batch predicate compares ints, not key tuples
+    topology_id: int = field(default=-1, init=False, compare=False)
 
     @property
     def topology_key(self) -> tuple:

@@ -415,12 +415,12 @@ class SchedulerService(Dispatcher):
                 continue
             batch = [head]
             if self.config.batching:
-                key = head.topology_key
+                key = head.topology_id
                 window = self.config.batch_window
                 batch.extend(
                     self.queue.take_matching(
                         lambda r: (
-                            r.topology_key == key
+                            r.topology_id == key
                             and abs(r.arrival_time - head.arrival_time)
                             <= window
                             and r.not_before <= now

@@ -6,11 +6,23 @@ plus the host writes before it, so the serving layer's mixed workloads
 come straight from the suite: a tenant submitting "one VEC iteration at
 scale 100k with seed 7" gets the same kernels, cost models and inputs
 the figure experiments use.
+
+:func:`mixed_workload_graphs` generates the graphs' inputs on a pool of
+``os.cpu_count()`` threads.  Every graph draws only from its own
+benchmark's generators (seed ``seed + i``), so the arrays are bit for
+bit those of generating one graph after another, whichever thread draws
+them; numpy's draws and ufuncs release the GIL, so the threads run at
+once.  The benchmarks are constructed in the calling thread, in request
+order, the graphs come back in request order, and no pool thread
+outlives the call, whether it returns or raises.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.graphs.taskgraph import ArrayDecl, TaskGraph
 from repro.memory.array import read_only_view, zero_block
@@ -96,7 +108,9 @@ def mixed_workload_graphs(
     and launch wiring) but carry different input data (per-graph seeds),
     which is exactly the mix the batching window and capture cache are
     built for.  ``scales`` overrides :data:`SERVING_SCALES` per
-    workload; a workload with a scale in neither raises ValueError.
+    workload; a workload with a scale in neither, or a negative
+    ``count``, raises ValueError before any input is drawn.  The inputs
+    are drawn on a thread pool (see the module docstring).
     """
     names = workloads or list(SERVING_SCALES)
     scales = {**SERVING_SCALES, **(scales or {})}
@@ -106,11 +120,11 @@ def mixed_workload_graphs(
             f"no serving scale for {unscaled}: workloads with one are"
             f" {sorted(scales)}; give the others a scale in scales="
         )
-    graphs: list[TaskGraph] = []
-    for i in range(count):
-        name = names[i % len(names)]
-        bench = create_benchmark(
-            name, scales[name], seed=seed + i, iterations=1
-        )
-        graphs.append(graph_from_benchmark(bench, iteration=0))
-    return graphs
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    benches = [
+        create_benchmark(name, scales[name], seed=seed + i, iterations=1)
+        for i, name in zip(range(count), itertools.cycle(names))
+    ]
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        return list(pool.map(graph_from_benchmark, benches))

@@ -7,6 +7,7 @@ from repro.multigpu import DevicePlacementPolicy
 from repro.serve import (
     AdmissionPolicy,
     GpuFleet,
+    GraphRequest,
     SchedulerService,
     ServeConfig,
     execute_serial,
@@ -163,6 +164,18 @@ class TestBatching:
         assert report.metrics.batches == 3
         for r in report.results:
             assert r.batch_size == 2
+
+    def test_equal_topologies_share_one_number(self):
+        graphs = mixed_workload_graphs(6, seed=3)  # vec/b&s/ml cycle
+        requests = [GraphRequest("t", g) for g in graphs]
+        first, second = make_service(), make_service()
+        for r in requests:
+            first.enqueue(r)
+        assert [r.topology_id for r in requests] == [0, 1, 2, 0, 1, 2]
+        # Each dispatcher numbers its own queue, in first-enqueue order.
+        for r in reversed(requests):
+            second.enqueue(r)
+        assert [r.topology_id for r in requests] == [2, 1, 0, 2, 1, 0]
 
 
 class TestCaptureCache:
