@@ -70,7 +70,7 @@ EXPERIMENTS = {
     "parallel-bench": (
         parallel_bench,
         "execution-strategy matrix: fingerprint equality + speedups"
-        " across sequential/process",
+        " of the thread pool and the process pool over one thread",
     ),
 }
 
@@ -241,17 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(STRATEGIES),
         default="sequential",
         help="where completed requests' kernels run once the"
-        " timing-only simulation drains: in-process (sequential, the"
-        " default) or in a forked worker pool (process); every"
-        " strategy yields the same fingerprint",
+        " timing-only simulation drains: on a thread pool in this"
+        " process (sequential, the default) or in a forked worker pool"
+        " (process); every strategy yields the same fingerprint",
     )
     serving.add_argument(
         "--workers",
         type=_positive_int,
         default=None,
         metavar="N",
-        help="worker-pool size for the process strategy"
-        " (default: cpu_count)",
+        help="threads or worker processes of the --parallel pool"
+        " (default: cpu_count; 1 runs one request after another)",
     )
     serving.add_argument(
         "--chaos-grid",

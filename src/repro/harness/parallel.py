@@ -1,17 +1,19 @@
 """The ``parallel-bench`` experiment: the execution-strategy matrix.
 
-Runs the same serving workload under every :data:`STRATEGIES` entry and
-checks the substrate's whole contract in one sweep:
+Runs the same serving workload on three data planes — ``sequential``
+(in-process, one thread: the reference), ``sequential-pooled``
+(in-process, ``workers`` threads) and ``process`` (a forked pool of
+``workers``) — and checks the substrate's whole contract in one sweep:
 
 - **determinism** — report fingerprints, counter snapshots and the
   canonical Chrome trace (wall-clock fields stripped) are bit-identical
-  across ``sequential`` / ``process``;
-- **speed** — per-strategy wall-clock time of ``run()`` (timing-only
-  simulation, then the data plane in-process or in a forked pool) and
-  speedup over the sequential baseline, written to ``BENCH_parallel.json``
-  (the CI ``parallel-smoke`` artifact; the speedup gate lives in CI,
-  where runners actually have cores — ``cpu_count`` is recorded so a
-  1-core box reporting ~1x is interpretable).
+  across the three;
+- **speed** — per-plane wall-clock time of ``run()`` (timing-only
+  simulation, then the data plane) and speedup over the one-thread
+  reference, written to ``BENCH_parallel.json`` (the CI
+  ``parallel-smoke`` artifact; the speedup gate lives in CI, where
+  runners actually have cores — ``cpu_count`` is recorded so a 1-core
+  box reporting ~1x is interpretable).
 
 Equality is asserted at a trace-friendly scale (tracing every span at
 thousands of requests is needless weight), timing at full scale with
@@ -26,7 +28,6 @@ import os
 from repro.harness.runner import write_json
 from repro.harness.serving import drive, poisson_traffic
 from repro.obs.export import canonical_trace
-from repro.parallel import STRATEGIES
 from repro.serve.fleet import parse_fleet_spec
 from repro.serve.service import ServeConfig
 
@@ -56,23 +57,31 @@ def parallel_bench(
 ) -> dict:
     """Run the strategy matrix and return (optionally write) the sweep.
 
-    Raises :class:`AssertionError` the moment any strategy diverges from
-    the sequential reference — fingerprint, counters or canonical trace
-    at the equality scale, fingerprint at the timing scale.
+    Raises :class:`AssertionError` the moment any data plane diverges
+    from the one-thread reference — fingerprint, counters or canonical
+    trace at the equality scale, fingerprint at the timing scale.
     """
     if isinstance(fleet, str):
         fleet = parse_fleet_spec(fleet)
     if equality_requests is None:
         equality_requests = min(requests, 120)
+    # label -> (ServeConfig.parallel, workers); the reference first, so
+    # every speedup_vs_sequential divides its wall time
+    planes = {
+        "sequential": ("sequential", 1),
+        "sequential-pooled": ("sequential", workers),
+        "process": ("process", workers),
+    }
 
-    def serve(strategy: str, plan: str | None, count: int, trace: bool):
+    def serve(plane: str, plan: str | None, count: int, trace: bool):
+        parallel, size = planes[plane]
         graphs, arrivals = poisson_traffic(
             count, traffic, seed, mean_interarrival_us
         )
         return drive(
             graphs,
             arrivals,
-            ServeConfig(faults=plan, parallel=strategy, workers=workers),
+            ServeConfig(faults=plan, parallel=parallel, workers=size),
             topology=fleet,
             gpu=gpu,
             tenants=tenants,
@@ -84,8 +93,8 @@ def parallel_bench(
         # -- equality pass: traced, at the trace-friendly scale --------
         reference = None
         equality: dict[str, dict] = {}
-        for strategy in STRATEGIES:
-            served = serve(strategy, plan, equality_requests, trace=True)
+        for plane in planes:
+            served = serve(plane, plan, equality_requests, trace=True)
             report = served.report
             state = (
                 report.fingerprint(),
@@ -99,20 +108,20 @@ def parallel_bench(
                 "counters_equal": state[1] == reference[1],
                 "trace_equal": state[2] == reference[2],
             }
-            equality[strategy] = checks
+            equality[plane] = checks
             for check, ok in checks.items():
                 if not ok:
                     raise AssertionError(
-                        f"parallel-bench scenario {name!r}: strategy"
-                        f" {strategy!r} failed {check} vs sequential"
+                        f"parallel-bench scenario {name!r}: plane"
+                        f" {plane!r} failed {check} vs sequential"
                     )
 
         # -- timing pass: untraced, at full scale ----------------------
         timing: dict[str, dict] = {}
         base_fingerprint = None
         base_wall = None
-        for strategy in STRATEGIES:
-            served = serve(strategy, plan, requests, trace=False)
+        for plane in planes:
+            served = serve(plane, plan, requests, trace=False)
             wall = served.wall_s
             fingerprint = served.report.fingerprint()
             if base_fingerprint is None:
@@ -120,19 +129,19 @@ def parallel_bench(
                 base_wall = wall
             if fingerprint != base_fingerprint:
                 raise AssertionError(
-                    f"parallel-bench scenario {name!r}: strategy"
-                    f" {strategy!r} fingerprint diverges at timing scale"
+                    f"parallel-bench scenario {name!r}: plane"
+                    f" {plane!r} fingerprint diverges at timing scale"
                 )
-            timing[strategy] = {
+            timing[plane] = {
                 "wall_s": wall,
                 "speedup_vs_sequential": base_wall / wall if wall else 0.0,
                 "fingerprint_equal": True,
             }
             if render:
                 print(
-                    f"parallel {name:<14} {strategy:<10}"
+                    f"parallel {name:<14} {plane:<17}"
                     f" wall={wall:8.3f}s"
-                    f"  speedup={timing[strategy]['speedup_vs_sequential']:5.2f}x"
+                    f"  speedup={timing[plane]['speedup_vs_sequential']:5.2f}x"
                 )
         scenarios[name] = {
             "plan": plan,
@@ -152,7 +161,10 @@ def parallel_bench(
         "traffic": traffic,
         "workers": workers,
         "cpu_count": os.cpu_count(),
-        "strategies": list(STRATEGIES),
+        "planes": {
+            label: {"parallel": parallel, "workers": size}
+            for label, (parallel, size) in planes.items()
+        },
         "scenarios": scenarios,
     }
     if bench_out:

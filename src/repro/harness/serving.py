@@ -196,7 +196,8 @@ class Served:
     report: ServiceReport | ClusterReport
     #: the replay's own tracer (None when untraced)
     tracer: Tracer | None
-    #: wall-clock seconds of the replay's ``run()`` (drain + report)
+    #: wall-clock seconds of the replay's ``run()`` (drain, data plane
+    #: and report)
     wall_s: float
 
 
@@ -223,7 +224,10 @@ def drive(
     robin; ``deadline_us`` gives every request an arrival-relative
     deadline.  The scenario runs ``runs`` times, each on a fresh front
     end with its own tracer, and the report fingerprints must be equal
-    — a nondeterministic replay is a failed benchmark.  Every
+    — a nondeterministic replay is a failed benchmark.  Each replay's
+    ``run()`` computes the completed requests' outputs on the data
+    plane ``config`` names (``parallel`` and ``workers``: by default a
+    thread per core in this process), so ``wall_s`` includes it.  Every
     submission must reach a terminal status (asserted unconditionally).
     ``validate=True`` checks each completed request of the reported
     replay against executing its graph alone on a private serial
@@ -374,10 +378,10 @@ def serve_bench(
     status (asserted unconditionally).
 
     ``parallel`` selects where completed requests' kernels run
-    (``sequential``: in-process; ``process``: a forked pool of
-    ``workers``, default one per core), on a fleet or a cluster; every
-    strategy produces the same fingerprint (see README "Parallel
-    execution").
+    (``sequential``: a pool of ``workers`` threads in this process;
+    ``process``: a forked pool of ``workers``; default one per core),
+    on a fleet or a cluster; every strategy produces the same
+    fingerprint (see README "Parallel execution").
     """
     if tenants <= 0 or requests <= 0 or fleet_size <= 0:
         raise ValueError("tenants, requests and fleet_size must be positive")

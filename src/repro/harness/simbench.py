@@ -70,8 +70,10 @@ DISABLED_OVERHEAD_LIMIT = 1.05
 #: Absolute slack for the overhead comparison (timer jitter at small
 #: op counts would otherwise dominate the 5% relative budget).
 DISABLED_OVERHEAD_EPS_S = 2e-3
-#: Interleaved repeats the overhead pair takes the per-variant min over.
-OVERHEAD_REPEATS = 5
+#: Interleaved repeats the overhead pair takes the per-variant min over
+#: (more than the grid's: its two gated variants run the same code, so
+#: only host noise separates their mins).
+OVERHEAD_REPEATS = 20
 
 
 @dataclass(frozen=True)
@@ -231,7 +233,14 @@ def _measure_overhead(
     variant equally), every timed run starts from a collected heap (so
     no collection of an earlier run's garbage lands in one variant's
     runs) and each variant reports its min wall-clock — the run least
-    polluted by scheduler noise."""
+    polluted by scheduler noise.
+
+    The gated pair runs the same code: ``tracer=None`` resolves through
+    ``current_tracer()`` to ``NULL_TRACER``, itself a
+    ``Tracer(enabled=False)``, so "disabled" differs from "baseline"
+    only in which instance it reads.  The gate therefore measures host
+    noise between two mins of identical runs, and a failure is noise;
+    more repeats per variant bring both mins closer to the floor."""
     walls: dict[str, list[float]] = {
         "baseline": [], "disabled": [], "enabled": []
     }

@@ -11,10 +11,11 @@ its kernels completed.
 
 The data plane, :func:`~repro.parallel.work.run_numerics`, then runs
 each completed request's kernels once, in that order, on the graph's
-inputs — in-process (``sequential``) or over a forked worker pool
-(``process``), collected in request-id order either way
-(:func:`~repro.parallel.strategy.map_numerics`).  Report fingerprints,
-counters and traces are therefore bit-identical across the strategies.
+inputs — on a thread pool in this process (``sequential``) or over a
+forked worker pool (``process``), collected in request-id order either
+way (:func:`~repro.parallel.strategy.map_numerics`).  Report
+fingerprints, counters and traces are therefore bit-identical across
+the strategies and their pool sizes.
 
 See README "Parallel execution" for the determinism contract.
 """

@@ -8,20 +8,27 @@ service merges the outcomes in slot-id order.
 The data plane is :func:`map_numerics`, selected by the
 ``ServeConfig.parallel`` name:
 
-* ``sequential`` — every completed request's numerics in-process, in
-  request-id order; the reference.
+* ``sequential`` — every completed request's numerics in this process,
+  mapped over a pool of ``workers`` threads (None: one per core).  Each
+  call builds its own arrays and kernels, and the threads only read
+  what they share (the graphs' read-only inputs, the kernel functions,
+  the signature cache), so the outputs do not depend on the thread
+  count; numpy's and scipy's ufuncs release the GIL, so the threads
+  overlap.  One worker is the serial reference.
 * ``process`` — the same calls mapped over one forked worker pool.  The
   pool forks after the drain, so workers inherit every graph, and a
-  task is just a request index plus its completion order.  Results come
-  back in request-id order whatever the worker count or which worker
-  finishes first, so both names report bit-identically.
+  task is just a request index plus its completion order.
+
+Both return results in request-id order whatever the worker count or
+which worker finishes first, so they report bit-identically.  Neither
+leaves a worker alive once :func:`map_numerics` returns or raises.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,7 +47,8 @@ if TYPE_CHECKING:
 
 __all__ = ["STRATEGIES", "SequentialStrategy", "map_numerics"]
 
-#: the data-plane strategies, reference first
+#: the data-plane strategies; ``sequential`` with one worker is the
+#: reference
 STRATEGIES = ("sequential", "process")
 
 
@@ -88,12 +96,25 @@ def map_numerics(
     workers: int | None = None,
 ) -> list[dict[str, np.ndarray]]:
     """The outputs of every ``(graph, completion order)`` work, in work
-    order.  ``process`` sizes its pool by ``workers`` (None: one per
-    core); a worker that dies raises
+    order.  Both strategies size their pool by ``workers`` (None: one
+    per core) and join every worker before returning or raising.  A
+    kernel's exception cancels the works not yet started and re-raises
+    here; a ``process`` worker that dies raises
     :class:`~concurrent.futures.process.BrokenProcessPool`, a
-    :class:`RuntimeError`, and a kernel's exception re-raises here."""
-    if parallel == "sequential" or not works:
-        return [run_numerics(graph, order) for graph, order in works]
+    :class:`RuntimeError`."""
+    if not works:
+        return []
+    if parallel == "sequential":
+        graphs, orders = zip(*works)
+        # On an exception the works not yet started are cancelled, and
+        # leaving the block joins every thread: a later ``process`` run
+        # forks this process, and no pool thread may be alive then.
+        with ThreadPoolExecutor(workers or os.cpu_count()) as pool:
+            try:
+                return list(pool.map(run_numerics, graphs, orders))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     # fork (not spawn): workers inherit the graphs and the kernel
     # functions instead of unpickling them, so a task is two small
     # values.  The initializer's arguments are inherited, not sent.

@@ -16,7 +16,8 @@ do identically:
 * the exponential-backoff re-queue and the terminal drop record;
 * the data plane: once :meth:`Dispatcher.drain` has simulated every
   request timing-only, :meth:`Dispatcher.run` computes each COMPLETED
-  request's outputs once, in request-id order.
+  request's outputs once, on the configured pool, and collects them in
+  request-id order.
 
 Each level keeps its own round policy (:meth:`Dispatcher.drain`), its
 report, and its counter and trace names (the class constants), so a

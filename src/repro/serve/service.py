@@ -98,11 +98,12 @@ class ServeConfig:
     #: everything beyond it is shed
     shed_queue_per_gpu: int = 4
     #: where completed requests' kernels run once the timing-only
-    #: simulation has drained: ``sequential`` (in-process, the
-    #: reference) or ``process`` (a forked worker pool) — both produce
+    #: simulation has drained: ``sequential`` (in this process, on a
+    #: thread pool) or ``process`` (a forked worker pool) — both produce
     #: bit-identical reports (see :mod:`repro.parallel`)
     parallel: str = "sequential"
-    #: size of the ``process`` pool (None: one worker per core)
+    #: size of either pool: threads or worker processes (None: one per
+    #: core; 1 runs the requests one after another, the reference)
     workers: int | None = None
     #: per-device runtime/scheduler configuration
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
@@ -114,9 +115,13 @@ class ServeConfig:
                 f"unknown execution strategy {self.parallel!r};"
                 f" expected one of {STRATEGIES}"
             )
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(
-                f"workers must be >= 1, got {self.workers}"
+        if self.workers is not None and (
+            not isinstance(self.workers, int)
+            or isinstance(self.workers, bool)
+            or self.workers < 1
+        ):
+            raise ConfigError(
+                f"workers must be a positive integer, got {self.workers!r}"
             )
         if (
             not isinstance(self.max_retries, int)

@@ -1,9 +1,13 @@
 """The data plane: :func:`run_numerics` runs a graph's launches once, in
 a given completion order, on the graph's own inputs, and
-:func:`map_numerics` collects many such runs in work order, in-process
-or over a forked pool.  The control plane runs no kernel body."""
+:func:`map_numerics` collects many such runs in work order, over a pool
+of threads or a forked pool.  The control plane runs no kernel body."""
 
 import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +26,9 @@ from repro.serve import (
     execute_serial,
 )
 from repro.serve import dispatch
-from repro.serve.workloads import mixed_workload_graphs
+from repro.serve.workloads import graph_from_benchmark, mixed_workload_graphs
+from repro.workloads.suite import create_benchmark
+from tests.workloads.conftest import TEST_SCALES
 
 N = 256
 COST = LinearCostModel(flops_per_item=1.0, dram_bytes_per_item=8.0)
@@ -195,7 +201,57 @@ class TestRunNumerics:
         assert out.flags.writeable
 
 
+def _suite_works() -> list:
+    """Every suite benchmark at the workload tests' small scales, more
+    graphs than the pool has threads, each run in launch order.  The
+    last two are iterations 1 and 2 of one HITS instance: neither
+    uploads the CSR, so their kernels build the instance's shared CSR
+    caches on first use, inside the pool."""
+    names = sorted(TEST_SCALES)
+    graphs = []
+    for i in range(max(len(names), (os.cpu_count() or 1) + 1)):
+        name = names[i % len(names)]
+        bench = create_benchmark(name, TEST_SCALES[name], seed=i, iterations=1)
+        graphs.append(graph_from_benchmark(bench))
+    hits = create_benchmark("hits", TEST_SCALES["hits"], seed=3, iterations=3)
+    graphs += [graph_from_benchmark(hits, 1), graph_from_benchmark(hits, 2)]
+    return [(graph, range(len(graph.launches))) for graph in graphs]
+
+
+def _hung(signum, frame):
+    pytest.fail("the thread pool hung")
+
+
+def _outputs(results: list) -> list:
+    return [
+        [
+            (name, str(out.dtype), out.shape, out.tobytes())
+            for name, out in result.items()
+        ]
+        for result in results
+    ]
+
+
 class TestMapNumerics:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_thread_pool_equals_one_request_at_a_time(self, workers):
+        works = _suite_works()
+        # Switch threads every 10 µs instead of every 5 ms, so that the
+        # threads interleave inside the kernels' Python code too; the
+        # alarm turns a hung pool into a failure.
+        interval = sys.getswitchinterval()
+        previous = signal.signal(signal.SIGALRM, _hung)
+        sys.setswitchinterval(1e-5)
+        signal.alarm(120)
+        try:
+            pooled = map_numerics(works, "sequential", workers=workers)
+        finally:
+            signal.alarm(0)
+            sys.setswitchinterval(interval)
+            signal.signal(signal.SIGALRM, previous)
+        alone = [run_numerics(graph, order) for graph, order in _suite_works()]
+        assert _outputs(pooled) == _outputs(alone)
+
     @pytest.mark.parametrize("parallel", STRATEGIES)
     def test_results_come_back_in_work_order(self, parallel):
         works = [
@@ -209,24 +265,57 @@ class TestMapNumerics:
             expected = run_numerics(graph, order)
             assert np.array_equal(result["z"], expected["z"])
 
-    def test_no_work_starts_no_pool(self, monkeypatch):
+    @pytest.mark.parametrize("parallel", STRATEGIES)
+    def test_no_work_starts_no_pool(self, monkeypatch, parallel):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(strategy, "ProcessPoolExecutor", no_pool)
-        assert map_numerics([], "process", workers=2) == []
+        monkeypatch.setattr(strategy, "ThreadPoolExecutor", no_pool)
+        assert map_numerics([], parallel, workers=2) == []
+
+    def test_a_kernel_error_cancels_the_queued_works(self):
+        ran = []
+
+        def slow_copy(x, y, n):
+            time.sleep(0.05)
+            ran.append(n)
+            y[:n] = x[:n]
+
+        def fail(x, y, n):
+            raise ZeroDivisionError("kernel failed")
+
+        works = [(_copy_graph(fail, _inputs(0)), [0])] + [
+            (_copy_graph(slow_copy, _inputs(seed)), [0])
+            for seed in range(1, 21)
+        ]
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="kernel failed"):
+            map_numerics(works, "sequential", workers=1)
+        # The one thread may have started a work or two before the
+        # failure reached the caller; the rest were cancelled.
+        assert len(ran) <= 2
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("workers", [None, 1, 3])
-    def test_workers_size_the_pool(self, monkeypatch, workers):
+    @pytest.mark.parametrize(
+        "parallel, pool",
+        [
+            ("sequential", "ThreadPoolExecutor"),
+            ("process", "ProcessPoolExecutor"),
+        ],
+    )
+    def test_workers_size_the_pool(self, monkeypatch, parallel, pool, workers):
         sizes = []
+        executor = getattr(strategy, pool)
 
-        class Recording(strategy.ProcessPoolExecutor):
+        class Recording(executor):
             def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(strategy, "ProcessPoolExecutor", Recording)
-        map_numerics([(_chain_graph(1), [0, 1])], "process", workers)
+        monkeypatch.setattr(strategy, pool, Recording)
+        map_numerics([(_chain_graph(1), [0, 1])], parallel, workers)
         # None: one worker per core
         assert sizes == [workers or os.cpu_count()]
 

@@ -1,18 +1,22 @@
 """The execution-strategy matrix contract: every strategy produces
 bit-identical reports, counters and canonical traces; the data-plane
-pool is loud when a worker dies, sends small tasks and leaves no worker
-behind; request-id allocation is service-owned.
+pools are loud when a kernel fails or a worker dies and leave no worker
+behind, and the process pool sends small tasks; request-id allocation
+is service-owned.
 """
 
 import multiprocessing
 import os
 import pickle
 import signal
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.errors import ConfigError
+from repro.harness import parallel as parallel_harness
 from repro.kernels.profile import LinearCostModel
 from repro.obs.export import canonical_trace
 from repro.obs.trace import Tracer
@@ -80,11 +84,12 @@ class TestStrategyMatrix:
             assert states[strategy][1] == reference[1], strategy
             assert states[strategy][2] == reference[2], strategy
 
-    def test_process_with_single_worker_matches(self):
+    @pytest.mark.parametrize("parallel", STRATEGIES)
+    def test_worker_count_keeps_the_fingerprint(self, parallel):
         """Results are collected in request-id order: one, two and
         three workers report the same fingerprint."""
         fingerprints = {
-            run_strategy("process", workers=w, trace=False)[0].fingerprint()
+            run_strategy(parallel, workers=w, trace=False)[0].fingerprint()
             for w in (1, 2, 3)
         }
         assert len(fingerprints) == 1
@@ -97,20 +102,29 @@ class TestStrategyMatrix:
 
 
 class TestLifecycle:
-    def test_process_run_leaves_no_worker_alive(self):
+    @pytest.mark.parametrize("parallel", STRATEGIES)
+    def test_run_leaves_no_worker_alive(self, parallel):
         service = SchedulerService(
-            fleet_size=2, config=ServeConfig(parallel="process")
+            fleet_size=2, config=ServeConfig(parallel=parallel)
         )
         service.register_tenant("t")
-        service.submit("t", traffic_mix_graphs(1, seed=1)[0])
-        service.run()
+        for graph in traffic_mix_graphs(3, seed=1):
+            service.submit("t", graph)
+        threads = threading.active_count()
+        assert service.run().metrics.completed == 3
         assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="greenlets"):
             ServeConfig(parallel="greenlets")
         with pytest.raises(ValueError):
             ServeConfig(workers=0)
+
+    @pytest.mark.parametrize("workers", [1.5, True, "2", 0, -1])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        with pytest.raises(ConfigError, match=repr(workers)):
+            ServeConfig(workers=workers)
 
 
 #: the test process; pool workers are its forks
@@ -164,13 +178,16 @@ class TestPool:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
-    def test_kernel_error_reraises_in_the_parent(self):
+    @pytest.mark.parametrize("parallel", STRATEGIES)
+    def test_kernel_error_reraises_in_the_parent(self, parallel):
         service = SchedulerService(
-            fleet_size=2, config=ServeConfig(parallel="process")
+            fleet_size=2, config=ServeConfig(parallel=parallel)
         )
         service.submit("t", _one_kernel_graph(_fail))
+        threads = threading.active_count()
         with pytest.raises(ZeroDivisionError, match="kernel failed"):
             service.run()
+        assert threading.active_count() == threads
 
     def test_each_task_pickles_under_a_kilobyte(self, monkeypatch):
         sizes = []
@@ -184,6 +201,30 @@ class TestPool:
         report, _ = run_strategy("process", workers=2, trace=False)
         assert len(sizes) == report.metrics.completed > 0
         assert max(sizes) < 1024
+
+
+class TestParallelBench:
+    def test_the_baseline_is_one_thread_in_process(self, monkeypatch):
+        """Every speedup divides the wall time of the one-thread
+        in-process data plane, timed first; the thread pool and the
+        process pool each get their own equality and timing entries."""
+        served = []
+        drive = parallel_harness.drive
+
+        def recording(graphs, arrivals, config, **kwargs):
+            served.append((config.parallel, config.workers))
+            return drive(graphs, arrivals, config, **kwargs)
+
+        monkeypatch.setattr(parallel_harness, "drive", recording)
+        sweep = parallel_harness.parallel_bench(requests=6, workers=2)
+        planes = [("sequential", 1), ("sequential", 2), ("process", 2)]
+        # each scenario: an equality pass, then a timing pass
+        assert served == 2 * len(sweep["scenarios"]) * planes
+        for scenario in sweep["scenarios"].values():
+            timing = scenario["timing"]
+            assert list(timing) == ["sequential", "sequential-pooled", "process"]
+            assert list(scenario["equality"]) == list(timing)
+            assert timing["sequential"]["speedup_vs_sequential"] == 1.0
 
 
 class TestServiceOwnedRequestIds:
