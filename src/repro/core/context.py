@@ -93,7 +93,9 @@ def submit_kernel(
     # Race-detector tokens are per *copy* — (array, device) — so a
     # peer-to-peer copy reading GPU 0's replica does not conflict with a
     # kernel also reading it, but does conflict with anything touching
-    # the destination replica.
+    # the destination replica.  Stored as tuples (the names as
+    # (token, name) pairs), which the collector untracks: the timeline
+    # keeps these annotations for as long as it lives.
     reads = []
     writes = []
     names = {}
@@ -104,9 +106,9 @@ def submit_kernel(
         if access.writes:
             writes.append(key)
         names[key] = array.name
-    op.info["reads"] = frozenset(reads)
-    op.info["writes"] = frozenset(writes)
-    op.info["array_names"] = names
+    op.info["reads"] = tuple(reads)
+    op.info["writes"] = tuple(writes)
+    op.info["array_names"] = tuple(names.items())
     op.info["device"] = device_index
     if tags:
         op.info.update(tags)

@@ -37,40 +37,58 @@ class Race:
         )
 
 
-def _conflict(a: TimelineRecord, b: TimelineRecord) -> tuple[str, ...]:
-    """Names of arrays on which ``a`` and ``b`` conflict (RW/WR/WW)."""
-    ra, wa = a.meta.get("reads", frozenset()), a.meta.get("writes", frozenset())
-    rb, wb = b.meta.get("reads", frozenset()), b.meta.get("writes", frozenset())
-    conflicting = (wa & (rb | wb)) | (wb & ra)
-    if not conflicting:
-        return ()
-    names = {**a.meta.get("array_names", {}), **b.meta.get("array_names", {})}
-    return tuple(sorted(names.get(x, f"array@{x:#x}") for x in conflicting))
+def _name(token, names: dict) -> str:
+    """``token``'s array name, or its parts when it has none: an
+    ``(id(array), device)`` copy token, or a bare int."""
+    name = names.get(token)
+    if name is not None:
+        return name
+    if isinstance(token, tuple):
+        array, device = token
+        return f"array@{array:#x}[dev {device}]"
+    return f"array@{token:#x}"
+
+
+def _names(a: TimelineRecord, b: TimelineRecord, tokens) -> tuple[str, ...]:
+    # ``array_names``: (token, name) pairs, or a dict in hand-built records.
+    names = {
+        **dict(a.meta.get("array_names", ())),
+        **dict(b.meta.get("array_names", ())),
+    }
+    return tuple(sorted(_name(x, names) for x in tokens))
 
 
 def find_races(timeline: Timeline) -> list[Race]:
-    """All pairs of overlapping, conflicting records.
+    """All pairs of overlapping, conflicting (RW/WR/WW) records.
 
     Covers kernel-kernel conflicts and kernel-transfer conflicts (a
     host-to-device migration writes the device copy: a kernel touching
     the same array must not overlap it).
     """
+    # Token sets per record: the executors store tuples, hand-built
+    # records may use sets.
     annotated = [
-        r
+        (r, frozenset(r.meta["reads"]), frozenset(r.meta.get("writes", ())))
         for r in timeline
         if "reads" in r.meta
         and (r.kind is IntervalKind.KERNEL or r.kind.is_transfer)
     ]
-    annotated.sort(key=lambda r: r.start)
+    annotated.sort(key=lambda x: x[0].start)
     races: list[Race] = []
-    for i, a in enumerate(annotated):
-        for b in annotated[i + 1 :]:
+    for i, (a, ra, wa) in enumerate(annotated):
+        for b, rb, wb in annotated[i + 1 :]:
             if b.start >= a.end:
                 break  # sorted: no later record can overlap a
             if a.overlaps(b):
-                arrays = _conflict(a, b)
-                if arrays:
-                    races.append(Race(first=a, second=b, array_names=arrays))
+                conflicting = (wa & (rb | wb)) | (wb & ra)
+                if conflicting:
+                    races.append(
+                        Race(
+                            first=a,
+                            second=b,
+                            array_names=_names(a, b, conflicting),
+                        )
+                    )
     return races
 
 

@@ -69,7 +69,7 @@ from repro.gpusim.ops import (
     TransferOp,
 )
 from repro.gpusim.stream import DEFAULT_STREAM_ID, SimEvent, SimStream
-from repro.gpusim.timeline import IntervalKind, Timeline, TimelineRecord
+from repro.gpusim.timeline import IntervalKind, Timeline
 
 #: Completion tolerance for floating-point work accounting.
 _WORK_EPS = 1e-9
@@ -922,22 +922,24 @@ class SimEngine:
             op.compute_fn()
 
     def _record(self, op: Operation) -> None:
+        # Fields only: the timeline keeps ``op.info`` and builds records
+        # (and their merged meta) when read.
         assert op.stream is not None
         if isinstance(op, KernelOp):
-            kind = IntervalKind.KERNEL
-            nbytes = 0.0
-            meta = {"resources": op.resources, **op.info}
-        elif isinstance(op, TransferOp):
-            kind = _TRANSFER_KINDS[op.direction]
-            nbytes = op.nbytes
-            meta = {"kind": op.kind, **op.info}
-        else:
-            kind = IntervalKind.EVENT
-            nbytes = 0.0
-            meta = dict(op.info)
-        self.timeline.add(
-            TimelineRecord(
-                op.op_id, op.label, kind, op.stream.stream_id,
-                op.start_time, op.end_time, nbytes, meta,
+            self.timeline.append(
+                op.op_id, op.label, IntervalKind.KERNEL,
+                op.stream.stream_id, op.start_time, op.end_time, 0.0,
+                op.info, op.resources,
             )
-        )
+        elif isinstance(op, TransferOp):
+            self.timeline.append(
+                op.op_id, op.label, _TRANSFER_KINDS[op.direction],
+                op.stream.stream_id, op.start_time, op.end_time, op.nbytes,
+                op.info, op.kind,
+            )
+        else:
+            self.timeline.append(
+                op.op_id, op.label, IntervalKind.EVENT,
+                op.stream.stream_id, op.start_time, op.end_time, 0.0,
+                op.info,
+            )

@@ -163,8 +163,10 @@ class Operation:
     on_complete: list[Callable[["Operation"], None]] = field(
         default_factory=list, init=False
     )
-    #: free-form annotations copied into the timeline record's ``meta``
-    #: (e.g. the array read/write sets used by the race detector)
+    #: annotations the timeline keeps for the op's row and merges into
+    #: its records' ``meta`` (e.g. the race detector's read/write
+    #: tokens); they hold only scalars and exact tuples, so the kept
+    #: dict is untracked by the collector (see repro.gpusim.timeline)
     info: dict = field(default_factory=dict, init=False)
 
     @property

@@ -1,24 +1,32 @@
 """Execution-timeline recording.
 
-Every completed operation leaves a :class:`TimelineRecord`.  The overlap
-metrics of section V-F (CT/TC/CC/TOT) are computed from these records by
+Every completed operation leaves a row of a :class:`Timeline`, read
+back as a :class:`TimelineRecord`.  The overlap metrics of section V-F
+(CT/TC/CC/TOT) are computed from these records by
 :mod:`repro.metrics.overlap`; Fig. 10's ML timeline is rendered straight
 from a :class:`Timeline`.
 
-The simulator's hot path follows two rules.  Values built per op or per
-launch (timeline records, kernel launches, kernel-history records,
+The simulator's hot path follows three rules.  Values built per op or
+per launch (timeline records, kernel launches, kernel-history records,
 dependency edges) are read-only, built like tuples rather than as
 frozen dataclasses, and passed positionally where they are built per
 op; their equality and hashing stay those of the fields, between
 values of one type.  Facts fixed at construction (array sizes, a cost
 model's price for one launch size, a kernel's parameter kinds, an
-enum's classification) are computed once, not on every use.
+enum's classification) are computed once, not on every use.  And a
+stored timeline row holds no object the collector must keep tracking:
+its columns hold scalars and shared values, and its annotations hold
+only scalars and exact tuples of them.  CPython untracks such a tuple
+at its next collection and such a dict at the next full one; a record,
+a set or an enum member it never untracks.  A grid pass keeps every
+cell's timeline, so a tracked object per row made each full collection
+traverse them all.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
 def same_type_eq(self: tuple, other: object) -> bool:
@@ -58,7 +66,11 @@ class TimelineRecord(_Interval):
     """One completed operation on the device timeline.
 
     ``meta`` (a fresh dict when not given) carries free-form
-    annotations and takes no part in equality or hashing.
+    annotations and takes no part in equality or hashing.  The
+    executors' annotations hold the race detector's tokens: ``reads``
+    and ``writes`` are tuples of ``(id(array), device)`` tokens and
+    ``array_names`` a tuple of ``(token, name)`` pairs
+    (:mod:`repro.core.race` also reads sets and dicts).
     """
 
     __slots__ = ()
@@ -101,79 +113,175 @@ class TimelineRecord(_Interval):
         return hash(self[:7])
 
 
+#: Per-kind value of a row whose meta is its annotations alone.
+_BARE = object()
+
+
 class Timeline:
-    """An append-only list of completed-operation records.
+    """An append-only table of completed operations.
+
+    Each row is one operation, stored as columns (op ids, labels, kinds,
+    stream ids, starts, ends, byte counts), plus the op's own annotation
+    dict and one per-kind value: a kernel's resource request or a
+    transfer's kind.  :class:`TimelineRecord` s are built when read, with
+    the same fields and the same meta (the per-kind value first, under
+    ``"resources"`` or ``"kind"``, then the annotations) in row order.
 
     Aggregates (``start``/``end``/``makespan``, per-kind duration and
-    byte totals) and the per-stream grouping are maintained
-    incrementally in :meth:`add`: metrics and the serving harness query
-    them per request, and a full scan per query made long-lived engines
-    O(records) per step.  Running sums accumulate in append order, so
-    they are bit-identical to the scans they replace.
+    byte totals) are maintained incrementally in :meth:`append`: metrics
+    and the serving harness query them per request, and a full scan per
+    query made long-lived engines O(records) per step.  Running sums
+    accumulate in append order, so they are bit-identical to the scans
+    they replace.
     """
 
     def __init__(self) -> None:
-        self._records: list[TimelineRecord] = []
-        self._kernels: list[TimelineRecord] = []
-        self._transfers: list[TimelineRecord] = []
-        self._by_stream: dict[int, list[TimelineRecord]] = {}
+        self._op_ids: list[int] = []
+        self._labels: list[str] = []
+        self._kinds: list[IntervalKind] = []
+        self._stream_ids: list[int] = []
+        self._starts: list[float] = []
+        self._ends: list[float] = []
+        self._nbytes: list[float] = []
+        self._infos: list[dict] = []
+        self._heads: list[object] = []
         self._start: float | None = None
         self._end: float | None = None
         self._kernel_time: float = 0.0
         self._transfer_time: float = 0.0
         self._transfer_bytes: float = 0.0
 
-    def add(self, record: TimelineRecord) -> None:
-        self._records.append(record)
-        self._by_stream.setdefault(record.stream_id, []).append(record)
-        duration = record.duration
+    def append(
+        self,
+        op_id: int,
+        label: str,
+        kind: IntervalKind,
+        stream_id: int,
+        start: float,
+        end: float,
+        nbytes: float,
+        info: dict,
+        head: object = _BARE,
+    ) -> None:
+        """Append one row.  ``info`` is kept, not copied; ``head`` is the
+        per-kind value a record's meta leads with (none when omitted)."""
+        if end < start:
+            raise ValueError(f"record {label!r}: end {end} < start {start}")
+        self._op_ids.append(op_id)
+        self._labels.append(label)
+        self._kinds.append(kind)
+        self._stream_ids.append(stream_id)
+        self._starts.append(start)
+        self._ends.append(end)
+        self._nbytes.append(nbytes)
+        self._infos.append(info)
+        self._heads.append(head)
+        duration = end - start
         if duration > 0:
-            if self._start is None or record.start < self._start:
-                self._start = record.start
-            if self._end is None or record.end > self._end:
-                self._end = record.end
-        if record.kind is IntervalKind.KERNEL:
-            self._kernels.append(record)
+            if self._start is None or start < self._start:
+                self._start = start
+            if self._end is None or end > self._end:
+                self._end = end
+        if kind is IntervalKind.KERNEL:
             self._kernel_time += duration
-        elif record.kind.is_transfer:
-            self._transfers.append(record)
+        elif kind.is_transfer:
             self._transfer_time += duration
-            self._transfer_bytes += record.nbytes
+            self._transfer_bytes += nbytes
+
+    def add(self, record: TimelineRecord) -> None:
+        """Append ``record``; it reads back equal, with equal meta."""
+        self.append(*record[:7], record.meta)
+
+    def _record(self, row: int) -> TimelineRecord:
+        kind = self._kinds[row]
+        head = self._heads[row]
+        info = self._infos[row]
+        if head is _BARE:
+            meta = dict(info)
+        elif kind is IntervalKind.KERNEL:
+            meta = {"resources": head, **info}
+        else:
+            meta = {"kind": head, **info}
+        return tuple.__new__(
+            TimelineRecord,
+            (
+                self._op_ids[row], self._labels[row], kind,
+                self._stream_ids[row], self._starts[row], self._ends[row],
+                self._nbytes[row], meta,
+            ),
+        )
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._op_ids)
 
     def __iter__(self) -> Iterator[TimelineRecord]:
-        return iter(self._records)
+        return map(self._record, range(len(self._op_ids)))
 
     @property
     def records(self) -> tuple[TimelineRecord, ...]:
-        return tuple(self._records)
+        return tuple(self)
 
     def clear(self) -> None:
-        self._records.clear()
-        self._kernels.clear()
-        self._transfers.clear()
-        self._by_stream.clear()
-        self._start = None
-        self._end = None
-        self._kernel_time = 0.0
-        self._transfer_time = 0.0
-        self._transfer_bytes = 0.0
+        self.__init__()
 
     # -- selections -------------------------------------------------------
 
     def kernels(self) -> list[TimelineRecord]:
-        return list(self._kernels)
+        return [
+            self._record(row)
+            for row, kind in enumerate(self._kinds)
+            if kind is IntervalKind.KERNEL
+        ]
 
     def transfers(self) -> list[TimelineRecord]:
-        return list(self._transfers)
+        return [
+            self._record(row)
+            for row, kind in enumerate(self._kinds)
+            if kind.is_transfer
+        ]
 
     def by_stream(self, stream_id: int) -> list[TimelineRecord]:
-        return list(self._by_stream.get(stream_id, ()))
+        return [
+            self._record(row)
+            for row, sid in enumerate(self._stream_ids)
+            if sid == stream_id
+        ]
 
     def stream_ids(self) -> list[int]:
-        return sorted(self._by_stream)
+        return sorted(set(self._stream_ids))
+
+    # -- column reads (no records built) -------------------------------------
+
+    def kernel_stream_ids(self) -> set[int]:
+        """Ids of the streams that ran at least one kernel."""
+        return {
+            sid
+            for sid, kind in zip(self._stream_ids, self._kinds)
+            if kind is IntervalKind.KERNEL
+        }
+
+    def spans(self, *, transfers: bool = True) -> list[tuple[float, float]]:
+        """``(start, end)`` of every kernel row, and of every transfer row
+        when ``transfers``, in row order."""
+        return [
+            (start, end)
+            for start, end, kind in zip(self._starts, self._ends, self._kinds)
+            if kind is IntervalKind.KERNEL or (transfers and kind.is_transfer)
+        ]
+
+    def split_by(self, key: str, into: Mapping[object, "Timeline"]) -> None:
+        """Append every row whose annotation ``key`` names a timeline of
+        ``into`` to that timeline, in row order.  The rows share their
+        annotations and per-kind values with this timeline."""
+        for row, info in enumerate(self._infos):
+            target = into.get(info.get(key))
+            if target is not None:
+                target.append(
+                    self._op_ids[row], self._labels[row], self._kinds[row],
+                    self._stream_ids[row], self._starts[row],
+                    self._ends[row], self._nbytes[row], info,
+                    self._heads[row],
+                )
 
     # -- aggregates ---------------------------------------------------------
 
@@ -212,36 +320,37 @@ class Timeline:
         Used by the Fig. 10 bench and the examples; deliberately coarse
         (character resolution) but faithful to interval positions.
         """
-        if not self._records or self.makespan <= 0:
+        if not self._op_ids or self.makespan <= 0:
             return "(empty timeline)"
         t0, t1 = self.start, self.end
         scale = (width - 1) / (t1 - t0)
-        lines = []
-        # One pass over the maintained per-stream grouping: the legacy
-        # implementation re-scanned every record once per stream.
-        for sid in self.stream_ids():
-            row = [" "] * width
-            for rec in self._by_stream[sid]:
-                if rec.duration <= 0:
-                    continue
-                a = int((rec.start - t0) * scale)
-                b = max(a + 1, int((rec.end - t0) * scale))
-                if rec.kind is IntervalKind.KERNEL:
-                    ch = "#"
-                elif rec.kind is IntervalKind.TRANSFER_HTOD:
-                    ch = ">"
-                elif rec.kind is IntervalKind.TRANSFER_D2D:
-                    ch = "="
-                else:
-                    ch = "<"
-                for i in range(a, min(b, width)):
-                    row[i] = ch
-                # Tag the interval with the first letters of its label.
-                tag = (rec.label or "")[: max(0, b - a)]
-                for j, c in enumerate(tag):
-                    if a + j < width:
-                        row[a + j] = c
-            lines.append(f"S{sid:<3d} |" + "".join(row))
+        rows = {sid: [" "] * width for sid in self.stream_ids()}
+        # One pass over the rows: each draws on its stream's line.
+        for sid, kind, label, start, end in zip(
+            self._stream_ids, self._kinds, self._labels, self._starts,
+            self._ends,
+        ):
+            if end - start <= 0:
+                continue
+            row = rows[sid]
+            a = int((start - t0) * scale)
+            b = max(a + 1, int((end - t0) * scale))
+            if kind is IntervalKind.KERNEL:
+                ch = "#"
+            elif kind is IntervalKind.TRANSFER_HTOD:
+                ch = ">"
+            elif kind is IntervalKind.TRANSFER_D2D:
+                ch = "="
+            else:
+                ch = "<"
+            for i in range(a, min(b, width)):
+                row[i] = ch
+            # Tag the interval with the first letters of its label.
+            tag = (label or "")[: max(0, b - a)]
+            for j, c in enumerate(tag):
+                if a + j < width:
+                    row[a + j] = c
+        lines = [f"S{sid:<3d} |" + "".join(row) for sid, row in rows.items()]
         header = (
             f"t=[{t0 * 1e3:.3f} ms .. {t1 * 1e3:.3f} ms]   "
             "# kernel   > HtoD   < DtoH"

@@ -607,19 +607,22 @@ class CoherenceEngine:
         # Race-detector tokens are per *copy* — (array, device) — so a
         # peer-to-peer copy reading GPU 0's replica does not conflict
         # with a kernel also reading that replica, but does conflict
-        # with anything touching the destination replica.
-        sources = [
+        # with anything touching the destination replica.  Tuples, as
+        # in core.context.submit_kernel: the collector untracks them.
+        sources = tuple(
             (id(a), "host") if source == -1 else a.copy_keys[source]
             for a in arrays
-        ]
-        dests = [a.copy_keys[device_index] for a in arrays]
-        op.info["reads"] = frozenset(sources)
-        op.info["writes"] = frozenset(dests)
-        op.info["array_names"] = {
-            key: a.name
-            for keys in (sources, dests)
-            for key, a in zip(keys, arrays)
-        }
+        )
+        dests = tuple(a.copy_keys[device_index] for a in arrays)
+        op.info["reads"] = sources
+        op.info["writes"] = dests
+        op.info["array_names"] = tuple(
+            {
+                key: a.name
+                for keys in (sources, dests)
+                for key, a in zip(keys, arrays)
+            }.items()
+        )
         op.info.update(self.op_tags)
         marks = [
             self._committer(a, lambda a=a, d=device_index: a.mark_read(d))
@@ -827,9 +830,11 @@ class CoherenceEngine:
                 nbytes=writeback_bytes(array.nbytes, touched),
                 kind=TransferKind.WRITEBACK,
             )
-            op.info["writes"] = frozenset()
-            op.info["reads"] = frozenset({array.copy_keys[source]})
-            op.info["array_names"] = {array.copy_keys[source]: array.name}
+            # Race-detector tokens as tuples, as in _migrate.
+            key = array.copy_keys[source]
+            op.info["writes"] = ()
+            op.info["reads"] = (key,)
+            op.info["array_names"] = ((key, array.name),)
             op.info.update(self.op_tags)
             self._overlay(array).host_valid = True
             op.apply_fn = self._committer(array, array.mark_cpu_read)

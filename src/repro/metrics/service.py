@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.gpusim.timeline import IntervalKind, Timeline, intervals_measure
+from repro.gpusim.timeline import Timeline, intervals_measure
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.request import GraphResult
@@ -53,12 +53,7 @@ def busy_seconds(
     Overlapping kernels/transfers count once (this is *occupancy*, not
     work): the device was busy whenever at least one operation ran.
     """
-    return intervals_measure(
-        (r.start, r.end)
-        for r in timeline
-        if r.kind is IntervalKind.KERNEL
-        or (include_transfers and r.kind.is_transfer)
-    )
+    return intervals_measure(timeline.spans(transfers=include_transfers))
 
 
 @dataclass(frozen=True)

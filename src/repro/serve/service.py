@@ -664,13 +664,8 @@ class SchedulerService(Dispatcher):
     def _build_tenant_timelines(self) -> None:
         """Rebuild each tenant's private timeline from the tenant tags
         stamped on every op (idempotent)."""
-        per_tenant: dict[str, list] = {t: [] for t in self.tenants}
+        timelines = {name: Timeline() for name in self.tenants}
         for slot in self.fleet.slots:
-            for record in slot.engine.timeline:
-                name = record.meta.get("tenant")
-                if name in per_tenant:
-                    per_tenant[name].append(record)
-        for name, records in per_tenant.items():
-            tenant = self.tenants[name]
-            tenant.timeline = Timeline()
-            tenant.absorb_timeline(records)
+            slot.engine.timeline.split_by("tenant", timelines)
+        for name, timeline in timelines.items():
+            self.tenants[name].timeline = timeline

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.history import KernelExecutionRecord, KernelHistory
-from repro.gpusim.timeline import Timeline, TimelineRecord
+from repro.gpusim.timeline import Timeline
 
 
 @dataclass
@@ -45,10 +45,6 @@ class TenantState:
     def absorb_history(self, records: list[KernelExecutionRecord]) -> None:
         for record in records:
             self.history.record(record)
-
-    def absorb_timeline(self, records: list[TimelineRecord]) -> None:
-        for record in records:
-            self.timeline.add(record)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

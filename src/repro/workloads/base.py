@@ -352,9 +352,7 @@ class Benchmark(abc.ABC):
             host_clock=rt.clock,
             results=results,
             timeline=timeline,
-            stream_count=len(
-                {r.stream_id for r in timeline.kernels()}
-            ),
+            stream_count=len(timeline.kernel_stream_ids()),
             iterations=self.iterations,
             counters=rt.counters(),
         )

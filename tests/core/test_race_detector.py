@@ -86,6 +86,78 @@ class TestFindRaces:
         assert len(find_races(tl)) >= 2
 
 
+def trec(label, start, end, reads=(), writes=(), names=()):
+    """A kernel record annotated as the executors annotate theirs:
+    ``(id(array), device)`` tokens in tuples, names as pairs."""
+    return TimelineRecord(
+        op_id=0,
+        label=label,
+        kind=IntervalKind.KERNEL,
+        stream_id=0,
+        start=start,
+        end=end,
+        meta={
+            "reads": tuple(reads),
+            "writes": tuple(writes),
+            "array_names": tuple(names),
+        },
+    )
+
+
+class TestExecutorTokens:
+    def test_tuple_tokens_race_is_named(self):
+        token = (0x1234, 0)
+        tl = timeline(
+            trec("a", 0, 2, writes=[token], names=[(token, "x")]),
+            trec("b", 1, 3, reads=[token], names=[(token, "x")]),
+        )
+        races = find_races(tl)
+        assert len(races) == 1 and races[0].array_names == ("x",)
+
+    @pytest.mark.parametrize("form", [tuple, frozenset])
+    def test_race_on_a_nameless_copy_token_is_reported(self, form):
+        """A token with no ``array_names`` entry is named by its parts
+        (formatting the tuple as an int raised ``TypeError``)."""
+
+        def rec(label, start, end, reads=(), writes=()):
+            return TimelineRecord(
+                0, label, IntervalKind.KERNEL, 0, start, end,
+                meta={"reads": form(reads), "writes": form(writes)},
+            )
+
+        tl = timeline(
+            rec("a", 0, 2, writes=[(0xBEEF, 0)]),
+            rec("b", 1, 3, reads=[(0xBEEF, 0)]),
+        )
+        races = find_races(tl)
+        assert len(races) == 1
+        assert races[0].array_names == ("array@0xbeef[dev 0]",)
+
+    def test_nameless_int_token_keeps_its_name(self):
+        tl = timeline(
+            TimelineRecord(
+                0, "a", IntervalKind.KERNEL, 0, 0, 2,
+                meta={"reads": frozenset(), "writes": frozenset({255})},
+            ),
+            TimelineRecord(
+                1, "b", IntervalKind.KERNEL, 0, 1, 3,
+                meta={"reads": frozenset({255}), "writes": frozenset()},
+            ),
+        )
+        assert find_races(tl)[0].array_names == ("array@0xff",)
+
+    def test_tuple_and_set_forms_agree(self):
+        token = (7, 1)
+        tuple_form = timeline(
+            trec("a", 0, 2, writes=[token], names=[(token, "x")]),
+            trec("b", 1, 3, writes=[token], names=[(token, "x")]),
+        )
+        set_form = timeline(
+            krec("a", 0, 2, writes=[token]), krec("b", 1, 3, writes=[token])
+        )
+        assert len(find_races(tuple_form)) == len(find_races(set_form)) == 1
+
+
 class TestCheckNoRaces:
     def test_raises_with_description(self):
         tl = timeline(

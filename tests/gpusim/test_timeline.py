@@ -1,8 +1,11 @@
 """Tests for timeline records and the interval algebra helpers."""
 
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.gpusim.ops import TransferKind
 from repro.gpusim.timeline import (
     IntervalKind,
     Timeline,
@@ -128,6 +131,149 @@ class TestTimeline:
         assert tl.total_transferred_bytes() == 22.0
         assert tl.by_stream(0) == [records[0], records[1]]
         assert tl.stream_ids() == [0, 1, 2, 3]
+
+
+class TestRows:
+    """Rows appended field by field read back as records."""
+
+    def test_append_rejects_end_before_start(self):
+        tl = Timeline()
+        with pytest.raises(ValueError, match="end"):
+            tl.append(0, "k", IntervalKind.KERNEL, 0, 2.0, 1.0, 0.0, {})
+        assert len(tl) == 0
+
+    def test_add_rejects_a_record_built_without_the_check(self):
+        bad = TimelineRecord._make(
+            (0, "k", IntervalKind.KERNEL, 0, 2.0, 1.0, 0.0, {})
+        )
+        with pytest.raises(ValueError, match="end"):
+            Timeline().add(bad)
+
+    def test_meta_leads_with_the_per_kind_value(self):
+        request = object()
+        info = {"device": 1, "tenant": "t"}
+        tl = Timeline()
+        tl.append(0, "k", IntervalKind.KERNEL, 1, 0.0, 1.0, 0.0, info, request)
+        tl.append(
+            1, "h", IntervalKind.TRANSFER_HTOD, 2, 0.0, 1.0, 8.0, info,
+            TransferKind.PREFETCH,
+        )
+        tl.append(2, "e", IntervalKind.EVENT, 1, 1.0, 1.0, 0.0, info)
+        kernel, transfer, event = tl
+        assert list(kernel.meta) == ["resources", "device", "tenant"]
+        assert kernel.meta["resources"] is request
+        assert list(transfer.meta) == ["kind", "device", "tenant"]
+        assert transfer.meta["kind"] is TransferKind.PREFETCH
+        assert event.meta == info and event.meta is not info
+
+    def test_column_reads_match_the_records(self):
+        tl = Timeline()
+        tl.add(rec(0, 1, IntervalKind.KERNEL, stream=3))
+        tl.add(rec(0.5, 2, IntervalKind.TRANSFER_HTOD, stream=2))
+        tl.add(rec(2, 2, IntervalKind.EVENT, stream=4))
+        tl.add(rec(1, 3, IntervalKind.KERNEL, stream=1))
+        assert tl.kernel_stream_ids() == {r.stream_id for r in tl.kernels()}
+        assert tl.spans() == [
+            (r.start, r.end)
+            for r in tl
+            if r.kind is IntervalKind.KERNEL or r.kind.is_transfer
+        ]
+        assert tl.spans(transfers=False) == [
+            (r.start, r.end) for r in tl.kernels()
+        ]
+
+    def test_split_by_keeps_row_order_and_annotations(self):
+        tl = Timeline()
+        tags = ["a", "b", None, "a", "c"]
+        for i, tag in enumerate(tags):
+            info = {} if tag is None else {"tenant": tag}
+            tl.append(i, f"k{i}", IntervalKind.KERNEL, i, i, i + 1.0, 0.0,
+                      info, "req")
+        into = {"a": Timeline(), "b": Timeline()}
+        tl.split_by("tenant", into)
+        assert [r.op_id for r in into["a"]] == [0, 3]
+        assert [r.op_id for r in into["b"]] == [1]
+        assert list(into["a"])[1].meta == {"resources": "req", "tenant": "a"}
+        assert into["a"].total_kernel_time() == 2.0
+
+
+metas = st.dictionaries(
+    st.text(max_size=8),
+    st.one_of(
+        st.integers(),
+        st.text(max_size=8),
+        st.floats(allow_nan=False),
+        st.tuples(st.integers(), st.integers()),
+        st.frozensets(st.integers(), max_size=4),
+        st.lists(st.integers(), max_size=4),
+    ),
+    max_size=5,
+)
+records = st.builds(
+    lambda op_id, label, kind, stream, start, length, nbytes, meta: (
+        TimelineRecord(
+            op_id, label, kind, stream, start, start + length, nbytes, meta
+        )
+    ),
+    st.integers(min_value=0, max_value=10**6),
+    st.text(max_size=8),
+    st.sampled_from(IntervalKind),
+    st.integers(min_value=0, max_value=4),
+    st.floats(min_value=0, max_value=1e3),
+    st.floats(min_value=0, max_value=1e3),
+    st.floats(min_value=0, max_value=1e9),
+    metas,
+)
+
+
+class TestAddReadsBack:
+    @given(st.lists(records, max_size=12))
+    def test_records_read_back_equal(self, items):
+        tl = Timeline()
+        for r in items:
+            tl.add(r)
+        back = list(tl)
+        assert back == items and tl.records == tuple(items)
+        assert [r.meta for r in back] == [r.meta for r in items]
+        assert [list(r.meta) for r in back] == [list(r.meta) for r in items]
+        assert tl.kernels() == [
+            r for r in items if r.kind is IntervalKind.KERNEL
+        ]
+        assert tl.transfers() == [r for r in items if r.kind.is_transfer]
+        for sid in tl.stream_ids():
+            assert tl.by_stream(sid) == [
+                r for r in items if r.stream_id == sid
+            ]
+
+
+class TestCollector:
+    """A kept timeline costs the collector nothing per row: a row holds
+    no object CPython keeps tracking, so a later frozenset, dict or enum
+    member put into ``op.info`` fails here."""
+
+    def test_extra_rows_add_no_tracked_objects(self):
+        from repro.workloads import Mode, create_benchmark
+
+        def run(iterations):
+            bench = create_benchmark(
+                "hits", 2_000, iterations=iterations, execute=False
+            )
+            return bench.run("GTX 1660 Super", Mode.PARALLEL)
+
+        def tracked() -> int:
+            gc.collect()
+            return len(gc.get_objects())
+
+        run(1)  # warm every cache the runs share
+        before = tracked()
+        short = run(20)
+        middle = tracked()
+        long = run(40)
+        after = tracked()
+        extra_rows = len(long.timeline) - len(short.timeline)
+        assert extra_rows > 2000
+        extra_objects = (after - middle) - (middle - before)
+        assert extra_objects < 0.05 * extra_rows, (extra_objects, extra_rows)
 
 
 class TestMergeIntervals:
