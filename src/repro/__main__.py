@@ -36,7 +36,6 @@ from repro.harness import (
     sim_bench,
     table1,
 )
-from repro.parallel import STRATEGIES
 
 _SCALED = {"figure7", "figure8", "figure9"}
 _ITERATED = {
@@ -69,8 +68,8 @@ EXPERIMENTS = {
     ),
     "parallel-bench": (
         parallel_bench,
-        "execution-strategy matrix: fingerprint equality + speedups"
-        " of the thread pool and the process pool over one thread",
+        "data-plane pool: fingerprint equality + speedup of"
+        " --workers threads over one thread",
     ),
 }
 
@@ -237,21 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
         " (default: no deadlines)",
     )
     serving.add_argument(
-        "--parallel",
-        choices=list(STRATEGIES),
-        default="sequential",
-        help="where completed requests' kernels run once the"
-        " timing-only simulation drains: on a thread pool in this"
-        " process (sequential, the default) or in a forked worker pool"
-        " (process); every strategy yields the same fingerprint",
-    )
-    serving.add_argument(
         "--workers",
         type=_positive_int,
         default=None,
         metavar="N",
-        help="threads or worker processes of the --parallel pool"
-        " (default: cpu_count; 1 runs one request after another)",
+        help="threads that compute the completed requests' kernels"
+        " once the timing-only simulation drains (default: cpu_count;"
+        " 1 runs one request after another); every width yields the"
+        " same fingerprint",
     )
     serving.add_argument(
         "--chaos-grid",
@@ -405,7 +397,6 @@ def run_experiment(name: str, args: argparse.Namespace) -> None:
             faults=args.faults,
             fault_seed=args.fault_seed,
             deadline_us=args.deadline_us,
-            parallel=args.parallel,
             workers=args.workers,
             cluster=args.cluster,
             cluster_policy=args.cluster_policy,

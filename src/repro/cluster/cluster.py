@@ -326,6 +326,8 @@ class Cluster(Dispatcher):
         #: every request the cluster admitted, by id (re-placement and
         #: readback need the graph back from a result)
         self._requests: dict[int, GraphRequest] = {}
+        #: how many results :meth:`_readback` has already priced
+        self._priced = 0
         self._c_placements = self.counters.counter("cluster.placements")
         self._c_net_retries = self.counters.counter(
             "cluster.net_retries"
@@ -419,6 +421,7 @@ class Cluster(Dispatcher):
         for node in self.nodes:
             node.service.drain()
             self.numerics.update(node.service.numerics)
+            node.service.numerics.clear()
             fresh = node.service.results[node.result_cursor:]
             node.result_cursor = len(node.service.results)
             self._advance(node, self._now)
@@ -436,11 +439,14 @@ class Cluster(Dispatcher):
                 self.results.append(result)
 
     def _readback(self) -> None:
-        """Price every completed request's result readback over the
-        network, in deterministic (finish, id) order; a readback that
-        lands past the deadline turns the request TIMEOUT."""
+        """Price the result readback of every request completed since
+        the last call over the network, in deterministic (finish, id)
+        order; a readback that lands past the deadline turns the
+        request TIMEOUT, with nothing left for the data plane."""
+        fresh = self.results[self._priced:]
+        self._priced = len(self.results)
         completed = sorted(
-            (r for r in self.results if r.status is RequestStatus.COMPLETED),
+            (r for r in fresh if r.status is RequestStatus.COMPLETED),
             key=lambda r: (r.finish_time, r.request_id),
         )
         for result in completed:
@@ -454,7 +460,7 @@ class Cluster(Dispatcher):
             result.finish_time = done
             if request.deadline is not None and done > request.deadline:
                 result.status = RequestStatus.TIMEOUT
-                result.outputs = {}
+                del self.numerics[result.request_id]
 
     # -- reporting ----------------------------------------------------------
 

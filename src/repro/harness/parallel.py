@@ -1,13 +1,12 @@
-"""The ``parallel-bench`` experiment: the execution-strategy matrix.
+"""The ``parallel-bench`` experiment: the data plane at two pool widths.
 
-Runs the same serving workload on three data planes — ``sequential``
-(in-process, one thread: the reference), ``sequential-pooled``
-(in-process, ``workers`` threads) and ``process`` (a forked pool of
-``workers``) — and checks the substrate's whole contract in one sweep:
+Runs the same serving workload on two planes — ``sequential`` (one
+thread: the reference) and ``sequential-pooled`` (``workers``
+threads) — and checks the substrate's whole contract in one sweep:
 
 - **determinism** — report fingerprints, counter snapshots and the
   canonical Chrome trace (wall-clock fields stripped) are bit-identical
-  across the three;
+  across the two;
 - **speed** — per-plane wall-clock time of ``run()`` (timing-only
   simulation, then the data plane) and speedup over the one-thread
   reference, written to ``BENCH_parallel.json`` (the CI
@@ -31,7 +30,7 @@ from repro.obs.export import canonical_trace
 from repro.serve.fleet import parse_fleet_spec
 from repro.serve.service import ServeConfig
 
-#: the strategy-matrix scenarios: the fault-free baseline plus a fault
+#: the parallel-bench scenarios: the fault-free baseline plus a fault
 #: plan mixing a permanent crash (retry/re-placement path: the voided
 #: attempts compute nothing) with a degrade (per-slot slowdown)
 PARALLEL_SCENARIOS: dict[str, str | None] = {
@@ -55,7 +54,7 @@ def parallel_bench(
     render: bool = False,
     bench_out: str | None = None,
 ) -> dict:
-    """Run the strategy matrix and return (optionally write) the sweep.
+    """Run both planes and return (optionally write) the sweep.
 
     Raises :class:`AssertionError` the moment any data plane diverges
     from the one-thread reference — fingerprint, counters or canonical
@@ -65,23 +64,18 @@ def parallel_bench(
         fleet = parse_fleet_spec(fleet)
     if equality_requests is None:
         equality_requests = min(requests, 120)
-    # label -> (ServeConfig.parallel, workers); the reference first, so
-    # every speedup_vs_sequential divides its wall time
-    planes = {
-        "sequential": ("sequential", 1),
-        "sequential-pooled": ("sequential", workers),
-        "process": ("process", workers),
-    }
+    # label -> pool width; the reference first, so every
+    # speedup_vs_sequential divides its wall time
+    planes = {"sequential": 1, "sequential-pooled": workers}
 
     def serve(plane: str, plan: str | None, count: int, trace: bool):
-        parallel, size = planes[plane]
         graphs, arrivals = poisson_traffic(
             count, traffic, seed, mean_interarrival_us
         )
         return drive(
             graphs,
             arrivals,
-            ServeConfig(faults=plan, parallel=parallel, workers=size),
+            ServeConfig(faults=plan, workers=planes[plane]),
             topology=fleet,
             gpu=gpu,
             tenants=tenants,
@@ -162,8 +156,7 @@ def parallel_bench(
         "workers": workers,
         "cpu_count": os.cpu_count(),
         "planes": {
-            label: {"parallel": parallel, "workers": size}
-            for label, (parallel, size) in planes.items()
+            label: {"workers": size} for label, size in planes.items()
         },
         "scenarios": scenarios,
     }

@@ -138,7 +138,6 @@ def report_summary(report: ServiceReport | ClusterReport) -> dict:
         ],
         "admission": report.config.admission.value,
         "placement": report.fleet.policy.value,
-        "parallel": report.config.parallel,
         "movement_window": report.config.scheduler.movement_window,
         **summary,
         "queue_wait_ms": {
@@ -225,10 +224,10 @@ def drive(
     deadline.  The scenario runs ``runs`` times, each on a fresh front
     end with its own tracer, and the report fingerprints must be equal
     — a nondeterministic replay is a failed benchmark.  Each replay's
-    ``run()`` computes the completed requests' outputs on the data
-    plane ``config`` names (``parallel`` and ``workers``: by default a
-    thread per core in this process), so ``wall_s`` includes it.  Every
-    submission must reach a terminal status (asserted unconditionally).
+    ``run()`` computes the completed requests' outputs on a pool of
+    ``ServeConfig.workers`` threads (by default one per core), so
+    ``wall_s`` includes it.  Every submission must reach a terminal
+    status (asserted unconditionally).
     ``validate=True`` checks each completed request of the reported
     replay against executing its graph alone on a private serial
     runtime (or against ``references``, the serial outputs per graph,
@@ -324,7 +323,6 @@ def serve_bench(
     faults: str | FaultPlan | None = None,
     fault_seed: int | None = None,
     deadline_us: float | None = None,
-    parallel: str = "sequential",
     workers: int | None = None,
     cluster: str | list[list[int]] | None = None,
     cluster_policy: str = "spread",
@@ -377,10 +375,9 @@ def serve_bench(
     outputs to check, but every submission must still reach a terminal
     status (asserted unconditionally).
 
-    ``parallel`` selects where completed requests' kernels run
-    (``sequential``: a pool of ``workers`` threads in this process;
-    ``process``: a forked pool of ``workers``; default one per core),
-    on a fleet or a cluster; every strategy produces the same
+    ``workers`` sizes the thread pool that computes the completed
+    requests' outputs (default one per core; 1 runs them one after
+    another), on a fleet or a cluster; every width produces the same
     fingerprint (see README "Parallel execution").
     """
     if tenants <= 0 or requests <= 0 or fleet_size <= 0:
@@ -418,7 +415,6 @@ def serve_bench(
         admission=admission,
         placement=placement,
         faults=faults if cluster is None else None,
-        parallel=parallel,
         workers=workers,
         scheduler=SchedulerConfig(
             movement=movement, movement_window=movement_window

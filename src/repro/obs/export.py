@@ -229,9 +229,9 @@ def canonical_trace(
     stripped: two runs of the same virtual-time schedule compare equal
     iff their traces are semantically identical (pid/tid interning is
     first-appearance order, so identical event order ⇒ identical ids).
-    This is the determinism-comparison form the parallel strategy
-    matrix asserts on — ``wall_s``/``wall_dur_s`` are real host times
-    and legitimately differ between runs and strategies."""
+    This is the determinism-comparison form the pool-width matrix
+    asserts on — ``wall_s``/``wall_dur_s`` are real host times and
+    legitimately differ between runs and pool widths."""
     doc = build_chrome_trace(tracer, timelines=timelines, results=results)
     for event in doc["traceEvents"]:
         args = event.get("args")

@@ -11,20 +11,15 @@ its kernels completed.
 
 The data plane, :func:`~repro.parallel.work.run_numerics`, then runs
 each completed request's kernels once, in that order, on the graph's
-inputs — on a thread pool in this process (``sequential``) or over a
-forked worker pool (``process``), collected in request-id order either
-way (:func:`~repro.parallel.strategy.map_numerics`).  Report
+inputs — on a pool of threads in this process, collected in request-id
+order (:func:`~repro.parallel.strategy.map_numerics`).  Report
 fingerprints, counters and traces are therefore bit-identical across
-the strategies and their pool sizes.
+pool widths.
 
 See README "Parallel execution" for the determinism contract.
 """
 
-from repro.parallel.strategy import (
-    STRATEGIES,
-    SequentialStrategy,
-    map_numerics,
-)
+from repro.parallel.strategy import SequentialStrategy, map_numerics
 from repro.parallel.work import (
     SlotOutcome,
     SlotWork,
@@ -34,7 +29,6 @@ from repro.parallel.work import (
 )
 
 __all__ = [
-    "STRATEGIES",
     "SequentialStrategy",
     "SlotOutcome",
     "SlotWork",

@@ -16,8 +16,8 @@ do identically:
 * the exponential-backoff re-queue and the terminal drop record;
 * the data plane: once :meth:`Dispatcher.drain` has simulated every
   request timing-only, :meth:`Dispatcher.run` computes each COMPLETED
-  request's outputs once, on the configured pool, and collects them in
-  request-id order.
+  request's outputs once, on a pool of ``ServeConfig.workers`` threads,
+  and collects them in request-id order.
 
 Each level keeps its own round policy (:meth:`Dispatcher.drain`), its
 report, and its counter and trace names (the class constants), so a
@@ -86,10 +86,10 @@ class Dispatcher:
         self.counters = CounterRegistry()
         self._max_retries = serve.max_retries
         self._retry_backoff_us = serve.retry_backoff_us
-        self._parallel = serve.parallel
         self._workers = serve.workers
         #: request id -> (graph, launch indices in kernel completion
-        #: order) of each completion the data plane has yet to compute
+        #: order) of each completion the data plane has yet to compute;
+        #: an entry leaves once its outputs are stored
         self.numerics: dict[int, tuple[TaskGraph, list[int]]] = {}
         #: instance-owned ids: concurrent dispatchers never interleave
         #: them
@@ -177,19 +177,20 @@ class Dispatcher:
 
     def run(self):
         """Serve every admitted request to a terminal status, compute
-        the completed requests' outputs, then report."""
+        the outputs of the completions an earlier run has not computed,
+        then report."""
         self.drain()
         completed = sorted(
-            (r for r in self.results if r.status is RequestStatus.COMPLETED),
+            (r for r in self.results if r.request_id in self.numerics),
             key=lambda r: r.request_id,
         )
         outputs = map_numerics(
             [self.numerics[r.request_id] for r in completed],
-            self._parallel,
             self._workers,
         )
         for result, out in zip(completed, outputs):
             result.outputs = out
+            del self.numerics[result.request_id]
         return self.report()
 
     def drain(self) -> None:

@@ -59,7 +59,7 @@ from repro.faults import FaultPlan
 from repro.metrics.service import ServiceMetrics, compute_service_metrics
 from repro.obs.counters import CounterRegistry
 from repro.obs.trace import Tracer, current_tracer
-from repro.parallel.strategy import STRATEGIES, SequentialStrategy
+from repro.parallel.strategy import SequentialStrategy
 from repro.parallel.work import SlotOutcome, SlotWork
 from repro.serve.capture import CaptureCache
 from repro.serve.dispatch import Dispatcher
@@ -97,23 +97,22 @@ class ServeConfig:
     #: queue depth kept per admitting GPU while below the watermark —
     #: everything beyond it is shed
     shed_queue_per_gpu: int = 4
-    #: where completed requests' kernels run once the timing-only
-    #: simulation has drained: ``sequential`` (in this process, on a
-    #: thread pool) or ``process`` (a forked worker pool) — both produce
-    #: bit-identical reports (see :mod:`repro.parallel`)
+    #: the one data plane, ``sequential`` (a thread pool in this
+    #: process); any other value is an error.  The field goes once the
+    #: benchmark stops passing it (ROADMAP Small items)
     parallel: str = "sequential"
-    #: size of either pool: threads or worker processes (None: one per
-    #: core; 1 runs the requests one after another, the reference)
+    #: threads of the data-plane pool (None: one per core; 1 runs the
+    #: requests one after another, the reference)
     workers: int | None = None
     #: per-device runtime/scheduler configuration
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
 
     def __post_init__(self) -> None:
         self.scheduler.validate()
-        if self.parallel not in STRATEGIES:
-            raise ValueError(
-                f"unknown execution strategy {self.parallel!r};"
-                f" expected one of {STRATEGIES}"
+        if self.parallel != "sequential":
+            raise ConfigError(
+                f"unknown data plane {self.parallel!r}; expected"
+                " 'sequential'"
             )
         if self.workers is not None and (
             not isinstance(self.workers, int)

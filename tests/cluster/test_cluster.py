@@ -310,14 +310,47 @@ class TestNodeFaults:
 class TestClusterDataPlane:
     def test_crashed_cluster_same_fingerprint_under_the_pool(self):
         plan = "crash:node=1,at=2e-3"
-        sequential, _ = run_cluster(faults=plan, count=12)
-        pooled, _ = run_cluster(
-            faults=plan,
-            count=12,
-            serve=ServeConfig(parallel="process", workers=2),
+        serial, _ = run_cluster(
+            faults=plan, count=12, serve=ServeConfig(workers=1)
         )
-        assert sequential.counters["cluster.node_faults_injected"] == 1
-        assert pooled.fingerprint() == sequential.fingerprint()
+        pooled, _ = run_cluster(faults=plan, count=12)
+        assert serial.counters["cluster.node_faults_injected"] == 1
+        assert pooled.fingerprint() == serial.fingerprint()
+
+    def test_a_readback_timeout_leaves_nothing_to_compute(self):
+        """Each deadline falls just before the request's readback lands:
+        every node completes in time, every readback turns its request
+        TIMEOUT, and no completion is left for the data plane."""
+        graphs = mixed_workload_graphs(4, seed=3)
+        on_time = Cluster("2,1|1")
+        for graph in graphs:
+            on_time.submit("t", graph)
+        finishes = [r.finish_time for r in on_time.run().results]
+        late = Cluster("2,1|1")
+        for graph, finish in zip(graphs, finishes):
+            late.submit("t", graph, deadline=finish * (1 - 1e-9))
+        report = late.run()
+        assert [r.finish_time for r in report.results] == finishes
+        assert all(
+            r.status is RequestStatus.TIMEOUT and r.outputs == {}
+            for r in report.results
+        )
+        assert late.numerics == {}
+
+    def test_a_drain_moves_each_node_s_completions(self):
+        """The cluster takes each node's completions over instead of
+        copying them: after a drain with a node crash, no node service
+        keeps an entry, and the cluster holds one per completion."""
+        cluster = Cluster(
+            "2,1|2", config=ClusterConfig(faults="crash:node=1,at=2e-3")
+        )
+        for i, graph in enumerate(mixed_workload_graphs(12, seed=11)):
+            cluster.submit(f"t{i % 3}", graph, arrival_time=i * 3e-4)
+        cluster.drain()
+        assert cluster.counters.get("cluster.node_faults_injected") == 1
+        assert all(node.service.numerics == {} for node in cluster.nodes)
+        completed = sorted(r.request_id for r in cluster.results if r.ok)
+        assert completed and sorted(cluster.numerics) == completed
 
     def test_serve_bench_passes_parallel_flags_to_the_cluster(
         self, monkeypatch
@@ -331,12 +364,9 @@ class TestClusterDataPlane:
             return serving.Served(report=None, tracer=None, wall_s=0.0)
 
         monkeypatch.setattr(serving, "drive", fake_drive)
-        serving.serve_bench(
-            requests=2, cluster="2,1|1", parallel="process", workers=2
-        )
+        serving.serve_bench(requests=2, cluster="2,1|1", workers=2)
         (config,) = seen
         assert isinstance(config, ClusterConfig)
-        assert config.serve.parallel == "process"
         assert config.serve.workers == 2
 
     def test_serve_bench_applies_the_movement_window_to_the_cluster(

@@ -54,7 +54,7 @@ CI_KEYS = {
         "scenarios.*.timing.*.wall_s",
         "scenarios.*.timing.*.speedup_vs_sequential",
         "scenarios.*.timing.*.fingerprint_equal",
-        "scenarios.*.timing.process.speedup_vs_sequential",
+        "scenarios.*.timing.sequential-pooled.speedup_vs_sequential",
     ],
     "BENCH_simulator.json": [
         "schema_version", "benchmark", "cells", "assertions",

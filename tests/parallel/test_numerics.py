@@ -1,7 +1,7 @@
 """The data plane: :func:`run_numerics` runs a graph's launches once, in
 a given completion order, on the graph's own inputs, and
 :func:`map_numerics` collects many such runs in work order, over a pool
-of threads or a forked pool.  The control plane runs no kernel body."""
+of threads.  The control plane runs no kernel body."""
 
 import os
 import signal
@@ -15,7 +15,7 @@ import pytest
 from repro.kernels.kernel import KernelLaunch
 from repro.kernels.profile import LinearCostModel
 from repro.memory.array import zero_block
-from repro.parallel import STRATEGIES, map_numerics, run_numerics, strategy
+from repro.parallel import map_numerics, run_numerics, strategy
 from repro.serve import (
     ArrayDecl,
     KernelDecl,
@@ -244,7 +244,7 @@ class TestMapNumerics:
         sys.setswitchinterval(1e-5)
         signal.alarm(120)
         try:
-            pooled = map_numerics(works, "sequential", workers=workers)
+            pooled = map_numerics(works, workers=workers)
         finally:
             signal.alarm(0)
             sys.setswitchinterval(interval)
@@ -252,27 +252,25 @@ class TestMapNumerics:
         alone = [run_numerics(graph, order) for graph, order in _suite_works()]
         assert _outputs(pooled) == _outputs(alone)
 
-    @pytest.mark.parametrize("parallel", STRATEGIES)
-    def test_results_come_back_in_work_order(self, parallel):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_come_back_in_work_order(self, workers):
         works = [
             (_chain_graph(seed), order)
             for seed in range(6)
             for order in ([0, 1], [1, 0])
         ]
-        results = map_numerics(works, parallel, workers=2)
+        results = map_numerics(works, workers=workers)
         assert len(results) == len(works)
         for (graph, order), result in zip(works, results):
             expected = run_numerics(graph, order)
             assert np.array_equal(result["z"], expected["z"])
 
-    @pytest.mark.parametrize("parallel", STRATEGIES)
-    def test_no_work_starts_no_pool(self, monkeypatch, parallel):
+    def test_no_work_starts_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(strategy, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(strategy, "ThreadPoolExecutor", no_pool)
-        assert map_numerics([], parallel, workers=2) == []
+        assert map_numerics([], workers=2) == []
 
     def test_a_kernel_error_cancels_the_queued_works(self):
         ran = []
@@ -291,31 +289,23 @@ class TestMapNumerics:
         ]
         before = threading.active_count()
         with pytest.raises(ZeroDivisionError, match="kernel failed"):
-            map_numerics(works, "sequential", workers=1)
+            map_numerics(works, workers=1)
         # The one thread may have started a work or two before the
         # failure reached the caller; the rest were cancelled.
         assert len(ran) <= 2
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("workers", [None, 1, 3])
-    @pytest.mark.parametrize(
-        "parallel, pool",
-        [
-            ("sequential", "ThreadPoolExecutor"),
-            ("process", "ProcessPoolExecutor"),
-        ],
-    )
-    def test_workers_size_the_pool(self, monkeypatch, parallel, pool, workers):
+    def test_workers_size_the_pool(self, monkeypatch, workers):
         sizes = []
-        executor = getattr(strategy, pool)
 
-        class Recording(executor):
+        class Recording(strategy.ThreadPoolExecutor):
             def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(strategy, pool, Recording)
-        map_numerics([(_chain_graph(1), [0, 1])], parallel, workers)
+        monkeypatch.setattr(strategy, "ThreadPoolExecutor", Recording)
+        map_numerics([(_chain_graph(1), [0, 1])], workers)
         # None: one worker per core
         assert sizes == [workers or os.cpu_count()]
 
@@ -355,9 +345,9 @@ def test_control_plane_runs_no_kernel_body(monkeypatch, fleet):
     seen = []
     real = dispatch.map_numerics
 
-    def recording(works, parallel, workers=None):
+    def recording(works, workers=None):
         seen.append((CALLS[0], [order for _, order in works]))
-        return real(works, parallel, workers)
+        return real(works, workers)
 
     monkeypatch.setattr(dispatch, "map_numerics", recording)
     graphs = [_counted_graph(seed) for seed in range(8)]

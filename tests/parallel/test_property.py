@@ -1,6 +1,7 @@
-"""Property-based strategy-equivalence: random fleet topologies,
+"""Property-based pool-width equivalence: random fleet topologies,
 traffic mixes and slot-scoped fault plans must produce bit-identical
-reports, counters and canonical traces under every execution strategy.
+reports, counters and canonical traces on one data-plane thread and on
+three.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -10,7 +11,6 @@ import numpy as np
 
 from repro.obs.export import canonical_trace
 from repro.obs.trace import Tracer
-from repro.parallel import STRATEGIES
 from repro.serve import SchedulerService, ServeConfig
 from repro.serve.workloads import TRAFFIC_MIXES, traffic_mix_graphs
 
@@ -47,11 +47,11 @@ def render_faults(draws, slot_count):
     return ";".join(parts)
 
 
-def run_once(parallel, topology, mix, faults):
+def run_once(workers, topology, mix, faults):
     tracer = Tracer()
     service = SchedulerService(
         fleet_topology=list(topology),
-        config=ServeConfig(parallel=parallel, faults=faults),
+        config=ServeConfig(workers=workers, faults=faults),
         tracer=tracer,
     )
     for t in range(2):
@@ -77,11 +77,8 @@ def run_once(parallel, topology, mix, faults):
 @given(topology=topologies, mix=mixes, draws=fault_draws)
 def test_strategies_agree_on_random_scenarios(topology, mix, draws):
     faults = render_faults(draws, len(topology))
-    reference = run_once("sequential", topology, mix, faults)
-    for strategy in STRATEGIES[1:]:
-        fingerprint, counters, trace = run_once(
-            strategy, topology, mix, faults
-        )
-        assert fingerprint == reference[0], (strategy, faults)
-        assert counters == reference[1], (strategy, faults)
-        assert trace == reference[2], (strategy, faults)
+    reference = run_once(1, topology, mix, faults)
+    fingerprint, counters, trace = run_once(3, topology, mix, faults)
+    assert fingerprint == reference[0], faults
+    assert counters == reference[1], faults
+    assert trace == reference[2], faults

@@ -1,16 +1,13 @@
-"""The execution-strategy matrix contract: every strategy produces
-bit-identical reports, counters and canonical traces; the data-plane
-pools are loud when a kernel fails or a worker dies and leave no worker
-behind, and the process pool sends small tasks; request-id allocation
-is service-owned.
+"""The data plane's determinism contract over pool width: one, two and
+three threads produce bit-identical reports, counters and canonical
+traces; the pool is loud when a kernel fails or exits and leaves no
+thread behind, on one thread and on the default pool; ``sequential`` is
+the one data plane; request-id allocation is service-owned.
 """
 
-import multiprocessing
-import os
-import pickle
 import signal
+import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +17,6 @@ from repro.harness import parallel as parallel_harness
 from repro.kernels.profile import LinearCostModel
 from repro.obs.export import canonical_trace
 from repro.obs.trace import Tracer
-from repro.parallel import STRATEGIES, strategy
 from repro.serve import (
     ArrayDecl,
     KernelDecl,
@@ -34,8 +30,7 @@ from repro.serve.workloads import traffic_mix_graphs
 FAULT_PLAN = "crash:slot=1,at=2e-3;degrade:slot=0,at=1e-3,factor=2.0"
 
 
-def run_strategy(
-    parallel,
+def run_pool(
     *,
     fleet=(2, 1, 1),
     requests=24,
@@ -44,13 +39,12 @@ def run_strategy(
     workers=None,
     trace=True,
 ):
-    """One serving run under one strategy; returns (report, tracer)."""
+    """One serving run on a pool of ``workers`` threads; returns
+    (report, tracer)."""
     tracer = Tracer() if trace else None
     service = SchedulerService(
         fleet_topology=list(fleet),
-        config=ServeConfig(
-            parallel=parallel, workers=workers, faults=faults
-        ),
+        config=ServeConfig(workers=workers, faults=faults),
         tracer=tracer,
     )
     for t in range(tenants):
@@ -68,56 +62,47 @@ class TestStrategyMatrix:
     @pytest.mark.parametrize("faults", [None, FAULT_PLAN])
     def test_matrix_is_bit_identical(self, faults):
         """Acceptance: fingerprints, counters and canonical traces are
-        equal across sequential/process — with and without a
-        slot-scoped fault plan."""
+        equal on one, two and three threads — with and without a
+        slot-scoped fault plan.  Results are collected in request-id
+        order, so the width cannot show."""
         states = {}
-        for strategy in STRATEGIES:
-            report, tracer = run_strategy(strategy, faults=faults)
-            states[strategy] = (
+        for workers in (1, 2, 3):
+            report, tracer = run_pool(workers=workers, faults=faults)
+            # more than one completion, so the width is exercised
+            assert report.metrics.completed > 1
+            states[workers] = (
                 report.fingerprint(),
                 report.counters,
                 canonical_trace(tracer, results=report.results),
             )
-        reference = states["sequential"]
-        for strategy in STRATEGIES:
-            assert states[strategy][0] == reference[0], strategy
-            assert states[strategy][1] == reference[1], strategy
-            assert states[strategy][2] == reference[2], strategy
-
-    @pytest.mark.parametrize("parallel", STRATEGIES)
-    def test_worker_count_keeps_the_fingerprint(self, parallel):
-        """Results are collected in request-id order: one, two and
-        three workers report the same fingerprint."""
-        fingerprints = {
-            run_strategy(parallel, workers=w, trace=False)[0].fingerprint()
-            for w in (1, 2, 3)
-        }
-        assert len(fingerprints) == 1
-
-    def test_faulted_process_counters_match_sequential(self):
-        seq, _ = run_strategy("sequential", faults=FAULT_PLAN, trace=False)
-        proc, _ = run_strategy("process", faults=FAULT_PLAN, trace=False)
-        assert proc.counters == seq.counters
-        assert proc.counters.get("faults.injected", 0) > 0
+        reference = states[1]
+        for workers, state in states.items():
+            assert state[0] == reference[0], workers
+            assert state[1] == reference[1], workers
+            assert state[2] == reference[2], workers
+        if faults is not None:
+            assert reference[1].get("faults.injected", 0) > 0
 
 
 class TestLifecycle:
-    @pytest.mark.parametrize("parallel", STRATEGIES)
-    def test_run_leaves_no_worker_alive(self, parallel):
+    @pytest.mark.parametrize("workers", [1, None])
+    def test_run_leaves_no_worker_alive(self, workers):
         service = SchedulerService(
-            fleet_size=2, config=ServeConfig(parallel=parallel)
+            fleet_size=2, config=ServeConfig(workers=workers)
         )
         service.register_tenant("t")
         for graph in traffic_mix_graphs(3, seed=1):
             service.submit("t", graph)
         threads = threading.active_count()
         assert service.run().metrics.completed == 3
-        assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="greenlets"):
-            ServeConfig(parallel="greenlets")
+        """``sequential`` is the one data plane; the forked ``process``
+        pool is gone."""
+        for name in ("process", "greenlets"):
+            with pytest.raises(ConfigError, match=repr(name)):
+                ServeConfig(parallel=name)
         with pytest.raises(ValueError):
             ServeConfig(workers=0)
 
@@ -127,18 +112,12 @@ class TestLifecycle:
             ServeConfig(workers=workers)
 
 
-#: the test process; pool workers are its forks
-TEST_PID = os.getpid()
-
-
-def _exit_outside_test_process(x, y, n):
-    if os.getpid() != TEST_PID:
-        os._exit(1)
-    y[:n] = x[:n]
-
-
 def _fail(x, y, n):
     raise ZeroDivisionError("kernel failed")
+
+
+def _exit(x, y, n):
+    sys.exit(3)
 
 
 def _one_kernel_graph(fn) -> TaskGraph:
@@ -160,28 +139,14 @@ def _one_kernel_graph(fn) -> TaskGraph:
 
 
 def _hung(signum, frame):
-    pytest.fail("run() hung on a dead worker")
+    pytest.fail("run() hung on an exiting worker thread")
 
 
 class TestPool:
-    def test_dead_worker_raises_instead_of_hanging(self):
+    @pytest.mark.parametrize("workers", [1, None])
+    def test_kernel_error_reraises_in_the_parent(self, workers):
         service = SchedulerService(
-            fleet_size=2, config=ServeConfig(parallel="process")
-        )
-        service.submit("t", _one_kernel_graph(_exit_outside_test_process))
-        previous = signal.signal(signal.SIGALRM, _hung)
-        signal.alarm(60)
-        try:
-            with pytest.raises(RuntimeError):
-                service.run()
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-
-    @pytest.mark.parametrize("parallel", STRATEGIES)
-    def test_kernel_error_reraises_in_the_parent(self, parallel):
-        service = SchedulerService(
-            fleet_size=2, config=ServeConfig(parallel=parallel)
+            fleet_size=2, config=ServeConfig(workers=workers)
         )
         service.submit("t", _one_kernel_graph(_fail))
         threads = threading.active_count()
@@ -189,40 +154,53 @@ class TestPool:
             service.run()
         assert threading.active_count() == threads
 
-    def test_each_task_pickles_under_a_kilobyte(self, monkeypatch):
-        sizes = []
-
-        class Recording(ProcessPoolExecutor):
-            def submit(self, fn, /, *args, **kwargs):
-                sizes.append(len(pickle.dumps((fn, args, kwargs))))
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(strategy, "ProcessPoolExecutor", Recording)
-        report, _ = run_strategy("process", workers=2, trace=False)
-        assert len(sizes) == report.metrics.completed > 0
-        assert max(sizes) < 1024
+    @pytest.mark.parametrize("workers", [1, None])
+    def test_a_worker_exit_reraises_instead_of_hanging(self, workers):
+        """A kernel raising SystemExit, which no ``except Exception``
+        sees, ends its work, not its thread's wait: run() re-raises it
+        beside requests that compute, and joins every thread."""
+        service = SchedulerService(
+            fleet_size=2, config=ServeConfig(workers=workers)
+        )
+        service.submit("t", _one_kernel_graph(_exit))
+        for graph in traffic_mix_graphs(2, seed=1):
+            service.submit("t", graph)
+        threads = threading.active_count()
+        previous = signal.signal(signal.SIGALRM, _hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(SystemExit) as exited:
+                service.run()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert exited.value.code == 3
+        assert threading.active_count() == threads
 
 
 class TestParallelBench:
     def test_the_baseline_is_one_thread_in_process(self, monkeypatch):
-        """Every speedup divides the wall time of the one-thread
-        in-process data plane, timed first; the thread pool and the
-        process pool each get their own equality and timing entries."""
+        """Every speedup divides the wall time of the one-thread data
+        plane, timed first; the pool gets its own equality and timing
+        entries."""
         served = []
         drive = parallel_harness.drive
 
         def recording(graphs, arrivals, config, **kwargs):
-            served.append((config.parallel, config.workers))
+            served.append(config.workers)
             return drive(graphs, arrivals, config, **kwargs)
 
         monkeypatch.setattr(parallel_harness, "drive", recording)
         sweep = parallel_harness.parallel_bench(requests=6, workers=2)
-        planes = [("sequential", 1), ("sequential", 2), ("process", 2)]
         # each scenario: an equality pass, then a timing pass
-        assert served == 2 * len(sweep["scenarios"]) * planes
+        assert served == 2 * len(sweep["scenarios"]) * [1, 2]
+        assert sweep["planes"] == {
+            "sequential": {"workers": 1},
+            "sequential-pooled": {"workers": 2},
+        }
         for scenario in sweep["scenarios"].values():
             timing = scenario["timing"]
-            assert list(timing) == ["sequential", "sequential-pooled", "process"]
+            assert list(timing) == ["sequential", "sequential-pooled"]
             assert list(scenario["equality"]) == list(timing)
             assert timing["sequential"]["speedup_vs_sequential"] == 1.0
 

@@ -5,8 +5,11 @@ wrong outputs, and attempts that never deliver compute nothing."""
 import dataclasses
 
 import numpy as np
+import pytest
 
+from repro.cluster import Cluster
 from repro.kernels.profile import LinearCostModel
+from repro.parallel import strategy
 from repro.serve import (
     ArrayDecl,
     KernelDecl,
@@ -18,6 +21,7 @@ from repro.serve import (
     execute_serial,
 )
 from repro.serve import capture, dispatch
+from repro.serve.workloads import traffic_mix_graphs
 
 N = 4096
 SHORT = LinearCostModel(flops_per_item=1.0, dram_bytes_per_item=8.0)
@@ -104,9 +108,9 @@ def test_the_recorded_order_is_the_completion_order(monkeypatch):
     orders = []
     real = dispatch.map_numerics
 
-    def recording(works, parallel, workers=None):
+    def recording(works, workers=None):
         orders.extend(order for _, order in works)
-        return real(works, parallel, workers)
+        return real(works, workers)
 
     monkeypatch.setattr(capture, "derive_plan", without_waits)
     monkeypatch.setattr(dispatch, "map_numerics", recording)
@@ -187,3 +191,85 @@ def test_only_completed_requests_compute():
     for result in completed:
         graph = _counted_graph(result.request_id - 1)
         assert np.array_equal(result.outputs["z"], execute_serial(graph)["z"])
+
+
+@pytest.mark.parametrize(
+    "front_end",
+    [lambda: SchedulerService(fleet_topology="2,1"), lambda: Cluster("2,1|1")],
+    ids=["fleet", "cluster"],
+)
+def test_a_second_run_computes_only_the_new_completions(
+    monkeypatch, front_end
+):
+    """A second run() computes, and a cluster prices the readback of,
+    only the requests submitted since the first: the earlier results
+    keep their outputs and finish times."""
+    calls = []
+    real = strategy.run_numerics
+
+    def counting(graph, order):
+        calls.append(order)
+        return real(graph, order)
+
+    monkeypatch.setattr(strategy, "run_numerics", counting)
+    graphs = traffic_mix_graphs(6, seed=3)
+    serving = front_end()
+    for graph in graphs[:3]:
+        serving.submit("t", graph)
+    earlier = [(r, r.outputs, r.finish_time) for r in serving.run().results]
+    readback = serving.counters.get("cluster.net_readback_bytes")
+    for graph in graphs[3:]:
+        serving.submit("t", graph)
+    assert serving.run().metrics.completed == 6
+    assert len(calls) == 6
+    assert serving.numerics == {}
+    for result, outputs, finish in earlier:
+        assert result.outputs is outputs
+        assert result.finish_time == finish
+    if isinstance(serving, Cluster):
+        grown = serving.counters.get("cluster.net_readback_bytes") - readback
+        assert grown == sum(g.output_bytes for g in graphs[3:])
+
+
+@pytest.mark.parametrize(
+    "front_end",
+    [lambda: SchedulerService(fleet_topology="2,1"), lambda: Cluster("2,1|1")],
+    ids=["fleet", "cluster"],
+)
+def test_a_kernel_error_leaves_every_completion_to_the_next_run(
+    monkeypatch, front_end
+):
+    """A kernel error stores no outputs and drops no completion, so the
+    next run() computes them all, without serving or (on a cluster)
+    pricing any readback again."""
+    real = strategy.run_numerics
+    failed = []
+
+    def fail_once(graph, order):
+        if not failed:
+            failed.append(graph)
+            raise ZeroDivisionError("kernel failed")
+        return real(graph, order)
+
+    monkeypatch.setattr(strategy, "run_numerics", fail_once)
+    graphs = traffic_mix_graphs(4, seed=3)
+    serving = front_end()
+    for graph in graphs:
+        serving.submit("t", graph)
+    with pytest.raises(ZeroDivisionError, match="kernel failed"):
+        serving.run()
+    completed = [r for r in serving.results if r.ok]
+    assert len(completed) == len(graphs)
+    assert all(r.outputs == {} for r in completed)
+    finishes = {r.request_id: r.finish_time for r in serving.results}
+    assert sorted(serving.numerics) == sorted(finishes)
+    readback = serving.counters.get("cluster.net_readback_bytes")
+    serving.run()
+    assert serving.numerics == {}
+    assert {r.request_id: r.finish_time for r in serving.results} == finishes
+    assert serving.counters.get("cluster.net_readback_bytes") == readback
+    for result in completed:
+        expected = execute_serial(graphs[result.request_id - 1])
+        assert set(result.outputs) == set(expected)
+        for name, out in result.outputs.items():
+            assert np.array_equal(out, expected[name]), name

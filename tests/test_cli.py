@@ -324,6 +324,7 @@ class TestUsageErrors:
             ],
             ["serve-bench", "--cluster", "1|1", "--chaos-grid"],
             ["movement-bench", "--fleet-gpus", "-3"],
+            ["serve-bench", "--parallel", "process"],
         ],
         ids=[
             "zero-iterations",
@@ -331,6 +332,7 @@ class TestUsageErrors:
             "faults-and-fault-seed",
             "chaos-grid-on-cluster",
             "negative-fleet-gpus",
+            "no-parallel-flag",
         ],
     )
     def test_usage_error(self, argv, capsys):
