@@ -115,10 +115,6 @@ class ComputationalElement:
     def is_kernel(self) -> bool:
         return isinstance(self, KernelElement)
 
-    @property
-    def is_cpu_access(self) -> bool:
-        return isinstance(self, ArrayAccessElement)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         deps = {
             self._arrays[a].name: k.value for a, k in self.dependency_set.items()

@@ -40,14 +40,17 @@ making the allocation a pure function of the class *multiset*: any two
 running lists with the same ops (in any order) price bit-identically,
 which is the invariant the engine's golden tests pin down.
 
-:class:`ClassedContentionModel` additionally maintains the active class
-multiset **incrementally** (O(1) amortized per membership change), so the
-engine's hot path reprices in O(classes) rather than O(running ops).
+The model also maintains the active class multiset **incrementally**
+(O(1) amortized per membership change), so the engine's hot path
+reprices in O(classes) rather than O(running ops).  One pricing
+function serves both that incremental reprice and the whole-list
+:meth:`ContentionModel.allocate` the frozen reference engine calls.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.gpusim.ops import (
@@ -60,6 +63,11 @@ from repro.gpusim.specs import GPUSpec
 
 #: Progress below this is treated as a stall (guards divide-by-zero).
 _EPSILON = 1e-18
+
+#: Rate assigned to transfers queued behind their direction's DMA engine
+#: head.  Must be positive (the engine rejects stalled ops) but small
+#: enough to be negligible over any simulated horizon.
+DMA_QUEUE_RATE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -159,27 +167,23 @@ class _ContentionClass:
                 append(value)
         return ladder[count]
 
-    def extend_ladders(self, count: int) -> None:
-        """Pre-extend every ladder through ``count`` members, so pricing
-        can subscript them unchecked (:meth:`ContentionModel._price_sorted`
-        requires callers to have registered each class's count here or
-        via the incremental add path)."""
-        if count >= len(self._ladders[0]):
-            for index in range(4):
-                self.aggregate(index, count)
-
 
 class ContentionModel:
-    """Computes per-operation progress rates for a running set."""
+    """Computes per-operation progress rates for a running set.
+
+    The engine adds and removes running kernels one at a time
+    (:meth:`class_add` / :meth:`class_remove`, O(1) amortized: a count
+    bump, plus a sorted-insert only when a signature first appears) and
+    reprices in O(classes) via :meth:`reprice_classes`.  The one-shot
+    :meth:`allocate` prices a whole running list without that state.
+    Both go through :meth:`_price` over the same signature-sorted class
+    order and the same ladder values, so they are bit-identical on equal
+    running sets — the property the frozen reference engine's golden
+    tests rely on.
+    """
 
     def __init__(self, spec: GPUSpec) -> None:
         self.spec = spec
-        #: single-slot memo keyed on the running-set signature: rates
-        #: are a pure function of the set, so an unchanged set (e.g.
-        #: between instantaneous drains, or one device's subset of a
-        #: multi-GPU engine's running set) never re-prices
-        self._memo_key: frozenset[int] | None = None
-        self._memo_result: RateAllocation | None = None
         #: interned contention classes, keyed by resource signature
         self._classes: dict[tuple, _ContentionClass] = {}
         #: per-class pricing columns keyed by the live class tuple (see
@@ -190,6 +194,34 @@ class ContentionModel:
         #: invalidates; the engine prunes entries on op completion via
         #: :meth:`forget_op`)
         self._op_class: dict[int, _ContentionClass] = {}
+        #: active classes in signature order, with a parallel member
+        #: count list (tuple-copied into the memo key) and a parallel
+        #: signature-key list for bisect, so reprice never has to sort
+        self._active_sorted: list[_ContentionClass] = []
+        self._active_counts: list[int] = []
+        self._active_keys: list[tuple] = []
+        #: cached ``tuple(_active_sorted)`` — the class *set* changes
+        #: only on first-appearance/last-leave, far more rarely than the
+        #: counts, so the memo key reuses one shared tuple
+        self._active_tuple: tuple | None = None
+        #: class -> index into the parallel lists (O(1) count bumps; the
+        #: suffix is renumbered on the rare first-appearance insert)
+        self._active_pos: dict[_ContentionClass, int] = {}
+        #: incrementally maintained aggregate columns, parallel to
+        #: ``_active_sorted``: ``_sub[k][i]`` is class i's ladder value
+        #: for aggregate k (SM demand, DRAM/L2/fault pool weight) at its
+        #: current member count.  Updated O(1) per membership change, so
+        #: a reprice hands :meth:`_price` ready-made float lists.
+        self._sub: tuple[list[float], ...] = ([], [], [], [])
+        #: pricing memo keyed by the active (classes, counts) multiset —
+        #: churn workloads revisit the same running sets, so repeat
+        #: reprices become two tuple copies and a dict hit.  At high
+        #: stream counts the count multisets rarely repeat; once misses
+        #: dominate, the memo turns itself off so the hot path stops
+        #: paying the key build + store for nothing.
+        self._price_memo: dict[tuple, list] | None = {}
+        self._price_memo_hits = 0
+        self._price_memo_calls = 0
 
     # -- single-kernel roofline -----------------------------------------
 
@@ -271,13 +303,39 @@ class ContentionModel:
 
     # -- class pricing ---------------------------------------------------
 
-    def price_classes(
-        self, active: list[tuple[_ContentionClass, int]]
-    ) -> tuple[list[float], list[float]]:
-        """Per-class kernel rates and SM shares for ``active``, a
-        signature-sorted ``[(class, count), ...]`` list.
+    def _columns_for(self, classes: tuple) -> tuple:
+        """Per-class column arrays for ``classes`` (a signature-sorted
+        tuple), memoized: the *set* of live classes changes far more
+        slowly than the member counts, so pricing reuses the columns
+        across reprices and only folds the counts."""
+        columns = self._column_memo.get(classes)
+        if columns is None:
+            pool_used = [cls.pool_used for cls in classes]
+            columns = (
+                [cls.sm_frac for cls in classes],
+                [cls.duration for cls in classes],
+                pool_used,
+                # pools with no user at all fold to exactly 0.0: skip
+                tuple(
+                    pool
+                    for pool in (1, 2, 3)
+                    if any(used[pool] for used in pool_used)
+                ),
+            )
+            if len(self._column_memo) >= 1024:
+                self._column_memo.clear()
+            self._column_memo[classes] = columns
+        return columns
 
-        O(len(active)).  The result is a pure (bitwise-deterministic)
+    def _price(
+        self, classes: tuple, sums: Sequence[list[float]]
+    ) -> tuple[list[float], list[float]]:
+        """Per-class kernel rates and SM shares for ``classes``, a
+        signature-sorted class tuple, where ``sums[k][i]`` is class
+        ``i``'s ladder value for aggregate ``k`` at its member count
+        (:meth:`_ContentionClass.aggregate`).
+
+        O(len(classes)).  The result is a pure (bitwise-deterministic)
         function of the class multiset: aggregates fold per-class ladder
         values in signature order, never in running-list order, so every
         permutation of the same running set prices identically.
@@ -301,55 +359,16 @@ class ContentionModel:
            extra pool: they live per-SM, so their sharing is exactly the
            SM water-filling above — the scarcity of FP64 on consumer
            parts is captured in the solo roofline.)
+
+        Arithmetic is arranged for speed but stays bitwise equal to
+        those per-class folds: non-users contribute exactly ``+0.0`` to
+        a pool fold (``w + 0.0 == w`` for non-negative ``w``), an
+        undersubscribed device multiplies by exactly 1.0
+        (``x * 1.0 == x``), and a granted-over-demanded ratio of equal
+        floats is exactly 1.0.
         """
-        classes = tuple(cls for cls, _count in active)
-        counts = [count for _cls, count in active]
-        for cls, count in active:
-            cls.extend_ladders(count)
-        return self._price_sorted(classes, counts)
-
-    def _columns_for(self, classes: tuple) -> tuple:
-        """Per-class column arrays for ``classes`` (a signature-sorted
-        tuple), memoized: the *set* of live classes changes far more
-        slowly than the member counts, so pricing reuses the columns
-        across reprices and only folds the counts."""
-        columns = self._column_memo.get(classes)
-        if columns is None:
-            pool_used = [cls.pool_used for cls in classes]
-            columns = (
-                [cls._ladders for cls in classes],
-                [cls.sm_frac for cls in classes],
-                [cls.duration for cls in classes],
-                pool_used,
-                # pools with no user at all fold to exactly 0.0: skip
-                tuple(
-                    pool
-                    for pool in (1, 2, 3)
-                    if any(used[pool] for used in pool_used)
-                ),
-            )
-            if len(self._column_memo) >= 1024:
-                self._column_memo.clear()
-            self._column_memo[classes] = columns
-        return columns
-
-    def _price_sorted(
-        self, classes: tuple, counts: list[int]
-    ) -> tuple[list[float], list[float]]:
-        """:meth:`price_classes` over a class tuple and parallel count
-        list — the hot-path form.
-
-        Arithmetic is restructured for speed but stays bitwise equal to
-        the per-class folds documented on :meth:`price_classes`:
-        non-users contribute exactly ``+0.0`` to a pool fold
-        (``w + 0.0 == w`` for non-negative ``w``), an undersubscribed
-        device multiplies by exactly 1.0 (``x * 1.0 == x``), and a
-        granted-over-demanded ratio of equal floats is exactly 1.0.
-        """
-        lads, fracs, durations, pool_used, live_pools = self._columns_for(
-            classes
-        )
-        total_demand = sum([lad[0][c] for lad, c in zip(lads, counts)])
+        fracs, durations, pool_used, live_pools = self._columns_for(classes)
+        total_demand = sum(sums[0])
         if total_demand <= 1.0:
             shares = fracs[:]
             speeds = [1.0] * len(fracs)
@@ -359,7 +378,7 @@ class ContentionModel:
             speeds = [share / frac for share, frac in zip(shares, fracs)]
 
         for pool in live_pools:
-            weight = sum([lad[pool][c] for lad, c in zip(lads, counts)])
+            weight = sum(sums[pool])
             if weight <= 1.0:
                 continue
             cap = 1.0 / weight
@@ -374,140 +393,7 @@ class ContentionModel:
         ]
         return rates, shares
 
-    # -- running-set rate allocation -------------------------------------
-
-    def allocate(self, running: list[Operation]) -> RateAllocation:
-        """Assign progress rates to every running operation.
-
-        Kernels interact through SM allocation, the shared DRAM/L2/FP64
-        pools and the page-fault controller; transfers interact through
-        per-direction PCIe sharing.  Kernels and transfers do not slow
-        each other down (DMA engines are independent of the SMs), which is
-        exactly the transfer/compute overlap the scheduler exploits.
-        """
-        key = frozenset(op.op_id for op in running)
-        if key == self._memo_key:
-            assert self._memo_result is not None
-            return self._memo_result
-        rates: dict[int, float] = {}
-        sm_share: dict[int, float] = {}
-
-        kernels = [op for op in running if isinstance(op, KernelOp)]
-        transfers = [op for op in running if isinstance(op, TransferOp)]
-
-        self._allocate_kernels(kernels, rates, sm_share)
-        self._allocate_transfers(transfers, rates)
-
-        for op in running:
-            if op.op_id not in rates:
-                # Zero-duration ops complete immediately; the engine
-                # handles them before asking for rates, but be safe.
-                rates[op.op_id] = float("inf")
-        result = RateAllocation(rates=rates, kernel_sm_share=sm_share)
-        self._memo_key = key
-        self._memo_result = result
-        return result
-
-    def _allocate_kernels(
-        self,
-        kernels: list[KernelOp],
-        rates: dict[int, float],
-        sm_share: dict[int, float],
-    ) -> None:
-        if not kernels:
-            return
-        counts: dict[_ContentionClass, int] = {}
-        for k in kernels:
-            cls = self.class_of(k)
-            counts[cls] = counts.get(cls, 0) + 1
-        active = sorted(counts.items(), key=lambda item: item[0].signature)
-        class_rates, class_shares = self.price_classes(active)
-        rate_of = {
-            cls: rate for (cls, _n), rate in zip(active, class_rates)
-        }
-        share_of = {
-            cls: share for (cls, _n), share in zip(active, class_shares)
-        }
-        for k in kernels:
-            cls = self.class_of(k)
-            rates[k.op_id] = rate_of[cls]
-            sm_share[k.op_id] = share_of[cls]
-
-    #: Rate assigned to transfers queued behind the DMA engine head.
-    #: Must be positive (the engine rejects stalled ops) but small enough
-    #: to be negligible over any simulated horizon.
-    _DMA_QUEUE_RATE = 1e-6
-
-    def _allocate_transfers(
-        self, transfers: list[TransferOp], rates: dict[int, float]
-    ) -> None:
-        """PCIe transfer rates.
-
-        GPUs have one DMA copy engine per direction: same-direction
-        transfers do not split the link, they serialize in submission
-        order (the staircase visible in the paper's Fig. 10 timeline).
-        Opposite directions run full duplex.  The head of each
-        direction's queue gets the full link; the rest idle until the
-        engine reprices on its completion.
-        """
-        if not transfers:
-            return
-        pcie_bw = self.spec.pcie_bandwidth_gbs * 1e9
-        by_dir: dict[TransferDirection, list[TransferOp]] = {}
-        for t in transfers:
-            by_dir.setdefault(t.direction, []).append(t)
-        for ops in by_dir.values():
-            ops.sort(key=lambda t: t.op_id)  # submission order
-            rates[ops[0].op_id] = pcie_bw
-            for t in ops[1:]:
-                rates[t.op_id] = self._DMA_QUEUE_RATE
-
-
-class ClassedContentionModel(ContentionModel):
-    """Contention model that maintains the active class multiset
-    incrementally for the engine's hot path.
-
-    The engine adds/removes running kernels one at a time
-    (:meth:`class_add` / :meth:`class_remove`, O(1) amortized: a count
-    bump, plus a sorted-insert only when a signature first appears) and
-    reprices in O(classes) via :meth:`reprice_classes`.  Pricing goes
-    through the same :meth:`price_classes` as the one-shot
-    :meth:`allocate`, over the same signature-sorted class order, so the
-    two interfaces are bit-identical on equal running sets — the
-    property the frozen reference engine's golden tests rely on.
-    """
-
-    def __init__(self, spec: GPUSpec) -> None:
-        super().__init__(spec)
-        #: active classes in signature order, with a parallel member
-        #: count list (tuple-copied into the memo key) and a parallel
-        #: signature-key list for bisect, so reprice never has to sort
-        self._active_sorted: list[_ContentionClass] = []
-        self._active_counts: list[int] = []
-        self._active_keys: list[tuple] = []
-        #: cached ``tuple(_active_sorted)`` — the class *set* changes
-        #: only on first-appearance/last-leave, far more rarely than the
-        #: counts, so the memo key reuses one shared tuple
-        self._active_tuple: tuple | None = None
-        #: class -> index into the parallel lists (O(1) count bumps; the
-        #: suffix is renumbered on the rare first-appearance insert)
-        self._active_pos: dict[_ContentionClass, int] = {}
-        #: incrementally maintained aggregate columns, parallel to
-        #: ``_active_sorted``: ``_sub[k][i]`` is class i's ladder value
-        #: for aggregate k (SM demand, DRAM/L2/fault pool weight) at its
-        #: current member count.  Updated O(1) per membership change, so
-        #: pricing folds a ready-made float list instead of rebuilding
-        #: it — same floats, same signature order, bitwise-equal sums.
-        self._sub: tuple[list[float], ...] = ([], [], [], [])
-        #: pricing memo keyed by the active (classes, counts) multiset —
-        #: churn workloads revisit the same running sets, so repeat
-        #: reprices become two tuple copies and a dict hit.  At high
-        #: stream counts the count multisets rarely repeat; once misses
-        #: dominate, the memo turns itself off so the hot path stops
-        #: paying the key build + store for nothing.
-        self._price_memo: dict[tuple, list] | None = {}
-        self._price_memo_hits = 0
-        self._price_memo_calls = 0
+    # -- incremental class multiset (the engine's hot path) ---------------
 
     def class_add(self, op: KernelOp) -> _ContentionClass:
         """Register one running kernel; returns its class."""
@@ -517,22 +403,17 @@ class ClassedContentionModel(ContentionModel):
             pos = bisect_left(self._active_keys, cls.signature)
             self._active_keys.insert(pos, cls.signature)
             self._active_sorted.insert(pos, cls)
-            self._active_counts.insert(pos, 1)
-            ladders = cls._ladders
-            for k, column in enumerate(self._sub):
-                column.insert(pos, ladders[k][1])
+            self._active_counts.insert(pos, 0)
+            for column in self._sub:
+                column.insert(pos, 0.0)
             self._active_tuple = None
             renumber = self._active_pos
-            renumber[cls] = pos
-            for i in range(pos + 1, len(self._active_sorted)):
+            for i in range(pos, len(self._active_sorted)):
                 renumber[self._active_sorted[i]] = i
-        else:
-            count = self._active_counts[pos] + 1
-            self._active_counts[pos] = count
-            cls.extend_ladders(count)
-            ladders = cls._ladders
-            for k, column in enumerate(self._sub):
-                column[pos] = ladders[k][count]
+        count = self._active_counts[pos] + 1
+        self._active_counts[pos] = count
+        for k, column in enumerate(self._sub):
+            column[pos] = cls.aggregate(k, count)
         return cls
 
     def class_remove(self, cls: _ContentionClass) -> None:
@@ -541,9 +422,8 @@ class ClassedContentionModel(ContentionModel):
         count = self._active_counts[pos] - 1
         if count:
             self._active_counts[pos] = count
-            ladders = cls._ladders
             for k, column in enumerate(self._sub):
-                column[pos] = ladders[k][count]
+                column[pos] = cls.aggregate(k, count)
         else:
             del self._active_keys[pos]
             del self._active_sorted[pos]
@@ -578,13 +458,13 @@ class ClassedContentionModel(ContentionModel):
             classes = self._active_tuple = tuple(self._active_sorted)
         memo = self._price_memo
         if memo is None:
-            rates, shares = self._price_active(classes)
+            rates, shares = self._price(classes, self._sub)
             return list(zip(classes, rates, shares))
         key = (classes, tuple(self._active_counts))
         priced = memo.get(key)
         self._price_memo_calls += 1
         if priced is None:
-            rates, shares = self._price_active(classes)
+            rates, shares = self._price(classes, self._sub)
             priced = list(zip(classes, rates, shares))
             if len(memo) >= 8192:
                 memo.clear()
@@ -598,38 +478,78 @@ class ClassedContentionModel(ContentionModel):
             self._price_memo_hits += 1
         return priced
 
-    def _price_active(
-        self, classes: tuple
-    ) -> tuple[list[float], list[float]]:
-        """:meth:`ContentionModel._price_sorted` over the live multiset,
-        folding the incrementally maintained aggregate columns instead
-        of rebuilding them from the ladders: ``_sub[k]`` holds exactly
-        the floats the generic listcomp would produce, in the same
-        signature order, so ``sum()`` is bitwise-identical."""
-        _lads, fracs, durations, pool_used, live_pools = self._columns_for(
-            classes
-        )
-        sub = self._sub
-        total_demand = sum(sub[0])
-        if total_demand <= 1.0:
-            shares = fracs[:]
-            speeds = [1.0] * len(fracs)
-        else:
-            sm_scale = 1.0 / total_demand
-            shares = [frac * sm_scale for frac in fracs]
-            speeds = [share / frac for share, frac in zip(shares, fracs)]
+    # -- one-shot running-set rate allocation -----------------------------
 
-        for pool in live_pools:
-            weight = sum(sub[pool])
-            if weight <= 1.0:
-                continue
-            cap = 1.0 / weight
-            speeds = [
-                (cap if cap < speed else speed) if used[pool] else speed
-                for speed, used in zip(speeds, pool_used)
-            ]
+    def allocate(self, running: list[Operation]) -> RateAllocation:
+        """Assign progress rates to every running operation.
 
-        return [
-            speed / duration
-            for speed, duration in zip(speeds, durations)
-        ], shares
+        Kernels interact through SM allocation, the shared DRAM/L2/FP64
+        pools and the page-fault controller; transfers interact through
+        per-direction PCIe sharing.  Kernels and transfers do not slow
+        each other down (DMA engines are independent of the SMs), which is
+        exactly the transfer/compute overlap the scheduler exploits.
+
+        Prices the whole list without the incremental multiset: this is
+        the form the frozen reference engine calls every step.
+        """
+        rates: dict[int, float] = {}
+        sm_share: dict[int, float] = {}
+
+        kernels = [op for op in running if isinstance(op, KernelOp)]
+        transfers = [op for op in running if isinstance(op, TransferOp)]
+
+        self._allocate_kernels(kernels, rates, sm_share)
+        self._allocate_transfers(transfers, rates)
+
+        for op in running:
+            if op.op_id not in rates:
+                # Zero-duration ops complete immediately; the engine
+                # handles them before asking for rates, but be safe.
+                rates[op.op_id] = float("inf")
+        return RateAllocation(rates=rates, kernel_sm_share=sm_share)
+
+    def _allocate_kernels(
+        self,
+        kernels: list[KernelOp],
+        rates: dict[int, float],
+        sm_share: dict[int, float],
+    ) -> None:
+        if not kernels:
+            return
+        kernel_classes = [self.class_of(k) for k in kernels]
+        counts: dict[_ContentionClass, int] = {}
+        for cls in kernel_classes:
+            counts[cls] = counts.get(cls, 0) + 1
+        classes = tuple(sorted(counts, key=lambda cls: cls.signature))
+        sums = [
+            [cls.aggregate(k, counts[cls]) for cls in classes]
+            for k in range(4)
+        ]
+        priced = dict(zip(classes, zip(*self._price(classes, sums))))
+        for k, cls in zip(kernels, kernel_classes):
+            rates[k.op_id], sm_share[k.op_id] = priced[cls]
+
+    def _allocate_transfers(
+        self, transfers: list[TransferOp], rates: dict[int, float]
+    ) -> None:
+        """PCIe transfer rates.
+
+        GPUs have one DMA copy engine per direction: same-direction
+        transfers do not split the link, they serialize in submission
+        order (the staircase visible in the paper's Fig. 10 timeline).
+        Opposite directions run full duplex.  The head of each
+        direction's queue gets the full link; the rest trickle at
+        :data:`DMA_QUEUE_RATE` until the engine reprices on its
+        completion.
+        """
+        if not transfers:
+            return
+        pcie_bw = self.spec.pcie_bandwidth_gbs * 1e9
+        by_dir: dict[TransferDirection, list[TransferOp]] = {}
+        for t in transfers:
+            by_dir.setdefault(t.direction, []).append(t)
+        for ops in by_dir.values():
+            ops.sort(key=lambda t: t.op_id)  # submission order
+            rates[ops[0].op_id] = pcie_bw
+            for t in ops[1:]:
+                rates[t.op_id] = DMA_QUEUE_RATE

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.errors import OutOfMemoryError
-from repro.gpusim.contention import ClassedContentionModel
+from repro.gpusim.contention import ContentionModel
 from repro.gpusim.specs import GPUSpec
 
 
@@ -11,15 +11,14 @@ class Device:
     """One simulated GPU.
 
     Tracks device-memory allocations (Table I sizes workloads against the
-    capacity of each GPU) and owns the contention model used by the
-    engine — the incremental :class:`ClassedContentionModel`, whose
-    one-shot ``allocate`` surface is the classic
-    :class:`~repro.gpusim.contention.ContentionModel` API.
+    capacity of each GPU) and owns the
+    :class:`~repro.gpusim.contention.ContentionModel` that prices its
+    running operations.
     """
 
     def __init__(self, spec: GPUSpec) -> None:
         self.spec = spec
-        self.contention = ClassedContentionModel(spec)
+        self.contention = ContentionModel(spec)
         self.allocated_bytes: int = 0
         self.peak_allocated_bytes: int = 0
         self._allocations: dict[int, int] = {}
@@ -60,10 +59,6 @@ class Device:
         if nbytes is None:
             raise KeyError(f"unknown allocation handle {handle}")
         self.allocated_bytes -= nbytes
-
-    @property
-    def free_bytes(self) -> int:
-        return self.spec.device_memory_bytes - self.allocated_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

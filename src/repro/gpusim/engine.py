@@ -16,9 +16,10 @@ rather than O(running):
 
 * running kernels are grouped into **contention-class runs** (one per
   distinct resource signature per device) and transfers into
-  per-direction DMA runs; a reprice asks the incremental
-  :class:`~repro.gpusim.contention.ClassedContentionModel` for one rate
-  per *class* (``repricings`` counts true repricings, ``steps`` counts
+  per-direction DMA runs; a reprice asks each device's
+  :class:`~repro.gpusim.contention.ContentionModel`, which keeps its
+  class multiset incrementally, for one rate per *class*
+  (``repricings`` counts true repricings, ``steps`` counts
   engine steps, ``class_repricings`` counts per-class rate computations);
 * a clock advance decrements only each run's *head* — the member with
   the least remaining work.  The other members accrue progress lazily
@@ -55,7 +56,7 @@ from collections import deque
 from typing import Callable, Iterable
 
 from repro.errors import DeadlockError, InvalidStateError, SimulationError
-from repro.gpusim.contention import ContentionModel
+from repro.gpusim.contention import DMA_QUEUE_RATE
 from repro.gpusim.device import Device
 from repro.obs.counters import CounterRegistry
 from repro.obs.trace import Tracer, current_tracer
@@ -73,10 +74,6 @@ from repro.gpusim.timeline import IntervalKind, Timeline
 
 #: Completion tolerance for floating-point work accounting.
 _WORK_EPS = 1e-9
-
-#: Rate of DMA transfers queued behind their direction's head (shared
-#: with the contention model's one-shot allocator).
-_DMA_QUEUE_RATE = ContentionModel._DMA_QUEUE_RATE
 
 #: Timeline interval kind of each transfer direction.
 _TRANSFER_KINDS = {
@@ -118,8 +115,9 @@ class _TransferRun:
     """All running transfers of one direction on one device's DMA engine.
 
     The head owns the PCIe link; queue members (a heap ordered by op_id,
-    the DMA submission order) trickle at :data:`_DMA_QUEUE_RATE` through
-    the same lazy delta chain as kernel laggards.  ``qlb``/``qsum`` keep
+    the DMA submission order) trickle at
+    :data:`~repro.gpusim.contention.DMA_QUEUE_RATE` through the same
+    lazy delta chain as kernel laggards.  ``qlb``/``qsum`` keep
     a conservative lower bound on any member's remaining work, feeding
     the probe entries that guard against a queued member completing
     before the head; once a probe fires the run turns ``eager`` and
@@ -492,7 +490,7 @@ class SimEngine:
                 best = dt
             if run.eager:
                 for _op_id, _join, member in run.queue:
-                    dt = member.work_remaining / _DMA_QUEUE_RATE
+                    dt = member.work_remaining / DMA_QUEUE_RATE
                     if dt < best:
                         best = dt
         heap = self._heap
@@ -510,7 +508,7 @@ class SimEngine:
             heapq.heappop(heap)
             self._probe_transfer_queue(run)
             for _op_id, _join, member in run.queue:
-                dt = member.work_remaining / _DMA_QUEUE_RATE
+                dt = member.work_remaining / DMA_QUEUE_RATE
                 if dt < best:
                     best = dt
         if stale:
@@ -588,7 +586,7 @@ class SimEngine:
             head.work_remaining = w
             queue = run.queue
             if queue:
-                dq = _DMA_QUEUE_RATE * dt
+                dq = DMA_QUEUE_RATE * dt
                 if run.eager:
                     # Exact per-member accounting (reference semantics):
                     # a probe fired because a queued member's completion
@@ -747,7 +745,7 @@ class SimEngine:
         heapq.heappush(
             self._heap,
             (
-                self.clock + 0.25 * bound / _DMA_QUEUE_RATE,
+                self.clock + 0.25 * bound / DMA_QUEUE_RATE,
                 next(self._heap_seq),
                 run,
                 run.epoch,

@@ -69,10 +69,6 @@ class Parameter:
     def is_pointer(self) -> bool:
         return self.kind is ParamKind.POINTER
 
-    @property
-    def read_only(self) -> bool:
-        return self.is_pointer and self.access is AccessKind.READ
-
 
 @dataclass(frozen=True)
 class Signature:
@@ -89,14 +85,6 @@ class Signature:
 
     def __getitem__(self, i: int) -> Parameter:
         return self.parameters[i]
-
-    @property
-    def pointer_parameters(self) -> tuple[Parameter, ...]:
-        return tuple(p for p in self.parameters if p.is_pointer)
-
-    @property
-    def scalar_parameters(self) -> tuple[Parameter, ...]:
-        return tuple(p for p in self.parameters if not p.is_pointer)
 
 
 def _parse_parameter(token: str, position: int) -> Parameter:

@@ -19,7 +19,8 @@ from repro.gpusim.ops import KernelOp
 from repro.gpusim.specs import GPUSpec, gpu_by_name
 from repro.graphs.planner import launch_parents
 from repro.graphs.taskgraph import TaskGraph
-from repro.kernels.kernel import KernelLaunch, normalize_dim
+from repro.kernels.kernel import timing_only
+from repro.kernels.registry import build_kernel
 from repro.memory.array import DeviceArray
 from repro.workloads.base import Benchmark
 
@@ -32,7 +33,6 @@ def _critical_path(
 ) -> float:
     """Critical-path time of one iteration with the given inputs stale."""
     model = ContentionModel(spec)
-    accesses_of = graph.signature_accesses()
     # Virtual arrays of the declared geometry: cost models size their
     # work from the arguments.
     placeholders = {
@@ -41,36 +41,31 @@ def _critical_path(
         )
         for name, decl in graph.arrays.items()
     }
+    # Launches are bound through their kernels, so the bound validates
+    # geometry, arguments and price exactly as a run does.
+    kernels = {
+        k.name: build_kernel(
+            timing_only, k.name, k.signature, cost_model=k.cost
+        )
+        for k in graph.kernels
+    }
     pcie = spec.pcie_bandwidth_gbs * 1e9
 
     finish: list[float] = []
     pending_transfer = set(stale_inputs)
     for launch, parents in zip(graph.launches, parents_of):
-        kinds = accesses_of[launch.kernel]
-        kernel_launch = KernelLaunch(
-            kernel=None,  # type: ignore[arg-type]  # cost models ignore it
-            grid=normalize_dim(launch.grid),
-            block=normalize_dim(launch.block),
-            args=tuple(launch.args),
-            array_args=tuple(
-                zip((placeholders[n] for n in launch.array_names), kinds)
-            ),
-            scalar_args=tuple(
-                a for a in launch.args if not isinstance(a, str)
-            ),
-        )
-        resources = graph.kernel_by_name(launch.kernel).cost.resources(
-            kernel_launch
+        bound = kernels[launch.kernel](launch.grid, launch.block).bind(
+            *launch.resolve(placeholders)
         )
         duration = model.kernel_duration(
-            KernelOp(label=launch.kernel, resources=resources)
+            KernelOp(label=launch.kernel, resources=bound.resources())
         )
 
         transfer = 0.0
-        for name, access in zip(launch.array_names, kinds):
-            if access.reads and name in pending_transfer:
-                pending_transfer.discard(name)
-                transfer += graph.arrays[name].nbytes / pcie
+        for array, access in bound.array_args:
+            if access.reads and array.name in pending_transfer:
+                pending_transfer.discard(array.name)
+                transfer += graph.arrays[array.name].nbytes / pcie
 
         start = max((finish[p] for p in parents), default=0.0)
         finish.append(start + transfer + duration)
@@ -98,12 +93,3 @@ def contention_free_time(
         graph, spec, parents_of, set(benchmark.inputs(1))
     )
     return first + (benchmark.iterations - 1) * steady
-
-
-def contention_free_ratio(
-    benchmark: Benchmark, gpu: str | GPUSpec, measured: float
-) -> float:
-    """Fig. 9's y-value: bound / measured (1.0 = no contention loss)."""
-    if measured <= 0:
-        return 0.0
-    return contention_free_time(benchmark, gpu) / measured

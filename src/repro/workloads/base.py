@@ -106,10 +106,6 @@ class Mode(enum.Enum):
     GRAPH_CAPTURE = "cudagraph-capture"
     HANDTUNED = "handtuned-events"
 
-    @property
-    def is_grcuda(self) -> bool:
-        return self in (Mode.SERIAL, Mode.PARALLEL)
-
 
 @dataclass
 class RunResult:
@@ -127,10 +123,6 @@ class RunResult:
     #: merged observability-registry snapshot (engine + coherence
     #: counters) of the run — movement-bench reads its tallies here
     counters: dict[str, int | float] = field(default_factory=dict)
-
-    @property
-    def per_iteration(self) -> float:
-        return self.elapsed / max(1, self.iterations)
 
 
 class Benchmark(abc.ABC):
@@ -222,12 +214,6 @@ class Benchmark(abc.ABC):
     def memory_footprint_bytes(self) -> int:
         """Total UM allocation, the quantity of Table I."""
         return self.graph().total_bytes
-
-    def kernel_count_per_iteration(self) -> int:
-        return len(self.graph().launches)
-
-    def distinct_kernel_count(self) -> int:
-        return len(self.graph().kernels)
 
     # -- mode dispatch ---------------------------------------------------------
 

@@ -16,6 +16,7 @@ from repro import (
     GTX1660_SUPER,
     TESLA_P100,
 )
+from repro.core.element import ArrayAccessElement
 from repro.core.race import check_no_races
 from repro.gpusim.ops import TransferKind
 from repro.gpusim.timeline import IntervalKind
@@ -142,7 +143,9 @@ class TestSchedulingStructure:
         # 3 kernels + 1 CPU access element (Z[0] read conflicts with sum).
         kernel_vertices = [v for v in dag.vertices if v.is_kernel]
         assert len(kernel_vertices) == 3
-        cpu_vertices = [v for v in dag.vertices if v.is_cpu_access]
+        cpu_vertices = [
+            v for v in dag.vertices if isinstance(v, ArrayAccessElement)
+        ]
         assert len(cpu_vertices) == 1
 
 

@@ -13,9 +13,10 @@ signatures, FP64, fault bytes):
 * when the running set is a single class the folds coincide term for
   term, so equality is **exact** — no tolerance;
 * the incremental multiset (``class_add`` / ``class_remove``) must be
-  **bit-identical** to a one-shot ``allocate`` of the same set: both
-  price the same signature-sorted class tuple, which is the invariant
-  the engine's golden tests rely on.
+  **bit-identical** to a one-shot ``allocate`` of the same set, with the
+  reprice memo on or off: both price the same signature-sorted class
+  tuple through one pricing function, which is the invariant the
+  engine's golden tests rely on.
 
 Plus the scaling regression the rewrite exists for: class count stays
 O(distinct signatures) — not O(streams) — under 256 homogeneous streams.
@@ -23,10 +24,11 @@ O(distinct signatures) — not O(streams) — under 256 homogeneous streams.
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from reference_contention import ReferenceContentionModel
 
-from repro.gpusim.contention import ClassedContentionModel
+from repro.gpusim.contention import ContentionModel
 from repro.gpusim.device import Device
 from repro.gpusim.engine import SimEngine
 from repro.gpusim.ops import (
@@ -121,7 +123,7 @@ class TestClassedMatchesReference:
         """Class pricing equals the frozen per-op allocator: exact for
         transfers (verbatim DMA logic), 1e-9 relative for kernels
         (same formula, different float fold order)."""
-        got = ClassedContentionModel(spec).allocate(list(running))
+        got = ContentionModel(spec).allocate(list(running))
         want = ReferenceContentionModel(spec).allocate(list(running))
         assert set(got.rates) == set(want.rates)
         for op in running:
@@ -141,7 +143,7 @@ class TestClassedMatchesReference:
     def test_single_class_exact(self, kernels, spec):
         """One signature: the class ladder IS the reference's sequential
         fold, so equality is bit-exact."""
-        got = ClassedContentionModel(spec).allocate(list(kernels))
+        got = ContentionModel(spec).allocate(list(kernels))
         want = ReferenceContentionModel(spec).allocate(list(kernels))
         for k in kernels:
             assert got.rates[k.op_id] == want.rates[k.op_id]
@@ -152,6 +154,7 @@ class TestClassedMatchesReference:
 
 
 class TestIncrementalMatchesOneShot:
+    @pytest.mark.parametrize("memo", [True, False], ids=["memo-on", "memo-off"])
     @given(
         running=running_sets(),
         spec=st.sampled_from(SPECS),
@@ -159,14 +162,18 @@ class TestIncrementalMatchesOneShot:
     )
     @settings(max_examples=150, deadline=None)
     def test_incremental_reprice_is_bit_identical(
-        self, running, spec, drop_seed
+        self, memo, running, spec, drop_seed
     ):
         """Adding kernels one at a time then repricing gives exactly the
-        one-shot allocation, including after removing a subset."""
+        one-shot allocation, including after removing a subset — with
+        the reprice memo on, and off as it turns itself off when its hit
+        rate stays low."""
         kernels = [op for op in running if isinstance(op, KernelOp)]
         if not kernels:
             return
-        model = ClassedContentionModel(spec)
+        model = ContentionModel(spec)
+        if not memo:
+            model._price_memo = None
         cls_of = {k.op_id: model.class_add(k) for k in kernels}
 
         def check(current):
@@ -174,7 +181,7 @@ class TestIncrementalMatchesOneShot:
                 cls: (rate, share)
                 for cls, rate, share in model.reprice_classes()
             }
-            want = ClassedContentionModel(spec).allocate(list(current))
+            want = ContentionModel(spec).allocate(list(current))
             for k in current:
                 rate, share = priced[cls_of[k.op_id]]
                 assert rate == want.rates[k.op_id]

@@ -14,11 +14,6 @@ class TestDeviceAllocation:
         dev.free(h)
         assert dev.allocated_bytes == 0
 
-    def test_free_bytes(self):
-        dev = Device(GTX960)
-        dev.allocate(int(0.5e9))
-        assert dev.free_bytes == GTX960.device_memory_bytes - int(0.5e9)
-
     def test_oom_at_capacity(self):
         dev = Device(GTX960)
         dev.allocate(int(1.5e9))

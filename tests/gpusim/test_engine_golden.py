@@ -141,6 +141,24 @@ class TestEngineLevelGolden:
 
         assert run(SimEngine) == run(ReferenceSimEngine)
 
+    def test_churn_with_memo_off_bit_identical(self, monkeypatch):
+        """sim-bench's churn is the one run known to switch the reprice
+        memo off (at least 512 reprices, under 10% hits): about half of
+        its reprices price with the memo off, and must still match the
+        oracle to the last ulp."""
+        from repro.harness import simbench
+
+        new = simbench._churn_run(1000, 64, "GTX 1660 Super")
+        monkeypatch.setattr(
+            simbench,
+            "SimEngine",
+            lambda device, tracer=None: ReferenceSimEngine(device),
+        )
+        ref = simbench._churn_run(1000, 64, "GTX 1660 Super")
+        assert new.device.contention._price_memo is None
+        assert new.clock == ref.clock
+        assert _signature(new.timeline) == _signature(ref.timeline)
+
     def test_repricings_bounded_by_set_changes(self):
         engine = _drive(SimEngine, seed=3)
         assert engine.repricings <= engine.running_set_changes + 1

@@ -20,9 +20,8 @@ class TestPaperSignatures:
     def test_fig4_sum(self):
         # "const ptr, const ptr, ptr, sint32"
         sig = parse_signature("const ptr, const ptr, ptr, sint32")
-        assert sig[0].read_only
-        assert sig[1].read_only
-        assert not sig[2].read_only
+        assert sig[0].access is AccessKind.READ
+        assert sig[1].access is AccessKind.READ
         assert sig[2].access is AccessKind.READ_WRITE
         assert not sig[3].is_pointer
 
@@ -70,8 +69,7 @@ class TestNamedForm:
 class TestAccessors:
     def test_pointer_and_scalar_split(self):
         sig = parse_signature("const ptr, ptr, sint32, float")
-        assert len(sig.pointer_parameters) == 2
-        assert len(sig.scalar_parameters) == 2
+        assert [p.is_pointer for p in sig] == [True, True, False, False]
 
     def test_iteration(self):
         sig = parse_signature("ptr, sint32")

@@ -1,17 +1,21 @@
 """Tests for hardware metrics, the contention-free bound, and stats."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.errors import LaunchError
 from repro.gpusim.specs import GTX1660_SUPER
+from repro.kernels import LinearCostModel
 from repro.metrics import (
     compute_hardware_metrics,
     contention_free_time,
     geomean,
     median,
 )
-from repro.metrics.contention_free import contention_free_ratio
 from repro.metrics.stats import speedup
 from repro.workloads import Mode, create_benchmark
+from repro.workloads.vec import VectorSquares
 
 
 class TestStats:
@@ -116,7 +120,7 @@ class TestContentionFreeBound:
             "img", 1_600, iterations=2, execute=False
         )
         result = bench.run("1660", Mode.PARALLEL)
-        ratio = contention_free_ratio(bench, "1660", result.elapsed)
+        ratio = contention_free_time(bench, "1660") / result.elapsed
         assert 0 < ratio <= 1.02
 
     def test_bs_far_from_bound(self):
@@ -128,7 +132,7 @@ class TestContentionFreeBound:
             "b&s", 8_000_000, iterations=2, execute=False
         )
         result = bench.run("1660", Mode.PARALLEL)
-        ratio = contention_free_ratio(bench, "1660", result.elapsed)
+        ratio = contention_free_time(bench, "1660") / result.elapsed
         assert ratio < 0.45
 
     def test_vec_closer_to_bound(self):
@@ -136,8 +140,29 @@ class TestContentionFreeBound:
             "vec", 20_000_000, iterations=2, execute=False
         )
         result = bench.run("1660", Mode.PARALLEL)
-        ratio = contention_free_ratio(bench, "1660", result.elapsed)
+        ratio = contention_free_time(bench, "1660") / result.elapsed
         assert ratio > 0.4
+
+    def test_invalid_price_fails_naming_the_kernel(self):
+        """The bound binds each launch through its kernel, so a cost
+        model that prices a launch invalidly fails it as a run does."""
+
+        class NegativeSquare(VectorSquares):
+            def graph(self):
+                graph = super().graph()
+                graph.kernels = tuple(
+                    replace(k, cost=LinearCostModel(flops_per_item=-1.0))
+                    if k.name == "square"
+                    else k
+                    for k in graph.kernels
+                )
+                return graph
+
+        bench = NegativeSquare(100_000, iterations=2, execute=False)
+        with pytest.raises(LaunchError, match="^square: .*flops"):
+            bench.run("1660", Mode.PARALLEL)
+        with pytest.raises(LaunchError, match="^square: .*flops"):
+            contention_free_time(bench, "1660")
 
     def test_bound_scales_with_iterations(self):
         b2 = create_benchmark("vec", 1_000_000, iterations=2, execute=False)
