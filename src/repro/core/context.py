@@ -23,6 +23,7 @@ dependency computation.  Both route data movement through one
 from __future__ import annotations
 
 import abc
+import functools
 
 from repro.core.dag import ComputationDAG
 from repro.core.history import KernelExecutionRecord, KernelHistory
@@ -76,11 +77,10 @@ def submit_kernel(
     location-set transitions.  ``history`` receives a
     :class:`KernelExecutionRecord` at completion, and ``on_complete``
     is called with the completed op."""
-    accesses = launch.array_args
     # Priced first: a launch its cost model rejects plans no movement.
     resources: KernelResourceRequest = launch.resources()
     plan = coherence.acquire(
-        list(accesses), stream, device_index,
+        launch.array_args, stream, device_index,
         label=launch.label, policy=policy, kind=kind,
     )
     if plan.fault_bytes > 0:
@@ -90,28 +90,16 @@ def submit_kernel(
         resources=resources,
         compute_fn=launch.execute,
     )
-    # Race-detector tokens are per *copy* — (array, device) — so a
-    # peer-to-peer copy reading GPU 0's replica does not conflict with a
-    # kernel also reading it, but does conflict with anything touching
-    # the destination replica.  Stored as tuples (the names as
-    # (token, name) pairs), which the collector untracks: the timeline
-    # keeps these annotations for as long as it lives.
-    reads = []
-    writes = []
-    names = {}
-    for array, access in accesses:
-        key = array.copy_keys[device_index]
-        if access.reads:
-            reads.append(key)
-        if access.writes:
-            writes.append(key)
-        names[key] = array.name
-    op.info["reads"] = tuple(reads)
-    op.info["writes"] = tuple(writes)
-    op.info["array_names"] = tuple(names.items())
-    op.info["device"] = device_index
+    # The launch's own race-detector tokens: tuples the launch keeps
+    # and the collector untracks, so the timeline keeping these
+    # annotations for as long as it lives costs the collector nothing.
+    info = op.info
+    info["reads"], info["writes"], info["array_names"] = launch.tokens(
+        device_index
+    )
+    info["device"] = device_index
     if tags:
-        op.info.update(tags)
+        info.update(tags)
     if history is not None:
         op.on_complete.append(kernel_history_recorder(launch, history))
     if on_complete is not None:
@@ -154,7 +142,6 @@ def kernel_history_recorder(launch: KernelLaunch, sink):
     """An ``on_complete`` callback feeding a
     :class:`KernelExecutionRecord` for ``launch`` into ``sink`` (e.g.
     ``KernelHistory.record`` or a per-tenant list's ``append``)."""
-    data_bytes = float(sum(a.nbytes for a, _ in launch.array_args))
 
     def record(completed_op) -> None:
         stream = completed_op.stream
@@ -163,7 +150,7 @@ def kernel_history_recorder(launch: KernelLaunch, sink):
                 launch.label,
                 launch.threads_per_block,
                 launch.blocks,
-                data_bytes,
+                launch.data_bytes,
                 completed_op.end_time - completed_op.start_time,
                 stream.stream_id if stream is not None else -1,
                 completed_op.end_time,
@@ -294,6 +281,16 @@ class SerialExecutionContext(ExecutionContext):
         )
 
 
+def _device_stream(
+    engine: SimEngine, device_index: int, created: int
+) -> SimStream:
+    """Stream number ``created + 1`` of device ``device_index``'s
+    stream manager."""
+    return engine.create_stream(
+        label=f"gpu{device_index}-{created + 1}", device_index=device_index
+    )
+
+
 class _PerDevice:
     """Per-GPU scheduling state of the parallel context."""
 
@@ -301,21 +298,14 @@ class _PerDevice:
         self, index: int, engine: SimEngine, config: SchedulerConfig
     ) -> None:
         self.index = index
-        self._engine = engine
         self.streams = StreamManager(
             engine,
             new_stream=config.new_stream,
             parent_stream=config.parent_stream,
-            stream_factory=self._make_stream,
+            stream_factory=functools.partial(_device_stream, engine, index),
         )
         #: estimated work submitted and not yet completed (placement)
         self.outstanding_work: float = 0.0
-
-    def _make_stream(self) -> SimStream:
-        return self._engine.create_stream(
-            label=f"gpu{self.index}-{self.streams.created_count + 1}",
-            device_index=self.index,
-        )
 
     def retire(self, duration: float) -> None:
         self.outstanding_work = max(0.0, self.outstanding_work - duration)

@@ -13,7 +13,7 @@ argument (Fig. 3 semantics).
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.memory.array import AccessKind, DeviceArray
 
@@ -65,7 +65,7 @@ class ComputationalElement:
 
     def __init__(
         self,
-        accesses: list[tuple[DeviceArray, AccessKind]],
+        accesses: Sequence[tuple[DeviceArray, AccessKind]],
         label: str = "",
     ) -> None:
         self.element_id: int = next(_element_counter)
@@ -128,7 +128,7 @@ class KernelElement(ComputationalElement):
     __slots__ = ("launch",)
 
     def __init__(self, launch: "KernelLaunch") -> None:
-        super().__init__(list(launch.array_args), label=launch.label)
+        super().__init__(launch.array_args, label=launch.label)
         self.launch = launch
 
 

@@ -25,6 +25,33 @@ from repro.gpusim.engine import SimEngine
 from repro.gpusim.stream import SimStream
 
 
+class _FreeList:
+    """The streams free for reuse, as creation indices on a heap, fed by
+    each stream's idle callback (:meth:`note_idle`).  It holds ints
+    only, so the callback a manager leaves on each of its streams makes
+    no reference cycle with the manager: a dropped manager is freed by
+    reference counting."""
+
+    __slots__ = ("heap", "queued", "index_of")
+
+    def __init__(self) -> None:
+        #: creation indices of free streams; the *oldest* is reused
+        #: first (the paper's FIFO rule)
+        self.heap: list[int] = []
+        #: the creation indices on the heap
+        self.queued: set[int] = set()
+        #: stream id -> creation index
+        self.index_of: dict[int, int] = {}
+
+    def note_idle(self, stream: SimStream) -> None:
+        """Idle callback: the stream drained and is reusable again."""
+        index = self.index_of[stream.stream_id]
+        if index in self.queued or stream.destroyed:
+            return
+        self.queued.add(index)
+        heapq.heappush(self.heap, index)
+
+
 class StreamManager:
     """Allocates and reuses simulator streams per the configured policies.
 
@@ -44,53 +71,40 @@ class StreamManager:
         engine: SimEngine,
         new_stream: NewStreamPolicy = NewStreamPolicy.FIFO,
         parent_stream: ParentStreamPolicy = ParentStreamPolicy.DISJOINT,
-        stream_factory: Callable[[], SimStream] | None = None,
+        stream_factory: Callable[[int], SimStream] | None = None,
     ) -> None:
         self.engine = engine
         self.new_stream_policy = new_stream
         self.parent_stream_policy = parent_stream
-        #: optional override producing engine streams (the parallel
-        #: context pins each device's manager's streams to that device)
+        #: optional override producing engine streams, called with the
+        #: new stream's creation index (the parallel context pins each
+        #: device's manager's streams to that device)
         self._factory = stream_factory
         self._streams: list[SimStream] = []
-        #: free-list as a heap of (creation index, stream), preserving
-        #: the paper's FIFO rule: the *oldest* free stream is reused
-        self._free_heap: list[tuple[int, SimStream]] = []
-        self._in_free_heap: set[int] = set()
-        self._creation_index: dict[int, int] = {}
+        self._free = _FreeList()
         self.created_count = 0
         self.reused_count = 0
 
     # -- free-stream retrieval ------------------------------------------------
 
     def _create_stream(self) -> SimStream:
+        index = len(self._streams)
         if self._factory is not None:
-            stream = self._factory()
+            stream = self._factory(index)
         else:
-            stream = self.engine.create_stream(
-                label=f"grcuda-{len(self._streams)}"
-            )
-        self._creation_index[stream.stream_id] = len(self._streams)
+            stream = self.engine.create_stream(label=f"grcuda-{index}")
+        self._free.index_of[stream.stream_id] = index
         self._streams.append(stream)
-        stream.idle_callbacks.append(self._note_idle)
+        stream.idle_callbacks.append(self._free.note_idle)
         self.created_count += 1
         return stream
 
-    def _note_idle(self, stream: SimStream) -> None:
-        """Idle callback: the stream drained and is reusable again."""
-        if stream.stream_id in self._in_free_heap or stream.destroyed:
-            return
-        self._in_free_heap.add(stream.stream_id)
-        heapq.heappush(
-            self._free_heap,
-            (self._creation_index[stream.stream_id], stream),
-        )
-
     def retrieve_free_stream(self) -> SimStream:
         """A stream with no in-flight work, per the new-stream policy."""
+        free = self._free
         if self.new_stream_policy is NewStreamPolicy.FIFO:
-            while self._free_heap:
-                _, stream = self._free_heap[0]
+            while free.heap:
+                stream = self._streams[free.heap[0]]
                 if stream.free:
                     # Left in the list: it stays retrievable until work
                     # is actually submitted to it, like the old scan.
@@ -98,12 +112,11 @@ class StreamManager:
                     return stream
                 # Stale entry: the stream went busy (or was destroyed)
                 # after it was enqueued; its next idle re-enqueues it.
-                heapq.heappop(self._free_heap)
-                self._in_free_heap.discard(stream.stream_id)
+                free.queued.discard(heapq.heappop(free.heap))
         stream = self._create_stream()
         # A created-but-never-used stream is still free: keep it
         # retrievable (FIFO scan semantics) until work is submitted.
-        self._note_idle(stream)
+        free.note_idle(stream)
         return stream
 
     # -- element assignment ------------------------------------------------------

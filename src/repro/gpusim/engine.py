@@ -82,6 +82,11 @@ _TRANSFER_KINDS = {
     TransferDirection.DEVICE_TO_DEVICE: IntervalKind.TRANSFER_D2D,
 }
 
+#: The annotations an event row keeps when its op has none: one shared
+#: empty dict, not a fresh one per row (a timeline never writes a row's
+#: annotations; records copy them).
+_NO_ANNOTATIONS: dict = {}
+
 
 def _completion_threshold(op: Operation) -> float:
     """``_WORK_EPS * max(1.0, work_total)`` without the max() call."""
@@ -939,5 +944,5 @@ class SimEngine:
             self.timeline.append(
                 op.op_id, op.label, IntervalKind.EVENT,
                 op.stream.stream_id, op.start_time, op.end_time, 0.0,
-                op.info,
+                op.info or _NO_ANNOTATIONS,
             )

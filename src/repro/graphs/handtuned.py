@@ -11,12 +11,10 @@ would.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.context import submit_kernel
 from repro.gpusim.engine import SimEngine
 from repro.gpusim.stream import SimEvent, SimStream
-from repro.kernels.kernel import Kernel, normalize_dim
+from repro.kernels.kernel import KernelLaunch
 from repro.memory.array import DeviceArray
 from repro.memory.coherence import CoherenceEngine, MovementPolicy
 
@@ -67,22 +65,14 @@ class HandTunedScheduler:
 
     # -- kernel launches --------------------------------------------------------
 
-    def launch(
-        self,
-        stream: SimStream,
-        kernel: Kernel,
-        grid: int | tuple[int, ...],
-        block: int | tuple[int, ...],
-        args: tuple[Any, ...],
-    ) -> None:
-        """Launch ``kernel`` on ``stream``.
+    def launch(self, stream: SimStream, launch: KernelLaunch) -> None:
+        """Launch the bound ``launch`` on ``stream``
+        (``kernel(grid, block).bind(*args)``; an expert binds a launch
+        once and launches it on every iteration).
 
         Arrays the programmer forgot to prefetch fall back to page
         faults (Pascal+) or eager copies (Maxwell) — same rules as every
         other execution mode.
         """
         self.engine.charge_host_time(LAUNCH_OVERHEAD_US * 1e-6)
-        launch = kernel.bind_args(
-            tuple(args), normalize_dim(grid), normalize_dim(block)
-        )
         submit_kernel(self.coherence, stream, launch)

@@ -13,12 +13,15 @@ assignment and transfers all derive from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
 from repro.kernels.profile import CostModel
 from repro.kernels.signature import parse_signature
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.kernels.kernel import Kernel, KernelLaunch
 
 
 def _captured(value: object) -> object:
@@ -98,6 +101,15 @@ class LaunchDecl:
         """The launch's arguments, each array name replaced by
         ``arrays[name]``."""
         return tuple(arrays[a] if isinstance(a, str) else a for a in self.args)
+
+    def bind(
+        self, kernel: "Kernel", arrays: Mapping[str, Any]
+    ) -> "KernelLaunch":
+        """The bound launch of ``kernel`` this declares over ``arrays``:
+        geometry normalized, arguments resolved and validated, not yet
+        dispatched.  A host program that repeats the launch binds it
+        once and dispatches the same launch each time."""
+        return kernel(self.grid, self.block).bind(*self.resolve(arrays))
 
 
 @dataclass

@@ -8,7 +8,9 @@ The host-facing API reproduces the paper's Fig. 4::
 ``K1`` is a :class:`Kernel`; calling it with a launch geometry yields a
 :class:`ConfiguredKernel`; calling *that* with arguments produces a
 :class:`KernelLaunch` which is handed to the execution context (the
-scheduler) — the host never blocks.
+scheduler) — the host never blocks.  A loop that repeats a launch binds
+it once (``K1(NUM_BLOCKS, NUM_THREADS).bind(X, N)``) and hands the same
+launch over on every iteration (:meth:`KernelLaunch.dispatch`).
 """
 
 from __future__ import annotations
@@ -31,13 +33,18 @@ Dim = tuple[int, int, int]
 _INTEGER = (int, np.integer)
 
 
+def _is_integer(value: Any) -> bool:
+    """An int or numpy integer, but not a bool (``True`` is an ``int``)."""
+    return isinstance(value, _INTEGER) and not isinstance(value, bool)
+
+
 def normalize_dim(dim: int | tuple[int, ...] | list[int]) -> Dim:
     """Normalize an integer, or a tuple or list of 1-3 integers, to a
     3-D geometry tuple."""
-    if isinstance(dim, _INTEGER):
+    if _is_integer(dim):
         values: tuple[int, ...] = (int(dim),)
     elif isinstance(dim, (tuple, list)) and all(
-        isinstance(v, _INTEGER) for v in dim
+        _is_integer(v) for v in dim
     ):
         values = tuple(int(v) for v in dim)
     else:
@@ -56,8 +63,8 @@ def _dim_product(dim: Dim) -> int:
     return dim[0] * dim[1] * dim[2]
 
 
-class KernelLaunch(NamedTuple):
-    """One fully-specified kernel invocation, ready for scheduling."""
+class _LaunchFields(NamedTuple):
+    """The read-only fields of a :class:`KernelLaunch`."""
 
     kernel: "Kernel"
     grid: Dim
@@ -66,9 +73,27 @@ class KernelLaunch(NamedTuple):
     array_args: tuple[tuple[DeviceArray, AccessKind], ...]
     scalar_args: tuple[Any, ...]
 
+
+class KernelLaunch(_LaunchFields):
+    """One fully-specified kernel invocation, ready for scheduling.
+
+    A launch is read-only and may be dispatched many times: a host
+    program's loop binds its launches once and dispatches each on every
+    iteration.  What a submission derives from the launch alone — the
+    history record's :attr:`data_bytes` and the race detector's
+    per-device :meth:`tokens` — is built on first use and kept in the
+    launch's own instance dict, so it lives exactly as long as the
+    launch.  Arrays keep their name and copy tokens for life, so the
+    kept values never go stale.
+    """
+
     __eq__ = same_type_eq
     __ne__ = object.__ne__
     __hash__ = tuple.__hash__
+
+    # The launch facts, until first use (then instance attributes).
+    _data_bytes: float | None = None
+    _tokens: dict[int, tuple[tuple, tuple, tuple]] | None = None
 
     @property
     def threads_per_block(self) -> int:
@@ -85,6 +110,62 @@ class KernelLaunch(NamedTuple):
     @property
     def label(self) -> str:
         return self.kernel.name
+
+    @property
+    def data_bytes(self) -> float:
+        """Bytes of every array argument (the size a
+        :class:`~repro.core.history.KernelExecutionRecord` reports)."""
+        found = self._data_bytes
+        if found is None:
+            found = self._data_bytes = float(
+                sum(a.nbytes for a, _ in self.array_args)
+            )
+        return found
+
+    def tokens(self, device_index: int) -> tuple[tuple, tuple, tuple]:
+        """``(reads, writes, array_names)``: the race detector's
+        annotations of this launch on device ``device_index``.
+
+        Tokens are per *copy* — (array, device) — so a peer-to-peer copy
+        reading GPU 0's replica does not conflict with a kernel also
+        reading it, but does conflict with anything touching the
+        destination replica.  The names are (token, name) pairs.  Built
+        on the launch's first submission to the device; every later one
+        gets the same tuples, which the collector has untracked by then.
+        """
+        per_device = self._tokens
+        if per_device is None:
+            per_device = self._tokens = {}
+        found = per_device.get(device_index)
+        if found is None:
+            reads = []
+            writes = []
+            names = {}
+            for array, access in self.array_args:
+                key = array.copy_keys[device_index]
+                if access.reads:
+                    reads.append(key)
+                if access.writes:
+                    writes.append(key)
+                names[key] = array.name
+            found = per_device[device_index] = (
+                tuple(reads), tuple(writes), tuple(names.items())
+            )
+        return found
+
+    def dispatch(self) -> None:
+        """Hand this launch to its kernel's runtime.
+
+        The one dispatch path: a configured kernel's call and a
+        re-dispatched bound launch alike go through here and count in
+        :attr:`Kernel.launch_count`."""
+        kernel = self.kernel
+        kernel.launch_count += 1
+        if kernel.launch_handler is None:
+            raise LaunchError(
+                f"kernel {kernel.name} is not attached to a runtime"
+            )
+        kernel.launch_handler(self)
 
     def resources(self):
         """Price this launch with the kernel's cost model; an invalid
@@ -213,10 +294,5 @@ class ConfiguredKernel(NamedTuple):
 
     def __call__(self, *args: Any) -> KernelLaunch:
         launch = self.bind(*args)
-        self.kernel.launch_count += 1
-        if self.kernel.launch_handler is None:
-            raise LaunchError(
-                f"kernel {self.kernel.name} is not attached to a runtime"
-            )
-        self.kernel.launch_handler(launch)
+        launch.dispatch()
         return launch

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.gpusim.ops import (
     Operation,
@@ -358,7 +358,7 @@ class CoherenceEngine:
 
     def acquire(
         self,
-        accesses: list[tuple[DeviceArray, AccessKind]],
+        accesses: Sequence[tuple[DeviceArray, AccessKind]],
         stream: "SimStream",
         device_index: int = 0,
         label: str = "",

@@ -54,9 +54,7 @@ def _critical_path(
     finish: list[float] = []
     pending_transfer = set(stale_inputs)
     for launch, parents in zip(graph.launches, parents_of):
-        bound = kernels[launch.kernel](launch.grid, launch.block).bind(
-            *launch.resolve(placeholders)
-        )
+        bound = launch.bind(kernels[launch.kernel], placeholders)
         duration = model.kernel_duration(
             KernelOp(label=launch.kernel, resources=bound.resources())
         )

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.core.context import submit_kernel
 from repro.core.history import KernelExecutionRecord
-from repro.kernels.kernel import Kernel, KernelLaunch
 from repro.kernels.registry import build_kernel
 from repro.memory.array import (
     AccessKind,
@@ -43,7 +42,7 @@ from repro.obs.trace import TraceEvent, Tracer
 if TYPE_CHECKING:
     # repro.serve imports this package at run time (the service drives
     # the slot rounds), so the serving types are for annotations only.
-    from repro.graphs.taskgraph import LaunchDecl, TaskGraph
+    from repro.graphs.taskgraph import TaskGraph
     from repro.serve.capture import CapturePlan
     from repro.serve.fleet import FleetSlot
     from repro.serve.request import GraphRequest
@@ -135,14 +134,6 @@ class Submission:
         return lambda _op: self.order.append(index)
 
 
-def bind_launch(
-    kernel: Kernel, decl: LaunchDecl, arrays: dict[str, DeviceArray]
-) -> KernelLaunch:
-    """``decl``'s launch of ``kernel`` over ``arrays``, not yet
-    submitted."""
-    return kernel(decl.grid, decl.block).bind(*decl.resolve(arrays))
-
-
 def submit_context(slot: FleetSlot, request: GraphRequest) -> Submission:
     """Serve one request through a fresh execution context: the full
     dependency-inference and device-placement scheduling path of the
@@ -169,7 +160,7 @@ def submit_context(slot: FleetSlot, request: GraphRequest) -> Submission:
     for i, launch_decl in enumerate(graph.launches):
         kernel = slot.kernel_for(graph.kernel_by_name(launch_decl.kernel))
         ctx.launch(
-            bind_launch(kernel, launch_decl, sub.arrays),
+            launch_decl.bind(kernel, sub.arrays),
             on_complete=sub.recorder(i),
         )
         slot.kernels_launched += 1
@@ -235,7 +226,7 @@ def submit_replay(
         kernel = slot.kernel_for(
             graph.kernel_by_name(launch_decl.kernel)
         )
-        launch = bind_launch(kernel, launch_decl, sub.arrays)
+        launch = launch_decl.bind(kernel, sub.arrays)
         _, acq = submit_kernel(
             coherence, stream, launch, step.stream % slot.gpus,
             tags=tags, history=sub.history.append,
@@ -403,7 +394,7 @@ def run_numerics(
     }
     for i in order:
         decl = graph.launches[i]
-        bind_launch(kernels[decl.kernel], decl, arrays).execute()
+        decl.bind(kernels[decl.kernel], arrays).execute()
     return {
         name: (
             arrays[name].kernel_view

@@ -90,7 +90,9 @@ class Session:
 
     ``gpus`` is the device count; ``gpu`` names the model (one name for
     a homogeneous session, or a sequence of ``gpus`` names/specs for a
-    heterogeneous one).  All policy lives in ``config``.
+    heterogeneous one).  All policy lives in ``config``.  A hand-built
+    session needs no :meth:`close`; closing only lets reference counting
+    free it, instead of the cyclic garbage collector.
     """
 
     def __init__(
@@ -140,6 +142,8 @@ class Session:
         self.registry = registry
         self.context: ExecutionContext = self._build_context()
         self._arrays: list[DeviceArray] = []
+        #: every kernel built here, for :meth:`close` to detach
+        self._kernels: list[Kernel] = []
         #: contexts retired by :meth:`renew_context` (re-entrancy count)
         self.context_generation = 0
 
@@ -247,7 +251,7 @@ class Session:
     ) -> Kernel:
         """GrCUDA's ``buildkernel``: bind code + NIDL signature to this
         session's scheduler (single- or multi-GPU alike)."""
-        return build_kernel(
+        kernel = build_kernel(
             code,
             name,
             signature,
@@ -255,6 +259,8 @@ class Session:
             launch_handler=self._dispatch_launch,
             registry=self.registry,
         )
+        self._kernels.append(kernel)
+        return kernel
 
     # -- library functions -----------------------------------------------------
 
@@ -281,6 +287,28 @@ class Session:
     def sync(self) -> None:
         """Wait for all in-flight GPU work (``cudaDeviceSynchronize``)."""
         self.context.sync()
+
+    def close(self) -> None:
+        """Finish with this session: wait for its in-flight work, then
+        detach its arrays and kernels from it.
+
+        A session's arrays (their access hooks) and kernels (their
+        launch handler) refer back to it while its DAG refers to them,
+        so a session in use is a reference cycle.  A hand-built session
+        needs no ``close()``: an array keeps syncing through it for as
+        long as the array lives, and once everything is dropped the
+        cyclic garbage collector frees it.  Closing frees it on its last
+        reference instead, with everything it built, which is what
+        :meth:`~repro.workloads.base.Benchmark.run` does after every
+        run.  Afterwards the arrays' host accesses apply their
+        location-set transitions directly, and launching one of the
+        kernels raises :class:`~repro.errors.LaunchError`.
+        """
+        self.sync()
+        for arr in self._arrays:
+            arr.set_access_hook(None)
+        for kernel in self._kernels:
+            kernel.launch_handler = None
 
     def timeline(self) -> Timeline:
         """The engine's operation timeline (kernels, transfers, events)."""

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.special import ndtr
 
 from repro.graphs.taskgraph import ArrayDecl, KernelDecl, LaunchDecl, TaskGraph
 from repro.kernels.profile import LinearCostModel
@@ -45,6 +44,10 @@ def black_scholes_call(
     shape that does not overlap it) when given — with one temporary, in
     the operation order of the textbook expression, so the result is
     bit-identical to it.  ``prices`` is never written."""
+    # Imported here: a timing-only run computes nothing and never
+    # pays scipy's import.
+    from scipy.special import ndtr
+
     s = prices.astype(np.float64, copy=False)
     if out is None:
         out = np.empty_like(s)

@@ -1,6 +1,9 @@
 """The unified ``repro.Session`` entry point: canonical surface and
 configuration validation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from repro.core.context import (
     ParallelExecutionContext,
     SerialExecutionContext,
 )
+from repro.errors import LaunchError
 from repro.kernels import LinearCostModel
 from repro.memory.array import DeviceArray
 from repro.serve import ServeConfig
@@ -133,6 +137,33 @@ class TestCanonicalSurface:
         assert any(
             r.label == "lib" for r in sess.timeline().kernels()
         )
+
+
+class TestClose:
+    def test_close_syncs_and_detaches(self):
+        sess = Session()
+        x = run_square(sess)
+        k = sess.build_kernel(lambda a, m: None, "k", "ptr, sint32", COST)
+        sess.close()
+        assert sess.engine.idle
+        assert x._on_cpu_access is None and k.launch_handler is None
+        assert x[0] == 9.0  # the transition applies directly
+        with pytest.raises(LaunchError, match="not attached"):
+            k(1, 32)(x, 4)
+
+    def test_closed_session_is_freed_by_reference_counting(self):
+        sess = Session()
+        x = run_square(sess)
+        assert sess.dag.num_vertices > 0
+        sess.close()
+        ref = weakref.ref(sess)
+        gc.disable()
+        try:
+            del sess
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert x[0] == 9.0
 
 
 class TestConfigValidation:

@@ -51,11 +51,11 @@ def run_handtuned_vec(engine, prefetch=True):
     if prefetch:
         ht.prefetch(X, s1)
         ht.prefetch(Y, s2)
-    ht.launch(s1, square, 256, 256, (X, N))
-    ht.launch(s2, square, 256, 256, (Y, N))
+    ht.launch(s1, square(256, 256).bind(X, N))
+    ht.launch(s2, square(256, 256).bind(Y, N))
     ev = ht.record_event(s2)
     ht.wait_event(s1, ev)
-    ht.launch(s1, vsum, 256, 256, (X, Y, Z, N))
+    ht.launch(s1, vsum(256, 256).bind(X, Y, Z, N))
     ht.sync()
     return X, Y, Z
 

@@ -1,5 +1,7 @@
 """Tests for kernel objects, launch geometry and cost models."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,17 @@ class TestNormalizeDim:
             k((2.9,), "256")(x, y, 8)
         with pytest.raises(LaunchError, match="'256'"):
             k(2, "256")(x, y, 8)
+
+    @pytest.mark.parametrize("dim", [True, False, (True, 2), [4, False]])
+    def test_bool_rejected(self, dim):
+        # bool is an int: True would silently launch one block.
+        with pytest.raises(LaunchError, match=re.escape(repr(dim))):
+            normalize_dim(dim)
+
+    def test_bool_launch_rejected(self):
+        k = make_kernel([])
+        with pytest.raises(LaunchError, match="True"):
+            k(True, 256)
 
 
 class TestLaunchValidation:
@@ -183,6 +196,42 @@ class TestLaunchPackaging:
         k(1, 32)(x, y, 8)
         k(1, 32)(x, y, 8)
         assert k.launch_count == 2
+
+    def test_launch_count_counts_dispatches_of_a_bound_launch(self):
+        launches = []
+        k = make_kernel(launches)
+        x, y = DeviceArray(8), DeviceArray(8)
+        launch = k(1, 32).bind(x, y, 8)
+        assert k.launch_count == 0 and launches == []
+        for _ in range(3):
+            launch.dispatch()
+        k(1, 32)(x, y, 8)
+        assert k.launch_count == 4
+        assert launches[:3] == [launch] * 3
+        assert all(sent is launch for sent in launches[:3])
+        assert launches[3] == launch and launches[3] is not launch
+
+    def test_unattached_bound_launch_rejects_dispatch(self):
+        k = build_kernel(lambda x, n: None, "k", "ptr, sint32")
+        launch = k(1, 32).bind(DeviceArray(4), 4)
+        with pytest.raises(LaunchError, match="not attached"):
+            launch.dispatch()
+
+    def test_launch_facts_are_kept_on_the_launch(self):
+        k = make_kernel([])
+        x, y = DeviceArray(8, name="x"), DeviceArray(4, name="y")
+        launch = k(1, 32).bind(x, y, 8)
+        assert launch.data_bytes == float(x.nbytes + y.nbytes)
+        reads, writes, names = launch.tokens(0)
+        assert reads == (x.copy_keys[0], y.copy_keys[0])
+        assert writes == (y.copy_keys[0],)
+        assert names == ((x.copy_keys[0], "x"), (y.copy_keys[0], "y"))
+        assert launch.tokens(0) is launch.tokens(0)
+        # A rebuilt launch is equal and hashes alike, but builds its own.
+        rebuilt = type(launch)(*launch)
+        assert rebuilt == launch and hash(rebuilt) == hash(launch)
+        assert rebuilt.tokens(0) == launch.tokens(0)
+        assert rebuilt.tokens(0) is not launch.tokens(0)
 
 
 class TestCostModels:

@@ -61,3 +61,24 @@ def test_declarations_load_no_serving_module(module):
 def test_every_package_is_listed():
     assert len(MODULES) >= 16
     assert "repro.parallel" in MODULES and "repro.serve" in MODULES
+
+
+def test_timing_only_runs_load_no_scipy():
+    """scipy computes the workloads' kernels, and only there: importing
+    ``repro`` and running a timing-only cell of every benchmark under
+    every mode loads no scipy module."""
+    proc = _fresh_interpreter(
+        "import sys\n"
+        "import repro\n"
+        "from repro.harness.runner import run_cell\n"
+        "from repro.workloads import Mode\n"
+        "from repro.workloads.suite import BENCHMARKS, default_scales\n"
+        "gpu = 'GTX 1660 Super'\n"
+        "for name in sorted(BENCHMARKS):\n"
+        "    for mode in Mode:\n"
+        "        run_cell(name, gpu, default_scales(name, gpu)[0], mode,"
+        " iterations=1)\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

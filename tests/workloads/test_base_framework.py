@@ -1,5 +1,8 @@
 """Tests for the benchmark framework plumbing itself."""
 
+import collections
+import gc
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,8 @@ from repro.workloads.base import (
 )
 from repro.workloads.vec import VectorSquares
 from repro.gpusim import Device, SimEngine, GTX1660_SUPER
-from repro.memory import DeviceArray
+from repro.memory import DeviceArray, MovementPolicy
+from tests.workloads.conftest import TEST_SCALES
 
 
 class TestArrayDecl:
@@ -216,3 +220,51 @@ class TestBaselineHost:
         arr.mark_write(0)
         arr.copy_from_host(np.zeros(1 << 20, dtype=np.float32))
         assert engine.timeline.transfers() == []  # invalidate, not move
+
+
+def _cyclic_garbage(run) -> collections.Counter:
+    """The objects ``run()`` leaves that only the cyclic garbage
+    collector frees (reference cycles), counted by type."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return collections.Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+class TestRunsFreeThemselves:
+    """A finished run is freed by reference counting alone: its session,
+    DAG, arrays, kernels, streams and launches form no reference
+    cycle, so a grid of cells leaves the collector nothing to find."""
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_every_mode(self, mode, bench_name):
+        bench = create_benchmark(
+            bench_name, TEST_SCALES[bench_name], iterations=2, execute=False
+        )
+        assert _cyclic_garbage(lambda: bench.run("GTX 1660 Super", mode)) == {}
+
+    def test_functional_parallel_run(self):
+        bench = create_benchmark("b&s", 10_000, iterations=2)
+        bench.run("GTX 1660 Super")  # loads the kernels' scipy first
+        assert _cyclic_garbage(lambda: bench.run("GTX 1660 Super")) == {}
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"gpus": 2},
+            {"movement": MovementPolicy.BATCHED, "movement_window": 4},
+        ],
+        ids=["2gpu", "batched-w4"],
+    )
+    def test_parallel_variants(self, knobs):
+        bench = create_benchmark("img", 96, iterations=2, execute=False)
+        assert _cyclic_garbage(
+            lambda: bench.run("GTX 1660 Super", Mode.PARALLEL, **knobs)
+        ) == {}
