@@ -74,9 +74,10 @@ def submit_kernel(
     """The kernel submission path of every executor: declare the
     launch's accesses to ``coherence``, then submit the kernel on
     ``stream`` with the resulting fault charge and completion-applied
-    location-set transitions.  ``history`` receives a
-    :class:`KernelExecutionRecord` at completion, and ``on_complete``
-    is called with the completed op."""
+    location-set transitions.  At completion ``history`` receives the
+    launch's :class:`KernelExecutionRecord` and its statistics key (as
+    :meth:`KernelHistory.record` takes them), and ``on_complete`` is
+    called with the completed op."""
     # Priced first: a launch its cost model rejects plans no movement.
     resources: KernelResourceRequest = launch.resources()
     plan = coherence.acquire(
@@ -86,9 +87,7 @@ def submit_kernel(
     if plan.fault_bytes > 0:
         resources = combine_resources(resources, plan.fault_bytes)
     op = KernelOp(
-        label=launch.label,
-        resources=resources,
-        compute_fn=launch.execute,
+        label=launch.label, resources=resources, compute_fn=launch.body
     )
     # The launch's own race-detector tokens: tuples the launch keeps
     # and the collector untracks, so the timeline keeping these
@@ -101,7 +100,9 @@ def submit_kernel(
     if tags:
         info.update(tags)
     if history is not None:
-        op.on_complete.append(kernel_history_recorder(launch, history))
+        op.on_complete.append(
+            functools.partial(_record_execution, launch, history)
+        )
     if on_complete is not None:
         op.on_complete.append(on_complete)
     coherence.release(plan, op)
@@ -138,26 +139,27 @@ def library_call_resources(spec, cost_seconds: float) -> KernelResourceRequest:
     )
 
 
-def kernel_history_recorder(launch: KernelLaunch, sink):
-    """An ``on_complete`` callback feeding a
-    :class:`KernelExecutionRecord` for ``launch`` into ``sink`` (e.g.
-    ``KernelHistory.record`` or a per-tenant list's ``append``)."""
-
-    def record(completed_op) -> None:
-        stream = completed_op.stream
-        sink(
-            KernelExecutionRecord(
+def _record_execution(
+    launch: KernelLaunch, sink, completed_op: KernelOp
+) -> None:
+    """``on_complete`` of a kernel op with a history sink: hand ``sink``
+    the launch's :class:`KernelExecutionRecord` and statistics key."""
+    end = completed_op.end_time
+    sink(
+        tuple.__new__(
+            KernelExecutionRecord,
+            (
                 launch.label,
                 launch.threads_per_block,
                 launch.blocks,
                 launch.data_bytes,
-                completed_op.end_time - completed_op.start_time,
-                stream.stream_id if stream is not None else -1,
-                completed_op.end_time,
-            )
-        )
-
-    return record
+                end - completed_op.start_time,
+                completed_op.stream.stream_id,
+                end,
+            ),
+        ),
+        launch.history_key,
+    )
 
 
 class ExecutionContext(abc.ABC):

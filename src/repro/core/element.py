@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.memory.array import AccessKind, DeviceArray
+from repro.memory.array import AccessKind, DeviceArray, merged_access_kinds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gpusim.stream import SimEvent, SimStream
@@ -55,7 +55,6 @@ class ComputationalElement:
         "element_id",
         "label",
         "accesses",
-        "_arrays",
         "dependency_set",
         "stream",
         "finish_event",
@@ -67,23 +66,19 @@ class ComputationalElement:
         self,
         accesses: Sequence[tuple[DeviceArray, AccessKind]],
         label: str = "",
+        kinds: dict[int, AccessKind] | None = None,
     ) -> None:
         self.element_id: int = next(_element_counter)
         self.label = label or f"elem{self.element_id}"
         self.accesses: tuple[tuple[DeviceArray, AccessKind], ...] = tuple(
             accesses
         )
-        # Merge duplicate arrays (e.g. K(X, X)): a write wins over a read.
-        merged: dict[int, AccessKind] = {}
-        self._arrays: dict[int, DeviceArray] = {}
-        for array, kind in accesses:
-            self._arrays[id(array)] = array
-            prev = merged.get(id(array))
-            if prev is None:
-                merged[id(array)] = kind
-            elif prev is not kind:
-                merged[id(array)] = AccessKind.READ_WRITE
-        self.dependency_set: dict[int, AccessKind] = merged
+        # Duplicate arrays (e.g. K(X, X)) merge; ``kinds`` is that merge
+        # when the caller keeps it (a bound launch does), and the set is
+        # this element's own copy.
+        self.dependency_set: dict[int, AccessKind] = (
+            merged_access_kinds(accesses) if kinds is None else dict(kinds)
+        )
         self.stream: "SimStream | None" = None
         self.finish_event: "SimEvent | None" = None
         self.children_count: int = 0
@@ -116,9 +111,8 @@ class ComputationalElement:
         return isinstance(self, KernelElement)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        deps = {
-            self._arrays[a].name: k.value for a, k in self.dependency_set.items()
-        }
+        names = {id(a): a.name for a, _ in self.accesses}
+        deps = {names[a]: k.value for a, k in self.dependency_set.items()}
         return f"<{type(self).__name__} {self.label} dep_set={deps}>"
 
 
@@ -128,7 +122,9 @@ class KernelElement(ComputationalElement):
     __slots__ = ("launch",)
 
     def __init__(self, launch: "KernelLaunch") -> None:
-        super().__init__(launch.array_args, label=launch.label)
+        super().__init__(
+            launch.array_args, launch.label, launch.access_kinds()
+        )
         self.launch = launch
 
 

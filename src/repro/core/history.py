@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.gpusim.timeline import same_type_eq
+from repro.kernels.kernel import size_bucket
 
 
 class KernelExecutionRecord(NamedTuple):
@@ -42,16 +43,6 @@ class KernelExecutionRecord(NamedTuple):
     def seconds_per_byte(self) -> float:
         """Size-normalized cost, comparable across data sizes."""
         return self.duration / max(self.data_bytes, 1.0)
-
-
-def _size_bucket(data_bytes: float) -> int:
-    """Log2 bucket of the data size.
-
-    Executions whose inputs differ by less than 2x land in the same or
-    an adjacent bucket; the recommender searches nearby buckets so a
-    slightly larger input can still reuse evidence.
-    """
-    return max(0, int(math.log2(max(data_bytes, 1.0))))
 
 
 @dataclass
@@ -88,15 +79,23 @@ class KernelHistory:
 
     # -- recording -------------------------------------------------------
 
-    def record(self, record: KernelExecutionRecord) -> None:
+    def record(
+        self,
+        record: KernelExecutionRecord,
+        key: tuple[str, int, int] | None = None,
+    ) -> None:
+        """File one execution.  ``key`` is its statistics key (kernel
+        name, threads per block, size bucket) when the caller keeps it,
+        as a bound launch does (``KernelLaunch.history_key``)."""
         records = self._records[record.kernel_name]
         if len(records) < self.max_records_per_kernel:
             records.append(record)
-        key = (
-            record.kernel_name,
-            record.threads_per_block,
-            _size_bucket(record.data_bytes),
-        )
+        if key is None:
+            key = (
+                record.kernel_name,
+                record.threads_per_block,
+                size_bucket(record.data_bytes),
+            )
         self._stats[key].add(record)
 
     # -- queries -----------------------------------------------------------
@@ -154,7 +153,7 @@ class KernelHistory:
         (the caller should fall back to its default and thereby produce
         evidence for next time).
         """
-        target = _size_bucket(data_bytes)
+        target = size_bucket(data_bytes)
         candidates: dict[int, list[KernelStats]] = defaultdict(list)
         for (name, block, bucket), stats in self._stats.items():
             if name != kernel_name:

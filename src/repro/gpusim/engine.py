@@ -52,6 +52,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from collections import deque
 from typing import Callable, Iterable
 
@@ -86,6 +87,9 @@ _TRANSFER_KINDS = {
 #: empty dict, not a fresh one per row (a timeline never writes a row's
 #: annotations; records copy them).
 _NO_ANNOTATIONS: dict = {}
+
+#: Sort key of same-instant completions: the order the ops started.
+_START_ORDER = operator.attrgetter("start_seq")
 
 
 def _completion_threshold(op: Operation) -> float:
@@ -317,9 +321,9 @@ class SimEngine:
         if stream.stream_id not in self._streams:
             raise InvalidStateError(f"stream {stream.label} is foreign")
         op.submit_time = self.clock
-        was_busy = stream.busy
+        was_idle = stream.running is None and not stream.pending
         stream.submit(op)
-        if not was_busy:
+        if was_idle:
             # The new op is the stream head: the stream went idle->busy.
             self._busy_streams += 1
             self._ready_ids.add(stream.stream_id)
@@ -379,9 +383,9 @@ class SimEngine:
             event=event.label,
         ):
             self._fire_pre_sync_hooks()
-            self._run_until(
-                lambda: event.complete, what=f"event {event.label}"
-            )
+            while not event.complete:
+                if not self._step():
+                    raise self._deadlock(f"event {event.label}")
 
     def sync_stream(self, stream: SimStream) -> None:
         """Block the host until everything queued on ``stream`` completes."""
@@ -392,9 +396,9 @@ class SimEngine:
             stream=stream.stream_id,
         ):
             self._fire_pre_sync_hooks()
-            self._run_until(
-                lambda: not stream.busy, what=f"stream {stream.label}"
-            )
+            while stream.running is not None or stream.pending:
+                if not self._step():
+                    raise self._deadlock(f"stream {stream.label}")
 
     def sync_all(self) -> None:
         """Drain every stream (``cudaDeviceSynchronize``)."""
@@ -415,11 +419,6 @@ class SimEngine:
         return self._busy_streams == 0
 
     # -- core loop -------------------------------------------------------------
-
-    def _run_until(self, pred: Callable[[], bool], what: str) -> None:
-        while not pred():
-            if not self._step():
-                raise self._deadlock(what)
 
     @staticmethod
     def _deadlock(what: str) -> DeadlockError:
@@ -544,7 +543,7 @@ class SimEngine:
         if finished:
             # Same-instant completions fire in the order the ops started
             # (the legacy running-list order), not in per-run order.
-            finished.sort(key=lambda op: op.start_seq)
+            finished.sort(key=_START_ORDER)
             for op in finished:
                 self._complete(op)
         return True
@@ -767,18 +766,29 @@ class SimEngine:
         on its incomplete wait events and re-queued when they record.
         """
         progressed = False
-        while self._ready_ids:
+        ready = self._ready_ids
+        streams = self._streams
+        while ready:
             # Creation order (= ascending stream id), matching the
             # legacy full-scan pass order.
-            batch = sorted(self._ready_ids)
-            self._ready_ids.clear()
+            batch = sorted(ready)
+            ready.clear()
             for sid in batch:
-                stream = self._streams.get(sid)
-                if stream is None:
+                stream = streams.get(sid)
+                if stream is None or stream.running is not None:
                     continue
-                op = stream.head_if_ready()
-                if op is None:
-                    self._park_if_blocked(stream)
+                pending = stream.pending
+                if not pending:
+                    continue
+                op = pending[0]
+                blocked = False
+                for event in op.wait_events:
+                    if not event.complete:
+                        # Park the stream on the event: its record (the
+                        # only way the head can unblock) re-queues it.
+                        event.add_waiter(stream)
+                        blocked = True
+                if blocked:
                     continue
                 self._start(op)
                 progressed = True
@@ -786,22 +796,11 @@ class SimEngine:
                     self._complete(op)
         return progressed
 
-    def _park_if_blocked(self, stream: SimStream) -> None:
-        """Register a blocked stream head on its incomplete wait events,
-        so the event records (the only way the head can unblock) re-queue
-        the stream instead of every step re-scanning it."""
-        if stream.running is not None or not stream.pending:
-            return
-        head = stream.pending[0]
-        for event in head.wait_events:
-            if not event.complete:
-                event.add_waiter(stream)
-
     # -- op lifecycle -----------------------------------------------------------
 
     def _start(self, op: Operation) -> None:
-        assert op.stream is not None
-        op.stream.begin(op)
+        stream = op.stream
+        stream.begin(op)
         op.state = OpState.RUNNING
         op.start_time = self.clock
         if not op.instantaneous:
@@ -816,14 +815,15 @@ class SimEngine:
                 f"start:{op.label}",
                 track=self._obs_track,
                 vt=self.clock,
-                stream=op.stream.stream_id,
+                stream=stream.stream_id,
             )
 
     def _class_add(self, op: Operation) -> None:
         """File a newly running op into its contention-class run."""
         assert op.stream is not None
         device_index = op.stream.device_index
-        if isinstance(op, KernelOp):
+        op_class = op.__class__
+        if op_class is KernelOp:
             model = self.devices[device_index].contention
             cls = model.class_add(op)
             self._op_run[op.op_id] = (model, cls)
@@ -835,7 +835,7 @@ class SimEngine:
                 run.laggards.append(
                     (op, run.chain_base + len(run.chain))
                 )
-        elif isinstance(op, TransferOp):
+        elif op_class is TransferOp:
             key = (device_index, op.direction)
             run = self._transfer_runs.get(key)
             if run is None:
@@ -888,10 +888,11 @@ class SimEngine:
         self._c_running_set_changes.value += 1
 
     def _complete(self, op: Operation) -> None:
-        assert op.stream is not None
         op.state = OpState.COMPLETE
-        op.end_time = self.clock
-        self._remove_running(op)
+        clock = op.end_time = self.clock
+        if not op.instantaneous:
+            # Instantaneous ops never joined the running set.
+            self._remove_running(op)
         stream = op.stream
         stream.finish(op)
         if stream.pending:
@@ -899,50 +900,43 @@ class SimEngine:
             self._ready_ids.add(stream.stream_id)
         else:
             self._busy_streams -= 1
-        self._record(op)
-        self._apply_effects(op)
+        # The op's row, then its effect, by the op's exact class.  The
+        # row holds fields only: the timeline keeps ``op.info`` and
+        # builds records (and their merged meta) when read.
+        op_class = op.__class__
+        if op_class is KernelOp:
+            self.timeline.append(
+                op.op_id, op.label, IntervalKind.KERNEL, stream.stream_id,
+                op.start_time, clock, 0.0, op.info, op.resources,
+            )
+            if op.compute_fn is not None:
+                op.compute_fn()
+        elif op_class is TransferOp:
+            self.timeline.append(
+                op.op_id, op.label, _TRANSFER_KINDS[op.direction],
+                stream.stream_id, op.start_time, clock, op.nbytes,
+                op.info, op.kind,
+            )
+            if op.apply_fn is not None:
+                op.apply_fn()
+        else:
+            self.timeline.append(
+                op.op_id, op.label, IntervalKind.EVENT, stream.stream_id,
+                op.start_time, clock, 0.0, op.info or _NO_ANNOTATIONS,
+            )
+            if op_class is EventRecordOp:
+                event = op.event
+                event._record(clock)
+                for waiter in event.pop_waiters():
+                    if waiter.stream_id in self._streams:
+                        self._ready_ids.add(waiter.stream_id)
         if self.tracer.enabled and not op.instantaneous:
             self.tracer.complete(
                 op.label,
                 track=self._obs_track,
                 vt_start=op.start_time,
-                vt_end=op.end_time,
+                vt_end=clock,
                 stream=stream.stream_id,
             )
         for callback in op.on_complete:
             callback(op)
-
-    def _apply_effects(self, op: Operation) -> None:
-        if isinstance(op, EventRecordOp):
-            assert op.event is not None
-            op.event._record(self.clock)
-            for waiter in op.event.pop_waiters():
-                if waiter.stream_id in self._streams:
-                    self._ready_ids.add(waiter.stream_id)
-        elif isinstance(op, TransferOp) and op.apply_fn is not None:
-            op.apply_fn()
-        elif isinstance(op, KernelOp) and op.compute_fn is not None:
-            op.compute_fn()
-
-    def _record(self, op: Operation) -> None:
-        # Fields only: the timeline keeps ``op.info`` and builds records
-        # (and their merged meta) when read.
-        assert op.stream is not None
-        if isinstance(op, KernelOp):
-            self.timeline.append(
-                op.op_id, op.label, IntervalKind.KERNEL,
-                op.stream.stream_id, op.start_time, op.end_time, 0.0,
-                op.info, op.resources,
-            )
-        elif isinstance(op, TransferOp):
-            self.timeline.append(
-                op.op_id, op.label, _TRANSFER_KINDS[op.direction],
-                op.stream.stream_id, op.start_time, op.end_time, op.nbytes,
-                op.info, op.kind,
-            )
-        else:
-            self.timeline.append(
-                op.op_id, op.label, IntervalKind.EVENT,
-                op.stream.stream_id, op.start_time, op.end_time, 0.0,
-                op.info or _NO_ANNOTATIONS,
-            )

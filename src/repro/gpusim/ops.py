@@ -138,41 +138,48 @@ class KernelResourceRequest:
         return self._sig
 
 
-@dataclass
+_NAN = float("nan")
+
+
 class Operation:
     """Base class for everything submitted to a stream.
 
     ``work`` is a dimensionless quantity: the contention model returns
     rates in work-units/second, so each subclass chooses its own scale
-    (bytes for transfers, 1.0 for kernels).
+    (bytes for transfers, 1.0 for kernels).  Ops are built per
+    submission, so every class of the hierarchy is slotted and sets its
+    fields in one constructor; equality and hashing are by identity.
     """
 
-    label: str = ""
-    op_id: int = field(default_factory=lambda: next(_op_counter))
-    state: OpState = field(default=OpState.QUEUED, init=False)
-    stream: "SimStream | None" = field(default=None, init=False)
-    wait_events: list["SimEvent"] = field(default_factory=list, init=False)
-    submit_time: float = field(default=float("nan"), init=False)
-    start_time: float = field(default=float("nan"), init=False)
-    end_time: float = field(default=float("nan"), init=False)
-    work_total: float = field(default=0.0, init=False)
-    work_remaining: float = field(default=0.0, init=False)
-    #: order in which the op entered the engine's running set; completion
-    #: processing of same-instant finishes follows this sequence
-    start_seq: int = field(default=-1, init=False)
-    on_complete: list[Callable[["Operation"], None]] = field(
-        default_factory=list, init=False
+    __slots__ = (
+        "label", "op_id", "state", "stream", "wait_events", "submit_time",
+        "start_time", "end_time", "work_total", "work_remaining",
+        "instantaneous", "start_seq", "on_complete", "info",
     )
-    #: annotations the timeline keeps for the op's row and merges into
-    #: its records' ``meta`` (e.g. the race detector's read/write
-    #: tokens); they hold only scalars and exact tuples, so the kept
-    #: dict is untracked by the collector (see repro.gpusim.timeline)
-    info: dict = field(default_factory=dict, init=False)
 
-    @property
-    def instantaneous(self) -> bool:
-        """True for zero-duration bookkeeping ops (events)."""
-        return self.work_total == 0.0
+    def __init__(self, label: str = "", op_id: int | None = None) -> None:
+        self.label = label
+        self.op_id: int = next(_op_counter) if op_id is None else op_id
+        self.state = OpState.QUEUED
+        self.stream: "SimStream | None" = None
+        self.wait_events: list["SimEvent"] = []
+        self.submit_time = _NAN
+        self.start_time = _NAN
+        self.end_time = _NAN
+        self.work_total = 0.0
+        self.work_remaining = 0.0
+        #: True for zero-duration bookkeeping ops (events, empty
+        #: transfers): fixed with the op's work at construction
+        self.instantaneous = True
+        #: order in which the op entered the engine's running set; completion
+        #: processing of same-instant finishes follows this sequence
+        self.start_seq = -1
+        self.on_complete: list[Callable[["Operation"], None]] = []
+        #: annotations the timeline keeps for the op's row and merges into
+        #: its records' ``meta`` (e.g. the race detector's read/write
+        #: tokens); they hold only scalars and exact tuples, so the kept
+        #: dict is untracked by the collector (see repro.gpusim.timeline)
+        self.info: dict = {}
 
     @property
     def is_kernel(self) -> bool:
@@ -205,58 +212,90 @@ class Operation:
         return self is other
 
 
-@dataclass(eq=False)
 class KernelOp(Operation):
     """One kernel launch.  ``work_total`` is normalized to 1.0: the
     contention model converts resource shares into a rate of
-    ``1 / effective_duration`` per second."""
+    ``1 / effective_duration`` per second.  ``compute_fn`` is the
+    launch's functional body, None for a timing-only launch."""
 
-    resources: KernelResourceRequest | None = None
-    compute_fn: Callable[[], None] | None = None
+    __slots__ = ("resources", "compute_fn")
 
-    def __post_init__(self) -> None:
-        if self.resources is None:
+    def __init__(
+        self,
+        label: str = "",
+        op_id: int | None = None,
+        resources: KernelResourceRequest | None = None,
+        compute_fn: Callable[[], None] | None = None,
+    ) -> None:
+        super().__init__(label, op_id)
+        if resources is None:
             raise ValueError("KernelOp requires a KernelResourceRequest")
+        self.resources = resources
+        self.compute_fn = compute_fn
         self.work_total = 1.0
         self.work_remaining = 1.0
+        self.instantaneous = False
 
 
-@dataclass(eq=False)
 class TransferOp(Operation):
     """One PCIe transfer; ``work`` is measured in bytes."""
 
-    direction: TransferDirection = TransferDirection.HOST_TO_DEVICE
-    nbytes: float = 0.0
-    kind: TransferKind = TransferKind.EXPLICIT
-    apply_fn: Callable[[], None] | None = None
+    __slots__ = ("direction", "nbytes", "kind", "apply_fn")
 
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
+    def __init__(
+        self,
+        label: str = "",
+        op_id: int | None = None,
+        direction: TransferDirection = TransferDirection.HOST_TO_DEVICE,
+        nbytes: float = 0.0,
+        kind: TransferKind = TransferKind.EXPLICIT,
+        apply_fn: Callable[[], None] | None = None,
+    ) -> None:
+        super().__init__(label, op_id)
+        if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        self.work_total = float(self.nbytes)
-        self.work_remaining = float(self.nbytes)
+        self.direction = direction
+        self.nbytes = nbytes
+        self.kind = kind
+        self.apply_fn = apply_fn
+        work = float(nbytes)
+        self.work_total = work
+        self.work_remaining = work
+        self.instantaneous = work == 0.0
 
 
-@dataclass(eq=False)
 class EventRecordOp(Operation):
     """Records a :class:`SimEvent` when reached in stream order
     (``cudaEventRecord``).  Zero duration."""
 
-    event: "SimEvent | None" = None
+    __slots__ = ("event",)
 
-    def __post_init__(self) -> None:
-        if self.event is None:
+    def __init__(
+        self,
+        label: str = "",
+        op_id: int | None = None,
+        event: "SimEvent | None" = None,
+    ) -> None:
+        super().__init__(label, op_id)
+        if event is None:
             raise ValueError("EventRecordOp requires an event")
+        self.event = event
 
 
-@dataclass(eq=False)
 class EventWaitOp(Operation):
     """Blocks its stream until an event completes
     (``cudaStreamWaitEvent``).  Zero duration once the event is done."""
 
-    event: "SimEvent | None" = None
+    __slots__ = ("event",)
 
-    def __post_init__(self) -> None:
-        if self.event is None:
+    def __init__(
+        self,
+        label: str = "",
+        op_id: int | None = None,
+        event: "SimEvent | None" = None,
+    ) -> None:
+        super().__init__(label, op_id)
+        if event is None:
             raise ValueError("EventWaitOp requires an event")
-        self.add_wait(self.event)
+        self.event = event
+        self.wait_events.append(event)

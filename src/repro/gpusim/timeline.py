@@ -20,12 +20,14 @@ only scalars and exact tuples of them.  CPython untracks such a tuple
 at its next collection and such a dict at the next full one; a record,
 a set or an enum member it never untracks.  A grid pass keeps every
 cell's timeline, so a tracked object per row made each full collection
-traverse them all.
+traverse them all — and so did a slot per row in a list: the other
+columns are typed arrays and small-int codes, which it never visits.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
@@ -49,6 +51,15 @@ class IntervalKind(enum.Enum):
     def __init__(self, value: str) -> None:
         # A member attribute: the timeline asks it once per record.
         self.is_transfer = value in ("htod", "dtoh", "d2d")
+
+
+#: The interval kinds by the small-int code a timeline row stores, which
+#: each kind also carries as its ``code``.
+_KINDS = tuple(IntervalKind)
+for _code, _kind in enumerate(_KINDS):
+    _kind.code = _code
+del _code, _kind
+_KERNEL = IntervalKind.KERNEL.code
 
 
 class _Interval(NamedTuple):
@@ -120,12 +131,19 @@ _BARE = object()
 class Timeline:
     """An append-only table of completed operations.
 
-    Each row is one operation, stored as columns (op ids, labels, kinds,
-    stream ids, starts, ends, byte counts), plus the op's own annotation
-    dict and one per-kind value: a kernel's resource request or a
-    transfer's kind.  :class:`TimelineRecord` s are built when read, with
-    the same fields and the same meta (the per-kind value first, under
-    ``"resources"`` or ``"kind"``, then the annotations) in row order.
+    Each row is one operation: its op id, label, kind, stream id, start,
+    end and byte count, the op's own annotation dict, and one per-kind
+    value — a kernel's resource request or a transfer's kind.
+    :class:`TimelineRecord` s are built when read, with the same fields
+    and the same meta (the per-kind value first, under ``"resources"``
+    or ``"kind"``, then the annotations) in row order.
+
+    The annotation dicts are the one list a row grows; the other columns
+    are typed arrays (ids, times, byte counts) and small-int codes (the
+    kind, and the label and per-kind value into per-timeline tables),
+    which the collector does not walk.  Every field reads back with its
+    value and type: a byte count given as an ``int`` (a transfer's)
+    reads back as one, exact below 2**53.
 
     Aggregates (``start``/``end``/``makespan``, per-kind duration and
     byte totals) are maintained incrementally in :meth:`append`: metrics
@@ -136,15 +154,23 @@ class Timeline:
     """
 
     def __init__(self) -> None:
-        self._op_ids: list[int] = []
-        self._labels: list[str] = []
-        self._kinds: list[IntervalKind] = []
-        self._stream_ids: list[int] = []
-        self._starts: list[float] = []
-        self._ends: list[float] = []
-        self._nbytes: list[float] = []
+        self._op_ids = array("q")
+        self._labels = array("l")
+        self._kinds = bytearray()
+        self._stream_ids = array("q")
+        self._starts = array("d")
+        self._ends = array("d")
+        self._nbytes = array("d")
+        #: 1 where the row's byte count was an ``int``
+        self._int_nbytes = bytearray()
         self._infos: list[dict] = []
-        self._heads: list[object] = []
+        self._heads = array("l")
+        #: label code -> label, and back
+        self._label_table: list[str] = []
+        self._label_codes: dict[str, int] = {}
+        #: per-kind value code -> value (0: none), and back by identity
+        self._head_table: list[object] = [None]
+        self._head_codes: dict[int, int] = {}
         self._start: float | None = None
         self._end: float | None = None
         self._kernel_time: float = 0.0
@@ -167,15 +193,30 @@ class Timeline:
         per-kind value a record's meta leads with (none when omitted)."""
         if end < start:
             raise ValueError(f"record {label!r}: end {end} < start {start}")
+        try:
+            label_code = self._label_codes[label]
+        except KeyError:
+            label_code = self._label_codes[label] = len(self._label_table)
+            self._label_table.append(label)
+        self._labels.append(label_code)
+        if head is _BARE:
+            head_code = 0
+        else:
+            try:
+                head_code = self._head_codes[id(head)]
+            except KeyError:
+                head_code = len(self._head_table)
+                self._head_codes[id(head)] = head_code
+                self._head_table.append(head)
+        self._heads.append(head_code)
         self._op_ids.append(op_id)
-        self._labels.append(label)
-        self._kinds.append(kind)
+        self._kinds.append(kind.code)
         self._stream_ids.append(stream_id)
         self._starts.append(start)
         self._ends.append(end)
         self._nbytes.append(nbytes)
+        self._int_nbytes.append(nbytes.__class__ is int)
         self._infos.append(info)
-        self._heads.append(head)
         duration = end - start
         if duration > 0:
             if self._start is None or start < self._start:
@@ -192,24 +233,42 @@ class Timeline:
         """Append ``record``; it reads back equal, with equal meta."""
         self.append(*record[:7], record.meta)
 
+    def _nbytes_at(self, row: int) -> float:
+        nbytes = self._nbytes[row]
+        return int(nbytes) if self._int_nbytes[row] else nbytes
+
     def _record(self, row: int) -> TimelineRecord:
-        kind = self._kinds[row]
+        kind = _KINDS[self._kinds[row]]
         head = self._heads[row]
         info = self._infos[row]
-        if head is _BARE:
+        if not head:
             meta = dict(info)
         elif kind is IntervalKind.KERNEL:
-            meta = {"resources": head, **info}
+            meta = {"resources": self._head_table[head], **info}
         else:
-            meta = {"kind": head, **info}
+            meta = {"kind": self._head_table[head], **info}
         return tuple.__new__(
             TimelineRecord,
             (
-                self._op_ids[row], self._labels[row], kind,
-                self._stream_ids[row], self._starts[row], self._ends[row],
-                self._nbytes[row], meta,
+                self._op_ids[row], self._label_table[self._labels[row]],
+                kind, self._stream_ids[row], self._starts[row],
+                self._ends[row], self._nbytes_at(row), meta,
             ),
         )
+
+    def __getstate__(self) -> dict:
+        # Head codes are keyed by identity, which a copy does not keep.
+        state = self.__dict__.copy()
+        del state["_head_codes"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._head_codes = {
+            id(head): code
+            for code, head in enumerate(self._head_table)
+            if code
+        }
 
     def __len__(self) -> int:
         return len(self._op_ids)
@@ -229,15 +288,15 @@ class Timeline:
     def kernels(self) -> list[TimelineRecord]:
         return [
             self._record(row)
-            for row, kind in enumerate(self._kinds)
-            if kind is IntervalKind.KERNEL
+            for row, code in enumerate(self._kinds)
+            if code == _KERNEL
         ]
 
     def transfers(self) -> list[TimelineRecord]:
         return [
             self._record(row)
-            for row, kind in enumerate(self._kinds)
-            if kind.is_transfer
+            for row, code in enumerate(self._kinds)
+            if _KINDS[code].is_transfer
         ]
 
     def by_stream(self, stream_id: int) -> list[TimelineRecord]:
@@ -256,8 +315,8 @@ class Timeline:
         """Ids of the streams that ran at least one kernel."""
         return {
             sid
-            for sid, kind in zip(self._stream_ids, self._kinds)
-            if kind is IntervalKind.KERNEL
+            for sid, code in zip(self._stream_ids, self._kinds)
+            if code == _KERNEL
         }
 
     def spans(self, *, transfers: bool = True) -> list[tuple[float, float]]:
@@ -265,8 +324,8 @@ class Timeline:
         when ``transfers``, in row order."""
         return [
             (start, end)
-            for start, end, kind in zip(self._starts, self._ends, self._kinds)
-            if kind is IntervalKind.KERNEL or (transfers and kind.is_transfer)
+            for start, end, code in zip(self._starts, self._ends, self._kinds)
+            if code == _KERNEL or (transfers and _KINDS[code].is_transfer)
         ]
 
     def split_by(self, key: str, into: Mapping[object, "Timeline"]) -> None:
@@ -276,11 +335,13 @@ class Timeline:
         for row, info in enumerate(self._infos):
             target = into.get(info.get(key))
             if target is not None:
+                head = self._heads[row]
                 target.append(
-                    self._op_ids[row], self._labels[row], self._kinds[row],
-                    self._stream_ids[row], self._starts[row],
-                    self._ends[row], self._nbytes[row], info,
-                    self._heads[row],
+                    self._op_ids[row], self._label_table[self._labels[row]],
+                    _KINDS[self._kinds[row]], self._stream_ids[row],
+                    self._starts[row], self._ends[row],
+                    self._nbytes_at(row), info,
+                    self._head_table[head] if head else _BARE,
                 )
 
     # -- aggregates ---------------------------------------------------------
@@ -326,12 +387,14 @@ class Timeline:
         scale = (width - 1) / (t1 - t0)
         rows = {sid: [" "] * width for sid in self.stream_ids()}
         # One pass over the rows: each draws on its stream's line.
-        for sid, kind, label, start, end in zip(
+        for sid, code, label_code, start, end in zip(
             self._stream_ids, self._kinds, self._labels, self._starts,
             self._ends,
         ):
             if end - start <= 0:
                 continue
+            kind = _KINDS[code]
+            label = self._label_table[label_code]
             row = rows[sid]
             a = int((start - t0) * scale)
             b = max(a + 1, int((end - t0) * scale))

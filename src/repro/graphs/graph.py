@@ -22,7 +22,7 @@ from repro.core.context import submit_kernel
 from repro.errors import GraphError
 from repro.gpusim.engine import SimEngine
 from repro.gpusim.stream import SimEvent, SimStream
-from repro.kernels.kernel import Kernel, KernelLaunch, normalize_dim
+from repro.kernels.kernel import Kernel, KernelLaunch
 from repro.memory.coherence import CoherenceEngine, MovementPolicy
 
 _node_counter = itertools.count()
@@ -76,10 +76,9 @@ class CudaGraph:
         args: tuple[Any, ...],
         deps: list[GraphNode] | tuple[GraphNode, ...] = (),
     ) -> GraphNode:
-        """``cudaGraphAddKernelNode``: explicit dependencies, no capture."""
-        launch = kernel.bind_args(
-            tuple(args), normalize_dim(grid), normalize_dim(block)
-        )
+        """``cudaGraphAddKernelNode``: explicit dependencies, no capture.
+        The geometry is checked as a direct launch checks it."""
+        launch = kernel(grid, block).bind(*args)
         return self._add(
             GraphNode(
                 kind=NodeKind.KERNEL,

@@ -30,14 +30,19 @@ its engine, so a run never pays collector passes over other cells'
 garbage.
 
 Results are written to ``BENCH_simulator.json`` so the perf trajectory
-of the substrate is recorded alongside the paper figures.
+of the substrate is recorded alongside the paper figures, with the
+machine that measured it (core count, Python and numpy versions).
 """
 
 from __future__ import annotations
 
 import gc
+import os
+import platform
 import time
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from repro.gpusim.device import Device
 from repro.gpusim.engine import SimEngine
@@ -370,6 +375,11 @@ def sim_bench(
         # keys against this before reading any numbers.
         "schema_version": 1,
         "benchmark": "sim-bench",
+        "machine": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
         "gpu": gpu,
         "near_linear_factor": NEAR_LINEAR_FACTOR,
         "cells": [asdict(c) for c in cells],

@@ -15,15 +15,17 @@ launch over on every iteration (:meth:`KernelLaunch.dispatch`).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from repro.errors import LaunchError
+from repro.gpusim.ops import KernelResourceRequest
 from repro.gpusim.timeline import same_type_eq
 from repro.kernels.profile import CostModel
 from repro.kernels.signature import Signature
-from repro.memory.array import AccessKind, DeviceArray
+from repro.memory.array import AccessKind, DeviceArray, merged_access_kinds
 
 #: CUDA limits: threads per block in [1, 1024]; paper sweeps 32..1024.
 MAX_THREADS_PER_BLOCK = 1024
@@ -63,6 +65,16 @@ def _dim_product(dim: Dim) -> int:
     return dim[0] * dim[1] * dim[2]
 
 
+def size_bucket(data_bytes: float) -> int:
+    """Log2 bucket of a launch's data size.
+
+    Executions whose inputs differ by less than 2x land in the same or
+    an adjacent bucket; the block-size recommender searches nearby
+    buckets so a slightly larger input can still reuse evidence.
+    """
+    return max(0, int(math.log2(max(data_bytes, 1.0))))
+
+
 class _LaunchFields(NamedTuple):
     """The read-only fields of a :class:`KernelLaunch`."""
 
@@ -79,12 +91,14 @@ class KernelLaunch(_LaunchFields):
 
     A launch is read-only and may be dispatched many times: a host
     program's loop binds its launches once and dispatches each on every
-    iteration.  What a submission derives from the launch alone — the
-    history record's :attr:`data_bytes` and the race detector's
-    per-device :meth:`tokens` — is built on first use and kept in the
-    launch's own instance dict, so it lives exactly as long as the
-    launch.  Arrays keep their name and copy tokens for life, so the
-    kept values never go stale.
+    iteration.  What a submission derives from the launch alone is kept
+    on the launch, so it lives exactly as long as the launch: its label
+    and geometry products (set at construction), and, built on first
+    use, its price (:meth:`resources`), the history record's
+    :attr:`data_bytes` and stats key (:attr:`history_key`), the merged
+    :meth:`access_kinds` of its array arguments and the race detector's
+    per-device :meth:`tokens`.  Arrays keep their size, name and copy
+    tokens for life, so the kept values never go stale.
     """
 
     __eq__ = same_type_eq
@@ -92,24 +106,34 @@ class KernelLaunch(_LaunchFields):
     __hash__ = tuple.__hash__
 
     # The launch facts, until first use (then instance attributes).
+    _resources: KernelResourceRequest | None = None
     _data_bytes: float | None = None
+    _history_key: tuple[str, int, int] | None = None
+    _access_kinds: dict[int, AccessKind] | None = None
     _tokens: dict[int, tuple[tuple, tuple, tuple]] | None = None
 
-    @property
-    def threads_per_block(self) -> int:
-        return _dim_product(self.block)
+    def __new__(
+        cls,
+        kernel: "Kernel",
+        grid: Dim,
+        block: Dim,
+        args: tuple[Any, ...],
+        array_args: tuple[tuple[DeviceArray, AccessKind], ...],
+        scalar_args: tuple[Any, ...],
+    ) -> "KernelLaunch":
+        self = tuple.__new__(
+            cls, (kernel, grid, block, args, array_args, scalar_args)
+        )
+        self.label = kernel.name
+        self.threads_per_block = _dim_product(block)
+        self.blocks = _dim_product(grid)
+        self.threads_total = self.blocks * self.threads_per_block
+        return self
 
-    @property
-    def blocks(self) -> int:
-        return _dim_product(self.grid)
-
-    @property
-    def threads_total(self) -> int:
-        return self.blocks * self.threads_per_block
-
-    @property
-    def label(self) -> str:
-        return self.kernel.name
+    @classmethod
+    def _make(cls, iterable) -> "KernelLaunch":
+        # Through __new__, so that ``_replace`` sets the facts too.
+        return cls(*iterable)
 
     @property
     def data_bytes(self) -> float:
@@ -119,6 +143,31 @@ class KernelLaunch(_LaunchFields):
         if found is None:
             found = self._data_bytes = float(
                 sum(a.nbytes for a, _ in self.array_args)
+            )
+        return found
+
+    @property
+    def history_key(self) -> tuple[str, int, int]:
+        """The :class:`~repro.core.history.KernelHistory` statistics
+        key of this launch's executions: kernel name, threads per block
+        and the :func:`size_bucket` of :attr:`data_bytes`."""
+        found = self._history_key
+        if found is None:
+            found = self._history_key = (
+                self.label, self.threads_per_block,
+                size_bucket(self.data_bytes),
+            )
+        return found
+
+    def access_kinds(self) -> dict[int, AccessKind]:
+        """``id(array) -> access kind`` over the distinct array
+        arguments (:func:`~repro.memory.array.merged_access_kinds`),
+        built on first use and shared by every submission: a caller
+        that mutates it works on a copy."""
+        found = self._access_kinds
+        if found is None:
+            found = self._access_kinds = merged_access_kinds(
+                self.array_args
             )
         return found
 
@@ -167,13 +216,28 @@ class KernelLaunch(_LaunchFields):
             )
         kernel.launch_handler(self)
 
-    def resources(self):
-        """Price this launch with the kernel's cost model; an invalid
-        price fails the launch, naming the kernel."""
-        try:
-            return self.kernel.cost_model.resources(self)
-        except ValueError as exc:
-            raise LaunchError(f"{self.kernel.name}: {exc}") from exc
+    def resources(self) -> KernelResourceRequest:
+        """This launch's price under its kernel's cost model, priced on
+        first use and kept; an invalid price fails the launch, naming
+        the kernel."""
+        found = self._resources
+        if found is None:
+            try:
+                found = self._resources = self.kernel.cost_model.resources(
+                    self
+                )
+            except ValueError as exc:
+                raise LaunchError(f"{self.kernel.name}: {exc}") from exc
+        return found
+
+    @property
+    def body(self) -> Callable[[], None] | None:
+        """What the simulator runs when the launch completes: its
+        :meth:`execute`, or None for a timing-only kernel, which
+        computes nothing."""
+        if self.kernel.compute_fn is timing_only:
+            return None
+        return self.execute
 
     def execute(self) -> None:
         """Run the functional (numpy) implementation.

@@ -15,7 +15,7 @@ exact while the simulator charges realistic migration costs.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,6 +35,22 @@ class AccessKind(enum.Enum):
         # property comparing enum members.
         self.reads = value != "write"
         self.writes = value != "read"
+
+
+def merged_access_kinds(
+    accesses: Iterable[tuple[DeviceArray, AccessKind]],
+) -> dict[int, AccessKind]:
+    """``id(array) -> access kind`` over the distinct arrays of
+    ``accesses``: an array passed twice (``K(X, X)``) with two different
+    kinds is read and written."""
+    merged: dict[int, AccessKind] = {}
+    for array, kind in accesses:
+        prev = merged.get(id(array))
+        if prev is None:
+            merged[id(array)] = kind
+        elif prev is not kind:
+            merged[id(array)] = AccessKind.READ_WRITE
+    return merged
 
 
 #: Signature of the CPU-access hook installed by the execution context.

@@ -60,7 +60,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Sequence
 
 from repro.gpusim.ops import (
     Operation,
@@ -82,6 +83,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: ``CoherenceEngine._pending`` entry of a copy with nothing in flight
 _NOTHING_PENDING: tuple[None, None] = (None, None)
 
+#: The location-set transitions a completing op commits (the ``kind`` of
+#: a ``(array, kind, device, epoch)`` transition): a device obtained a
+#: valid copy, a device wrote the array, or the host obtained one.
+_MARK_READ, _MARK_WRITE, _MARK_CPU_READ = range(3)
+
 
 class MovementPolicy(enum.Enum):
     """How the runtime moves stale data to the device (see module docs)."""
@@ -91,26 +97,27 @@ class MovementPolicy(enum.Enum):
     BATCHED = "batched"
 
 
-@dataclass
 class AcquirePlan:
     """Outcome of one :meth:`CoherenceEngine.acquire` declaration.
 
     ``fault_bytes`` must be charged to the compute op (the page-fault
     path migrates *during* execution); ``completion_marks`` are the
-    location-set transitions :meth:`CoherenceEngine.release` binds to
-    the op so they apply at completion time.
+    location-set transitions, ``(array, kind, device, epoch)`` tuples,
+    that :meth:`CoherenceEngine.release` binds to the op so they apply
+    at completion time.
     """
 
-    fault_bytes: float = 0.0
-    completion_marks: list[Callable[[], None]] = field(default_factory=list)
-    #: (array, device) replicas this acquire materializes through the
-    #: fault engine — the caller binds the compute op's finish event to
-    #: them via :meth:`CoherenceEngine.register_fault_ordering`, so
-    #: later consumers sourcing from the replica wait for the kernel
-    #: that actually creates it
-    fault_replicas: list[tuple[DeviceArray, int]] = field(
-        default_factory=list
-    )
+    __slots__ = ("fault_bytes", "completion_marks", "fault_replicas")
+
+    def __init__(self) -> None:
+        self.fault_bytes = 0.0
+        self.completion_marks: list[tuple] = []
+        #: (array, device) replicas this acquire materializes through
+        #: the fault engine — the caller binds the compute op's finish
+        #: event to them via :meth:`CoherenceEngine.register_fault_ordering`,
+        #: so later consumers sourcing from the replica wait for the
+        #: kernel that actually creates it
+        self.fault_replicas: list[tuple[DeviceArray, int]] = []
 
 
 @dataclass
@@ -129,7 +136,6 @@ class _WindowGroup:
     source_events: list = field(default_factory=list)
 
 
-@dataclass
 class _Planned:
     """In-flight overlay over one array's committed location set.
 
@@ -143,10 +149,13 @@ class _Planned:
     not resurrect device replicas when their ops finally land.
     """
 
-    valid_on: set[int]
-    host_valid: bool
-    epoch: int
-    outstanding: int = 0
+    __slots__ = ("valid_on", "host_valid", "epoch", "outstanding")
+
+    def __init__(self, valid_on: set[int], host_valid: bool, epoch: int):
+        self.valid_on = valid_on
+        self.host_valid = host_valid
+        self.epoch = epoch
+        self.outstanding = 0
 
 
 class CoherenceEngine:
@@ -177,6 +186,10 @@ class CoherenceEngine:
     ) -> None:
         self.engine = engine
         self.policy = policy
+        #: per device of ``engine``: whether it has a page-fault engine
+        self._faults = tuple(
+            d.spec.supports_page_faults for d in engine.devices
+        )
         #: submission-window size for cross-acquire BATCHED coalescing:
         #: 0 flushes per acquire (classic BATCHED); N > 0 merges the
         #: stale inputs of up to N adjacent acquires into one transfer
@@ -276,12 +289,6 @@ class CoherenceEngine:
     def window_flushes(self) -> int:
         return self._c_window_flushes.value
 
-    @property
-    def tracer(self):
-        """The owning engine's tracer (coherence events ride it); falls
-        back to the null tracer for engines without one."""
-        return getattr(self.engine, "tracer", NULL_TRACER)
-
     # -- planned-view queries -------------------------------------------------
 
     def resident(self, array: DeviceArray, device_index: int) -> bool:
@@ -325,34 +332,37 @@ class CoherenceEngine:
         plan = self._planned.get(id(array))
         if plan is None:
             plan = _Planned(
-                valid_on=set(array.valid_on),
-                host_valid=array.host_valid,
-                epoch=self._epoch.get(id(array), 0),
+                set(array.valid_on),
+                array.host_valid,
+                self._epoch.get(id(array), 0),
             )
             self._planned[id(array)] = plan
         return plan
 
-    def _committer(
-        self, array: DeviceArray, mark: Callable[[], None]
-    ) -> Callable[[], None]:
-        """A completion callback applying one committed location-set
-        transition, dead if a host write bumped the epoch, retiring the
-        overlay when the last in-flight transition lands."""
-        overlay = self._overlay(array)
-        token_epoch = overlay.epoch
-        overlay.outstanding += 1
-
-        def commit() -> None:
-            if self._epoch.get(id(array), 0) != token_epoch:
-                return  # superseded by a host write
-            mark()
-            plan = self._planned.get(id(array))
+    def _commit(self, marks, _op: Operation | None = None) -> None:
+        """Apply the committed location-set transitions ``marks`` (the
+        completion of the op they are bound to): each ``(array, kind,
+        device, epoch)`` is dead if a host write bumped the array's
+        epoch since it was planned; a live one that lands last retires
+        the array's overlay.  Every planned transition counted itself
+        in its overlay's ``outstanding``."""
+        epochs = self._epoch
+        planned = self._planned
+        for array, kind, device, epoch in marks:
+            key = id(array)
+            if epochs.get(key, 0) != epoch:
+                continue  # superseded by a host write
+            if kind == _MARK_READ:
+                array.mark_read(device)
+            elif kind == _MARK_WRITE:
+                array.mark_write(device)
+            else:
+                array.mark_cpu_read()
+            plan = planned.get(key)
             if plan is not None:
                 plan.outstanding -= 1
                 if plan.outstanding <= 0:
-                    del self._planned[id(array)]
-
-        return commit
+                    del planned[key]
 
     # -- access declaration: GPU side ---------------------------------------
 
@@ -389,7 +399,7 @@ class CoherenceEngine:
         kind stamped on migrations (the serial scheduler's eager copies).
         """
         policy = policy or self.policy
-        faults = self.engine.devices[device_index].spec.supports_page_faults
+        faults = self._faults[device_index]
         if policy is MovementPolicy.PAGE_FAULT and not faults:
             policy = MovementPolicy.EAGER_PREFETCH
         if kind is None:
@@ -400,7 +410,10 @@ class CoherenceEngine:
         if self._win_groups and policy is not MovementPolicy.BATCHED:
             self.flush_window("policy-boundary")
         windowed = policy is MovementPolicy.BATCHED and self.window > 0
-        tracer = self.tracer
+        # Coherence events ride the engine's tracer, read at each use:
+        # a slot's control plane swaps it; an engine without one (the
+        # frozen reference engine) reports to the null tracer.
+        tracer = getattr(self.engine, "tracer", NULL_TRACER)
         span = (
             tracer.span(
                 "acquire",
@@ -460,12 +473,11 @@ class CoherenceEngine:
                 # The fault engine migrates on demand, charged to the
                 # kernel; residency commits when the kernel completes.
                 plan.fault_bytes += array.nbytes
-                self._overlay(array).valid_on.add(device_index)
+                overlay = self._overlay(array)
+                overlay.valid_on.add(device_index)
+                overlay.outstanding += 1
                 plan.completion_marks.append(
-                    self._committer(
-                        array,
-                        lambda a=array, d=device_index: a.mark_read(d),
-                    )
+                    (array, _MARK_READ, device_index, overlay.epoch)
                 )
                 # The replica exists only once the faulting kernel
                 # completes: consumers that source from it must order
@@ -502,10 +514,9 @@ class CoherenceEngine:
             overlay = self._overlay(array)
             overlay.valid_on = {device_index}
             overlay.host_valid = False
+            overlay.outstanding += 1
             plan.completion_marks.append(
-                self._committer(
-                    array, lambda a=array, d=device_index: a.mark_write(d)
-                )
+                (array, _MARK_WRITE, device_index, overlay.epoch)
             )
         if span is not None:
             span.annotate(
@@ -522,7 +533,7 @@ class CoherenceEngine:
         """Bind ``plan``'s location-set transitions to ``op`` so they
         apply when the compute op completes; with ``op=None`` (host-side
         executors that already synchronized) they apply immediately."""
-        tracer = self.tracer
+        tracer = getattr(self.engine, "tracer", NULL_TRACER)
         if tracer.enabled:
             tracer.instant(
                 "release",
@@ -534,16 +545,9 @@ class CoherenceEngine:
         if not plan.completion_marks:
             return
         if op is None:
-            for mark in plan.completion_marks:
-                mark()
+            self._commit(plan.completion_marks)
             return
-        marks = list(plan.completion_marks)
-
-        def apply_marks(_op: Operation) -> None:
-            for mark in marks:
-                mark()
-
-        op.on_complete.append(apply_marks)
+        op.on_complete.append(partial(self._commit, plan.completion_marks))
 
     # Former multi-GPU names, still wrapped by the benchmark's layer
     # tracer (``bench/layers.py``); nothing in the program calls them.
@@ -624,18 +628,13 @@ class CoherenceEngine:
             }.items()
         )
         op.info.update(self.op_tags)
-        marks = [
-            self._committer(a, lambda a=a, d=device_index: a.mark_read(d))
-            for a in arrays
-        ]
+        marks = []
         for array in arrays:
-            self._overlay(array).valid_on.add(device_index)
-
-        def apply_all() -> None:
-            for mark in marks:
-                mark()
-
-        op.apply_fn = apply_all
+            overlay = self._overlay(array)
+            overlay.valid_on.add(device_index)
+            overlay.outstanding += 1
+            marks.append((array, _MARK_READ, device_index, overlay.epoch))
+        op.apply_fn = partial(self._commit, marks)
         self.engine.submit(stream, op)
         self._c_transfer_ops.value += 1
         self._c_migrated_bytes.value += op.nbytes
@@ -757,7 +756,7 @@ class CoherenceEngine:
         self.engine.remove_pre_sync_hook(id(self))
         self._c_window_flushes.value += 1
         self.counters.inc(f"coherence.window_flush.{cause}")
-        tracer = self.tracer
+        tracer = getattr(self.engine, "tracer", NULL_TRACER)
         span = (
             tracer.span(
                 "flush_window",
@@ -807,7 +806,7 @@ class CoherenceEngine:
         any.
         """
         self.flush_window("cpu-access")  # host access closes the window
-        tracer = self.tracer
+        tracer = getattr(self.engine, "tracer", NULL_TRACER)
         span = (
             tracer.span(
                 "cpu_access",
@@ -823,7 +822,8 @@ class CoherenceEngine:
         op: TransferOp | None = None
         full_write = kind is AccessKind.WRITE and touched >= array.nbytes
         if not full_write and not self.host_valid(array):
-            source = min(self._overlay(array).valid_on)
+            overlay = self._overlay(array)
+            source = min(overlay.valid_on)
             op = TransferOp(
                 label=f"DtoH:{array.name}",
                 direction=TransferDirection.DEVICE_TO_HOST,
@@ -836,8 +836,12 @@ class CoherenceEngine:
             op.info["reads"] = (key,)
             op.info["array_names"] = ((key, array.name),)
             op.info.update(self.op_tags)
-            self._overlay(array).host_valid = True
-            op.apply_fn = self._committer(array, array.mark_cpu_read)
+            overlay.host_valid = True
+            overlay.outstanding += 1
+            op.apply_fn = partial(
+                self._commit,
+                ((array, _MARK_CPU_READ, None, overlay.epoch),),
+            )
             stream = stream or self.engine.default_stream
             self.engine.submit(stream, op)
             self._c_transfer_ops.value += 1

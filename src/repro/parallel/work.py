@@ -129,6 +129,13 @@ class Submission:
         #: launch indices in the order the engine completed their kernels
         self.order: list[int] = []
 
+    def keep_execution(
+        self, record: KernelExecutionRecord, _key: tuple
+    ) -> None:
+        """History sink of the replay path: the service files the kept
+        records in the tenant's history (``absorb_history``)."""
+        self.history.append(record)
+
     def recorder(self, index: int):
         """An op ``on_complete`` callback recording launch ``index``."""
         return lambda _op: self.order.append(index)
@@ -229,7 +236,7 @@ def submit_replay(
         launch = launch_decl.bind(kernel, sub.arrays)
         _, acq = submit_kernel(
             coherence, stream, launch, step.stream % slot.gpus,
-            tags=tags, history=sub.history.append,
+            tags=tags, history=sub.keep_execution,
             on_complete=sub.recorder(step.index),
         )
         slot.kernels_launched += 1

@@ -20,10 +20,13 @@ from repro import (
     SchedulerConfig,
     Session,
 )
+from repro.core.context import submit_kernel
+from repro.core.element import KernelElement
 from repro.gpusim import GTX1660_SUPER, Device, SimEngine
 from repro.graphs import HandTunedScheduler
 from repro.kernels import LinearCostModel, build_kernel
-from repro.memory import DeviceArray
+from repro.kernels.kernel import timing_only
+from repro.memory import CoherenceEngine, DeviceArray
 
 N = 1 << 12
 ITERATIONS = 4
@@ -171,3 +174,32 @@ def test_long_lived_coherence_engine_keeps_no_launch_alive():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_a_timing_only_launch_submits_no_compute_body():
+    engine = SimEngine(Device(GTX1660_SUPER))
+    coherence = CoherenceEngine(engine)
+    y = DeviceArray(N, devices=engine.devices, name="y")
+    body = build_kernel(scale, "scale", "ptr, sint32", COST)
+    timed = build_kernel(timing_only, "scale", "ptr, sint32", COST)
+    y.kernel_view[:] = 2.0
+    op, _ = submit_kernel(
+        coherence, engine.default_stream, timed(16, 128).bind(y, N)
+    )
+    assert op.compute_fn is None
+    op, _ = submit_kernel(
+        coherence, engine.default_stream, body(16, 128).bind(y, N)
+    )
+    assert op.compute_fn is not None
+    engine.sync_all()
+    assert np.all(y.kernel_view == 1.0)  # scaled once, by the body
+
+
+def test_each_element_gets_its_own_dependency_set():
+    k = build_kernel(axpy, "axpy", "const ptr, ptr, sint32", COST)
+    x, y = DeviceArray(N), DeviceArray(N)
+    launch = k(16, 128).bind(x, y, N)
+    first, second = KernelElement(launch), KernelElement(launch)
+    first.remove_from_set(y)
+    assert second.dependency_set == launch.access_kinds()
+    assert len(launch.access_kinds()) == 2 and first.uses(y) is None

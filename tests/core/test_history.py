@@ -4,12 +4,9 @@
 import pytest
 
 from repro import ExecutionPolicy, SchedulerConfig, Session
-from repro.core.history import (
-    KernelExecutionRecord,
-    KernelHistory,
-    _size_bucket,
-)
+from repro.core.history import KernelExecutionRecord, KernelHistory
 from repro.kernels import LinearCostModel
+from repro.kernels.kernel import size_bucket as _size_bucket
 
 
 def rec(name="k", block=256, data=1e6, duration=1e-3, blocks=64):

@@ -1,6 +1,8 @@
 """Tests for timeline records and the interval algebra helpers."""
 
+import copy
 import gc
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -274,6 +276,79 @@ class TestCollector:
         assert extra_rows > 2000
         extra_objects = (after - middle) - (middle - before)
         assert extra_objects < 0.05 * extra_rows, (extra_objects, extra_rows)
+
+    @staticmethod
+    def _run(iterations, mode_name="PARALLEL"):
+        from repro.workloads import Mode, create_benchmark
+
+        bench = create_benchmark(
+            "vec", 4_000, iterations=iterations, execute=False
+        )
+        return bench.run("GTX 960", Mode[mode_name]).timeline
+
+    def test_a_row_adds_at_most_one_slot_the_collector_walks(self):
+        # Every column but the rows' annotation dicts is a typed array
+        # or a code into a per-timeline table, which the collector
+        # visits once per timeline, not once per row.
+        def walked(timeline) -> int:
+            return sum(
+                len(gc.get_referents(column))
+                for column in vars(timeline).values()
+                if gc.is_tracked(column)
+            )
+
+        short, long = self._run(5), self._run(45)
+        extra_rows = len(long) - len(short)
+        assert extra_rows > 400
+        assert walked(long) - walked(short) <= extra_rows
+
+    def test_rows_read_back_their_values_and_types(self):
+        # GTX 960 has no fault engine: every array moves by a transfer
+        # whose byte count is an int.
+        timeline = self._run(2)
+        kinds = {record.kind for record in timeline}
+        assert {IntervalKind.KERNEL, IntervalKind.TRANSFER_HTOD,
+                IntervalKind.EVENT} <= kinds
+        for record in timeline:
+            assert type(record.op_id) is int
+            assert type(record.stream_id) is int
+            assert type(record.start) is float
+            assert type(record.end) is float
+            if record.kind.is_transfer:
+                assert type(record.nbytes) is int and record.nbytes > 0
+            else:
+                assert type(record.nbytes) is float
+        tl = Timeline()
+        tl.append(7, "t", IntervalKind.TRANSFER_DTOH, 2, 0.5, 1.5, 4096,
+                  {"reads": ((1, 0),)}, TransferKind.WRITEBACK)
+        tl.append(8, "e", IntervalKind.EVENT, 3, 1.5, 1.5, 0.0, {})
+        (transfer, event) = tl.records
+        assert tuple(transfer) == (
+            7, "t", IntervalKind.TRANSFER_DTOH, 2, 0.5, 1.5, 4096,
+            {"kind": TransferKind.WRITEBACK, "reads": ((1, 0),)},
+        )
+        assert type(transfer.nbytes) is int
+        assert event.meta == {} and type(event.nbytes) is float
+
+    @pytest.mark.parametrize("mode_name", ["PARALLEL", "GRAPH_CAPTURE"])
+    def test_timeline_survives_pickle_and_deepcopy(self, mode_name):
+        timeline = self._run(2, mode_name)
+        rows = [(tuple(r), r.meta) for r in timeline]
+        for twin in (pickle.loads(pickle.dumps(timeline)),
+                     copy.deepcopy(timeline)):
+            assert [(tuple(r), r.meta) for r in twin] == rows
+            assert twin.makespan == timeline.makespan
+            assert twin.total_transferred_bytes() == (
+                timeline.total_transferred_bytes()
+            )
+            # The copy keeps growing like the original.
+            head = TransferKind.PREFETCH
+            twin.append(-1, "x", IntervalKind.TRANSFER_HTOD, 0, 9.0, 9.5,
+                        64, {}, head)
+            twin.append(-2, "y", IntervalKind.TRANSFER_HTOD, 0, 9.5, 9.75,
+                        64, {}, head)
+            assert [r.meta for r in twin.records[-2:]] == [{"kind": head}] * 2
+            assert len(twin) == len(timeline) + 2
 
 
 class TestMergeIntervals:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import GraphError
+from repro.errors import GraphError, LaunchError
 from repro.core.race import check_no_races
 from repro.gpusim import Device, SimEngine, GTX960, GTX1660_SUPER
 from repro.gpusim.timeline import IntervalKind
@@ -60,6 +60,16 @@ class TestGraphConstruction:
         n1 = g.add_kernel_node(square, 1, 32, (DeviceArray(N), N))
         n2 = g.add_empty_node(deps=[n1])
         assert n2.deps == (n1,)
+
+    def test_kernel_node_keeps_the_threads_per_block_limit(self):
+        # A node's geometry is checked as a direct launch's, k(4, 2048).
+        square, _ = kernels()
+        g = CudaGraph()
+        with pytest.raises(LaunchError, match="2048 threads per block"):
+            g.add_kernel_node(square, 4, 2048, (DeviceArray(8), 8))
+        with pytest.raises(LaunchError, match="2048 threads per block"):
+            g.add_kernel_node(square, 4, (64, 32), (DeviceArray(8), 8))
+        assert g.nodes == []
 
 
 class TestStreamPlan:
@@ -204,6 +214,14 @@ class TestStreamCapture:
         cap.end_capture()
         with pytest.raises(GraphError):
             cap.end_capture()
+
+    def test_captured_launch_keeps_the_threads_per_block_limit(self):
+        square, _ = kernels()
+        cap = StreamCapture()
+        s = cap.stream()
+        with pytest.raises(LaunchError, match="2048 threads per block"):
+            cap.launch(s, square, 4, 2048, (DeviceArray(8), 8))
+        assert s.last_node is None
 
     def test_empty_capture_rejected(self):
         cap = StreamCapture()

@@ -233,6 +233,31 @@ class TestLaunchPackaging:
         assert rebuilt.tokens(0) == launch.tokens(0)
         assert rebuilt.tokens(0) is not launch.tokens(0)
 
+    def test_price_is_kept_on_the_launch(self):
+        # FixedCostModel builds a fresh request on every call.
+        k = build_kernel(
+            lambda x, n: None, "k", "ptr, sint32",
+            cost_model=FixedCostModel(flops=1e6),
+        )
+        launch = k((4, 2), (32, 2)).bind(DeviceArray(8), 8)
+        assert launch.resources() is launch.resources()
+        assert launch.resources().threads_total == 512
+        assert (launch.blocks, launch.threads_per_block) == (8, 64)
+        assert launch.threads_total == 512 and launch.label == "k"
+        wider = launch._replace(block=(128, 1, 1))
+        assert (wider.threads_per_block, wider.threads_total) == (128, 1024)
+
+    def test_merged_kinds_and_history_key_are_kept(self):
+        k = build_kernel(
+            lambda x, y, n: None, "k", "const ptr, ptr, sint32"
+        )
+        x = DeviceArray(1024)
+        launch = k(2, 64).bind(x, x, 8)
+        assert launch.access_kinds() == {id(x): AccessKind.READ_WRITE}
+        assert launch.access_kinds() is launch.access_kinds()
+        assert launch.history_key == ("k", 64, 13)  # 2 * 4 KB -> 2**13
+        assert launch.history_key is launch.history_key
+
 
 class TestCostModels:
     def _launch(self, model, n=1000):
