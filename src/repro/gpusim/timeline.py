@@ -193,12 +193,12 @@ class Timeline:
         per-kind value a record's meta leads with (none when omitted)."""
         if end < start:
             raise ValueError(f"record {label!r}: end {end} < start {start}")
+        kind_code = kind.code
         try:
             label_code = self._label_codes[label]
         except KeyError:
             label_code = self._label_codes[label] = len(self._label_table)
             self._label_table.append(label)
-        self._labels.append(label_code)
         if head is _BARE:
             head_code = 0
         else:
@@ -208,13 +208,25 @@ class Timeline:
                 head_code = len(self._head_table)
                 self._head_codes[id(head)] = head_code
                 self._head_table.append(head)
+        try:
+            self._op_ids.append(op_id)
+            self._stream_ids.append(stream_id)
+            self._starts.append(start)
+            self._ends.append(end)
+            self._nbytes.append(nbytes)
+        except (TypeError, OverflowError):
+            # A field the typed columns cannot hold: drop the row's
+            # cells appended so far, so that the columns stay in step.
+            row = len(self._infos)
+            for column in (
+                self._op_ids, self._stream_ids, self._starts, self._ends,
+                self._nbytes,
+            ):
+                del column[row:]
+            raise
+        self._labels.append(label_code)
         self._heads.append(head_code)
-        self._op_ids.append(op_id)
-        self._kinds.append(kind.code)
-        self._stream_ids.append(stream_id)
-        self._starts.append(start)
-        self._ends.append(end)
-        self._nbytes.append(nbytes)
+        self._kinds.append(kind_code)
         self._int_nbytes.append(nbytes.__class__ is int)
         self._infos.append(info)
         duration = end - start

@@ -329,6 +329,12 @@ class TestCollector:
         )
         assert type(transfer.nbytes) is int
         assert event.meta == {} and type(event.nbytes) is float
+        # A field the typed columns cannot hold fails the row alone.
+        with pytest.raises(TypeError):
+            tl.append(9, "k", IntervalKind.KERNEL, "s3", 2.0, 3.0, 0.0, {})
+        assert tl.records == (transfer, event) and len(tl) == 2
+        tl.append(9, "k", IntervalKind.KERNEL, 3, 2.0, 3.0, 0.0, {})
+        assert [r.op_id for r in tl] == [7, 8, 9]
 
     @pytest.mark.parametrize("mode_name", ["PARALLEL", "GRAPH_CAPTURE"])
     def test_timeline_survives_pickle_and_deepcopy(self, mode_name):
