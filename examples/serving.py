@@ -2,13 +2,14 @@
 """Serving — two tenants with different priorities share a 2-GPU fleet.
 
 The paper's scheduler extracts parallelism from one host program; the
-``repro.serve`` layer multiplexes *many clients* over a pool of
-``repro.Session`` s (one long-lived session per GPU).  Here a premium
-tenant and a batch tenant submit the same mixed workloads; the priority
-admission policy — a serving knob of ``ServeConfig`` — serves the
-premium tenant first, which shows up directly in the per-tenant latency
-percentiles, while every result stays bit-identical to running each
-graph alone on a private session.
+``repro.serve`` layer multiplexes *many clients* over a fleet of
+simulated GPUs (one long-lived engine per fleet slot, with one
+execution context per request).  Here a premium tenant and a batch
+tenant submit the same mixed workloads; the priority admission policy
+— a serving knob of ``ServeConfig`` — serves the premium tenant first,
+which shows up directly in the per-tenant latency percentiles, while
+every result stays bit-identical to running each graph alone on a
+private session.
 
 Run:  python examples/serving.py
 """
@@ -23,8 +24,9 @@ REQUESTS_PER_TENANT = 8
 
 
 def main() -> None:
-    # Admission is a serving knob; the serving layer builds one session
-    # per fleet GPU from ServeConfig.scheduler (the default here).
+    # Admission is a serving knob; the serving layer builds one slot
+    # per fleet GPU, configured by ServeConfig.scheduler (the default
+    # here).
     service = SchedulerService(
         fleet_size=2,                       # two simulated GTX 1660s
         config=ServeConfig(admission=AdmissionPolicy.PRIORITY),

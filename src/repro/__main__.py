@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="fleet topology as GPUs-per-slot, e.g. '2,2,1,1'"
-        " (overrides --fleet-size; each slot is a multi-GPU session)",
+        " (overrides --fleet-size; a slot's graphs span its GPUs)",
     )
     serving.add_argument(
         "--traffic",
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="cross-acquire BATCHED coalescing window for every serving"
-        " session, on a fleet or a cluster (default 0 = per-acquire)",
+        " slot, on a fleet or a cluster (default 0 = per-acquire)",
     )
     serving.add_argument(
         "--serve-out",

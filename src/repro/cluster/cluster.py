@@ -170,7 +170,7 @@ class ClusterNode:
         )
         # Per-device export tracks carry the node, not just the slot.
         for j, slot in enumerate(self.service.fleet.slots):
-            slot.session.engine._obs_name = f"node{index}/slot{j}"
+            slot.engine._obs_name = f"node{index}/slot{j}"
         node_specs = (
             config.faults.for_node(index)
             if config.faults is not None

@@ -33,7 +33,11 @@ from repro.core.element import (
     KernelElement,
     LibraryCallElement,
 )
-from repro.core.policies import DevicePlacementPolicy, SchedulerConfig
+from repro.core.policies import (
+    DevicePlacementPolicy,
+    ExecutionPolicy,
+    SchedulerConfig,
+)
 from repro.core.streams import StreamManager
 from repro.gpusim.engine import SimEngine
 from repro.gpusim.ops import (
@@ -227,8 +231,9 @@ class ExecutionContext(abc.ABC):
         self.dag.deactivate_completed()
 
     def reclaimable_streams(self) -> tuple[SimStream, ...]:
-        """Streams a retiring context hands back to the engine (see
-        :meth:`repro.session.Session.renew_context`).  The serial
+        """Streams a retiring context hands back to the engine (a served
+        request's context, see
+        :meth:`repro.parallel.work.Submission.close`).  The serial
         context runs on the engine's default stream and owns only what
         its coherence engine created (window-coalescing streams)."""
         return self.coherence.take_owned_streams()
@@ -518,3 +523,13 @@ class ParallelExecutionContext(ExecutionContext):
         self.coherence.release(plan, op)
         self.engine.submit(stream, op)
         self._finish(element, stream, plan, device_index)
+
+
+def new_context(
+    engine: SimEngine, config: SchedulerConfig
+) -> ExecutionContext:
+    """The execution context ``config.execution`` selects, on
+    ``engine``: a session's one context, or a served request's own."""
+    if config.execution is ExecutionPolicy.SERIAL:
+        return SerialExecutionContext(engine, config)
+    return ParallelExecutionContext(engine, config)

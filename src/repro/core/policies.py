@@ -27,8 +27,9 @@ Section IV-C defines the policy space:
   next (FIFO / priority / fair-share).  It lives with the other serving
   knobs on :class:`repro.serve.ServeConfig`.
 
-One :class:`SchedulerConfig` holds a session's policy space; device
-count is a :class:`repro.session.Session` argument, never an API choice.
+One :class:`SchedulerConfig` holds the policy space of a session or a
+serving fleet slot; device count is a :class:`repro.session.Session`
+argument or a slot's topology entry, never an API choice.
 """
 
 from __future__ import annotations
@@ -96,13 +97,20 @@ class SchedulerConfig:
 
     def validate(self, gpus: int = 1) -> None:
         """Reject configurations that cannot mean anything; ``gpus`` is
-        the device count of the session being configured."""
+        the device count of the session or fleet slot being
+        configured."""
         if not isinstance(gpus, int) or isinstance(gpus, bool):
             raise ConfigError(
                 f"gpus must be an integer, got {type(gpus).__name__}"
             )
         if gpus < 1:
             raise ConfigError(f"gpus must be >= 1, got {gpus}")
+        if gpus > 1 and self.execution is ExecutionPolicy.SERIAL:
+            raise ConfigError(
+                "the serial scheduler is single-GPU (the original GrCUDA"
+                " scheduler predates device placement); use"
+                " ExecutionPolicy.PARALLEL with gpus > 1"
+            )
         if (
             not isinstance(self.movement_window, int)
             or isinstance(self.movement_window, bool)

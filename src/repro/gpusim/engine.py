@@ -294,8 +294,9 @@ class SimEngine:
     def reclaim_stream(self, stream: SimStream) -> None:
         """Destroy an idle stream and stop scheduling over it.
 
-        Long-lived engines that serve many short-lived contexts (see
-        :meth:`repro.session.Session.renew_context`) would
+        Long-lived engines that serve many short-lived contexts (a
+        serving fleet slot's, see
+        :meth:`repro.parallel.work.Submission.close`) would
         otherwise accumulate an ever-growing population of dead streams.
         The default stream cannot be reclaimed.
         """

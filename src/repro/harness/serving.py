@@ -8,8 +8,8 @@ judged on: p50/p95/p99 latency, sustained throughput, fleet utilization,
 batching and capture-cache effectiveness.
 
 The fleet is a **topology spec** — ``fleet="2,2,1,1"`` builds four
-slots holding 2, 2, 1 and 1 GPUs: each slot is a real multi-GPU
-session, so admitted graphs span the slot's devices under the in-slot
+slots holding 2, 2, 1 and 1 GPUs: each slot is one engine over its
+GPUs, so admitted graphs span the slot's devices under the in-slot
 placement policy while the service-level policy picks slots.  A
 ``cluster`` spec (``"2,1|2"``) serves the same traffic on a multi-node
 :class:`~repro.cluster.Cluster` instead: requests are admitted once
@@ -133,7 +133,7 @@ def report_summary(report: ServiceReport | ClusterReport) -> dict:
         "total_gpus": report.fleet.total_gpus,
         "gpu": models[0] if len(models) == 1 else " + ".join(models),
         "slot_models": [
-            [spec.name for spec in slot.session.specs]
+            [spec.name for spec in slot.specs]
             for slot in report.fleet.slots
         ],
         "admission": report.config.admission.value,

@@ -73,7 +73,6 @@ from repro.gpusim.stream import SimEvent
 from repro.memory.array import AccessKind, DeviceArray, migration_source
 from repro.memory.pages import writeback_bytes
 from repro.obs.counters import CounterRegistry
-from repro.obs.trace import NULL_TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gpusim.engine import SimEngine
@@ -411,9 +410,8 @@ class CoherenceEngine:
             self.flush_window("policy-boundary")
         windowed = policy is MovementPolicy.BATCHED and self.window > 0
         # Coherence events ride the engine's tracer, read at each use:
-        # a slot's control plane swaps it; an engine without one (the
-        # frozen reference engine) reports to the null tracer.
-        tracer = getattr(self.engine, "tracer", NULL_TRACER)
+        # a slot's control plane swaps it.
+        tracer = self.engine.tracer
         span = (
             tracer.span(
                 "acquire",
@@ -533,7 +531,7 @@ class CoherenceEngine:
         """Bind ``plan``'s location-set transitions to ``op`` so they
         apply when the compute op completes; with ``op=None`` (host-side
         executors that already synchronized) they apply immediately."""
-        tracer = getattr(self.engine, "tracer", NULL_TRACER)
+        tracer = self.engine.tracer
         if tracer.enabled:
             tracer.instant(
                 "release",
@@ -756,7 +754,7 @@ class CoherenceEngine:
         self.engine.remove_pre_sync_hook(id(self))
         self._c_window_flushes.value += 1
         self.counters.inc(f"coherence.window_flush.{cause}")
-        tracer = getattr(self.engine, "tracer", NULL_TRACER)
+        tracer = self.engine.tracer
         span = (
             tracer.span(
                 "flush_window",
@@ -806,7 +804,7 @@ class CoherenceEngine:
         any.
         """
         self.flush_window("cpu-access")  # host access closes the window
-        tracer = getattr(self.engine, "tracer", NULL_TRACER)
+        tracer = self.engine.tracer
         span = (
             tracer.span(
                 "cpu_access",

@@ -44,22 +44,13 @@ class SequentialStrategy:
     """Simulates one placement round's slot work units in-process, in
     order."""
 
-    def __init__(
-        self,
-        slots: list[FleetSlot],
-        config,
-        trace: bool = False,
-    ) -> None:
+    def __init__(self, slots: list[FleetSlot], trace: bool = False) -> None:
         self.slots = slots
-        self.config = config
         self.trace = trace
 
     def execute(self, works: list[SlotWork]) -> list[SlotOutcome]:
         return [
-            execute_slot_work(
-                self.slots[w.slot_index], w, self.config,
-                trace=self.trace,
-            )
+            execute_slot_work(self.slots[w.slot_index], w, trace=self.trace)
             for w in works
         ]
 

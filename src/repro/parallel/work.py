@@ -10,6 +10,10 @@ to simulate one placement round's batch — the requests, the
 state**: no admission queue, no capture cache, no tenant accounting, no
 shared tracer.  Arrays are virtual, kernels have no bodies, and each
 request records the order in which the engine completed its kernels.
+Each request (a :class:`Submission`) builds its own execution context
+or coherence engine and its own arrays on the slot's engine, and closes
+them when its batch ends: the slot keeps only its engine's clock,
+timeline and counters, and a served pass leaves no reference cycle.
 Everything the service needs back rides the returned
 :class:`SlotOutcome`, which the service merges in slot-id order (see
 ``SchedulerService._merge_round``).
@@ -27,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.context import submit_kernel
+from repro.core.context import ExecutionContext, new_context, submit_kernel
 from repro.core.history import KernelExecutionRecord
 from repro.kernels.registry import build_kernel
 from repro.memory.array import (
@@ -114,17 +118,29 @@ class SlotOutcome:
 
 
 class Submission:
-    """In-flight bookkeeping for one request inside a batch."""
+    """One request inside a batch: what it opens on the slot's engine,
+    and :meth:`close` to hand it back once the batch has drained.
 
-    def __init__(
-        self, request: GraphRequest, slot: FleetSlot, start_time: float
-    ) -> None:
+    Every request owns its virtual arrays (on the slot's devices) and
+    either an execution context (context path) or a coherence engine
+    (replay path); nothing of it outlives :meth:`close`.
+    """
+
+    def __init__(self, request: GraphRequest, slot: FleetSlot) -> None:
         self.request = request
         self.slot = slot
-        self.start_time = start_time
-        self.arrays: dict[str, DeviceArray] = {}
-        self.context = None            # context path only
-        self.coherence: CoherenceEngine | None = None   # replay path
+        self.start_time = slot.engine.clock
+        self.arrays: dict[str, DeviceArray] = {
+            name: DeviceArray(
+                decl.shape, dtype=decl.dtype, devices=slot.devices,
+                name=name, materialize=False,
+            )
+            for name, decl in request.graph.arrays.items()
+        }
+        self.context: ExecutionContext | None = None   # context path
+        #: the request's coherence engine (its context's, on the
+        #: context path)
+        self.coherence: CoherenceEngine | None = None
         self.history: list[KernelExecutionRecord] = []  # replay path
         #: launch indices in the order the engine completed their kernels
         self.order: list[int] = []
@@ -140,27 +156,42 @@ class Submission:
         """An op ``on_complete`` callback recording launch ``index``."""
         return lambda _op: self.order.append(index)
 
+    def close(self) -> list[KernelExecutionRecord]:
+        """Hand back what the request opened and return its kernel
+        records.  Its streams go back to the slot's engine and its
+        coherence counters into the slot's roll-up (so a long-lived slot
+        engine stays bounded), and its arrays are detached and freed."""
+        ctx = self.context
+        if ctx is not None:
+            records = [
+                rec
+                for name in ctx.history.kernels()
+                for rec in ctx.history.executions(name)
+            ]
+            streams = ctx.reclaimable_streams()
+        else:
+            records = self.history
+            streams = self.coherence.take_owned_streams()
+        self.slot.engine.reclaim_streams(streams)
+        self.slot.counters.merge(self.coherence.counters)
+        for arr in self.arrays.values():
+            arr.set_access_hook(None)
+            arr.free()
+        return records
+
 
 def submit_context(slot: FleetSlot, request: GraphRequest) -> Submission:
-    """Serve one request through a fresh execution context: the full
+    """Serve one request through its own execution context: the full
     dependency-inference and device-placement scheduling path of the
     paper (on a multi-GPU slot the graph transparently spans the
     slot's devices)."""
-    rt = slot.session
     graph = request.graph
-    ctx = rt.renew_context(
-        op_tags={
-            "tenant": request.tenant,
-            "request": request.request_id,
-        },
-        drain=False,
-    )
-    sub = Submission(request, slot, slot.engine.clock)
-    sub.context = ctx
-    for name, decl in graph.arrays.items():
-        sub.arrays[name] = rt.array(
-            decl.shape, dtype=decl.dtype, name=name, materialize=False
-        )
+    sub = Submission(request, slot)
+    ctx = sub.context = new_context(slot.engine, slot.config)
+    ctx.op_tags.update(tenant=request.tenant, request=request.request_id)
+    sub.coherence = ctx.coherence
+    for arr in sub.arrays.values():
+        ctx.attach(arr)
     for name, decl in graph.arrays.items():
         if decl.init is not None:
             sub.arrays[name].touch_write_full()
@@ -178,7 +209,6 @@ def submit_replay(
     slot: FleetSlot,
     request: GraphRequest,
     plan: CapturePlan,
-    config,
     member: int = 0,
 ) -> Submission:
     """Serve one request by replaying the cached capture plan:
@@ -186,8 +216,7 @@ def submit_replay(
     dependency inference.  Plan stream ``i`` runs on slot device
     ``i % gpus`` (the deterministic mapping the plan was keyed under),
     and data movement flows through the request's own coherence
-    engine."""
-    rt = slot.session
+    engine, under the slot's movement policy and window."""
     engine = slot.engine
     graph = request.graph
     tags = {
@@ -195,34 +224,28 @@ def submit_replay(
         "request": request.request_id,
         "replay": True,
     }
-    sub = Submission(request, slot, engine.clock)
+    sub = Submission(request, slot)
     # Replay bypasses execution contexts, so the request gets its
     # own coherence engine: shared-input migration hazards, movement
     # policy, cross-acquire coalescing windows and state transitions
     # all live there (no manual coherence management on this path).
-    coherence = CoherenceEngine(
+    coherence = sub.coherence = CoherenceEngine(
         engine,
-        policy=config.scheduler.resolve_movement(rt.spec),
+        policy=slot.config.resolve_movement(slot.specs[0]),
         op_tags=tags,
-        window=config.scheduler.movement_window,
+        window=slot.config.movement_window,
     )
-    sub.coherence = coherence
     # Each batch member replays on its own stream slice so members
     # space-share instead of serializing behind shared FIFOs.
     streams = slot.replay_streams(plan.stream_count, member=member)
     engine.charge_host_time(REPLAY_OVERHEAD_US * 1e-6)
 
     for name, decl in graph.arrays.items():
-        arr = DeviceArray(
-            decl.shape, dtype=decl.dtype, devices=rt.devices,
-            name=name, materialize=False,
-        )
-        rt.adopt_array(arr)  # freed with the batch
         if decl.init is not None:
             # No hook installed: declare the host write to the engine
             # so planned overlays and pending migrations reset too.
+            arr = sub.arrays[name]
             coherence.cpu_access(arr, AccessKind.WRITE, arr.nbytes)
-        sub.arrays[name] = arr
 
     events: dict[int, object] = {}
     for launch_decl, step in zip(graph.launches, plan.steps):
@@ -279,22 +302,20 @@ def read_back(sub: Submission) -> float:
 def execute_slot_work(
     slot: FleetSlot,
     work: SlotWork,
-    config,
     *,
     trace: bool = False,
 ) -> SlotOutcome:
     """Simulate one batch on one slot, timing-only.
 
-    Touches only ``slot`` (its engine, session, counters, kernel
-    caches) plus the work unit itself.  With ``trace``, engine and
-    coherence events are buffered on a private tracer (restored on
-    exit) and the service appends the buffers in slot-id order, so a
-    trace never depends on the order slots were simulated in.
+    Touches only ``slot`` (its engine, configuration, counters, kernel
+    caches) plus the work unit itself, and closes every request it
+    opened before returning.  With ``trace``, engine and coherence
+    events are buffered on a private tracer (restored on exit) and the
+    service appends the buffers in slot-id order, so a trace never
+    depends on the order slots were simulated in.
     """
     engine = slot.engine
-    # getattr: frozen reference engines in the golden tests predate the
-    # tracer attribute.
-    saved_tracer = getattr(engine, "tracer", None)
+    saved_tracer = engine.tracer
     buffer = Tracer() if trace else None
     if buffer is not None:
         engine.tracer = buffer
@@ -310,7 +331,7 @@ def execute_slot_work(
         engine.charge_host_time(DISPATCH_OVERHEAD_US * 1e-6)
         plan = work.plan
         submissions = [
-            submit_replay(slot, r, plan, config, member=i)
+            submit_replay(slot, r, plan, member=i)
             if plan is not None
             else submit_context(slot, r)
             for i, r in enumerate(batch)
@@ -328,36 +349,15 @@ def execute_slot_work(
             engine.charge_host_time(
                 (engine.clock - t0) * (work.slowdown - 1.0)
             )
-        # Reclaim per-request streams and absorb per-request coherence
-        # counters into the slot roll-up, so a long-lived slot engine
-        # stays bounded.  Histories travel back to the service — tenant
-        # accounting is service-owned.
-        histories: list[tuple[str, list[KernelExecutionRecord]]] = []
-        for sub in submissions:
-            if sub.context is not None:
-                records = [
-                    rec
-                    for name in sub.context.history.kernels()
-                    for rec in sub.context.history.executions(name)
-                ]
-                engine.reclaim_streams(
-                    sub.context.reclaimable_streams()
-                )
-                slot.counters.merge(sub.context.coherence.counters)
-            else:
-                records = list(sub.history)
-                assert sub.coherence is not None
-                engine.reclaim_streams(
-                    sub.coherence.take_owned_streams()
-                )
-                slot.counters.merge(sub.coherence.counters)
-            histories.append((sub.request.tenant, records))
-        slot.session.free_arrays()
-        finish = engine.clock
+        # Histories travel back to the service — tenant accounting is
+        # service-owned.
+        histories = [
+            (sub.request.tenant, sub.close()) for sub in submissions
+        ]
         return SlotOutcome(
             slot_index=work.slot_index,
             batch_id=work.batch_id,
-            finish=finish,
+            finish=engine.clock,
             results=[
                 (sub.request.request_id, sub.order, sub.start_time, clock)
                 for sub, clock in zip(submissions, read_clocks)

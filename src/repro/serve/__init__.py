@@ -6,7 +6,8 @@ a :class:`SchedulerService` accepts task-graph submissions from many
 logical tenants, admission-controls them (FIFO / priority / fair-share),
 and dispatches them onto a :class:`GpuFleet` — a *topology spec* of
 serving slots (e.g. ``[2, 2, 1, 1]`` GPUs per slot), each a long-lived
-multi- or single-GPU :class:`~repro.session.Session`, placed per the
+multi- or single-GPU simulated engine on which every request builds its
+own execution context, placed per the
 shared policy vocabulary (round-robin / min-transfer / least-loaded at
 the service level, composing with the in-slot device placement) — with
 request batching, a per-(topology, slot-shape) capture cache and

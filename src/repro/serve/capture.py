@@ -49,12 +49,10 @@ class CaptureCache:
         self.enabled = enabled
         self._plans: dict[tuple, CapturePlan] = {}
         #: hit/miss tallies, on the observability registry so the
-        #: serve-bench summary reads them under one namespace; the
-        #: ``hits`` / ``misses`` attributes stay as read/write
-        #: properties (the service adds batch riders directly)
+        #: serve-bench summary reads them under one namespace
         self.counters = CounterRegistry()
-        #: requests served from a cached plan (the service also counts
-        #: batch members that ride a head request's lookup)
+        #: requests served from a cached plan (batch members ride
+        #: their head's lookup)
         self._c_hits = self.counters.counter("serve.capture_hits")
         #: requests that paid the full inference path
         self._c_misses = self.counters.counter("serve.capture_misses")
@@ -63,17 +61,9 @@ class CaptureCache:
     def hits(self) -> int:
         return self._c_hits.value
 
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._c_hits.value = value
-
     @property
     def misses(self) -> int:
         return self._c_misses.value
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._c_misses.value = value
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -91,21 +81,26 @@ class CaptureCache:
         )
 
     def lookup(
-        self, graph: TaskGraph, shape_key: tuple | None = None
+        self,
+        graph: TaskGraph,
+        shape_key: tuple | None = None,
+        requests: int = 1,
     ) -> CapturePlan | None:
         """The cached plan for ``graph``'s topology on a slot of
         ``shape_key`` (see :attr:`repro.serve.fleet.FleetSlot.shape_key`;
-        None means a shape-agnostic single entry), counting a hit; on a
-        miss the plan is derived, cached and returned as None so the
-        caller takes the capture (context) path once."""
+        None means a shape-agnostic single entry), or None on a miss:
+        the plan is then derived and cached, and the caller takes the
+        capture (context) path once.  Counts ``requests`` hits or
+        misses, since a batch's members ride its head's lookup; a
+        disabled cache counts nothing."""
         if not self.enabled:
             return None
         key = (graph.topology_key(), shape_key)
         plan = self._plans.get(key)
         if plan is not None:
-            self.hits += 1
+            self._c_hits.value += requests
             return plan
-        self.misses += 1
+        self._c_misses.value += requests
         self._plans[key] = derive_plan(graph)
         return None
 

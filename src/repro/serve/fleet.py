@@ -1,14 +1,18 @@
 """The simulated GPU fleet behind the serving layer.
 
-A :class:`GpuFleet` is a pool of :class:`~repro.session.Session`
-instances — one long-lived session per fleet *slot* — plus the
-service-level placement decision: *which slot serves the next admitted
-request*.  Since PR 5 a slot is no longer pinned to one GPU: the fleet
-takes a **topology spec** (e.g. ``[2, 2, 1, 1]`` GPUs per slot), each
-slot is a real ``Session(gpus=k)``, and a single admitted graph spans
-the slot's devices under the session's in-slot
+A :class:`GpuFleet` is a pool of fleet *slots* plus the service-level
+placement decision: *which slot serves the next admitted request*.  A
+slot is not pinned to one GPU: the fleet takes a **topology spec**
+(e.g. ``[2, 2, 1, 1]`` GPUs per slot), each slot owns one
+:class:`~repro.gpusim.engine.SimEngine` over its devices and a
+:class:`~repro.core.policies.SchedulerConfig`, and a single admitted
+graph spans the slot's devices under the in-slot
 :class:`~repro.core.policies.DevicePlacementPolicy` — the paper's
-multi-GPU scheduler, now reachable from the serving path.
+multi-GPU scheduler, reachable from the serving path.  A slot holds no
+:class:`~repro.session.Session`: every served request builds its own
+execution context (or, on a capture-cache hit, its own coherence
+engine) on the slot's engine and closes it when its batch ends (see
+:mod:`repro.parallel.work`).
 
 Placement therefore composes across two levels:
 
@@ -21,13 +25,13 @@ Placement therefore composes across two levels:
   capture plan exercised), pricing cold slots at the graph's full UM
   footprint and tie-breaking on availability then slot id.
 * **in-slot** (:class:`~repro.core.context.ParallelExecutionContext`):
-  which GPU of the slot runs each kernel, configured through the shared
+  which GPU of the slot runs each kernel, configured through the slot's
   :class:`~repro.core.policies.SchedulerConfig` ``placement`` knob
   (defaulting to the paper's MIN_TRANSFER pricing).
 
-Each slot keeps a per-fleet cache of timing-only kernels (kernels bind
-the session's context *dispatcher*, so they survive per-request context
-renewal; their bodies run later, in the data plane of
+Each slot keeps a cache of timing-only kernels (no launch handler: the
+context path hands each launch to the request's context, the replay
+path submits it directly; their bodies run later, in the data plane of
 :mod:`repro.parallel`) and reusable per-device replay-stream pools for
 capture-cache fast paths.
 """
@@ -39,13 +43,15 @@ from typing import Sequence
 from repro.core.policies import DevicePlacementPolicy, SchedulerConfig
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, SlotHealth, SlotLifecycle
+from repro.gpusim.device import Device
+from repro.gpusim.engine import SimEngine
 from repro.gpusim.specs import GPUSpec, gpu_by_name
 from repro.gpusim.stream import SimStream
 from repro.kernels.kernel import Kernel, timing_only
+from repro.kernels.registry import build_kernel
 from repro.obs.counters import CounterRegistry
 from repro.obs.trace import Tracer, current_tracer
 from repro.serve.request import GraphRequest
-from repro.session import Session
 
 #: what one entry of a fleet topology spec may be (see
 #: :func:`normalize_slot_spec`)
@@ -127,7 +133,8 @@ def normalize_slot_spec(
 
 class FleetSlot:
     """One serving slot of the fleet: a long-lived (possibly multi-GPU)
-    session plus serving state."""
+    engine, the scheduler configuration its requests run under, and
+    serving state."""
 
     def __init__(
         self,
@@ -137,13 +144,15 @@ class FleetSlot:
         tracer: Tracer | None = None,
     ) -> None:
         self.index = index
-        self.gpus = len(specs)
-        self.session = Session(
-            gpus=len(specs), gpu=specs, config=config, tracer=tracer
-        )
+        self.specs = tuple(specs)
+        self.gpus = len(self.specs)
+        self.config = config or SchedulerConfig()
+        self.config.validate(gpus=self.gpus)
+        self.devices = tuple(Device(s) for s in self.specs)
+        self.engine = SimEngine(list(self.devices), tracer=tracer)
         # Per-device export tracks are named after the slot, not the
         # engine's attach ordinal.
-        self.session.engine._obs_name = f"slot{index}"
+        self.engine._obs_name = f"slot{index}"
         #: roll-up registry: retired requests' coherence counters merge
         #: here (per-request engines die with their submission)
         self.counters = CounterRegistry()
@@ -178,13 +187,9 @@ class FleetSlot:
         self.warm_topologies.clear()
 
     @property
-    def engine(self):
-        return self.session.engine
-
-    @property
     def clock(self) -> float:
         """Virtual time at which this slot would start new work."""
-        return self.session.engine.clock
+        return self.engine.clock
 
     @property
     def shape_key(self) -> tuple:
@@ -192,14 +197,14 @@ class FleetSlot:
         are keyed per (graph topology, slot shape) — a 2-GPU slot's
         replay schedule assigns devices, so a 1-GPU slot cannot share
         it."""
-        return (self.gpus, tuple(s.name for s in self.session.specs))
+        return (self.gpus, tuple(s.name for s in self.specs))
 
     def kernel_for(self, decl) -> Kernel:
         """Build-or-reuse the timing-only kernel for ``decl`` on this
         slot: priced and scheduled like ``decl``, with no body."""
         kernel = self._kernels.get(decl.identity)
         if kernel is None:
-            kernel = self.session.build_kernel(
+            kernel = build_kernel(
                 timing_only, decl.name, decl.signature,
                 cost_model=decl.cost,
             )
@@ -241,7 +246,7 @@ class FleetSlot:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<FleetSlot {self.index} {self.gpus}x"
-            f" {self.session.spec.name} served={self.requests_served}>"
+            f" {self.specs[0].name} served={self.requests_served}>"
         )
 
 
@@ -260,8 +265,7 @@ class GpuFleet:
             raise ValueError("a fleet needs at least one slot")
         self.tracer = current_tracer() if tracer is None else tracer
         # Slots get the *raw* optional: with no explicit tracer each
-        # engine resolves the ambient default itself (and Session never
-        # forwards a tracer kwarg the engine wasn't asked for).
+        # engine resolves the ambient default itself.
         self.slots = [
             FleetSlot(
                 i,
@@ -316,7 +320,7 @@ class GpuFleet:
             {
                 spec.name
                 for slot in self.slots
-                for spec in slot.session.specs
+                for spec in slot.specs
             }
         )
 

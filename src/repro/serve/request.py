@@ -184,6 +184,5 @@ def execute_serial(
             *launch.resolve(arrays)
         )
     outputs = {name: arrays[name].to_numpy() for name in graph.outputs}
-    rt.sync()
-    rt.free_arrays()
+    rt.close()
     return outputs

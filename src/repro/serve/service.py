@@ -5,18 +5,20 @@ scheduler to shared-infrastructure dispatch: many logical tenants submit
 :class:`~repro.graphs.taskgraph.TaskGraph` s; an admission-control queue
 (FIFO / priority / fair-share) decides *who* goes next; the
 :class:`~repro.serve.fleet.GpuFleet` placement policy decides *where*
-— which fleet *slot*, each a long-lived (possibly multi-GPU)
-:class:`~repro.session.Session` — and the slot's own in-slot
+— which fleet *slot*, each a long-lived (possibly multi-GPU) simulated
+engine — and the slot's own in-slot
 :class:`~repro.core.policies.DevicePlacementPolicy` decides which of
 its GPUs runs each kernel, so a single admitted graph spans devices.
 Each admitted graph executes with full per-request isolation — its own
-execution context (DAG, stream manager, history) on the slot's session,
-via :meth:`~repro.session.Session.renew_context`-style re-entrant
-context use.  Admission and the fault-management knobs live on
-:class:`ServeConfig`.  The two placement levels are independent:
-``ServeConfig.placement`` picks slots (default LEAST_LOADED) and the
-per-slot :class:`~repro.core.policies.SchedulerConfig`'s ``placement``
-picks the GPU inside a slot (default the paper's MIN_TRANSFER).
+execution context (DAG, stream manager, history) on the slot's engine,
+closed with its arrays when its batch ends.  Admission and the
+fault-management knobs live on :class:`ServeConfig`.  The two placement
+levels are independent: ``ServeConfig.placement`` picks slots (default
+LEAST_LOADED) and the slot's
+:class:`~repro.core.policies.SchedulerConfig` ``placement`` picks the
+GPU inside a slot (default the paper's MIN_TRANSFER).  That
+configuration governs both of a slot's paths, context and replay;
+``ServeConfig.scheduler`` is what a service hands the fleet it builds.
 Queueing, fault handling and terminal records are the shared
 :class:`~repro.serve.dispatch.Dispatcher`'s.
 
@@ -104,7 +106,8 @@ class ServeConfig:
     #: threads of the data-plane pool (None: one per core; 1 runs the
     #: requests one after another, the reference)
     workers: int | None = None
-    #: per-device runtime/scheduler configuration
+    #: the scheduler configuration of the fleet the service builds
+    #: (a caller-built fleet keeps its own)
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
 
     def __post_init__(self) -> None:
@@ -373,7 +376,7 @@ class SchedulerService(Dispatcher):
         loop fast-forwards virtual time to it.
         """
         strategy = SequentialStrategy(
-            self.fleet.slots, self.config, trace=self.tracer.enabled
+            self.fleet.slots, trace=self.tracer.enabled
         )
         while len(self.queue):
             works = self._plan_round()
@@ -458,14 +461,9 @@ class SchedulerService(Dispatcher):
         self._c_batches.value += 1
         if len(batch) > 1:
             self._c_batched_requests.value += len(batch)
-        plan = self.cache.lookup(batch[0].graph, slot.shape_key)
-        # Counter granularity is per *request*: every batch member
-        # rides the head's lookup outcome.  (A disabled cache counts
-        # nothing.)
-        if plan is not None:
-            self.cache.hits += len(batch) - 1
-        elif self.cache.enabled:
-            self.cache.misses += len(batch) - 1
+        plan = self.cache.lookup(
+            batch[0].graph, slot.shape_key, requests=len(batch)
+        )
         faulted = self.faults is not None
         # Degradation factor and transfer-fault draw are pinned at
         # dispatch time; a mid-batch DEGRADE only affects later
@@ -606,13 +604,7 @@ class SchedulerService(Dispatcher):
         merged.merge(self.counters)
         merged.merge(self.cache.counters)
         for slot in self.fleet.slots:
-            engine_counters = getattr(slot.engine, "counters", None)
-            if engine_counters is not None:
-                merged.merge(engine_counters)
-            # slot.counters already absorbed every retired request's
-            # coherence engine (context and replay paths alike) at
-            # reclaim time — the live session context is one of those
-            # retirees, so it is NOT merged again here.
+            merged.merge(slot.engine.counters)
             merged.merge(slot.counters)
         return merged.snapshot()
 

@@ -11,9 +11,9 @@ Each logical tenant of the serving layer owns:
 * admission/latency accounting used by fair-share and the service
   metrics.
 
-The DAG needs no tenant-level object: every *request* executes in a
-fresh execution context (see
-:meth:`repro.session.Session.renew_context`), so DAG
+The DAG needs no tenant-level object: every *request* executes in its
+own execution context, built on its fleet slot's engine and closed when
+its batch ends (see :class:`repro.parallel.work.Submission`), so DAG
 isolation is per request — strictly stronger than per tenant.
 """
 

@@ -18,15 +18,20 @@ runtime transparently decides scheduling, placement and data movement.
 The same six calls — :meth:`~Session.array`,
 :meth:`~Session.build_kernel`, :meth:`~Session.library_call`,
 :meth:`~Session.sync`, :meth:`~Session.timeline`,
-:meth:`~Session.metrics` — drive a single GPU, a multi-GPU fleet and,
-through :mod:`repro.serve`, a serving fleet (a pool of Sessions behind
-admission control).  One array class, one coherence engine and one
-parallel context serve every device count: arrays track a location set
-over the session's devices, and the parallel context of section IV-B
-places each computation on a GPU (section VI) — on device 0 when there
-is one.  Device count and every policy — execution, streams, movement,
+:meth:`~Session.metrics` — drive a single GPU and a multi-GPU machine
+alike.  One array class, one coherence engine and one parallel context
+serve every device count: arrays track a location set over the
+session's devices, and the parallel context of section IV-B places each
+computation on a GPU (section VI) — on device 0 when there is one.
+Device count and every policy — execution, streams, movement,
 placement — live in one :class:`~repro.core.policies.SchedulerConfig`;
 nothing is selected by class.
+
+A session is one host program's runtime: it builds one execution
+context (:func:`~repro.core.context.new_context`) and keeps it for its
+whole life.  The serving layer (:mod:`repro.serve`) holds no sessions:
+each fleet slot is an engine over its devices, on which every served
+request builds its own context.
 """
 
 from __future__ import annotations
@@ -36,13 +41,9 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.core.context import (
-    ExecutionContext,
-    ParallelExecutionContext,
-    SerialExecutionContext,
-)
+from repro.core.context import ExecutionContext, new_context
 from repro.core.element import LibraryCallElement
-from repro.core.policies import ExecutionPolicy, SchedulerConfig
+from repro.core.policies import SchedulerConfig
 from repro.errors import ConfigError
 from repro.gpusim.device import Device
 from repro.gpusim.engine import SimEngine
@@ -53,7 +54,7 @@ from repro.kernels.profile import CostModel
 from repro.kernels.registry import KernelRegistry, build_kernel
 from repro.memory.array import AccessKind, DeviceArray
 from repro.obs.counters import CounterRegistry
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import Tracer
 
 
 @dataclass(frozen=True)
@@ -119,12 +120,6 @@ class Session:
             raise ConfigError(
                 f"gpus={gpus} but {len(gpu_list)} GPU specs were given"
             )
-        if gpus > 1 and self.config.execution is ExecutionPolicy.SERIAL:
-            raise ConfigError(
-                "the serial scheduler is single-GPU (the original GrCUDA"
-                " scheduler predates device placement); use"
-                " ExecutionPolicy.PARALLEL with gpus > 1"
-            )
         self.gpus = gpus
         self.specs = tuple(
             gpu_by_name(g) if isinstance(g, str) else g for g in gpu_list
@@ -133,71 +128,16 @@ class Session:
         self.devices = tuple(Device(s) for s in self.specs)
         self.device = self.devices[0]
         # Without an explicit tracer the engine resolves the ambient
-        # default itself; omitting the kwarg also keeps engine
-        # substitutes with the pre-obs constructor signature working.
-        if tracer is None:
-            self.engine = SimEngine(list(self.devices))
-        else:
-            self.engine = SimEngine(list(self.devices), tracer=tracer)
+        # default itself.
+        self.engine = SimEngine(list(self.devices), tracer=tracer)
         self.registry = registry
-        self.context: ExecutionContext = self._build_context()
+        #: the host program's one execution context (section IV-B)
+        self.context: ExecutionContext = new_context(
+            self.engine, self.config
+        )
         self._arrays: list[DeviceArray] = []
         #: every kernel built here, for :meth:`close` to detach
         self._kernels: list[Kernel] = []
-        #: contexts retired by :meth:`renew_context` (re-entrancy count)
-        self.context_generation = 0
-
-    def _build_context(self) -> ExecutionContext:
-        if self.config.execution is ExecutionPolicy.SERIAL:
-            return SerialExecutionContext(self.engine, self.config)
-        return ParallelExecutionContext(self.engine, self.config)
-
-    def renew_context(
-        self, op_tags: dict | None = None, drain: bool = True
-    ) -> ExecutionContext:
-        """Replace the execution context with a fresh one (re-entrant use).
-
-        A long-lived session serving many independent task graphs (see
-        :mod:`repro.serve`) reuses the device and engine while giving
-        each admitted graph its own DAG, stream manager and kernel
-        history — the isolation a tenant would get from a private
-        session, without re-building the device.  By default the old
-        context is drained first and its streams are reclaimed from the
-        engine, so the scheduling loop does not scan ever-growing
-        dead-stream lists; arrays still registered with the session are
-        re-attached to the new context.
-
-        ``drain=False`` swaps contexts *without* synchronizing: the old
-        context's submitted work stays in flight and its arrays keep
-        their hooks, so several contexts can coexist on the engine (the
-        serving layer's batch path).  The caller then owns draining the
-        engine and reclaiming the retired contexts' streams.
-
-        ``op_tags`` (e.g. ``{"tenant": "a"}``) are merged into every op
-        the new context submits, keeping shared-engine timeline records
-        attributable.
-        """
-        if drain:
-            self.context.sync()
-            self.engine.reclaim_streams(
-                self.context.reclaimable_streams()
-            )
-        ctx = self._build_context()
-        if op_tags:
-            ctx.op_tags.update(op_tags)
-        if drain:
-            for arr in self._arrays:
-                ctx.attach(arr)
-        self.context = ctx
-        self.context_generation += 1
-        return ctx
-
-    def _dispatch_launch(self, launch) -> None:
-        """Route a kernel launch to the *current* context.
-
-        Kernels keep working across :meth:`renew_context` because they
-        bind this dispatcher rather than one context's ``launch``."""
-        self.context.launch(launch)
 
     # -- arrays ---------------------------------------------------------------
 
@@ -228,12 +168,6 @@ class Session:
         self._arrays.append(arr)
         return arr
 
-    def adopt_array(self, arr: DeviceArray) -> None:
-        """Track an externally-created array on this session's devices so
-        :meth:`free_arrays` releases it (used by executors that manage
-        coherence manually, e.g. the serving layer's replay path)."""
-        self._arrays.append(arr)
-
     def free_arrays(self) -> None:
         """Release every array allocated through this session."""
         for arr in self._arrays:
@@ -256,7 +190,7 @@ class Session:
             name,
             signature,
             cost_model=cost_model,
-            launch_handler=self._dispatch_launch,
+            launch_handler=self.context.launch,
             registry=self.registry,
         )
         self._kernels.append(kernel)
@@ -293,16 +227,16 @@ class Session:
         detach its arrays and kernels from it.
 
         A session's arrays (their access hooks) and kernels (their
-        launch handler) refer back to it while its DAG refers to them,
-        so a session in use is a reference cycle.  A hand-built session
-        needs no ``close()``: an array keeps syncing through it for as
-        long as the array lives, and once everything is dropped the
-        cyclic garbage collector frees it.  Closing frees it on its last
-        reference instead, with everything it built, which is what
-        :meth:`~repro.workloads.base.Benchmark.run` does after every
-        run.  Afterwards the arrays' host accesses apply their
-        location-set transitions directly, and launching one of the
-        kernels raises :class:`~repro.errors.LaunchError`.
+        launch handler) refer to its context while the context's DAG
+        refers to them, so a session in use is a reference cycle.  A
+        hand-built session needs no ``close()``: an array keeps syncing
+        through it for as long as the array lives, and once everything
+        is dropped the cyclic garbage collector frees it.  Closing frees
+        it on its last reference instead, with everything it built,
+        which is what :meth:`~repro.workloads.base.Benchmark.run` does
+        after every run.  Afterwards the arrays' host accesses apply
+        their location-set transitions directly, and launching one of
+        the kernels raises :class:`~repro.errors.LaunchError`.
         """
         self.sync()
         for arr in self._arrays:
@@ -336,18 +270,16 @@ class Session:
     def counters(self) -> dict:
         """Flat namespaced counter snapshot across this session's layers
         (``engine.*`` from the simulator core, ``coherence.*`` from the
-        *current* context's coherence engine)."""
+        context's coherence engine)."""
         merged = CounterRegistry()
-        engine_counters = getattr(self.engine, "counters", None)
-        if engine_counters is not None:
-            merged.merge(engine_counters)
+        merged.merge(self.engine.counters)
         merged.merge(self.context.coherence.counters)
         return merged.snapshot()
 
     @property
     def tracer(self) -> Tracer:
         """The tracer this session's engine reports to."""
-        return getattr(self.engine, "tracer", NULL_TRACER)
+        return self.engine.tracer
 
     @property
     def clock(self) -> float:

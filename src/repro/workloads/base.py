@@ -395,9 +395,7 @@ class Benchmark(abc.ABC):
     ) -> RunResult:
         engine.sync_all()
         merged = CounterRegistry()
-        engine_counters = getattr(engine, "counters", None)
-        if engine_counters is not None:
-            merged.merge(engine_counters)
+        merged.merge(engine.counters)
         merged.merge(host.coherence.counters)
         return RunResult(
             benchmark=self.name,

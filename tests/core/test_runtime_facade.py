@@ -1,5 +1,5 @@
 """Tests for the single-GPU ``Session`` runtime surface: construction,
-arrays, execution, kernel registries and re-entrant contexts."""
+arrays, execution, kernel registries and the one execution context."""
 
 import numpy as np
 import pytest
@@ -128,71 +128,37 @@ class TestRegistryIntegration:
         assert rt.elapsed() > 0
 
 
-class TestReentrantContextReuse:
-    """renew_context: one long-lived session, many isolated contexts
-    (the substrate of the repro.serve fleet)."""
+class TestOneContextForLife:
+    """A session is one host program's runtime: one execution context
+    for its whole life.  Serving builds a context per request on a
+    fleet slot's engine instead (``tests/serve/test_service.py::
+    TestRequestsOwnTheirState``)."""
 
-    def _run_square(self, rt, kernel, n=1024):
-        x = rt.array(n, name="x")
-        x.copy_from_host(np.full(n, 3.0, dtype=np.float32))
-        kernel(8, 128)(x, n)
-        return x
-
-    def test_fresh_dag_and_history_per_context(self):
+    def test_arrays_and_kernels_bind_the_one_context(self):
         rt = Session()
+        ctx = rt.context
         k = rt.build_kernel(
             lambda x, n: np.square(x[:n], out=x[:n]),
             "square", "ptr, sint32", COST,
         )
-        x = self._run_square(rt, k)
-        assert x[0] == pytest.approx(9.0)
-        assert rt.dag.num_vertices > 0
-        assert rt.history.execution_count("square") == 1
-        first = rt.context
-
-        rt.free_arrays()
-        ctx = rt.renew_context(op_tags={"tenant": "t1"})
-        assert ctx is rt.context and ctx is not first
-        assert rt.dag.num_vertices == 0
-        assert rt.history.execution_count("square") == 0
-        assert rt.context_generation == 1
-
-        # The same kernel object keeps launching into the new context.
-        y = self._run_square(rt, k)
-        assert y[0] == pytest.approx(9.0)
-        assert rt.history.execution_count("square") == 1
-        tagged = [
-            r for r in rt.timeline().kernels()
-            if r.meta.get("tenant") == "t1"
-        ]
-        assert len(tagged) == 1
-
-    def test_renewal_reclaims_engine_streams(self):
-        rt = Session()
-        k = rt.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
-        for _ in range(6):
-            self._run_square(rt, k)
-            rt.free_arrays()
-            rt.renew_context()
-        # One default stream + at most the live context's streams: dead
-        # contexts do not leak streams into the engine's scheduling scan.
-        assert len(rt.engine.streams) <= 3
-
-    def test_undrained_renewal_keeps_work_in_flight(self):
-        rt = Session()
-        k = rt.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
         x = rt.array(1024, name="x")
-        x.copy_from_host(np.zeros(1024, dtype=np.float32))
-        k(8, 128)(x, 1024)
-        old = rt.context
-        rt.renew_context(drain=False)
-        assert rt.context is not old
-        assert not rt.engine.idle  # the old context's kernel still queued
-        rt.engine.sync_all()
+        x.copy_from_host(np.full(1024, 3.0, dtype=np.float32))
+        for _ in range(3):
+            k(8, 128)(x, 1024)
+            rt.sync()
+        assert rt.context is ctx
+        assert k.launch_handler == ctx.launch
+        assert x._on_cpu_access == ctx._on_cpu_access
+        assert rt.history.execution_count("square") == 3
+        assert x[0] == pytest.approx(6561.0)
 
-    def test_surviving_arrays_reattach_on_drained_renewal(self):
-        rt = Session()
-        x = rt.array(16, name="x")
-        rt.renew_context()
-        assert x._on_cpu_access is not None
-        x[0]  # routed through the fresh context without error
+    def test_serial_scheduler_rejects_several_gpus(self):
+        """The session and a fleet slot share one check."""
+        from repro.errors import ConfigError
+        from repro.serve import GpuFleet
+
+        serial = SchedulerConfig(execution=ExecutionPolicy.SERIAL)
+        with pytest.raises(ConfigError, match="single-GPU"):
+            Session(gpus=2, config=serial)
+        with pytest.raises(ConfigError, match="single-GPU"):
+            GpuFleet([1, 2], config=serial)

@@ -21,8 +21,21 @@ from repro.gpusim.ops import (
     TransferDirection,
     TransferOp,
 )
+from repro.obs.counters import CounterRegistry
+from repro.obs.trace import NULL_TRACER
 from repro.workloads import Mode, create_benchmark
 from repro.workloads.suite import BENCHMARKS, default_scales
+
+
+class ObservedReferenceEngine(ReferenceSimEngine):
+    """The frozen engine as the runtime constructs and reads an engine:
+    it takes ``tracer=`` and reports to the null tracer, and its
+    counter registry stays empty.  The frozen file predates both."""
+
+    def __init__(self, device, tracer=None) -> None:
+        super().__init__(device)
+        self.tracer = NULL_TRACER
+        self.counters = CounterRegistry()
 
 
 def _signature(timeline):
@@ -149,11 +162,7 @@ class TestEngineLevelGolden:
         from repro.harness import simbench
 
         new = simbench._churn_run(1000, 64, "GTX 1660 Super")
-        monkeypatch.setattr(
-            simbench,
-            "SimEngine",
-            lambda device, tracer=None: ReferenceSimEngine(device),
-        )
+        monkeypatch.setattr(simbench, "SimEngine", ObservedReferenceEngine)
         ref = simbench._churn_run(1000, 64, "GTX 1660 Super")
         assert new.device.contention._price_memo is None
         assert new.clock == ref.clock
@@ -185,10 +194,10 @@ class TestWorkloadSuiteGolden:
 
         res_new = run()
         monkeypatch.setattr(
-            "repro.session.SimEngine", ReferenceSimEngine
+            "repro.session.SimEngine", ObservedReferenceEngine
         )
         monkeypatch.setattr(
-            "repro.workloads.base.SimEngine", ReferenceSimEngine
+            "repro.workloads.base.SimEngine", ObservedReferenceEngine
         )
         res_ref = run()
         assert res_new.elapsed == res_ref.elapsed
@@ -203,10 +212,10 @@ class TestWorkloadSuiteGolden:
 
         res_new = run()
         monkeypatch.setattr(
-            "repro.session.SimEngine", ReferenceSimEngine
+            "repro.session.SimEngine", ObservedReferenceEngine
         )
         monkeypatch.setattr(
-            "repro.workloads.base.SimEngine", ReferenceSimEngine
+            "repro.workloads.base.SimEngine", ObservedReferenceEngine
         )
         res_ref = run()
         assert res_new.elapsed == res_ref.elapsed
@@ -217,9 +226,13 @@ class TestServingReplayGolden:
     def test_serving_report_bit_identical(self, monkeypatch):
         from repro.harness import serve_bench
 
-        def run():
+        def run(engine_cls):
             report = serve_bench(
                 tenants=3, requests=24, fleet_size=2, render=False
+            )
+            # The slots ran on the engine under comparison.
+            assert all(
+                type(slot.engine) is engine_cls for slot in report.fleet.slots
             )
             m = report.metrics
             return (
@@ -234,9 +247,9 @@ class TestServingReplayGolden:
                 ),
             )
 
-        res_new = run()
+        res_new = run(SimEngine)
         monkeypatch.setattr(
-            "repro.session.SimEngine", ReferenceSimEngine
+            "repro.serve.fleet.SimEngine", ObservedReferenceEngine
         )
-        res_ref = run()
+        res_ref = run(ObservedReferenceEngine)
         assert res_new == res_ref

@@ -106,10 +106,8 @@ class TestServingDeterminism:
                 services[variant].fleet.slots, ref_service.fleet.slots
             ):
                 assert timeline_shape(
-                    slot.session.engine.timeline
-                ) == timeline_shape(ref_slot.session.engine.timeline), (
-                    variant
-                )
+                    slot.engine.timeline
+                ) == timeline_shape(ref_slot.engine.timeline), variant
             # the counter surface is part of the deterministic output
             assert report.counters == ref.counters, variant
         # only the enabled run recorded spans

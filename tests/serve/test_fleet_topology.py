@@ -1,4 +1,4 @@
-"""Fleet-of-Sessions tests: multi-GPU serving slots, topology specs,
+"""Fleet tests: multi-GPU serving slots, topology specs,
 slot-keyed captures, deterministic placement and the cross-acquire
 coalescing window on the serving path."""
 
@@ -78,7 +78,7 @@ class TestTopologySpec:
 
     def test_normalize_rejects_non_spec_sequence_entries(self):
         """A nested topology list ([[2, 2]]) must fail loudly at
-        validation, not deep inside Session construction."""
+        validation, not deep inside slot construction."""
         spec = gpu_by_name("GTX 1660 Super")
         with pytest.raises(ValueError, match="GPU names or"):
             normalize_slot_spec([2, 2], spec)
@@ -98,9 +98,9 @@ class TestTopologySpec:
         assert fleet.total_gpus == 6
         assert len(fleet) == 4
         assert fleet.describe().startswith("[2,2,1,1]x")
-        # Each slot is a real multi- or single-GPU Session.
-        assert fleet.slots[0].session.gpus == 2
-        assert fleet.slots[2].session.gpus == 1
+        # Each slot is one multi- or single-GPU engine.
+        assert len(fleet.slots[0].engine.devices) == 2
+        assert len(fleet.slots[2].engine.devices) == 1
 
     def test_build_with_gpus_per_slot(self):
         fleet = GpuFleet([2] * 3)

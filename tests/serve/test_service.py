@@ -1,9 +1,15 @@
 """Integration tests for the multi-tenant scheduler service."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro.cluster import Cluster, ClusterConfig
+from repro.core.policies import SchedulerConfig
+from repro.memory.coherence import MovementPolicy
 from repro.multigpu import DevicePlacementPolicy
+from repro.parallel.work import submit_context
 from repro.serve import (
     AdmissionPolicy,
     GpuFleet,
@@ -302,9 +308,9 @@ class TestServiceMechanics:
             assert needle in text
 
     def test_engine_stream_count_stays_bounded(self):
-        """Re-entrant context reuse must reclaim per-request streams:
-        a long-lived serving device's engine does not accumulate one
-        stream set per request."""
+        """Closing each request reclaims its streams: a long-lived
+        serving device's engine does not accumulate one stream set per
+        request."""
         service = make_service(fleet_size=1)
         submit_mixed(service, ["a"], 9)
         report = service.run()
@@ -312,6 +318,169 @@ class TestServiceMechanics:
         # default + replay pool (bounded by batch_max * plan streams),
         # not O(requests * streams-per-request).
         assert len(device.engine.streams) < 20
+
+
+WINDOWED = SchedulerConfig(
+    movement=MovementPolicy.BATCHED, movement_window=4
+)
+
+
+class TestRequestsOwnTheirState:
+    """Each served request builds its own context (or coherence engine)
+    and arrays on its slot's engine, and closes them with its batch."""
+
+    def test_fresh_dag_and_history_per_request(self):
+        slot = GpuFleet([1]).slots[0]
+        graph = mixed_workload_graphs(1, workloads=["vec"])[0]
+        subs = []
+        for tenant in ("a", "b"):
+            sub = submit_context(slot, GraphRequest(tenant, graph))
+            slot.engine.sync_all()
+            sub.close()
+            subs.append(sub)
+        first, second = subs
+        assert first.context is not second.context
+        # The second request's DAG and history hold only its own work.
+        assert first.context.dag.num_vertices == (
+            second.context.dag.num_vertices
+        ) > 0
+        launches = len(graph.launches)
+        for sub in subs:
+            history = sub.context.history
+            assert sum(
+                history.execution_count(name) for name in history.kernels()
+            ) == launches
+            tagged = [
+                r for r in slot.engine.timeline.kernels()
+                if r.meta.get("request") == sub.request.request_id
+            ]
+            assert len(tagged) == launches
+            assert {r.meta["tenant"] for r in tagged} == {
+                sub.request.tenant
+            }
+
+    def test_batch_contexts_in_flight_together(self):
+        slot = GpuFleet([1]).slots[0]
+        graphs = mixed_workload_graphs(2, workloads=["vec"])
+        subs = [
+            submit_context(slot, GraphRequest("t", g)) for g in graphs
+        ]
+        assert not slot.engine.idle  # nothing synchronized yet
+        slot.engine.sync_all()
+        first, second = (
+            [
+                r for r in slot.engine.timeline
+                if r.meta.get("request") == sub.request.request_id
+            ]
+            for sub in subs
+        )
+        # The second request's work starts while the first's runs.
+        assert min(r.start for r in second) < max(r.end for r in first)
+        for sub in subs:
+            sub.close()
+        assert slot.engine.streams == (slot.engine.default_stream,)
+        assert all(
+            arr.freed and arr._on_cpu_access is None
+            for sub in subs
+            for arr in sub.arrays.values()
+        )
+
+    def test_context_path_leaves_only_the_default_stream(self):
+        service = SchedulerService(
+            fleet_topology=[2],
+            config=ServeConfig(capture_cache=False, scheduler=WINDOWED),
+        )
+        submit_mixed(service, ["a", "b"], 12)
+        report = service.run()
+        assert report.metrics.completed == 12
+        engine = report.fleet.slots[0].engine
+        assert engine.streams == (engine.default_stream,)
+        assert report.fleet.slots[0].devices[0].allocated_bytes == 0
+
+    def test_caller_built_fleet_config_governs_replay(self):
+        """A fleet's own SchedulerConfig drives its replayed requests
+        too, whatever the service's ``ServeConfig.scheduler`` says."""
+
+        def serve(service):
+            submit_mixed(service, ["a", "b"], 16)
+            return service.run()
+
+        own = serve(SchedulerService(GpuFleet([2, 1], config=WINDOWED)))
+        built = serve(
+            SchedulerService(
+                fleet_topology=[2, 1], config=ServeConfig(scheduler=WINDOWED)
+            )
+        )
+        assert own.metrics.capture_hits > 0
+        assert own.counters == built.counters
+        assert own.fingerprint() == built.fingerprint()
+
+
+def _cyclic_garbage(run) -> int:
+    """Objects a second ``run()`` leaves that only the cyclic garbage
+    collector frees; the first run warms every cache."""
+    run()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+def _serve(front) -> None:
+    submit_mixed(front, ["a", "b", "c"], 16, spacing=5e-5)
+    front.run()
+
+
+class TestServedPassesFreeThemselves:
+    """A served pass is freed by reference counting alone: slots hold
+    engines, and every request closes what it opened."""
+
+    def test_fleet_with_fault_plan(self):
+        plan = (
+            "crash:slot=1,at=2e-4;transfer-fault:slot=0,at=1e-4;"
+            "degrade:slot=2,at=1e-4,factor=2"
+        )
+        assert _cyclic_garbage(
+            lambda: _serve(
+                SchedulerService(
+                    fleet_topology=[1, 1, 1],
+                    config=ServeConfig(faults=plan),
+                )
+            )
+        ) == 0
+
+    def test_fleet_with_movement_window(self):
+        assert _cyclic_garbage(
+            lambda: _serve(
+                SchedulerService(
+                    fleet_topology=[2, 1],
+                    config=ServeConfig(scheduler=WINDOWED),
+                )
+            )
+        ) == 0
+
+    def test_cluster_with_node_crash(self):
+        assert _cyclic_garbage(
+            lambda: _serve(
+                Cluster(
+                    "2,1|2",
+                    config=ClusterConfig(faults="crash:node=1,at=2e-4"),
+                )
+            )
+        ) == 0
+
+    def test_execute_serial(self):
+        graphs = mixed_workload_graphs(3)
+        assert _cyclic_garbage(
+            lambda: [execute_serial(g) for g in graphs]
+        ) == 0
 
 
 class TestServingScales:
